@@ -16,6 +16,7 @@ import tempfile
 import numpy as np
 
 from .errors import DataFormatError
+from .numerics import assert_finite
 
 MAGIC = b"MDFF"
 VERSION = 1
@@ -23,10 +24,16 @@ _U32 = struct.Struct("<I")
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
-    """Write tensors to path atomically (temp file + rename)."""
+    """Write tensors to path atomically (temp file + rename).
+
+    Raises NumericsError, writing nothing, if a tensor is not finite after the
+    float32 cast (values beyond float32 range become infinite there).
+    """
     chunks = [MAGIC, _U32.pack(VERSION), _U32.pack(len(tensors))]
     for name in sorted(tensors):
-        arr = np.asarray(tensors[name], dtype=np.float32)
+        with np.errstate(over="ignore"):  # overflow is reported just below
+            arr = np.asarray(tensors[name], dtype=np.float32)
+        assert_finite(f"tensor {name!r} of {path}", arr)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:

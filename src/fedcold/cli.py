@@ -45,8 +45,8 @@ ROUNDS_CSV = "rounds.csv"
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # numpy 2 scalars repr as "np.float64(...)"
     return str(value)
 
 

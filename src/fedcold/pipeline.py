@@ -28,7 +28,6 @@ from .evaluation import (
 )
 from .federation import (
     RoundReport,
-    aggregate,
     finalize_table,
     init_simulation,
     run_round,
@@ -36,7 +35,7 @@ from .federation import (
 )
 from .mlp import TwoLayerMLP
 from .modality import FeatureTable, encode_texts, l2_normalize_rows, load_features
-from .numerics import stream_rng
+from .numerics import assert_finite, stream_rng
 from .privacy import PipelineComparison, compare_pipelines, structural_similarity_difference
 
 
@@ -116,8 +115,8 @@ def _user_matrix(clients) -> np.ndarray:
 def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
     """Federated rounds with per-round diagnostics and validation tracking.
 
-    After each round the pending uploads are folded into a preview table (the
-    server state itself still defers aggregation to the next round).  Cold and
+    After each round the uploads are aggregated into the server table once,
+    and the table, the user embeddings and the losses must be finite.  Cold and
     validation embeddings are generated in deterministic mode from per-round
     streams, so running them does not perturb the training trajectory.  The
     best round is the latest maximum of validation recall at ``val_k``.
@@ -154,7 +153,14 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
             server, clients, generator, data.features, data.split, fed_cfg, cfg.seed
         )
         rounds.append(report)
-        preview = aggregate(server.table, server.pending)
+        finalize_table(server)
+        users = _user_matrix(clients)
+        assert_finite(
+            f"round {report.round} (item table, user embeddings or losses)",
+            server.table.embeddings,
+            users,
+            np.array([report.mean_client_loss, report.diffusion_loss or 0.0]),
+        )
 
         cold_rows = generator.generate(
             cold,
@@ -163,7 +169,7 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
             mode="deterministic_mean",
             stream_label=f"diag{report.round}",
         )
-        diag = distribution_diagnostics(preview.embeddings[warm], cold_rows)
+        diag = distribution_diagnostics(server.table.embeddings[warm], cold_rows)
         diagnostics.append(
             DiagnosticsRow(
                 round=report.round,
@@ -179,7 +185,6 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
             mode="deterministic_mean",
             stream_label=f"val{report.round}",
         )
-        users = _user_matrix(clients)
         try:
             val_report = evaluate_cold(
                 users, val_items, val_rows, val_by_user, [cfg.val_k]
@@ -193,13 +198,12 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
         if recall is not None and (best_recall is None or recall >= best_recall):
             best_recall = recall
             best_round = report.round
-            best_item = preview.embeddings.copy()
+            best_item = server.table.embeddings.copy()
             best_user = users.copy()
             best_denoiser = {
                 k: v.copy() for k, v in generator.params.tensors().items()
             }
 
-    finalize_table(server)
     final_user = _user_matrix(clients)
     if best_item is None:  # no evaluable validation users in any round
         best_round = rounds[-1].round if rounds else 0

@@ -7,6 +7,7 @@ import pytest
 from fedcold.cli import artifact_sha256, main
 from fedcold.config import RunConfig, load_config, parse_config
 from fedcold.errors import ConfigError
+from fedcold.pipeline import prepare_data
 
 BASE = {
     "synthetic": "true",
@@ -146,6 +147,28 @@ def test_gen_data_requires_synthetic(monkeypatch, tmp_path, capsys):
     assert "synthetic" in capsys.readouterr().err
 
 
+def test_gen_data_output_trains(monkeypatch, tmp_path):
+    cfg = write_cfg(tmp_path / "gen.cfg")
+    assert run(monkeypatch, tmp_path, "gen-data", "--config", cfg) == 0
+    data = prepare_data(load_config(cfg))
+    lines = (tmp_path / "out/data/features.csv").read_text().splitlines()[1:]
+    written = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
+    assert np.array_equal(written, data.features.rows)  # floats round-trip exactly
+    files = write_cfg(
+        tmp_path / "files.cfg",
+        synthetic=None,
+        synthetic_users=None,
+        synthetic_items=None,
+        synthetic_clusters=None,
+        synthetic_feature_dim=None,
+        interactions_path="out/data/interactions.csv",
+        features_path="out/data/features.csv",
+        out_dir="trained",
+    )
+    assert run(monkeypatch, tmp_path, "train", "--config", files) == 0
+    assert (tmp_path / "trained/item_embeddings.ckpt").exists()
+
+
 # train
 
 
@@ -180,6 +203,26 @@ def test_train_rerun_reproduces_rounds_csv(monkeypatch, tmp_path):
     assert (tmp_path / "out/denoiser.ckpt").read_bytes() == (
         tmp_path / "prev/denoiser.ckpt"
     ).read_bytes()
+
+
+def test_train_stops_before_writing_non_finite_checkpoints(
+    monkeypatch, tmp_path, capsys
+):
+    # float64 rows stay finite for three rounds but overflow the float32 cast
+    cfg = write_cfg(tmp_path / "lr.cfg", local_lr="1e6", rounds=3)
+    assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("fedcold train: non-finite values in tensor")
+    assert not list((tmp_path / "out").glob("*.ckpt"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_stops_on_non_finite_round(monkeypatch, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "lr.cfg", local_lr="1e150", rounds=3)
+    assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 1
+    assert "non-finite values in round 1 " in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.ckpt"))
 
 
 # infer

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -18,10 +19,10 @@ from fedcold.federation import (
     FedConfig,
     GlobalItemTable,
     ServerState,
+    UploadRows,
     aggregate,
     apply_ldp,
     bce_loss,
-    client_local_train,
     diffusion_trains_this_round,
     finalize_table,
     init_simulation,
@@ -29,10 +30,52 @@ from fedcold.federation import (
     run_round,
     score_items,
     train_baseline_mapper,
+    train_clients_lockstep,
 )
 from fedcold.mlp import TwoLayerMLP
 from fedcold.modality import FeatureTable
-from fedcold.numerics import finite_diff_grad_check, stream_rng
+from fedcold.numerics import finite_diff_grad_check, sigmoid, stream_rng
+
+
+def client_local_train(state, table, rng, config):
+    """Scalar oracle for one client's local pass, which the kernel must match.
+
+    Per positive, one BCE-SGD step for it and each negative; item rows are
+    copied on first touch so ``table`` is never written, and the returned dict
+    holds the client's updated rows.
+    """
+    local = {}
+    e_u = state.user_embedding
+    lr = config.local_lr
+    loss_sum = 0.0
+    n_examples = 0
+    k = config.negatives_per_positive
+    for pos in state.warm_positives:
+        if k > state.negative_pool.size:
+            raise ConfigError(
+                f"user {state.user_id}: negative pool too small for {k} draws"
+            )
+        negatives = rng.choice(state.negative_pool, size=k, replace=False)
+        for item, y in ((int(pos), 1.0), *((int(n), 0.0) for n in negatives)):
+            row = local.get(item)
+            if row is None:
+                row = table[item].copy()
+                local[item] = row
+            y_hat = sigmoid(float(np.dot(e_u, row)))
+            loss_sum += bce_loss(y, y_hat)
+            n_examples += 1
+            g = y_hat - y
+            grad_user = g * row
+            row -= lr * g * e_u
+            e_u -= lr * grad_user
+    mean_loss = loss_sum / n_examples if n_examples else 0.0
+    return local, mean_loss
+
+
+def upload_rows(rows):
+    """``UploadRows`` holding copies of a dict's rows."""
+    ids = sorted(rows)
+    return UploadRows(np.array(ids, dtype=np.int64), np.stack([rows[i] for i in ids]))
 
 
 def small_setup(seed=0, n_users=12, n_items=15, dim=8):
@@ -129,8 +172,8 @@ def test_one_epoch_decreases_training_loss():
         return (pos + neg) / 2
 
     before = current_loss()
-    rows, reported = client_local_train(
-        client, table, stream_rng(7, "client", 1, 0), config
+    [rows], [reported] = train_clients_lockstep(
+        [client], table, [stream_rng(7, "client", 1, 0)], config
     )
     for item, row in rows.items():
         table[item] = row
@@ -144,7 +187,7 @@ def test_client_touches_only_positives_and_negatives():
     split, config, server, clients, _ = small_setup()
     client = next(c for c in clients if c.warm_positives.size > 0)
     rng = stream_rng(0, "client", 1, client.user_id)
-    rows, _ = client_local_train(client, server.table.embeddings, rng, config)
+    [rows], _ = train_clients_lockstep([client], server.table.embeddings, [rng], config)
     touched = set(rows)
     allowed = set(int(i) for i in client.warm_positives) | set(
         int(i) for i in client.negative_pool
@@ -161,14 +204,14 @@ def test_client_upload_has_no_user_embedding_field():
 
 
 def test_apply_ldp_zero_is_identity():
-    rows = {3: np.ones(4), 1: np.zeros(4)}
+    rows = upload_rows({3: np.ones(4), 1: np.zeros(4)})
     out = apply_ldp(rows, 0.0, stream_rng(0, "ldp"))
     assert out is rows
 
 
 def test_apply_ldp_noise_variance():
     rng = stream_rng(1, "ldp-var")
-    rows = {0: np.zeros(200_000)}
+    rows = upload_rows({0: np.zeros(200_000)})
     out = apply_ldp(rows, 2.0, rng)
     noise = out[0]
     assert abs(np.var(noise) - 8.0) / 8.0 < 0.03
@@ -177,8 +220,8 @@ def test_apply_ldp_noise_variance():
 
 def test_apply_ldp_deterministic():
     rows = {0: np.ones(8), 5: np.zeros(8)}
-    a = apply_ldp(rows, 1.0, stream_rng(3, "ldp-det"))
-    b = apply_ldp(rows, 1.0, stream_rng(3, "ldp-det"))
+    a = apply_ldp(upload_rows(rows), 1.0, stream_rng(3, "ldp-det"))
+    b = apply_ldp(upload_rows(rows), 1.0, stream_rng(3, "ldp-det"))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[5], b[5])
 
@@ -187,8 +230,10 @@ def test_aggregate_mean_and_carry_over():
     table = GlobalItemTable(embeddings=np.zeros((4, 3)))
     table.embeddings[3] = 9.0
     uploads = [
-        ClientUpload(user_id=1, rows={0: np.full(3, 2.0), 1: np.full(3, 4.0)}),
-        ClientUpload(user_id=0, rows={0: np.full(3, 6.0)}),
+        ClientUpload(
+            user_id=1, rows=upload_rows({0: np.full(3, 2.0), 1: np.full(3, 4.0)})
+        ),
+        ClientUpload(user_id=0, rows=upload_rows({0: np.full(3, 6.0)})),
     ]
     out = aggregate(table, uploads)
     assert np.allclose(out.embeddings[0], 4.0)  # mean of 2 and 6
@@ -200,11 +245,118 @@ def test_aggregate_permutation_invariant_exactly():
     rng = stream_rng(4, "agg-perm")
     table = GlobalItemTable(embeddings=rng.standard_normal((3, 5)))
     ups = [
-        ClientUpload(user_id=u, rows={1: rng.standard_normal(5)}) for u in range(7)
+        ClientUpload(user_id=u, rows=upload_rows({1: rng.standard_normal(5)}))
+        for u in range(7)
     ]
     out1 = aggregate(table, ups)
     out2 = aggregate(table, list(reversed(ups)))
     assert np.array_equal(out1.embeddings, out2.embeddings)
+
+
+def test_aggregate_equals_mean_of_stack_bitwise():
+    rng = stream_rng(5, "agg-mean")
+    table = GlobalItemTable(embeddings=rng.standard_normal((6, 7)))
+    uploads = [
+        ClientUpload(
+            user_id=u,
+            rows=upload_rows(
+                {i: rng.standard_normal(7) for i in range(6) if (u + i) % 4 != 0}
+            ),
+        )
+        for u in range(9)
+    ]
+    out = aggregate(table, uploads)
+    for item in range(6):
+        rows = [up.rows[item] for up in uploads if item in up.rows]
+        assert len(rows) >= 3
+        assert np.array_equal(out.embeddings[item], np.mean(np.stack(rows), axis=0))
+
+
+def oracle_uploads(clients, table, config, seed, round_index):
+    """Scalar-oracle rows and losses, with one noise draw per row by item."""
+    rows, losses = [], []
+    for c in clients:
+        rng = stream_rng(seed, "client", round_index, c.user_id)
+        local, loss = client_local_train(c, table, rng, config)
+        if config.ldp_scale:
+            for item in sorted(local):
+                local[item] = local[item] + rng.laplace(
+                    0.0, config.ldp_scale, size=local[item].shape
+                )
+        rows.append(local)
+        losses.append(loss)
+    return rows, losses
+
+
+def assert_rows_equal(got, want):
+    assert list(got) == sorted(want)
+    for item in want:
+        assert np.array_equal(got[item], want[item])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 12])
+@pytest.mark.parametrize("ldp_scale", [0.0, 0.7])
+def test_lockstep_kernel_equals_scalar_oracle_bitwise(seed, ldp_scale):
+    split, config, server, clients, _ = small_setup(
+        seed, n_users=100, n_items=60, dim=64
+    )
+    config = dataclasses.replace(config, ldp_scale=ldp_scale)
+    clients[1].warm_positives = np.zeros(0, np.int64)  # a client with no examples
+    # spread the scores over (0, 1): near ln 2 the vector log and dot product
+    # rarely differ from the scalar ones in the last bit
+    server.table.embeddings *= 30.0
+    for c in clients:
+        c.user_embedding *= 30.0
+    twins = copy.deepcopy(clients)
+    table = server.table.embeddings
+    before = table.copy()
+    rngs = [stream_rng(seed, "client", 1, c.user_id) for c in clients]
+    rows, losses = train_clients_lockstep(clients, table, rngs, config)
+    rows = [apply_ldp(r, ldp_scale, rng) for r, rng in zip(rows, rngs)]
+    want_rows, want_losses = oracle_uploads(twins, table, config, seed, 1)
+    assert np.array_equal(table, before)
+    assert losses == want_losses
+    assert losses[1] == 0.0 and len(rows[1]) == 0
+    for c, twin, got, want in zip(clients, twins, rows, want_rows):
+        assert np.array_equal(c.user_embedding, twin.user_embedding)
+        assert_rows_equal(got, want)
+
+
+def test_run_round_sampled_clients_match_scalar_oracle_bitwise():
+    split, config, server, clients, _ = small_setup(seed=9, n_users=40, dim=64)
+    config = dataclasses.replace(config, client_sample_ratio=0.4, ldp_scale=0.5)
+    twins = copy.deepcopy(clients)
+    table = server.table.embeddings.copy()
+    report = run_round(server, clients, None, None, split, config, seed=9)
+    sampled = [twins[up.user_id] for up in server.pending]
+    assert 0 < len(sampled) < len(clients)
+    want_rows, want_losses = oracle_uploads(sampled, table, config, 9, 1)
+    for up, want in zip(server.pending, want_rows):
+        assert_rows_equal(up.rows, want)
+    kept = [loss for c, loss in zip(sampled, want_losses) if c.warm_positives.size]
+    assert report.mean_client_loss == float(np.mean(kept))
+    for c, twin in zip(clients, twins):
+        assert np.array_equal(c.user_embedding, twin.user_embedding)
+
+
+def test_lockstep_small_negative_pool_names_the_user():
+    split, config, server, clients, _ = small_setup(seed=1)
+    client = next(c for c in clients if c.warm_positives.size > 0)
+    client.negative_pool = client.negative_pool[:1]
+    rngs = [stream_rng(1, "client", 1, c.user_id) for c in clients]
+    with pytest.raises(ConfigError, match=f"user {client.user_id}:"):
+        train_clients_lockstep(clients, server.table.embeddings, rngs, config)
+
+
+def test_negative_pools_keep_warm_order():
+    split, config, server, clients, _ = small_setup(seed=2)
+    split.warm_items.reverse()
+    _, clients = init_simulation(split, config, 2)
+    by_user = split.dataset.by_user()
+    for c in clients:
+        want = [i for i in split.warm_items if i not in by_user[c.user_id]]
+        assert c.negative_pool.tolist() == want
+        assert c.negative_pool.dtype == np.int64
 
 
 def test_light_mode_cadence():
