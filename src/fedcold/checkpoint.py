@@ -59,6 +59,15 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
         raise
 
 
+def require_tensors(tensors: dict[str, np.ndarray], names, model: str) -> None:
+    """Raise DataFormatError naming every tensor in ``names`` that is missing."""
+    missing = [name for name in names if name not in tensors]
+    if missing:
+        raise DataFormatError(
+            f"{model} checkpoint lacks tensor(s): {', '.join(missing)}"
+        )
+
+
 class _Reader:
     def __init__(self, data: bytes, path: str) -> None:
         self.data = data

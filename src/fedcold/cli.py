@@ -25,13 +25,15 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import CONDITION_MODES, RunConfig, config_help, load_config
 from .data import save_interactions
-from .diffusion import DenoiserParams, DenoisingGenerator, build_schedule
+from .diffusion import DenoisingGenerator
 from .errors import ConfigError, FedcoldError
 from .federation import train_baseline_mapper
 from .mlp import TwoLayerMLP
 from .numerics import stream_rng
 from .pipeline import (
+    EvalResult,
     PreparedData,
+    build_generator,
     evaluate_run,
     generate_cold,
     prepare_data,
@@ -118,21 +120,9 @@ def _load_preferring_best(out_dir: str, name: str) -> dict[str, np.ndarray]:
     return load_checkpoint(path)
 
 
-def _load_generator(cfg: RunConfig, data: PreparedData, out_dir: str) -> DenoisingGenerator:
-    schedule = build_schedule(cfg.steps, cfg.noise_scale, cfg.noise_min, cfg.noise_max)
-    generator = DenoisingGenerator(
-        width=cfg.dim,
-        heads=cfg.heads,
-        cond_dim=data.features.dim,
-        schedule=schedule,
-        server_lr=cfg.server_lr,
-        rng=stream_rng(cfg.seed, "denoiser-init"),
-    )
-    tensors = _load_preferring_best(out_dir, "denoiser")
-    generator.params = DenoiserParams.from_tensors(
-        cfg.dim, cfg.heads, data.features.dim, tensors
-    )
-    return generator
+def _load_generator(cfg: RunConfig, data: PreparedData) -> DenoisingGenerator:
+    tensors = _load_preferring_best(cfg.out_dir, "denoiser")
+    return build_generator(cfg, data.features.dim, tensors)
 
 
 def cmd_gen_data(cfg: RunConfig) -> list[str]:
@@ -236,7 +226,7 @@ def cmd_train(cfg: RunConfig) -> list[str]:
 def cmd_infer(cfg: RunConfig) -> list[str]:
     os.makedirs(cfg.out_dir, exist_ok=True)
     data = prepare_data(cfg)
-    generator = _load_generator(cfg, data, cfg.out_dir)
+    generator = _load_generator(cfg, data)
     rows = generate_cold(cfg, data, generator)
     ds = data.split.dataset
     write_csv(
@@ -251,10 +241,10 @@ def cmd_infer(cfg: RunConfig) -> list[str]:
     return ["cold_embeddings.csv"]
 
 
-def cmd_eval(cfg: RunConfig) -> list[str]:
+def cmd_eval(cfg: RunConfig) -> EvalResult:
     os.makedirs(cfg.out_dir, exist_ok=True)
     data = prepare_data(cfg)
-    generator = _load_generator(cfg, data, cfg.out_dir)
+    generator = _load_generator(cfg, data)
     user_table = _load_preferring_best(cfg.out_dir, "user_embeddings")["user_embeddings"]
     item_table = _load_preferring_best(cfg.out_dir, "item_embeddings")["item_embeddings"]
     cold_rows = generate_cold(cfg, data, generator)
@@ -288,13 +278,13 @@ def cmd_eval(cfg: RunConfig) -> list[str]:
     )
     names = ["metrics.csv", "diagnostics_final.csv", "embeddings_export.csv"]
     write_manifest(cfg.out_dir, "eval", cfg, names)
-    return names
+    return result
 
 
 def cmd_attack(cfg: RunConfig) -> list[str]:
     os.makedirs(cfg.out_dir, exist_ok=True)
     data = prepare_data(cfg)
-    generator = _load_generator(cfg, data, cfg.out_dir)
+    generator = _load_generator(cfg, data)
     item_table = _load_preferring_best(cfg.out_dir, "item_embeddings")["item_embeddings"]
     mapper_path = _ckpt(cfg.out_dir, "mapper")
     if not os.path.exists(mapper_path):
@@ -386,17 +376,7 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> list[str]:
         )
         sub.validate()
         cmd_train(sub)
-        cmd_eval(sub)
-        data = prepare_data(sub)
-        generator = _load_generator(sub, data, sub.out_dir)
-        user_table = _load_preferring_best(sub.out_dir, "user_embeddings")[
-            "user_embeddings"
-        ]
-        item_table = _load_preferring_best(sub.out_dir, "item_embeddings")[
-            "item_embeddings"
-        ]
-        cold_rows = generate_cold(sub, data, generator)
-        result = evaluate_run(sub, data, user_table, item_table, cold_rows)
+        result = cmd_eval(sub)
         m = result.metrics.per_k[primary_k]
         summary.append(
             [param, raw, primary_k, m.recall, m.precision, m.ndcg, result.metrics.n_users]

@@ -13,9 +13,8 @@ import os
 from dataclasses import dataclass
 
 from .data import SyntheticSpec
-from .diffusion import INFERENCE_MODES, DiffusionConfig
+from .diffusion import INFERENCE_MODES, _validate_levels
 from .errors import ConfigError
-from .federation import FedConfig
 
 CONDITION_MODES = ("full", "zero", "random", "none")
 _PATH_KEYS = ("interactions_path", "features_path", "texts_path")
@@ -75,30 +74,6 @@ class RunConfig:
     # run identity
     seed: int = 0
     out_dir: str = "runs/out"
-
-    def fed(self) -> FedConfig:
-        return FedConfig(
-            rounds=self.rounds,
-            local_lr=self.local_lr,
-            negatives_per_positive=self.negatives_per_positive,
-            batch_size=self.batch_size,
-            client_sample_ratio=self.client_sample_ratio,
-            server_epochs=self.server_epochs,
-            ldp_scale=self.ldp_scale,
-            light_mode=self.light_mode,
-            dim=self.dim,
-        )
-
-    def diffusion(self) -> DiffusionConfig:
-        return DiffusionConfig(
-            steps=self.steps,
-            noise_scale=self.noise_scale,
-            noise_min=self.noise_min,
-            noise_max=self.noise_max,
-            heads=self.heads,
-            server_lr=self.server_lr,
-            inference_mode=self.inference_mode,
-        )
 
     def synthetic_spec(self) -> SyntheticSpec | None:
         if not self.synthetic:
@@ -178,8 +153,31 @@ class RunConfig:
         spec = self.synthetic_spec()
         if spec is not None:
             spec.validate()
-        self.fed().validate()
-        self.diffusion().validate()
+        if self.rounds < 1:
+            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
+        if self.local_lr <= 0:
+            raise ConfigError("local_lr must be positive")
+        if self.negatives_per_positive < 1:
+            raise ConfigError("negatives_per_positive must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if not (0.0 < self.client_sample_ratio <= 1.0):
+            raise ConfigError(
+                f"client_sample_ratio={self.client_sample_ratio} outside (0, 1]"
+            )
+        if self.server_epochs < 1:
+            raise ConfigError("server_epochs must be >= 1")
+        if self.ldp_scale < 0:
+            raise ConfigError("ldp_scale must be non-negative")
+        if self.dim < 1:
+            raise ConfigError("dim must be positive")
+        if self.steps < 2:
+            raise ConfigError(f"diffusion steps must be >= 2, got {self.steps}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        if self.server_lr <= 0:
+            raise ConfigError("server_lr must be positive")
+        _validate_levels(self.steps, self.noise_scale, self.noise_min, self.noise_max)
 
     def resolved(self) -> dict[str, str]:
         """Every key rendered to canonical text, for manifests and --help."""

@@ -1,4 +1,4 @@
-"""Interaction datasets: loading, splitting, negative sampling, synthetic generation.
+"""Interaction datasets: loading, splitting, synthetic generation.
 
 Interaction files are CSV with rows ``user_id,item_id`` and an optional third
 ``timestamp`` column. Ids of any textual form are densified to ``0..n-1`` in
@@ -249,35 +249,6 @@ def split_items(
         val_interactions=val_rows,
         test_interactions=test,
     )
-
-
-def sample_negatives(
-    dataset: Dataset,
-    user: int,
-    k: int,
-    rng: np.random.Generator,
-    candidates: list[int] | np.ndarray | None = None,
-) -> list[int]:
-    """Draw k distinct non-interacted items for a user, uniformly.
-
-    ``candidates`` restricts the pool (e.g. to warm items); by default the
-    pool is the full item set.
-    """
-    if not (0 <= user < dataset.n_users):
-        raise ConfigError(f"unknown user {user}")
-    interacted = dataset.by_user()[user]
-    if candidates is None:
-        pool = np.array(
-            [i for i in range(dataset.n_items) if i not in interacted], dtype=np.int64
-        )
-    else:
-        pool = np.array([i for i in candidates if i not in interacted], dtype=np.int64)
-    if k > pool.size:
-        raise ConfigError(
-            f"cannot draw {k} negatives for user {user}: only {pool.size} candidates"
-        )
-    picked = rng.choice(pool, size=k, replace=False)
-    return [int(i) for i in picked]
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:

@@ -11,43 +11,15 @@ the finite-difference oracle in :mod:`fedcold.numerics`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .checkpoint import require_tensors
 from .errors import ConfigError
 from .numerics import Adam, affine, softmax_rows, stream_rng
 
 INFERENCE_MODES = ("deterministic_mean", "stochastic")
-
-
-@dataclass
-class DiffusionConfig:
-    """Schedule and model hyperparameters.
-
-    ``noise_scale``, ``noise_min`` and ``noise_max`` set the linear schedule
-    of total corruption levels: level(t) = noise_scale * (noise_min +
-    (t-1)/(steps-1) * (noise_max - noise_min)).
-    """
-
-    steps: int = 40
-    noise_scale: float = 0.1
-    noise_min: float = 0.001
-    noise_max: float = 0.01
-    heads: int = 4
-    server_lr: float = 1e-3
-    inference_mode: str = "deterministic_mean"
-
-    def validate(self) -> None:
-        if self.steps < 2:
-            raise ConfigError(f"diffusion steps must be >= 2, got {self.steps}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
-        if self.server_lr <= 0:
-            raise ConfigError("server_lr must be positive")
-        if self.inference_mode not in INFERENCE_MODES:
-            raise ConfigError(f"unknown inference mode {self.inference_mode!r}")
-        _validate_levels(self.steps, self.noise_scale, self.noise_min, self.noise_max)
 
 
 def _validate_levels(steps: int, scale: float, lo: float, hi: float) -> None:
@@ -86,8 +58,9 @@ def build_schedule(
 ) -> NoiseSchedule:
     """Linear corruption-level schedule.
 
-    ``steps == 1`` is permitted for minimal chains and uses the lower
-    endpoint only.
+    level(t) = noise_scale * (noise_min + (t-1)/(steps-1) * (noise_max -
+    noise_min)) for t = 1..steps. ``steps == 1`` is permitted for minimal
+    chains and uses the lower endpoint only.
     """
     _validate_levels(steps, noise_scale, noise_min, noise_max)
     t = np.arange(1, steps + 1, dtype=np.float64)
@@ -163,6 +136,11 @@ class DenoiserParams:
     def from_tensors(
         cls, width: int, heads: int, cond_dim: int, tensors: dict[str, np.ndarray]
     ) -> "DenoiserParams":
+        """Parameters from checkpoint tensors; DataFormatError names any missing."""
+        _check_dims(width, heads, cond_dim)
+        # every field after width, heads and cond_dim is a tensor
+        require_tensors(tensors, [f.name for f in fields(cls)[3:]], "denoiser")
+
         def mat(name: str) -> np.ndarray:
             return np.asarray(tensors[name], dtype=np.float64)
 
@@ -188,15 +166,19 @@ class DenoiserParams:
         )
 
 
-def init_denoiser(
-    width: int, heads: int, cond_dim: int, rng: np.random.Generator
-) -> DenoiserParams:
+def _check_dims(width: int, heads: int, cond_dim: int) -> None:
     if width < 2 or width % 2 != 0:
         raise ConfigError(f"embedding width must be even and >= 2, got {width}")
     if heads < 1 or width % heads != 0:
         raise ConfigError(f"width {width} must be divisible by heads {heads}")
     if cond_dim < 1:
         raise ConfigError(f"condition dim must be positive, got {cond_dim}")
+
+
+def init_denoiser(
+    width: int, heads: int, cond_dim: int, rng: np.random.Generator
+) -> DenoiserParams:
+    _check_dims(width, heads, cond_dim)
 
     def xavier(rows: int, cols: int) -> np.ndarray:
         return np.sqrt(2.0 / (rows + cols)) * rng.standard_normal((rows, cols))
@@ -314,33 +296,6 @@ def _backward(d_out: np.ndarray, cache, p: DenoiserParams) -> dict[str, np.ndarr
         grads["cond_w"] = np.zeros_like(p.cond_w)
         grads["cond_b"] = np.zeros_like(p.cond_b)
     return grads
-
-
-def fuse_conditions(
-    e_t: np.ndarray,
-    t,
-    m: np.ndarray | None,
-    params: DenoiserParams,
-    return_attention: bool = False,
-):
-    """Multi-head attention fusion of timestep and modality condition.
-
-    Keys and values are the projected time encoding and projected condition
-    (one row each, or just the time row when ``m`` is None); queries are
-    per-head slices of the projected noisy embedding.
-    """
-    e_t, single = _as_batch(e_t)
-    m, _ = _as_batch(m)
-    t_arr = np.atleast_1d(np.asarray(t))
-    if t_arr.size == 1 and e_t.shape[0] > 1:
-        t_arr = np.full(e_t.shape[0], int(t_arr[0]))
-    _, cache = _forward(e_t, t_arr, m, params)
-    fused = cache[-1]
-    attn = cache[5]
-    if single:
-        fused = fused[0]
-        attn = attn[0]
-    return (fused, attn) if return_attention else fused
 
 
 def predict_denoised(
@@ -478,30 +433,6 @@ def elbo_loss(
     return elbo_loss_fixed(e0, m, t, eps, params, schedule)
 
 
-def reverse_sample(
-    m: np.ndarray | None,
-    params: DenoiserParams,
-    schedule: NoiseSchedule,
-    rng: np.random.Generator,
-    mode: str = "deterministic_mean",
-) -> np.ndarray:
-    """Generate one embedding by walking the reverse chain from pure noise.
-
-    In deterministic mode each step moves to the model posterior mean; in
-    stochastic mode steps above 1 add posterior-scaled Gaussian noise.
-    """
-    if mode not in INFERENCE_MODES:
-        raise ConfigError(f"unknown inference mode {mode!r}")
-    x = rng.standard_normal(params.width)
-    m_row = None if m is None else np.asarray(m, dtype=np.float64)[None, :]
-    for t in range(schedule.steps, 0, -1):
-        pred = predict_denoised(x[None, :], t, m_row, params)[0]
-        x = posterior_mean_from_prediction(x, t, pred, schedule)
-        if mode == "stochastic" and t > 1:
-            x = x + math.sqrt(schedule.sigma2[t]) * rng.standard_normal(params.width)
-    return x
-
-
 def generate_cold_embeddings(
     item_ids,
     conditions: np.ndarray | None,
@@ -543,15 +474,9 @@ class DenoisingGenerator:
     """Denoiser parameters, schedule, and server-side optimizer in one bundle."""
 
     def __init__(
-        self,
-        width: int,
-        heads: int,
-        cond_dim: int,
-        schedule: NoiseSchedule,
-        server_lr: float,
-        rng: np.random.Generator,
+        self, params: DenoiserParams, schedule: NoiseSchedule, server_lr: float
     ) -> None:
-        self.params = init_denoiser(width, heads, cond_dim, rng)
+        self.params = params
         self.schedule = schedule
         self.opt = Adam(server_lr)
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .data import SplitDataset
 from .diffusion import DenoisingGenerator
 from .errors import ConfigError
@@ -33,39 +34,6 @@ from .numerics import sigmoid, stream_rng
 
 PROB_CLAMP = 1e-12
 INIT_STD = 0.01
-
-
-@dataclass
-class FedConfig:
-    rounds: int = 100
-    local_lr: float = 0.1
-    negatives_per_positive: int = 5
-    batch_size: int = 256
-    client_sample_ratio: float = 1.0
-    server_epochs: int = 1
-    ldp_scale: float = 0.0
-    light_mode: bool = False
-    dim: int = 64
-
-    def validate(self) -> None:
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.local_lr <= 0:
-            raise ConfigError("local_lr must be positive")
-        if self.negatives_per_positive < 1:
-            raise ConfigError("negatives_per_positive must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if not (0.0 < self.client_sample_ratio <= 1.0):
-            raise ConfigError(
-                f"client_sample_ratio={self.client_sample_ratio} outside (0, 1]"
-            )
-        if self.server_epochs < 1:
-            raise ConfigError("server_epochs must be >= 1")
-        if self.ldp_scale < 0:
-            raise ConfigError("ldp_scale must be non-negative")
-        if self.dim < 1:
-            raise ConfigError("dim must be positive")
 
 
 @dataclass
@@ -125,7 +93,6 @@ class GlobalItemTable:
 @dataclass
 class ServerState:
     table: GlobalItemTable
-    pending: list[ClientUpload] = field(default_factory=list)
 
 
 @dataclass
@@ -136,13 +103,8 @@ class RoundReport:
     seconds: float
 
 
-def predict_score(user_embedding: np.ndarray, item_embedding: np.ndarray) -> float:
-    """Interaction probability: logistic of the embedding dot product."""
-    return float(sigmoid(float(np.dot(user_embedding, item_embedding))))
-
-
 def score_items(user_embedding: np.ndarray, item_rows: np.ndarray) -> np.ndarray:
-    """Vectorized ``predict_score`` over item rows."""
+    """Interaction probabilities: logistic of each item row dotted with the user."""
     return sigmoid(item_rows @ user_embedding)
 
 
@@ -152,12 +114,11 @@ def bce_loss(y: float, y_hat: float) -> float:
 
 
 def init_simulation(
-    split: SplitDataset, config: FedConfig, seed: int
+    split: SplitDataset, config: RunConfig
 ) -> tuple[ServerState, list[ClientState]]:
     """Gaussian-initialized item table and clients with static training pools."""
-    config.validate()
     ds = split.dataset
-    rng = stream_rng(seed, "init")
+    rng = stream_rng(config.seed, "init")
     table = GlobalItemTable(
         embeddings=INIT_STD * rng.standard_normal((ds.n_items, config.dim))
     )
@@ -223,7 +184,7 @@ def train_clients_lockstep(
     clients: list[ClientState],
     table: np.ndarray,
     rngs: list[np.random.Generator],
-    config: FedConfig,
+    config: RunConfig,
 ) -> tuple[list[UploadRows], list[float]]:
     """One local pass for every client, all clients advancing together.
 
@@ -331,21 +292,17 @@ def run_round(
     generator: DenoisingGenerator | None,
     features: FeatureTable | None,
     split: SplitDataset,
-    config: FedConfig,
-    seed: int,
+    config: RunConfig,
 ) -> RoundReport:
     """One federated round.
 
-    Aggregates uploads still pending (if any), trains the diffusion generator
-    on warm rows unless the light cadence skips this round, distributes the
-    table, trains the sampled clients in lockstep, and leaves their noised
-    uploads pending for ``finalize_table``.
+    Trains the diffusion generator on warm rows unless the light cadence skips
+    this round, distributes the table, trains the sampled clients in lockstep,
+    and aggregates their noised uploads into the server table.
     """
     start = time.perf_counter()
+    seed = config.seed
     round_index = server.table.round + 1
-    if server.pending:
-        server.table = aggregate(server.table, server.pending)
-        server.pending = []
     server.table.round = round_index
 
     diffusion_loss = None
@@ -378,10 +335,11 @@ def run_round(
     rows, losses = train_clients_lockstep(
         sampled, server.table.embeddings, rngs, config
     )
-    server.pending = [
+    uploads = [
         ClientUpload(user_id=c.user_id, rows=apply_ldp(r, config.ldp_scale, rng))
         for c, r, rng in zip(sampled, rows, rngs)
     ]
+    server.table = aggregate(server.table, uploads)
     losses = [loss for c, loss in zip(sampled, losses) if c.warm_positives.size]
     mean_loss = float(np.mean(losses)) if losses else 0.0
     return RoundReport(
@@ -390,13 +348,6 @@ def run_round(
         diffusion_loss=diffusion_loss,
         seconds=time.perf_counter() - start,
     )
-
-
-def finalize_table(server: ServerState) -> None:
-    """Fold the pending uploads into the table; a no-op when none are pending."""
-    if server.pending:
-        server.table = aggregate(server.table, server.pending)
-        server.pending = []
 
 
 def train_baseline_mapper(

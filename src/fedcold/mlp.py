@@ -7,10 +7,11 @@ SGD on mean squared error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .checkpoint import require_tensors
 from .errors import ConfigError
 from .numerics import affine
 
@@ -90,6 +91,9 @@ class TwoLayerMLP:
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "TwoLayerMLP":
+        """Weights from checkpoint tensors; DataFormatError names any missing."""
+        require_tensors(tensors, [f.name for f in fields(cls)], "MLP")
+
         def vec(name: str) -> np.ndarray:
             arr = np.asarray(tensors[name], dtype=np.float64)
             return arr.ravel()

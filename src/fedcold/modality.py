@@ -1,4 +1,4 @@
-"""Item modality features: loading, text hashing, and condition projection.
+"""Item modality features: feature files, hashed text encoding, and unit-norm rows.
 
 Feature files are CSV with rows ``item_id,f0,f1,...`` keyed by original item
 id. Raw text files carry one ``item_id<TAB>free text`` line per item and are
@@ -15,27 +15,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataFormatError
-from .numerics import affine
-
-ENCODER_KINDS = ("precomputed", "hashed_tokens")
-NORMALIZATIONS = ("none", "l2")
-
-
-@dataclass
-class EncoderChoice:
-    """How item modalities become condition vectors."""
-
-    kind: str = "precomputed"
-    dim: int = 64
-    normalization: str = "none"
-
-    def validate(self) -> None:
-        if self.kind not in ENCODER_KINDS:
-            raise ConfigError(f"unknown encoder kind {self.kind!r}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ConfigError(f"unknown normalization {self.normalization!r}")
-        if self.dim < 1:
-            raise ConfigError(f"encoder dim must be positive, got {self.dim}")
 
 
 @dataclass
@@ -45,11 +24,6 @@ class FeatureTable:
     dim: int
     rows: np.ndarray  # (n_items, dim) float64
 
-    def vector(self, item: int) -> np.ndarray:
-        if not (0 <= item < self.rows.shape[0]):
-            raise ConfigError(f"unknown item {item} in feature table")
-        return self.rows[item]
-
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     """Scale each row to unit norm; zero rows stay zero."""
@@ -58,15 +32,11 @@ def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / safe
 
 
-def load_features(
-    path: str, dataset: Dataset, normalization: str = "none"
-) -> FeatureTable:
+def load_features(path: str, dataset: Dataset) -> FeatureTable:
     """Load a feature CSV covering every dataset item.
 
     Items missing from the file raise an error listing their original ids.
     """
-    if normalization not in NORMALIZATIONS:
-        raise ConfigError(f"unknown normalization {normalization!r}")
     item_map = {original: dense for dense, original in enumerate(dataset.item_ids)}
     vectors: dict[int, np.ndarray] = {}
     dim = None
@@ -100,8 +70,6 @@ def load_features(
         more = "" if len(missing) <= 20 else f" (+{len(missing) - 20} more)"
         raise DataFormatError(f"{path}: missing features for items: {shown}{more}")
     rows = np.stack([vectors[i] for i in range(dataset.n_items)])
-    if normalization == "l2":
-        rows = l2_normalize_rows(rows)
     return FeatureTable(dim=int(rows.shape[1]), rows=rows)
 
 
@@ -153,8 +121,3 @@ def encode_texts(path: str, dataset: Dataset, dim: int, seed: int) -> FeatureTab
         more = "" if len(missing) <= 20 else f" (+{len(missing) - 20} more)"
         raise DataFormatError(f"{path}: missing text for items: {shown}{more}")
     return FeatureTable(dim=dim, rows=rows)
-
-
-def project_condition(m: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine projection of raw modality vectors into the model width."""
-    return affine(m, w, b)

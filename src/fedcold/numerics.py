@@ -1,4 +1,4 @@
-"""Dense linear algebra, seeded sampling, and a finite-difference gradient checker.
+"""Dense linear algebra, seeded RNG streams, and a finite-difference gradient checker.
 
 All math runs on float64 numpy arrays; checkpoints quantize to float32 on save
 only. There is no autodiff engine: every learnable layer in this package ships
@@ -39,24 +39,6 @@ def stream_rng(seed: int, *path: int | str) -> np.random.Generator:
     sub = int.from_bytes(h.digest(), "little")
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, sub], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Standard normal matrix of shape (rows, cols)."""
-    if rows < 0 or cols < 0:
-        raise ConfigError(f"invalid gaussian sample shape ({rows}, {cols})")
-    return rng.standard_normal((rows, cols))
-
-
-def sample_laplace(
-    rng: np.random.Generator, scale: float, rows: int, cols: int
-) -> np.ndarray:
-    """Zero-mean Laplace matrix with the given scale (variance 2*scale^2)."""
-    if scale <= 0:
-        raise ConfigError(f"laplace scale must be positive, got {scale}")
-    if rows < 0 or cols < 0:
-        raise ConfigError(f"invalid laplace sample shape ({rows}, {cols})")
-    return rng.laplace(loc=0.0, scale=scale, size=(rows, cols))
 
 
 def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

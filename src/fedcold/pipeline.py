@@ -18,7 +18,12 @@ from .data import (
     load_interactions,
     split_items,
 )
-from .diffusion import DenoisingGenerator, build_schedule
+from .diffusion import (
+    DenoiserParams,
+    DenoisingGenerator,
+    build_schedule,
+    init_denoiser,
+)
 from .errors import ConfigError
 from .evaluation import (
     DistributionDiagnostics,
@@ -28,7 +33,6 @@ from .evaluation import (
 )
 from .federation import (
     RoundReport,
-    finalize_table,
     init_simulation,
     run_round,
     train_baseline_mapper,
@@ -70,6 +74,24 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
         seed=cfg.seed,
     )
     return PreparedData(split=split, features=features, n_clusters=n_clusters)
+
+
+def build_generator(
+    cfg: RunConfig, cond_dim: int, tensors: dict[str, np.ndarray] | None = None
+) -> DenoisingGenerator:
+    """The run's denoising generator, holding checkpoint ``tensors`` if given.
+
+    Without tensors the denoiser is Xavier-initialized from the run's own
+    ``denoiser-init`` stream, so loading a checkpoint draws nothing.
+    """
+    if tensors is None:
+        params = init_denoiser(
+            cfg.dim, cfg.heads, cond_dim, stream_rng(cfg.seed, "denoiser-init")
+        )
+    else:
+        params = DenoiserParams.from_tensors(cfg.dim, cfg.heads, cond_dim, tensors)
+    schedule = build_schedule(cfg.steps, cfg.noise_scale, cfg.noise_min, cfg.noise_max)
+    return DenoisingGenerator(params, schedule, cfg.server_lr)
 
 
 def substituted_conditions(
@@ -115,23 +137,14 @@ def _user_matrix(clients) -> np.ndarray:
 def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
     """Federated rounds with per-round diagnostics and validation tracking.
 
-    After each round the uploads are aggregated into the server table once,
-    and the table, the user embeddings and the losses must be finite.  Cold and
-    validation embeddings are generated in deterministic mode from per-round
-    streams, so running them does not perturb the training trajectory.  The
-    best round is the latest maximum of validation recall at ``val_k``.
+    After each round the table, the user embeddings and the losses must be
+    finite.  Cold and validation embeddings are generated in deterministic mode
+    from per-round streams, so running them does not perturb the training
+    trajectory.  The best round is the latest maximum of validation recall at
+    ``val_k``.
     """
-    fed_cfg = cfg.fed()
-    schedule = build_schedule(cfg.steps, cfg.noise_scale, cfg.noise_min, cfg.noise_max)
-    generator = DenoisingGenerator(
-        width=cfg.dim,
-        heads=cfg.heads,
-        cond_dim=data.features.dim,
-        schedule=schedule,
-        server_lr=cfg.server_lr,
-        rng=stream_rng(cfg.seed, "denoiser-init"),
-    )
-    server, clients = init_simulation(data.split, fed_cfg, cfg.seed)
+    generator = build_generator(cfg, data.features.dim)
+    server, clients = init_simulation(data.split, cfg)
     warm = np.array(data.split.warm_items, dtype=np.int64)
     cold = data.split.cold_items
     val_items = data.split.val_items
@@ -148,12 +161,9 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
     best_user = None
     best_denoiser: dict = {}
 
-    for _ in range(fed_cfg.rounds):
-        report = run_round(
-            server, clients, generator, data.features, data.split, fed_cfg, cfg.seed
-        )
+    for _ in range(cfg.rounds):
+        report = run_round(server, clients, generator, data.features, data.split, cfg)
         rounds.append(report)
-        finalize_table(server)
         users = _user_matrix(clients)
         assert_finite(
             f"round {report.round} (item table, user embeddings or losses)",

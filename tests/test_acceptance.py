@@ -31,6 +31,7 @@ from fedcold.federation import bce_loss
 from fedcold.mlp import TwoLayerMLP
 from fedcold.numerics import finite_diff_grad_check, sigmoid, stream_rng
 from fedcold.pipeline import (
+    build_generator,
     evaluate_run,
     generate_cold,
     prepare_data,
@@ -85,19 +86,7 @@ def _verdict(index: int, name: str, passed: bool, detail: str = "") -> None:
 
 
 def _best_generator(cfg: RunConfig, data, result) -> DenoisingGenerator:
-    schedule = build_schedule(cfg.steps, cfg.noise_scale, cfg.noise_min, cfg.noise_max)
-    gen = DenoisingGenerator(
-        width=cfg.dim,
-        heads=cfg.heads,
-        cond_dim=data.features.dim,
-        schedule=schedule,
-        server_lr=cfg.server_lr,
-        rng=stream_rng(cfg.seed, "denoiser-init"),
-    )
-    gen.params = DenoiserParams.from_tensors(
-        cfg.dim, cfg.heads, data.features.dim, result.best_denoiser
-    )
-    return gen
+    return build_generator(cfg, data.features.dim, result.best_denoiser)
 
 
 def _recall_at_10(cfg: RunConfig, data, result, condition: str) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from fedcold.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from fedcold.diffusion import build_schedule, init_denoiser, DenoiserParams
-from fedcold.errors import DataFormatError
+from fedcold.errors import ConfigError, DataFormatError
 from fedcold.mlp import TwoLayerMLP
 from fedcold.numerics import stream_rng
 
@@ -125,3 +125,16 @@ def test_empty_checkpoint_round_trips(tmp_path):
     path = str(tmp_path / "e.ckpt")
     save_checkpoint(path, {})
     assert load_checkpoint(path) == {}
+
+
+def test_from_tensors_names_every_missing_tensor():
+    denoiser = init_denoiser(8, 2, 6, stream_rng(4, "init")).tensors()
+    with pytest.raises(ConfigError, match="divisible by heads 3"):
+        DenoiserParams.from_tensors(8, 3, 6, denoiser)
+    del denoiser["time_w"], denoiser["trunk3_b"]
+    with pytest.raises(DataFormatError, match="denoiser .*: time_w, trunk3_b$"):
+        DenoiserParams.from_tensors(8, 2, 6, denoiser)
+    mlp = TwoLayerMLP.init(5, 7, 3, stream_rng(5, "init")).tensors()
+    del mlp["out_b"]
+    with pytest.raises(DataFormatError, match="MLP .*: out_b$"):
+        TwoLayerMLP.from_tensors(mlp)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from fedcold.checkpoint import load_checkpoint, save_checkpoint
 from fedcold.cli import artifact_sha256, main
 from fedcold.config import RunConfig, load_config, parse_config
 from fedcold.errors import ConfigError
@@ -263,6 +264,22 @@ def test_infer_stochastic_differs_from_deterministic(monkeypatch, tmp_path):
     assert (tmp_path / "out/cold_embeddings.csv").read_bytes() != sto1
 
 
+def test_infer_names_a_tensor_missing_from_the_checkpoint(
+    monkeypatch, tmp_path, capsys
+):
+    cfg = _trained(monkeypatch, tmp_path)
+    path = str(tmp_path / "out/denoiser_best.ckpt")
+    tensors = load_checkpoint(path)
+    del tensors["time_w"]
+    save_checkpoint(path, tensors)
+    capsys.readouterr()
+    assert run(monkeypatch, tmp_path, "infer", "--config", cfg) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("fedcold infer: ")
+    assert err[0].endswith("time_w")
+
+
 # eval
 
 
@@ -320,6 +337,15 @@ def test_attack_full_leak_rejected(monkeypatch, tmp_path, capsys):
 # sweep
 
 
+def assert_sweep_rows_equal_eval_metrics(out, param):
+    """Each sweep row's numbers are its sub-run's metrics.csv row at that k."""
+    for row in (out / "sweep.csv").read_text().splitlines()[1:]:
+        _, value, k, *numbers = row.split(",")
+        metrics = (out / f"{param}_{value}/metrics.csv").read_text().splitlines()[1:]
+        by_k = {line.split(",")[0]: line.split(",")[1:] for line in metrics}
+        assert numbers == by_k[k]  # recall, precision, ndcg, n_users
+
+
 def test_sweep_one_row_per_value(monkeypatch, tmp_path):
     cfg = write_cfg(tmp_path / "sweep.cfg", rounds=1)
     assert (
@@ -333,7 +359,7 @@ def test_sweep_one_row_per_value(monkeypatch, tmp_path):
     assert len(rows) == 3
     assert rows[1].split(",")[:3] == ["dim", "4", "5"]
     assert rows[2].split(",")[:3] == ["dim", "8", "5"]
-    assert (tmp_path / "out/dim_4/metrics.csv").exists()
+    assert_sweep_rows_equal_eval_metrics(tmp_path / "out", "dim")
 
 
 def test_sweep_ldp_values(monkeypatch, tmp_path):
@@ -341,12 +367,13 @@ def test_sweep_ldp_values(monkeypatch, tmp_path):
     assert (
         run(
             monkeypatch, tmp_path, "sweep", "--config", cfg,
-            "--param", "ldp", "--values", "0.5",
+            "--param", "ldp", "--values", "0,0.5",
         )
         == 0
     )
     rows = (tmp_path / "out/sweep.csv").read_text().splitlines()
-    assert len(rows) == 2 and rows[1].startswith("ldp,0.5,")
+    assert len(rows) == 3 and rows[2].startswith("ldp,0.5,")
+    assert_sweep_rows_equal_eval_metrics(tmp_path / "out", "ldp")
 
 
 # manifests

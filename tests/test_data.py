@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedcold.config import RunConfig
 from fedcold.data import (
     Dataset,
+    SplitDataset,
     SyntheticSpec,
     generate_synthetic,
     load_interactions,
-    sample_negatives,
     save_interactions,
     split_items,
 )
 from fedcold.errors import ConfigError, DataFormatError
+from fedcold.federation import _draw_examples, init_simulation
 from fedcold.numerics import stream_rng
 
 
@@ -135,29 +137,55 @@ def test_split_routes_interactions_by_item():
     assert total == len(ds.interactions)
 
 
+def one_user_client(n_items, interacted, warm=None):
+    """The simulation's client for one user of ``n_items`` items.
+
+    Its positives are the interacted warm items, its negative pool the warm
+    items it never interacted with.
+    """
+    ds = Dataset(n_users=1, n_items=n_items, interactions=[(0, i) for i in interacted])
+    warm = list(range(n_items)) if warm is None else warm
+    split = SplitDataset(
+        dataset=ds,
+        warm_items=warm,
+        val_items=[],
+        cold_items=[i for i in range(n_items) if i not in warm],
+        train_interactions=[(0, i) for i in interacted if i in warm],
+        val_interactions=[],
+        test_interactions=[(0, i) for i in interacted if i not in warm],
+    )
+    _, [client] = init_simulation(split, RunConfig(dim=4))
+    return client
+
+
+def draw_negatives(client, k, rng):
+    """The ``k`` negatives drawn for each positive in one local pass."""
+    return _draw_examples(client, rng, k).reshape(-1, 1 + k)[:, 1:]
+
+
 def test_sample_negatives_avoids_interactions():
-    ds = Dataset(n_users=1, n_items=20, interactions=[(0, i) for i in range(5)])
+    client = one_user_client(20, range(5))
     rng = stream_rng(0, "neg")
     for _ in range(50):
-        negs = sample_negatives(ds, 0, 5, rng)
-        assert len(set(negs)) == 5
-        assert all(i >= 5 for i in negs)
+        for negs in draw_negatives(client, 5, rng):
+            assert len(set(negs.tolist())) == 5
+            assert all(i >= 5 for i in negs)
 
 
 def test_sample_negatives_respects_candidate_pool():
-    ds = Dataset(n_users=1, n_items=20, interactions=[(0, 0)])
+    client = one_user_client(20, [0], warm=[0, 1, 2, 3, 4])
     rng = stream_rng(1, "neg-pool")
-    negs = sample_negatives(ds, 0, 3, rng, candidates=[0, 1, 2, 3, 4])
-    assert set(negs) <= {1, 2, 3, 4}
+    [negs] = draw_negatives(client, 3, rng)
+    assert set(negs.tolist()) <= {1, 2, 3, 4}
 
 
 def test_sample_negatives_uniform_over_complement():
-    ds = Dataset(n_users=1, n_items=12, interactions=[(0, 0), (0, 1)])
+    client = one_user_client(12, [0, 1])
     rng = stream_rng(2, "neg-uniform")
     counts = np.zeros(12)
     draws = 20000
-    for _ in range(draws):
-        for i in sample_negatives(ds, 0, 1, rng):
+    for _ in range(draws // 2):  # one negative for each of the two positives
+        for i in draw_negatives(client, 1, rng).ravel():
             counts[i] += 1
     assert counts[0] == 0 and counts[1] == 0
     expected = draws / 10
@@ -167,10 +195,10 @@ def test_sample_negatives_uniform_over_complement():
 
 
 def test_sample_negatives_pool_too_small():
-    ds = Dataset(n_users=1, n_items=4, interactions=[(0, 0), (0, 1)])
+    client = one_user_client(4, [0, 1])
     rng = stream_rng(0, "neg-small")
     with pytest.raises(ConfigError):
-        sample_negatives(ds, 0, 3, rng)
+        draw_negatives(client, 3, rng)
 
 
 def test_synthetic_degenerate_probabilities_exact_blocks():

@@ -3,20 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedcold.config import RunConfig
 from fedcold.diffusion import (
     DenoisingGenerator,
-    DiffusionConfig,
+    _forward,
     build_schedule,
     elbo_loss,
     elbo_loss_fixed,
-    fuse_conditions,
     generate_cold_embeddings,
     init_denoiser,
     posterior_mean_from_prediction,
     posterior_stats,
     predict_denoised,
     q_sample,
-    reverse_sample,
     sinusoidal_encoding,
 )
 from fedcold.diffusion import DenoiserParams
@@ -32,6 +31,14 @@ def hand_schedule():
 def toy_params(seed=0, width=8, heads=2, cond_dim=6):
     rng = stream_rng(seed, "toy-denoiser")
     return init_denoiser(width, heads, cond_dim, rng)
+
+
+def fusion(e_t, t, m, p):
+    """Fused vector and per-head attention weights of one row, read from the
+    denoiser's forward cache."""
+    m = None if m is None else m[None, :]
+    _, cache = _forward(e_t[None, :], np.array([t]), m, p)
+    return cache[-1][0], cache[5][0]
 
 
 def test_schedule_hand_example():
@@ -82,9 +89,10 @@ def test_schedule_validation():
         build_schedule(5, 1.0, 0.5, 0.1)  # min > max
     with pytest.raises(ConfigError):
         build_schedule(0, 1.0, 0.1, 0.5)
-    with pytest.raises(ConfigError):
-        DiffusionConfig(steps=1).validate()
-    DiffusionConfig().validate()
+    RunConfig(synthetic=True).validate()
+    for bad in ({"steps": 1}, {"heads": 0}, {"server_lr": 0.0}, {"noise_min": 0.0}):
+        with pytest.raises(ConfigError):
+            RunConfig(synthetic=True, **bad).validate()
 
 
 def test_q_sample_boundary_and_zero_noise():
@@ -207,16 +215,14 @@ def test_fusion_identical_rows_ignore_query():
     expected = (np.full(8, row_value) @ p.out_w)
     for _ in range(3):
         e_t = rng.standard_normal(8)
-        fused = fuse_conditions(e_t, 2, m, p)
+        fused, _ = fusion(e_t, 2, m, p)
         assert np.allclose(fused, expected, atol=1e-12)
 
 
 def test_fusion_attention_weights_sum_to_one():
     p = toy_params()
     rng = stream_rng(8, "fusion-attn")
-    _, attn = fuse_conditions(
-        rng.standard_normal(8), 3, rng.standard_normal(6), p, return_attention=True
-    )
+    _, attn = fusion(rng.standard_normal(8), 3, rng.standard_normal(6), p)
     assert attn.shape == (2, 2)  # heads x kv rows
     assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(attn >= 0)
@@ -226,7 +232,7 @@ def test_fusion_without_condition_uses_time_row_only():
     p = toy_params()
     rng = stream_rng(9, "fusion-none")
     e_t = rng.standard_normal(8)
-    fused, attn = fuse_conditions(e_t, 2, None, p, return_attention=True)
+    fused, attn = fusion(e_t, 2, None, p)
     assert attn.shape == (2, 1)
     assert np.allclose(attn, 1.0)
     time_row = sinusoidal_encoding(2, 8)[0] @ p.time_w + p.time_b
@@ -293,7 +299,7 @@ def test_training_reduces_loss_trend():
     # 200 optimizer steps on a tiny two-row dataset with fixed timesteps
     s = hand_schedule()
     rng = stream_rng(14, "trend")
-    gen = DenoisingGenerator(8, 2, 6, s, server_lr=0.01, rng=rng)
+    gen = DenoisingGenerator(init_denoiser(8, 2, 6, rng), s, server_lr=0.01)
     e0 = rng.standard_normal((2, 8))
     m = rng.standard_normal((2, 6))
     t = np.array([3, 3])
@@ -312,7 +318,7 @@ def test_training_reduces_loss_trend():
 def test_denoiser_condition_sensitivity_after_training():
     s = hand_schedule()
     rng = stream_rng(16, "sensitivity")
-    gen = DenoisingGenerator(8, 2, 6, s, server_lr=0.01, rng=rng)
+    gen = DenoisingGenerator(init_denoiser(8, 2, 6, rng), s, server_lr=0.01)
     e0 = rng.standard_normal((4, 8))
     m = rng.standard_normal((4, 6))
     gen.train_epochs(e0, m, stream_rng(17, "sens-train"), epochs=50, batch_size=4)
@@ -325,34 +331,33 @@ def test_denoiser_condition_sensitivity_after_training():
 def test_reverse_sample_deterministic_mode_reproducible():
     p = toy_params()
     s = hand_schedule()
-    m = stream_rng(18, "rev-m").standard_normal(6)
-    x1 = reverse_sample(m, p, s, stream_rng(19, "rev"), mode="deterministic_mean")
-    x2 = reverse_sample(m, p, s, stream_rng(19, "rev"), mode="deterministic_mean")
+    m = stream_rng(18, "rev-m").standard_normal((1, 6))
+    x1 = generate_cold_embeddings([0], m, p, s, seed=19, mode="deterministic_mean")
+    x2 = generate_cold_embeddings([0], m, p, s, seed=19, mode="deterministic_mean")
     assert np.array_equal(x1, x2)
-    assert x1.shape == (8,)
+    assert x1.shape == (1, 8)
 
 
 def test_reverse_sample_stochastic_variance():
     p = toy_params()
     s = hand_schedule()
-    m = stream_rng(20, "rev-s-m").standard_normal(6)
-    draws = np.stack(
-        [
-            reverse_sample(m, p, s, stream_rng(21, "rev-s", i), mode="stochastic")
-            for i in range(100)
-        ]
-    )
+    m = np.tile(stream_rng(20, "rev-s-m").standard_normal(6), (100, 1))
+    items = range(100)
+    draws = generate_cold_embeddings(items, m, p, s, seed=21, mode="stochastic")
     assert np.all(draws.var(axis=0) > 0)
+    # same start noise per item, so the difference is the per-step noise
+    means = generate_cold_embeddings(items, m, p, s, seed=21, mode="deterministic_mean")
+    assert np.all(np.any(draws != means, axis=1))
 
 
 def test_reverse_sample_single_step_returns_prediction():
     p = toy_params()
     s = build_schedule(1, 1.0, 0.3, 0.9)
     m = stream_rng(22, "rev1-m").standard_normal(6)
-    noise = stream_rng(23, "rev1").standard_normal(8)
-    got = reverse_sample(m, p, s, stream_rng(23, "rev1"))
+    noise = stream_rng(23, "infer", 5).standard_normal(8)
+    got = generate_cold_embeddings([5], m[None, :], p, s, seed=23)
     expected = predict_denoised(noise, 1, m, p)
-    assert np.allclose(got, expected, atol=1e-12)
+    assert np.allclose(got[0], expected, atol=1e-12)
 
 
 def test_generate_cold_embeddings_empty_and_shapes():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from fedcold import federation
+from fedcold.config import RunConfig
 from fedcold.data import (
     Dataset,
     SplitDataset,
@@ -12,21 +14,17 @@ from fedcold.data import (
     generate_synthetic,
     split_items,
 )
-from fedcold.diffusion import DenoisingGenerator, build_schedule
+from fedcold.diffusion import DenoisingGenerator, build_schedule, init_denoiser
 from fedcold.errors import ConfigError
 from fedcold.federation import (
     ClientUpload,
-    FedConfig,
     GlobalItemTable,
-    ServerState,
     UploadRows,
     aggregate,
     apply_ldp,
     bce_loss,
     diffusion_trains_this_round,
-    finalize_table,
     init_simulation,
-    predict_score,
     run_round,
     score_items,
     train_baseline_mapper,
@@ -90,25 +88,25 @@ def small_setup(seed=0, n_users=12, n_items=15, dim=8):
     )
     dataset, features = generate_synthetic(spec)
     split = split_items(dataset, seed=seed)
-    config = FedConfig(rounds=3, negatives_per_positive=2, dim=dim)
-    server, clients = init_simulation(split, config, seed)
+    config = RunConfig(rounds=3, negatives_per_positive=2, dim=dim, seed=seed)
+    server, clients = init_simulation(split, config)
     table = FeatureTable(dim=6, rows=features)
     return split, config, server, clients, table
 
 
 def make_generator(dim, cond_dim, seed=0):
     schedule = build_schedule(5, 1.0, 0.1, 0.5)
-    return DenoisingGenerator(
-        dim, 2, cond_dim, schedule, server_lr=0.01, rng=stream_rng(seed, "gen")
-    )
+    params = init_denoiser(dim, 2, cond_dim, stream_rng(seed, "gen"))
+    return DenoisingGenerator(params, schedule, server_lr=0.01)
 
 
 def test_predict_score_values():
     zero = np.zeros(4)
-    assert predict_score(zero, np.ones(4)) == 0.5
+    assert score_items(zero, np.ones((1, 4)))[0] == 0.5
     big = np.full(4, 10.0)
-    assert predict_score(big, big) > 0.999999
-    assert predict_score(big, -big) < 1e-6
+    high, low = score_items(big, np.stack([big, -big]))
+    assert high > 0.999999
+    assert low < 1e-6
 
 
 def test_score_items_matches_scalar():
@@ -117,7 +115,7 @@ def test_score_items_matches_scalar():
     rows = rng.standard_normal((5, 6))
     vec = score_items(e_u, rows)
     for i in range(5):
-        assert abs(vec[i] - predict_score(e_u, rows[i])) < 1e-12
+        assert abs(vec[i] - sigmoid(float(np.dot(e_u, rows[i])))) < 1e-12
 
 
 def test_bce_loss_values():
@@ -154,8 +152,8 @@ def one_user_toy():
         val_interactions=[],
         test_interactions=[],
     )
-    config = FedConfig(rounds=1, negatives_per_positive=1, dim=4)
-    server, clients = init_simulation(split, config, 7)
+    config = RunConfig(rounds=1, negatives_per_positive=1, dim=4, seed=7)
+    server, clients = init_simulation(split, config)
     return split, config, server, clients
 
 
@@ -167,9 +165,8 @@ def test_one_epoch_decreases_training_loss():
     table = server.table.embeddings
 
     def current_loss():
-        pos = bce_loss(1.0, predict_score(client.user_embedding, table[0]))
-        neg = bce_loss(0.0, predict_score(client.user_embedding, table[1]))
-        return (pos + neg) / 2
+        pos, neg = score_items(client.user_embedding, table[:2])
+        return (bce_loss(1.0, pos) + bce_loss(0.0, neg)) / 2
 
     before = current_loss()
     [rows], [reported] = train_clients_lockstep(
@@ -322,17 +319,41 @@ def test_lockstep_kernel_equals_scalar_oracle_bitwise(seed, ldp_scale):
         assert_rows_equal(got, want)
 
 
-def test_run_round_sampled_clients_match_scalar_oracle_bitwise():
+def oracle_table(table, clients, config, round_index):
+    """The aggregated table and the losses from the scalar oracle's uploads."""
+    rows, losses = oracle_uploads(clients, table, config, config.seed, round_index)
+    uploads = [
+        ClientUpload(user_id=c.user_id, rows=upload_rows(r))
+        for c, r in zip(clients, rows)
+        if r
+    ]
+    return aggregate(GlobalItemTable(embeddings=table), uploads).embeddings, losses
+
+
+def recorded_uploads(monkeypatch):
+    """The upload lists ``run_round`` hands to ``aggregate``, one per call."""
+    calls = []
+
+    def recording_aggregate(table, uploads):
+        calls.append(uploads)
+        return aggregate(table, uploads)
+
+    monkeypatch.setattr(federation, "aggregate", recording_aggregate)
+    return calls
+
+
+def test_run_round_sampled_clients_match_scalar_oracle_bitwise(monkeypatch):
     split, config, server, clients, _ = small_setup(seed=9, n_users=40, dim=64)
     config = dataclasses.replace(config, client_sample_ratio=0.4, ldp_scale=0.5)
     twins = copy.deepcopy(clients)
     table = server.table.embeddings.copy()
-    report = run_round(server, clients, None, None, split, config, seed=9)
-    sampled = [twins[up.user_id] for up in server.pending]
+    calls = recorded_uploads(monkeypatch)
+    report = run_round(server, clients, None, None, split, config)
+    [uploads] = calls
+    sampled = [twins[up.user_id] for up in uploads]
     assert 0 < len(sampled) < len(clients)
-    want_rows, want_losses = oracle_uploads(sampled, table, config, 9, 1)
-    for up, want in zip(server.pending, want_rows):
-        assert_rows_equal(up.rows, want)
+    want_table, want_losses = oracle_table(table, sampled, config, 1)
+    assert np.array_equal(server.table.embeddings, want_table)
     kept = [loss for c, loss in zip(sampled, want_losses) if c.warm_positives.size]
     assert report.mean_client_loss == float(np.mean(kept))
     for c, twin in zip(clients, twins):
@@ -351,7 +372,7 @@ def test_lockstep_small_negative_pool_names_the_user():
 def test_negative_pools_keep_warm_order():
     split, config, server, clients, _ = small_setup(seed=2)
     split.warm_items.reverse()
-    _, clients = init_simulation(split, config, 2)
+    _, clients = init_simulation(split, config)
     by_user = split.dataset.by_user()
     for c in clients:
         want = [i for i in split.warm_items if i not in by_user[c.user_id]]
@@ -373,7 +394,7 @@ def test_run_round_light_mode_counts():
     gen = make_generator(config.dim, feats.dim)
     events = 0
     for _ in range(10):
-        report = run_round(server, clients, gen, feats, split, config, seed=0)
+        report = run_round(server, clients, gen, feats, split, config)
         if report.diffusion_loss is not None:
             events += 1
     assert events == 5
@@ -383,8 +404,8 @@ def test_run_round_two_rounds_one_diffusion_event_in_light_mode():
     split, config, server, clients, feats = small_setup()
     config = dataclasses.replace(config, light_mode=True)
     gen = make_generator(config.dim, feats.dim)
-    r1 = run_round(server, clients, gen, feats, split, config, seed=0)
-    r2 = run_round(server, clients, gen, feats, split, config, seed=0)
+    r1 = run_round(server, clients, gen, feats, split, config)
+    r2 = run_round(server, clients, gen, feats, split, config)
     assert r1.diffusion_loss is not None
     assert r2.diffusion_loss is None
 
@@ -393,58 +414,76 @@ def test_run_round_deterministic_simulation():
     tables = []
     for _ in range(2):
         split, config, server, clients, feats = small_setup(seed=5)
+        config = dataclasses.replace(config, seed=11)
         gen = make_generator(config.dim, feats.dim, seed=5)
         for _ in range(3):
-            run_round(server, clients, gen, feats, split, config, seed=11)
-        finalize_table(server)
+            run_round(server, clients, gen, feats, split, config)
         tables.append(server.table.embeddings.copy())
     assert np.array_equal(tables[0], tables[1])
 
 
 def test_run_round_cold_rows_never_touched():
     split, config, server, clients, feats = small_setup(seed=2)
+    config = dataclasses.replace(config, seed=3)
     cold = np.array(split.cold_items)
     initial_cold = server.table.embeddings[cold].copy()
     gen = make_generator(config.dim, feats.dim)
     for _ in range(3):
-        run_round(server, clients, gen, feats, split, config, seed=3)
-        for up in server.pending:
-            assert not set(up.rows) & set(split.cold_items)
-    finalize_table(server)
-    assert np.array_equal(server.table.embeddings[cold], initial_cold)
+        run_round(server, clients, gen, feats, split, config)
+        assert np.array_equal(server.table.embeddings[cold], initial_cold)
 
 
 def test_run_round_full_participation_uploads():
     split, config, server, clients, feats = small_setup(seed=4)
-    run_round(server, clients, None, feats, split, config, seed=4)
-    assert len(server.pending) == len(clients)
-    uploaded_users = [u.user_id for u in server.pending]
-    assert uploaded_users == sorted(uploaded_users)
+    twins = copy.deepcopy(clients)
+    table = server.table.embeddings.copy()
+    run_round(server, clients, None, feats, split, config)
+    want_table, _ = oracle_table(table, twins, config, 1)
+    assert np.array_equal(server.table.embeddings, want_table)
+    for c, twin in zip(clients, twins):
+        assert np.array_equal(c.user_embedding, twin.user_embedding)
 
 
-def test_run_round_client_sampling_ratio():
+def test_run_round_client_sampling_ratio(monkeypatch):
     split, config, server, clients, feats = small_setup(seed=6)
     config = dataclasses.replace(config, client_sample_ratio=0.5)
-    run_round(server, clients, None, feats, split, config, seed=6)
-    assert len(server.pending) == math.ceil(0.5 * len(clients))
+    calls = recorded_uploads(monkeypatch)
+    run_round(server, clients, None, feats, split, config)
+    [uploads] = calls
+    assert len(uploads) == math.ceil(0.5 * len(clients))
+    uploaded_users = [u.user_id for u in uploads]
+    assert uploaded_users == sorted(set(uploaded_users))
 
 
 def test_mean_client_loss_positive():
     split, config, server, clients, feats = small_setup(seed=8)
-    report = run_round(server, clients, None, feats, split, config, seed=8)
+    report = run_round(server, clients, None, feats, split, config)
     assert report.mean_client_loss > 0
     assert report.round == 1
     assert report.seconds >= 0
 
 
 def test_fed_config_validation():
-    FedConfig().validate()
+    base = RunConfig(synthetic=True)
+    base.validate()
+    bad = {
+        "rounds": 0,
+        "local_lr": 0.0,
+        "negatives_per_positive": 0,
+        "batch_size": 0,
+        "client_sample_ratio": 0.0,
+        "server_epochs": 0,
+        "ldp_scale": -1.0,
+        "dim": 0,
+    }
+    for key, value in bad.items():
+        with pytest.raises(ConfigError, match=key):
+            dataclasses.replace(base, **{key: value}).validate()
+
+
+def test_apply_ldp_rejects_negative_scale():
     with pytest.raises(ConfigError):
-        FedConfig(rounds=0).validate()
-    with pytest.raises(ConfigError):
-        FedConfig(client_sample_ratio=0.0).validate()
-    with pytest.raises(ConfigError):
-        FedConfig(ldp_scale=-1.0).validate()
+        apply_ldp(upload_rows({0: np.zeros(3)}), -1.0, stream_rng(0, "ldp-neg"))
 
 
 def test_mapper_learns_identity_task():

@@ -1,19 +1,21 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
+from fedcold.config import RunConfig
 from fedcold.data import Dataset
+from fedcold.diffusion import _forward, init_denoiser
 from fedcold.errors import ConfigError, DataFormatError
 from fedcold.modality import (
-    EncoderChoice,
     encode_texts,
     hashed_token_encode,
     l2_normalize_rows,
     load_features,
-    project_condition,
 )
-from fedcold.numerics import finite_diff_grad_check, stream_rng
+from fedcold.numerics import stream_rng
+from fedcold.pipeline import prepare_data
 
 
 def make_dataset(n_items=3):
@@ -43,9 +45,9 @@ def test_load_features_round_trip(tmp_path):
     )
     table = load_features(str(path), ds)
     assert table.dim == 2
-    assert np.allclose(table.vector(0), [1.0, 2.0])
-    assert np.allclose(table.vector(1), [0.0, 3.0])
-    assert np.allclose(table.vector(2), [0.5, -0.5])
+    assert np.allclose(table.rows[0], [1.0, 2.0])
+    assert np.allclose(table.rows[1], [0.0, 3.0])
+    assert np.allclose(table.rows[2], [0.5, -0.5])
 
 
 def test_load_features_missing_items_listed(tmp_path):
@@ -65,12 +67,18 @@ def test_load_features_inconsistent_width(tmp_path):
 
 
 def test_load_features_l2_normalization(tmp_path):
-    ds = make_dataset(2)
+    inter = tmp_path / "interactions.csv"
+    inter.write_text("u0,it0\nu0,it1\nu0,it2\n")
     path = tmp_path / "features.csv"
-    write_features(path, [("it0", "3.0", "4.0"), ("it1", "0.0", "0.0")])
-    table = load_features(str(path), ds, normalization="l2")
-    assert np.allclose(table.vector(0), [0.6, 0.8])
-    assert np.allclose(table.vector(1), [0.0, 0.0])
+    write_features(
+        path, [("it0", "3.0", "4.0"), ("it1", "0.0", "0.0"), ("it2", "0.0", "2.0")]
+    )
+    cfg = RunConfig(
+        interactions_path=str(inter), features_path=str(path), normalize="l2"
+    )
+    cfg.validate()
+    rows = prepare_data(cfg).features.rows
+    assert np.allclose(rows, [[0.6, 0.8], [0.0, 0.0], [0.0, 1.0]])
 
 
 def test_l2_normalize_rows_norms_in_zero_one():
@@ -122,35 +130,35 @@ def test_encode_texts_missing_item(tmp_path):
 
 
 def test_project_condition_identity_and_zero():
-    m = np.array([1.0, -2.0, 3.0])
-    w = np.eye(3)
-    b = np.zeros(3)
-    assert np.allclose(project_condition(m, w, b), m)
-    assert np.allclose(project_condition(np.zeros(3), w, b + 0.5), 0.5)
+    # the denoiser projects the raw condition into its second key/value row
+    p = init_denoiser(4, 2, 4, stream_rng(4, "proj"))
+    p.cond_w[:] = np.eye(4)
+    p.cond_b[:] = 0.0
+
+    def condition_row(m):
+        _, cache = _forward(np.zeros((1, 4)), np.array([1]), m[None, :], p)
+        kvh = cache[4]  # (rows, key/value rows, heads, head width)
+        return kvh[0, 1].reshape(-1)
+
+    m = np.array([1.0, -2.0, 3.0, 0.5])
+    assert np.allclose(condition_row(m), m)
+    p.cond_b[:] = 0.5
+    assert np.allclose(condition_row(np.zeros(4)), 0.5)
 
 
-def test_project_condition_gradient_check():
-    rng = stream_rng(4, "proj-grad")
-    m = rng.standard_normal((5, 3))
-    target = rng.standard_normal((5, 2))
-
-    def loss_fn(params):
-        out = project_condition(m, params["w"], params["b"])
-        diff = out - target
-        loss = float(np.mean(diff * diff))
-        d_out = 2.0 * diff / diff.size
-        return loss, {"w": m.T @ d_out, "b": np.sum(d_out, axis=0)}
-
-    params = {"w": rng.standard_normal((3, 2)), "b": rng.standard_normal(2)}
-    report = finite_diff_grad_check(loss_fn, params)
-    assert report.passed, report
-
-
-def test_encoder_choice_validation():
-    EncoderChoice().validate()
-    with pytest.raises(ConfigError):
-        EncoderChoice(kind="resnet").validate()
-    with pytest.raises(ConfigError):
-        EncoderChoice(normalization="l1").validate()
-    with pytest.raises(ConfigError):
-        EncoderChoice(dim=0).validate()
+def test_encoder_choice_validation(tmp_path):
+    inter = tmp_path / "i.csv"
+    inter.write_text("0,0\n")
+    texts = tmp_path / "t.tsv"
+    texts.write_text("0\thello\n")
+    ok = RunConfig(
+        interactions_path=str(inter), texts_path=str(texts), encoder="hashed_tokens"
+    )
+    ok.validate()
+    for bad, message in (
+        ({"encoder": "resnet"}, "unknown encoder"),
+        ({"normalize": "l1"}, "unknown normalize"),
+        ({"hash_dim": 0}, "hash_dim"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(ok, **bad).validate()

@@ -8,8 +8,6 @@ from fedcold.numerics import (
     Adam,
     affine,
     finite_diff_grad_check,
-    sample_gaussian,
-    sample_laplace,
     sigmoid,
     softmax_rows,
     stream_rng,
@@ -87,30 +85,6 @@ def test_softmax_shift_invariance_property(rows, shift):
     m = np.array(rows)
     assert np.allclose(softmax_rows(m), softmax_rows(m + shift), atol=1e-9)
     assert np.allclose(np.sum(softmax_rows(m), axis=1), 1.0, atol=1e-9)
-
-
-def test_gaussian_moments():
-    rng = stream_rng(0, "moments-gauss")
-    x = sample_gaussian(rng, 1000, 1000)
-    assert abs(np.mean(x)) < 0.02
-    assert abs(np.var(x) - 1.0) < 0.02
-
-
-def test_laplace_variance_matches_scale():
-    rng = stream_rng(0, "moments-laplace")
-    for scale in (0.5, 2.0):
-        x = sample_laplace(rng, scale, 1000, 1000)
-        expected = 2.0 * scale * scale
-        assert abs(np.var(x) - expected) / expected < 0.02
-        assert abs(np.mean(x)) < 0.05 * scale
-
-
-def test_laplace_rejects_nonpositive_scale():
-    rng = stream_rng(0, "laplace-bad")
-    with pytest.raises(ConfigError):
-        sample_laplace(rng, 0.0, 2, 2)
-    with pytest.raises(ConfigError):
-        sample_laplace(rng, -1.0, 2, 2)
 
 
 def test_stream_rng_reproducible_and_independent():

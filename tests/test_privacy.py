@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcold.data import SyntheticSpec, generate_synthetic, split_items
-from fedcold.diffusion import DenoisingGenerator, build_schedule
+from fedcold.diffusion import DenoisingGenerator, build_schedule, init_denoiser
 from fedcold.errors import ConfigError
 from fedcold.federation import train_baseline_mapper
 from fedcold.modality import FeatureTable
@@ -250,8 +250,7 @@ def _comparison_setup():
     table = FeatureTable(dim=spec.feature_dim, rows=features)
     schedule = build_schedule(steps=6, noise_scale=1.0, noise_min=0.1, noise_max=0.6)
     generator = DenoisingGenerator(
-        width=8, heads=2, cond_dim=12, schedule=schedule,
-        server_lr=1e-3, rng=stream_rng(21, "gen-init"),
+        init_denoiser(8, 2, 12, stream_rng(21, "gen-init")), schedule, server_lr=1e-3
     )
     warm_rows = stream_rng(21, "warm").standard_normal((len(split.warm_items), 8))
     mapper = train_baseline_mapper(
