@@ -27,9 +27,7 @@ from .config import CONDITION_MODES, RunConfig, config_help, load_config
 from .data import save_interactions
 from .diffusion import DenoisingGenerator
 from .errors import ConfigError, FedcoldError
-from .federation import train_baseline_mapper
 from .mlp import TwoLayerMLP
-from .numerics import stream_rng
 from .pipeline import (
     EvalResult,
     PreparedData,
@@ -39,6 +37,7 @@ from .pipeline import (
     prepare_data,
     run_attack,
     run_training,
+    train_mapper,
 )
 
 ROUNDS_CSV = "rounds.csv"
@@ -126,8 +125,7 @@ def _load_generator(cfg: RunConfig, data: PreparedData) -> DenoisingGenerator:
 
 
 def cmd_gen_data(cfg: RunConfig) -> list[str]:
-    spec = cfg.synthetic_spec()
-    if spec is None:
+    if not cfg.synthetic:
         raise ConfigError("gen-data requires synthetic=true in the config")
     data_dir = os.path.join(cfg.out_dir, "data")
     os.makedirs(data_dir, exist_ok=True)
@@ -288,18 +286,10 @@ def cmd_attack(cfg: RunConfig) -> list[str]:
     item_table = _load_preferring_best(cfg.out_dir, "item_embeddings")["item_embeddings"]
     mapper_path = _ckpt(cfg.out_dir, "mapper")
     if not os.path.exists(mapper_path):
-        warm = np.array(data.split.warm_items, dtype=np.int64)
-        fresh = train_baseline_mapper(
-            data.features.rows[warm],
-            item_table[warm],
-            epochs=cfg.mapper_epochs,
-            lr=cfg.mapper_lr,
-            rng=stream_rng(cfg.seed, "mapper-init"),
-        )
-        save_checkpoint(mapper_path, fresh.tensors())
+        save_checkpoint(mapper_path, train_mapper(cfg, data, item_table).tensors())
     # use the float32 checkpoint weights so a rerun scores identically
     mapper = TwoLayerMLP.from_tensors(load_checkpoint(mapper_path))
-    result = run_attack(cfg, data, generator, item_table, mapper=mapper)
+    result = run_attack(cfg, data, generator, mapper)
     comparison = result.comparison
 
     def report_row(report, mi, fano):
@@ -361,20 +351,21 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> list[str]:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    key, parse = ("dim", int) if param == "dim" else ("ldp_scale", float)
+    subs = []
+    for raw in values:
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise ConfigError(f"bad sweep value for {param}: {raw!r}") from None
+        out_dir = os.path.join(cfg.out_dir, f"{param}_{raw}")
+        sub = dataclasses.replace(cfg, **{key: value, "out_dir": out_dir})
+        sub.validate()
+        subs.append(sub)
     os.makedirs(cfg.out_dir, exist_ok=True)
     summary = []
     primary_k = cfg.k_list[0]
-    for raw in values:
-        if param == "dim":
-            value: float | int = int(raw)
-            sub = dataclasses.replace(cfg, dim=value)
-        else:
-            value = float(raw)
-            sub = dataclasses.replace(cfg, ldp_scale=value)
-        sub = dataclasses.replace(
-            sub, out_dir=os.path.join(cfg.out_dir, f"{param}_{raw}")
-        )
-        sub.validate()
+    for raw, sub in zip(values, subs):
         cmd_train(sub)
         result = cmd_eval(sub)
         m = result.metrics.per_k[primary_k]

@@ -9,10 +9,10 @@ Environment variables are never consulted.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
-from .data import SyntheticSpec
 from .diffusion import INFERENCE_MODES, _validate_levels
 from .errors import ConfigError
 
@@ -75,28 +75,40 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs/out"
 
-    def synthetic_spec(self) -> SyntheticSpec | None:
-        if not self.synthetic:
-            return None
-        return SyntheticSpec(
-            n_users=self.synthetic_users,
-            n_items=self.synthetic_items,
-            n_clusters=self.synthetic_clusters,
-            p_in=self.synthetic_p_in,
-            p_out=self.synthetic_p_out,
-            feature_dim=self.synthetic_feature_dim,
-            feature_noise=self.synthetic_feature_noise,
-            seed=self.seed,
-        )
-
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.synthetic == bool(self.interactions_path):
             raise ConfigError(
                 "exactly one data source required: synthetic=true or interactions_path"
             )
-        if self.synthetic and (self.features_path or self.texts_path):
-            raise ConfigError("synthetic data does not take feature or text files")
-        if not self.synthetic:
+        if self.synthetic:
+            if self.features_path or self.texts_path:
+                raise ConfigError("synthetic data does not take feature or text files")
+            if self.synthetic_users < 1 or self.synthetic_items < 1:
+                raise ConfigError("synthetic spec needs at least one user and item")
+            if not 1 <= self.synthetic_clusters <= min(
+                self.synthetic_users, self.synthetic_items
+            ):
+                raise ConfigError(
+                    f"n_clusters={self.synthetic_clusters} must lie in "
+                    "[1, min(n_users, n_items)]"
+                )
+            if self.synthetic_clusters > self.synthetic_feature_dim:
+                raise ConfigError(
+                    "feature_dim must be >= n_clusters for orthogonal centroids"
+                )
+            for name, p in (
+                ("p_in", self.synthetic_p_in),
+                ("p_out", self.synthetic_p_out),
+            ):
+                if not 0.0 <= p <= 1.0:
+                    raise ConfigError(f"{name}={p} outside [0, 1]")
+            if self.synthetic_feature_noise < 0:
+                raise ConfigError("feature_noise must be non-negative")
+        else:
             if self.encoder == "precomputed":
                 if not self.features_path:
                     raise ConfigError("encoder=precomputed requires features_path")
@@ -150,9 +162,6 @@ class RunConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.out_dir:
             raise ConfigError("out_dir must be non-empty")
-        spec = self.synthetic_spec()
-        if spec is not None:
-            spec.validate()
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         if self.local_lr <= 0:

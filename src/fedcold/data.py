@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError, DataFormatError
 from .numerics import stream_rng
 
@@ -80,37 +81,6 @@ class SplitDataset:
         for u, i in self.train_interactions:
             index.setdefault(u, set()).add(i)
         return index
-
-
-@dataclass
-class SyntheticSpec:
-    """Configuration of the clustered synthetic generator."""
-
-    n_users: int = 200
-    n_items: int = 130
-    n_clusters: int = 4
-    p_in: float = 0.3
-    p_out: float = 0.01
-    feature_dim: int = 64
-    feature_noise: float = 0.1
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.n_users < 1 or self.n_items < 1:
-            raise ConfigError("synthetic spec needs at least one user and item")
-        if not (1 <= self.n_clusters <= min(self.n_users, self.n_items)):
-            raise ConfigError(
-                f"n_clusters={self.n_clusters} must lie in [1, min(n_users, n_items)]"
-            )
-        if self.n_clusters > self.feature_dim:
-            raise ConfigError(
-                "feature_dim must be >= n_clusters for orthogonal centroids"
-            )
-        for name, p in (("p_in", self.p_in), ("p_out", self.p_out)):
-            if not (0.0 <= p <= 1.0):
-                raise ConfigError(f"{name}={p} outside [0, 1]")
-        if self.feature_noise < 0:
-            raise ConfigError("feature_noise must be non-negative")
 
 
 def _id_map_path(path: str, kind: str) -> str:
@@ -251,7 +221,7 @@ def split_items(
     )
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
+def generate_synthetic(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
     """Clustered interactions plus item features.
 
     Users and items are assigned to clusters round-robin. Each (user, item)
@@ -259,19 +229,21 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     otherwise. Item features are the cluster centroid (orthogonal unit
     vectors) plus Gaussian noise. Users that end up with zero interactions are
     redrawn up to 10 times, then given one forced in-cluster interaction.
+    The ``synthetic_*`` keys and the seed of ``cfg`` set the sizes and draws.
     """
-    spec.validate()
-    rng = stream_rng(spec.seed, "synthetic")
-    u_cluster = np.arange(spec.n_users) % spec.n_clusters
-    i_cluster = np.arange(spec.n_items) % spec.n_clusters
+    n_users, n_items = cfg.synthetic_users, cfg.synthetic_items
+    n_clusters, feature_dim = cfg.synthetic_clusters, cfg.synthetic_feature_dim
+    rng = stream_rng(cfg.seed, "synthetic")
+    u_cluster = np.arange(n_users) % n_clusters
+    i_cluster = np.arange(n_items) % n_clusters
     same = (u_cluster[:, None] == i_cluster[None, :]).astype(np.float64)
-    probs = spec.p_out + (spec.p_in - spec.p_out) * same
-    hits = rng.random((spec.n_users, spec.n_items)) < probs
+    probs = cfg.synthetic_p_out + (cfg.synthetic_p_in - cfg.synthetic_p_out) * same
+    hits = rng.random((n_users, n_items)) < probs
 
-    for u in range(spec.n_users):
+    for u in range(n_users):
         tries = 0
         while not hits[u].any() and tries < 10:
-            hits[u] = rng.random(spec.n_items) < probs[u]
+            hits[u] = rng.random(n_items) < probs[u]
             tries += 1
         if not hits[u].any():
             in_cluster = np.flatnonzero(i_cluster == u_cluster[u])
@@ -279,13 +251,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
             hits[u, forced] = True
 
     interactions = [(int(u), int(i)) for u, i in zip(*np.nonzero(hits))]
-    centroids = np.eye(spec.feature_dim)[:, : spec.n_clusters].T  # orthogonal units
-    features = centroids[i_cluster] + spec.feature_noise * rng.standard_normal(
-        (spec.n_items, spec.feature_dim)
-    )
+    centroids = np.eye(feature_dim)[:, :n_clusters].T  # orthogonal units
+    noise = rng.standard_normal((n_items, feature_dim))
+    features = centroids[i_cluster] + cfg.synthetic_feature_noise * noise
     dataset = Dataset(
-        n_users=spec.n_users,
-        n_items=spec.n_items,
+        n_users=n_users,
+        n_items=n_items,
         interactions=interactions,
     )
     return dataset, features

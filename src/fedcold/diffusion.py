@@ -433,43 +433,6 @@ def elbo_loss(
     return elbo_loss_fixed(e0, m, t, eps, params, schedule)
 
 
-def generate_cold_embeddings(
-    item_ids,
-    conditions: np.ndarray | None,
-    params: DenoiserParams,
-    schedule: NoiseSchedule,
-    seed: int,
-    mode: str = "deterministic_mean",
-    stream_label: str = "infer",
-) -> np.ndarray:
-    """Generate embeddings for a list of items, one RNG stream per item.
-
-    Per-item streams make each generated row independent of which other items
-    are in the batch, while the denoiser itself runs vectorized across items.
-    """
-    if mode not in INFERENCE_MODES:
-        raise ConfigError(f"unknown inference mode {mode!r}")
-    item_ids = list(item_ids)
-    n = len(item_ids)
-    if n == 0:
-        return np.zeros((0, params.width))
-    if conditions is not None:
-        conditions = np.asarray(conditions, dtype=np.float64)
-        if conditions.shape[0] != n:
-            raise ConfigError(
-                f"{n} items but {conditions.shape[0]} condition rows"
-            )
-    rngs = [stream_rng(seed, stream_label, item) for item in item_ids]
-    x = np.stack([r.standard_normal(params.width) for r in rngs])
-    for t in range(schedule.steps, 0, -1):
-        pred = predict_denoised(x, t, conditions, params)
-        x = posterior_mean_from_prediction(x, t, pred, schedule)
-        if mode == "stochastic" and t > 1:
-            sd = math.sqrt(schedule.sigma2[t])
-            x = x + sd * np.stack([r.standard_normal(params.width) for r in rngs])
-    return x
-
-
 class DenoisingGenerator:
     """Denoiser parameters, schedule, and server-side optimizer in one bundle."""
 
@@ -514,15 +477,34 @@ class DenoisingGenerator:
         item_ids,
         conditions: np.ndarray | None,
         seed: int,
-        mode: str | None = None,
+        mode: str = "deterministic_mean",
         stream_label: str = "infer",
     ) -> np.ndarray:
-        return generate_cold_embeddings(
-            item_ids,
-            conditions,
-            self.params,
-            self.schedule,
-            seed,
-            mode or "deterministic_mean",
-            stream_label,
-        )
+        """Generate embeddings for a list of items, one RNG stream per item.
+
+        Per-item streams make each generated row independent of which other
+        items are in the batch, while the denoiser itself runs vectorized
+        across items.
+        """
+        if mode not in INFERENCE_MODES:
+            raise ConfigError(f"unknown inference mode {mode!r}")
+        item_ids = list(item_ids)
+        n = len(item_ids)
+        width = self.params.width
+        if n == 0:
+            return np.zeros((0, width))
+        if conditions is not None:
+            conditions = np.asarray(conditions, dtype=np.float64)
+            if conditions.shape[0] != n:
+                raise ConfigError(
+                    f"{n} items but {conditions.shape[0]} condition rows"
+                )
+        rngs = [stream_rng(seed, stream_label, item) for item in item_ids]
+        x = np.stack([r.standard_normal(width) for r in rngs])
+        for t in range(self.schedule.steps, 0, -1):
+            pred = predict_denoised(x, t, conditions, self.params)
+            x = posterior_mean_from_prediction(x, t, pred, self.schedule)
+            if mode == "stochastic" and t > 1:
+                sd = math.sqrt(self.schedule.sigma2[t])
+                x = x + sd * np.stack([r.standard_normal(width) for r in rngs])
+        return x

@@ -28,7 +28,6 @@ from .config import RunConfig
 from .data import SplitDataset
 from .diffusion import DenoisingGenerator
 from .errors import ConfigError
-from .mlp import TwoLayerMLP
 from .modality import FeatureTable
 from .numerics import sigmoid, stream_rng
 
@@ -348,23 +347,3 @@ def run_round(
         diffusion_loss=diffusion_loss,
         seconds=time.perf_counter() - start,
     )
-
-
-def train_baseline_mapper(
-    features: np.ndarray,
-    embeddings: np.ndarray,
-    epochs: int,
-    lr: float,
-    rng: np.random.Generator,
-    hidden: int = 128,
-) -> TwoLayerMLP:
-    """Deterministic feature-to-embedding regressor used as the non-generative foil."""
-    if features.shape[0] != embeddings.shape[0]:
-        raise ConfigError(
-            f"feature rows {features.shape[0]} != embedding rows {embeddings.shape[0]}"
-        )
-    if features.shape[0] == 0:
-        raise ConfigError("cannot train the mapper on zero rows")
-    mlp = TwoLayerMLP.init(features.shape[1], hidden, embeddings.shape[1], rng)
-    mlp.sgd_train(features, embeddings, epochs=epochs, lr=lr)
-    return mlp

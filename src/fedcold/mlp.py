@@ -1,8 +1,8 @@
 """Two-layer tanh MLP with a hand-written backward pass.
 
 One implementation backs both the feature-to-embedding baseline mapper and
-the embedding-to-feature inversion attacker, trained with plain full-batch
-SGD on mean squared error.
+the embedding-to-feature inversion attacker: ``TwoLayerMLP.fit`` trains either
+with plain full-batch SGD on mean squared error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import numpy as np
 from .checkpoint import require_tensors
 from .errors import ConfigError
 from .numerics import affine
+
+HIDDEN = 128  # one capacity for the mapper and for every inversion attacker
 
 
 @dataclass
@@ -37,6 +39,26 @@ class TwoLayerMLP:
             out_w=s2 * rng.standard_normal((hidden, out_dim)),
             out_b=np.zeros(out_dim),
         )
+
+    @classmethod
+    def fit(
+        cls,
+        x: np.ndarray,
+        y: np.ndarray,
+        epochs: int,
+        lr: float,
+        rng: np.random.Generator,
+    ) -> "TwoLayerMLP":
+        """A fresh ``HIDDEN``-wide MLP trained to map rows of ``x`` to rows of ``y``."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        if x.shape[0] != y.shape[0]:
+            raise ConfigError(f"{x.shape[0]} input rows but {y.shape[0]} target rows")
+        if x.shape[0] == 0:
+            raise ConfigError("cannot fit an MLP on zero rows")
+        mlp = cls.init(x.shape[1], HIDDEN, y.shape[1], rng)
+        mlp.sgd_train(x, y, epochs, lr)
+        return mlp
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         h = np.tanh(affine(x, self.hidden_w, self.hidden_b))

@@ -31,12 +31,7 @@ from .evaluation import (
     distribution_diagnostics,
     evaluate_cold,
 )
-from .federation import (
-    RoundReport,
-    init_simulation,
-    run_round,
-    train_baseline_mapper,
-)
+from .federation import RoundReport, init_simulation, run_round
 from .mlp import TwoLayerMLP
 from .modality import FeatureTable, encode_texts, l2_normalize_rows, load_features
 from .numerics import assert_finite, stream_rng
@@ -52,11 +47,10 @@ class PreparedData:
 
 def prepare_data(cfg: RunConfig) -> PreparedData:
     """Load or generate interactions and features, then split items."""
-    spec = cfg.synthetic_spec()
-    if spec is not None:
-        dataset, feature_rows = generate_synthetic(spec)
-        features = FeatureTable(dim=spec.feature_dim, rows=feature_rows)
-        n_clusters = spec.n_clusters
+    if cfg.synthetic:
+        dataset, feature_rows = generate_synthetic(cfg)
+        features = FeatureTable(dim=cfg.synthetic_feature_dim, rows=feature_rows)
+        n_clusters = cfg.synthetic_clusters
     else:
         dataset = load_interactions(cfg.interactions_path)
         if cfg.encoder == "precomputed":
@@ -141,7 +135,8 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
     finite.  Cold and validation embeddings are generated in deterministic mode
     from per-round streams, so running them does not perturb the training
     trajectory.  The best round is the latest maximum of validation recall at
-    ``val_k``.
+    ``val_k``; until a round has an evaluable user, every round is the best so
+    far.
     """
     generator = build_generator(cfg, data.features.dim)
     server, clients = init_simulation(data.split, cfg)
@@ -205,7 +200,7 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
         val_recalls.append(recall)
         # ties go to the later round: with few validation items small K values
         # saturate, and the most-trained state is the right default then
-        if recall is not None and (best_recall is None or recall >= best_recall):
+        if best_recall is None or (recall is not None and recall >= best_recall):
             best_recall = recall
             best_round = report.round
             best_item = server.table.embeddings.copy()
@@ -214,12 +209,6 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
                 k: v.copy() for k, v in generator.params.tensors().items()
             }
 
-    final_user = _user_matrix(clients)
-    if best_item is None:  # no evaluable validation users in any round
-        best_round = rounds[-1].round if rounds else 0
-        best_item = server.table.embeddings.copy()
-        best_user = final_user.copy()
-        best_denoiser = {k: v.copy() for k, v in generator.params.tensors().items()}
     return TrainResult(
         rounds=rounds,
         diagnostics=diagnostics,
@@ -227,7 +216,7 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
         best_round=best_round,
         generator=generator,
         item_table=server.table.embeddings,
-        user_table=final_user,
+        user_table=_user_matrix(clients),
         best_item_table=best_item,
         best_user_table=best_user,
         best_denoiser=best_denoiser,
@@ -276,35 +265,38 @@ def evaluate_run(
     return EvalResult(metrics=metrics, diagnostics=diag)
 
 
+def train_mapper(
+    cfg: RunConfig, data: PreparedData, item_table: np.ndarray
+) -> TwoLayerMLP:
+    """The deterministic feature-to-embedding foil, fit on the warm rows."""
+    warm = np.array(data.split.warm_items, dtype=np.int64)
+    return TwoLayerMLP.fit(
+        data.features.rows[warm],
+        item_table[warm],
+        cfg.mapper_epochs,
+        cfg.mapper_lr,
+        stream_rng(cfg.seed, "mapper-init"),
+    )
+
+
 @dataclass
 class AttackResult:
     comparison: PipelineComparison
     structural_diffusion: np.ndarray
     structural_mapper: np.ndarray
-    mapper: TwoLayerMLP
 
 
 def run_attack(
     cfg: RunConfig,
     data: PreparedData,
     generator: DenoisingGenerator,
-    item_table: np.ndarray,
-    mapper: TwoLayerMLP | None = None,
+    mapper: TwoLayerMLP,
 ) -> AttackResult:
-    """Train the mapper foil if needed, then run the paired inversion attack.
+    """The paired inversion attack on the generator and the ``mapper`` foil.
 
     Both structural matrices sample the same item subset: the two sampling
     streams are keyed identically, so the entries are comparable cell by cell.
     """
-    warm = np.array(data.split.warm_items, dtype=np.int64)
-    if mapper is None:
-        mapper = train_baseline_mapper(
-            data.features.rows[warm],
-            item_table[warm],
-            epochs=cfg.mapper_epochs,
-            lr=cfg.mapper_lr,
-            rng=stream_rng(cfg.seed, "mapper-init"),
-        )
     comparison = compare_pipelines(
         data.split,
         data.features,
@@ -332,5 +324,4 @@ def run_attack(
         comparison=comparison,
         structural_diffusion=structural["diffusion"],
         structural_mapper=structural["mapper"],
-        mapper=mapper,
     )

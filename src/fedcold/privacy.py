@@ -23,7 +23,6 @@ from .mlp import TwoLayerMLP
 from .modality import FeatureTable
 from .numerics import stream_rng
 
-ATTACK_HIDDEN = 128  # same attacker capacity against every pipeline
 COV_RIDGE = 1e-6
 
 
@@ -53,29 +52,6 @@ class PipelineComparison:
     target_features: np.ndarray = None
     recon_diffusion: np.ndarray = None
     recon_mapper: np.ndarray = None
-
-
-def train_inversion_attack(
-    embeddings: np.ndarray,
-    features: np.ndarray,
-    epochs: int,
-    lr: float,
-    rng: np.random.Generator,
-) -> TwoLayerMLP:
-    """Fit an embedding -> feature inverter on leaked (embedding, feature) pairs."""
-    embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if embeddings.shape[0] == 0:
-        raise ConfigError("cannot train an inversion attack on an empty leak set")
-    if embeddings.shape[0] != features.shape[0]:
-        raise ConfigError(
-            f"{embeddings.shape[0]} embeddings but {features.shape[0]} feature rows"
-        )
-    attacker = TwoLayerMLP.init(
-        embeddings.shape[1], ATTACK_HIDDEN, features.shape[1], rng
-    )
-    attacker.sgd_train(embeddings, features, epochs, lr)
-    return attacker
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -254,23 +230,6 @@ def compare_pipelines(
         len(cold), leak, stream_rng(seed, "privacy", "leak")
     )
 
-    def stacked_draws(label_prefix: str, stochastic: bool) -> np.ndarray:
-        draws = []
-        for d in range(mi_draws):
-            if stochastic:
-                draws.append(
-                    generator.generate(
-                        cold,
-                        cold_features,
-                        seed,
-                        mode="stochastic",
-                        stream_label=f"{label_prefix}{d}",
-                    )
-                )
-            else:
-                draws.append(mapper.predict(cold_features))
-        return np.vstack(draws)
-
     emb_diffusion = generator.generate(
         cold, cold_features, seed, mode="stochastic", stream_label="attack"
     )
@@ -278,7 +237,7 @@ def compare_pipelines(
 
     reports, recons = {}, {}
     for method, emb in (("diffusion", emb_diffusion), ("mapper", emb_mapper)):
-        attacker = train_inversion_attack(
+        attacker = TwoLayerMLP.fit(
             emb[leak_idx],
             cold_features[leak_idx],
             attack_epochs,
@@ -292,8 +251,20 @@ def compare_pipelines(
 
     feature_rep = np.vstack([cold_features] * mi_draws)
     mi_values, entropies = {}, {}
-    for method, stochastic in (("diffusion", True), ("mapper", False)):
-        rows = stacked_draws(f"attack-mi-{method}-", stochastic)
+    draws = [
+        generator.generate(
+            cold,
+            cold_features,
+            seed,
+            mode="stochastic",
+            stream_label=f"attack-mi-diffusion-{d}",
+        )
+        for d in range(mi_draws)
+    ]
+    for method, rows in (
+        ("diffusion", np.vstack(draws)),
+        ("mapper", np.vstack([emb_mapper] * mi_draws)),
+    ):
         mi_values[method] = mi_gaussian_estimate(feature_rep, rows)
         entropies[method] = gaussian_entropy(rows)
 

@@ -37,6 +37,7 @@ from fedcold.pipeline import (
     prepare_data,
     run_attack,
     run_training,
+    train_mapper,
 )
 from fedcold.privacy import fano_bound, gaussian_noise_floor, mi_gaussian_estimate
 
@@ -356,7 +357,8 @@ def test_08_diffusion_embeddings_resist_inversion(benchmark_runs):
     for seed in SEEDS:
         cfg, data, result = benchmark_runs[seed]
         gen = _best_generator(cfg, data, result)
-        attack = run_attack(cfg, data, gen, result.best_item_table)
+        mapper = train_mapper(cfg, data, result.best_item_table)
+        attack = run_attack(cfg, data, gen, mapper)
         mse_d.append(attack.comparison.diffusion.mse)
         mse_m.append(attack.comparison.mapper.mse)
         pe_d.append(abs(attack.comparison.diffusion.pearson))

@@ -95,6 +95,31 @@ def test_validation_requires_exactly_one_source(tmp_path):
         ).validate()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("attack_lr", math.nan),
+        ("split_val", math.nan),
+        ("ldp_scale", math.nan),
+        ("local_lr", math.inf),
+        ("noise_scale", math.nan),
+        ("synthetic_feature_noise", math.nan),
+        ("mapper_lr", -math.inf),
+    ],
+)
+def test_validation_rejects_non_finite_floats(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        RunConfig(synthetic=True, **{key: value}).validate()
+
+
+def test_attack_rejects_nan_learning_rate(monkeypatch, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "nan.cfg", attack_lr="nan")
+    assert run(monkeypatch, tmp_path, "attack", "--config", cfg) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("fedcold attack: attack_lr must be finite")
+
+
 def test_validation_encoder_path_pairing(tmp_path):
     inter = tmp_path / "i.csv"
     inter.write_text("0,0\n")
@@ -374,6 +399,23 @@ def test_sweep_ldp_values(monkeypatch, tmp_path):
     rows = (tmp_path / "out/sweep.csv").read_text().splitlines()
     assert len(rows) == 3 and rows[2].startswith("ldp,0.5,")
     assert_sweep_rows_equal_eval_metrics(tmp_path / "out", "ldp")
+
+
+def test_sweep_rejects_malformed_values_before_any_run(
+    monkeypatch, tmp_path, capsys
+):
+    cfg = write_cfg(tmp_path / "sweep.cfg", rounds=1)
+    for param, values, bad in (
+        ("dim", "8,abc", "'abc'"),
+        ("dim", "abc", "'abc'"),
+        ("ldp", "x", "'x'"),
+    ):
+        argv = ("sweep", "--config", cfg, "--param", param, "--values", values)
+        assert run(monkeypatch, tmp_path, *argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0] == f"fedcold sweep: bad sweep value for {param}: {bad}"
+    assert not (tmp_path / "out/dim_8").exists()
 
 
 # manifests

@@ -9,7 +9,6 @@ from fedcold.config import RunConfig
 from fedcold.data import (
     Dataset,
     SplitDataset,
-    SyntheticSpec,
     generate_synthetic,
     load_interactions,
     save_interactions,
@@ -201,11 +200,21 @@ def test_sample_negatives_pool_too_small():
         draw_negatives(client, 3, rng)
 
 
+def synthetic(**keys):
+    """A synthetic-data config; ``keys`` name RunConfig fields."""
+    return RunConfig(synthetic=True, **keys)
+
+
 def test_synthetic_degenerate_probabilities_exact_blocks():
-    spec = SyntheticSpec(
-        n_users=8, n_items=8, n_clusters=2, p_in=1.0, p_out=0.0, feature_dim=4
+    cfg = synthetic(
+        synthetic_users=8,
+        synthetic_items=8,
+        synthetic_clusters=2,
+        synthetic_p_in=1.0,
+        synthetic_p_out=0.0,
+        synthetic_feature_dim=4,
     )
-    ds, _ = generate_synthetic(spec)
+    ds, _ = generate_synthetic(cfg)
     for u, i in ds.interactions:
         assert u % 2 == i % 2
     # every matching pair present: 4 users x 4 items per cluster, 2 clusters
@@ -213,25 +222,31 @@ def test_synthetic_degenerate_probabilities_exact_blocks():
 
 
 def test_synthetic_count_within_binomial_band():
-    spec = SyntheticSpec(seed=3)
-    ds, _ = generate_synthetic(spec)
+    cfg = synthetic(seed=3)
+    ds, _ = generate_synthetic(cfg)
+    n_users, n_items = cfg.synthetic_users, cfg.synthetic_items
+    n_clusters = cfg.synthetic_clusters
+    p_in, p_out = cfg.synthetic_p_in, cfg.synthetic_p_out
     n_pairs_in = sum(
-        int(np.sum(np.arange(spec.n_items) % spec.n_clusters == u % spec.n_clusters))
-        for u in range(spec.n_users)
+        int(np.sum(np.arange(n_items) % n_clusters == u % n_clusters))
+        for u in range(n_users)
     )
-    n_pairs_out = spec.n_users * spec.n_items - n_pairs_in
-    mean = n_pairs_in * spec.p_in + n_pairs_out * spec.p_out
-    var = n_pairs_in * spec.p_in * (1 - spec.p_in) + n_pairs_out * spec.p_out * (
-        1 - spec.p_out
-    )
+    n_pairs_out = n_users * n_items - n_pairs_in
+    mean = n_pairs_in * p_in + n_pairs_out * p_out
+    var = n_pairs_in * p_in * (1 - p_in) + n_pairs_out * p_out * (1 - p_out)
     assert abs(len(ds.interactions) - mean) < 5 * np.sqrt(var)
 
 
 def test_synthetic_every_user_has_an_interaction():
-    spec = SyntheticSpec(
-        n_users=30, n_items=12, n_clusters=3, p_in=0.0, p_out=0.0, feature_dim=8
+    cfg = synthetic(
+        synthetic_users=30,
+        synthetic_items=12,
+        synthetic_clusters=3,
+        synthetic_p_in=0.0,
+        synthetic_p_out=0.0,
+        synthetic_feature_dim=8,
     )
-    ds, _ = generate_synthetic(spec)
+    ds, _ = generate_synthetic(cfg)
     users_seen = {u for u, _ in ds.interactions}
     assert users_seen == set(range(30))
     # forced interactions stay in-cluster
@@ -240,10 +255,15 @@ def test_synthetic_every_user_has_an_interaction():
 
 
 def test_synthetic_features_near_orthogonal_centroids():
-    spec = SyntheticSpec(
-        n_users=20, n_items=40, n_clusters=4, feature_dim=16, feature_noise=0.0, seed=1
+    cfg = synthetic(
+        synthetic_users=20,
+        synthetic_items=40,
+        synthetic_clusters=4,
+        synthetic_feature_dim=16,
+        synthetic_feature_noise=0.0,
+        seed=1,
     )
-    _, features = generate_synthetic(spec)
+    _, features = generate_synthetic(cfg)
     for i in range(40):
         expected = np.zeros(16)
         expected[i % 4] = 1.0
@@ -251,20 +271,23 @@ def test_synthetic_features_near_orthogonal_centroids():
 
 
 def test_synthetic_deterministic_per_seed():
-    ds1, f1 = generate_synthetic(SyntheticSpec(seed=9))
-    ds2, f2 = generate_synthetic(SyntheticSpec(seed=9))
-    ds3, _ = generate_synthetic(SyntheticSpec(seed=10))
+    ds1, f1 = generate_synthetic(synthetic(seed=9))
+    ds2, f2 = generate_synthetic(synthetic(seed=9))
+    ds3, _ = generate_synthetic(synthetic(seed=10))
     assert ds1.interactions == ds2.interactions
     assert np.array_equal(f1, f2)
     assert ds1.interactions != ds3.interactions
 
 
 def test_synthetic_validation_errors():
-    with pytest.raises(ConfigError):
-        generate_synthetic(SyntheticSpec(n_clusters=0))
-    with pytest.raises(ConfigError):
-        generate_synthetic(SyntheticSpec(n_clusters=300))
-    with pytest.raises(ConfigError):
-        generate_synthetic(SyntheticSpec(p_in=1.5))
-    with pytest.raises(ConfigError):
-        generate_synthetic(SyntheticSpec(feature_dim=2))
+    for keys, message in (
+        ({"synthetic_users": 0}, "at least one user and item"),
+        ({"synthetic_clusters": 0}, "n_clusters=0 must lie in"),
+        ({"synthetic_clusters": 300}, "n_clusters=300 must lie in"),
+        ({"synthetic_p_in": 1.5}, r"p_in=1.5 outside \[0, 1\]"),
+        ({"synthetic_p_out": -0.1}, r"p_out=-0.1 outside \[0, 1\]"),
+        ({"synthetic_feature_dim": 2}, "feature_dim must be >= n_clusters"),
+        ({"synthetic_feature_noise": -1.0}, "feature_noise must be non-negative"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            synthetic(**keys).validate()

@@ -10,7 +10,6 @@ from fedcold.diffusion import (
     build_schedule,
     elbo_loss,
     elbo_loss_fixed,
-    generate_cold_embeddings,
     init_denoiser,
     posterior_mean_from_prediction,
     posterior_stats,
@@ -328,61 +327,58 @@ def test_denoiser_condition_sensitivity_after_training():
     assert np.linalg.norm(out_a - out_b) > 1e-6
 
 
+def toy_generator(schedule=None):
+    return DenoisingGenerator(toy_params(), schedule or hand_schedule(), 1e-3)
+
+
 def test_reverse_sample_deterministic_mode_reproducible():
-    p = toy_params()
-    s = hand_schedule()
+    gen = toy_generator()
     m = stream_rng(18, "rev-m").standard_normal((1, 6))
-    x1 = generate_cold_embeddings([0], m, p, s, seed=19, mode="deterministic_mean")
-    x2 = generate_cold_embeddings([0], m, p, s, seed=19, mode="deterministic_mean")
+    x1 = gen.generate([0], m, seed=19, mode="deterministic_mean")
+    x2 = gen.generate([0], m, seed=19, mode="deterministic_mean")
     assert np.array_equal(x1, x2)
     assert x1.shape == (1, 8)
 
 
 def test_reverse_sample_stochastic_variance():
-    p = toy_params()
-    s = hand_schedule()
+    gen = toy_generator()
     m = np.tile(stream_rng(20, "rev-s-m").standard_normal(6), (100, 1))
     items = range(100)
-    draws = generate_cold_embeddings(items, m, p, s, seed=21, mode="stochastic")
+    draws = gen.generate(items, m, seed=21, mode="stochastic")
     assert np.all(draws.var(axis=0) > 0)
     # same start noise per item, so the difference is the per-step noise
-    means = generate_cold_embeddings(items, m, p, s, seed=21, mode="deterministic_mean")
+    means = gen.generate(items, m, seed=21, mode="deterministic_mean")
     assert np.all(np.any(draws != means, axis=1))
 
 
 def test_reverse_sample_single_step_returns_prediction():
-    p = toy_params()
-    s = build_schedule(1, 1.0, 0.3, 0.9)
+    gen = toy_generator(build_schedule(1, 1.0, 0.3, 0.9))
     m = stream_rng(22, "rev1-m").standard_normal(6)
     noise = stream_rng(23, "infer", 5).standard_normal(8)
-    got = generate_cold_embeddings([5], m[None, :], p, s, seed=23)
-    expected = predict_denoised(noise, 1, m, p)
+    got = gen.generate([5], m[None, :], seed=23)
+    expected = predict_denoised(noise, 1, m, gen.params)
     assert np.allclose(got[0], expected, atol=1e-12)
 
 
-def test_generate_cold_embeddings_empty_and_shapes():
-    p = toy_params()
-    s = hand_schedule()
-    out = generate_cold_embeddings([], None, p, s, seed=0)
+def test_generate_empty_and_shapes():
+    gen = toy_generator()
+    out = gen.generate([], None, seed=0)
     assert out.shape == (0, 8)
     conds = stream_rng(24, "gen-m").standard_normal((3, 6))
-    rows = generate_cold_embeddings([5, 9, 11], conds, p, s, seed=1)
+    rows = gen.generate([5, 9, 11], conds, seed=1)
     assert rows.shape == (3, 8)
 
 
-def test_generate_cold_embeddings_per_item_streams():
-    p = toy_params()
-    s = hand_schedule()
+def test_generate_per_item_streams():
+    gen = toy_generator()
     conds = stream_rng(25, "gen-items").standard_normal((2, 6))
-    both = generate_cold_embeddings([4, 7], conds, p, s, seed=3)
-    solo = generate_cold_embeddings([7], conds[1:], p, s, seed=3)
+    both = gen.generate([4, 7], conds, seed=3)
+    solo = gen.generate([7], conds[1:], seed=3)
     assert np.allclose(both[1], solo[0], atol=1e-10)
-    again = generate_cold_embeddings([4, 7], conds, p, s, seed=3)
+    again = gen.generate([4, 7], conds, seed=3)
     assert np.array_equal(both, again)
 
 
 def test_generate_requires_matching_condition_rows():
-    p = toy_params()
-    s = hand_schedule()
     with pytest.raises(ConfigError):
-        generate_cold_embeddings([1, 2], np.zeros((3, 6)), p, s, seed=0)
+        toy_generator().generate([1, 2], np.zeros((3, 6)), seed=0)

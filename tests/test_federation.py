@@ -10,7 +10,6 @@ from fedcold.config import RunConfig
 from fedcold.data import (
     Dataset,
     SplitDataset,
-    SyntheticSpec,
     generate_synthetic,
     split_items,
 )
@@ -27,7 +26,6 @@ from fedcold.federation import (
     init_simulation,
     run_round,
     score_items,
-    train_baseline_mapper,
     train_clients_lockstep,
 )
 from fedcold.mlp import TwoLayerMLP
@@ -77,18 +75,21 @@ def upload_rows(rows):
 
 
 def small_setup(seed=0, n_users=12, n_items=15, dim=8):
-    spec = SyntheticSpec(
-        n_users=n_users,
-        n_items=n_items,
-        n_clusters=3,
-        p_in=0.6,
-        p_out=0.05,
-        feature_dim=6,
+    config = RunConfig(
+        synthetic=True,
+        synthetic_users=n_users,
+        synthetic_items=n_items,
+        synthetic_clusters=3,
+        synthetic_p_in=0.6,
+        synthetic_p_out=0.05,
+        synthetic_feature_dim=6,
+        rounds=3,
+        negatives_per_positive=2,
+        dim=dim,
         seed=seed,
     )
-    dataset, features = generate_synthetic(spec)
+    dataset, features = generate_synthetic(config)
     split = split_items(dataset, seed=seed)
-    config = RunConfig(rounds=3, negatives_per_positive=2, dim=dim, seed=seed)
     server, clients = init_simulation(split, config)
     table = FeatureTable(dim=6, rows=features)
     return split, config, server, clients, table
@@ -487,17 +488,22 @@ def test_apply_ldp_rejects_negative_scale():
 
 
 def test_mapper_learns_identity_task():
+    # the mapper's and the inversion attacker's settings: one fit serves both
     rng = stream_rng(9, "mapper")
     x = 0.5 * rng.standard_normal((40, 6))
-    mapper = train_baseline_mapper(x, x, epochs=2000, lr=0.05, rng=rng)
-    pred = mapper.predict(x)
-    assert float(np.mean((pred - x) ** 2)) < 1e-3
+    mapper = TwoLayerMLP.fit(x, x, epochs=2000, lr=0.05, rng=rng)
+    assert float(np.mean((mapper.predict(x) - x) ** 2)) < 1e-3
+    x = stream_rng(0, "oracle-identity").standard_normal((60, 8))
+    attacker = TwoLayerMLP.fit(x, x, 5000, 0.1, stream_rng(0, "oracle-init"))
+    assert float(np.mean((attacker.predict(x) - x) ** 2)) < 1e-3
 
 
 def test_mapper_zero_rows_rejected():
     rng = stream_rng(10, "mapper-zero")
-    with pytest.raises(ConfigError):
-        train_baseline_mapper(np.zeros((0, 4)), np.zeros((0, 8)), 10, 0.1, rng)
+    with pytest.raises(ConfigError, match="zero rows"):
+        TwoLayerMLP.fit(np.zeros((0, 4)), np.zeros((0, 8)), 10, 0.1, rng)
+    with pytest.raises(ConfigError, match="3 input rows but 2 target rows"):
+        TwoLayerMLP.fit(np.zeros((3, 4)), np.zeros((2, 8)), 10, 0.1, rng)
 
 
 def test_mlp_gradient_check():

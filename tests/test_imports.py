@@ -1,4 +1,5 @@
-"""Every package module uses each name it imports."""
+"""Every package module uses each name it imports, and every public name it
+defines is read by some package module."""
 
 import ast
 import pathlib
@@ -6,6 +7,14 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedcold"
+
+# Reference oracles: public for the acceptance gate, never needed by the loop.
+TEST_ORACLES = {
+    "bce_loss": "check 3, the interaction-loss gradient",
+    "posterior_stats": "check 2, the exact reverse-step posterior",
+    "gaussian_noise_floor": "check 9, the Gaussian entropy floor",
+    "finite_diff_grad_check": "check 3, every finite-difference gradient check",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,6 +36,32 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each public top-level function, class or
+    upper-case constant that no module in ``sources`` reads."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()
+                ]
+            else:
+                names = []
+            defined += [(module, name) for name in names if not name.startswith("_")]
+        read |= {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
 def test_unused_imports_are_found():
     source = (
         "from __future__ import annotations\n"
@@ -45,3 +80,27 @@ def test_unused_imports_are_found():
 )
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unread_public_names_are_found():
+    sources = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "_PRIVATE = 1\n"
+            "def used(x):\n"
+            "    return x + LIMIT\n"
+            "def unread_helper(x):\n"
+            "    return x\n"
+        ),
+        "b.py": "from .a import used\nclass Unread:\n    pass\ny = used(1)\n",
+    }
+    assert unread_public_names(sources) == [
+        "a.py: unread_helper",
+        "b.py: Unread",
+    ]
+
+
+def test_every_public_name_is_read_by_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    unread = {entry.split(": ")[1] for entry in unread_public_names(sources)}
+    assert unread == set(TEST_ORACLES)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcold.data import SyntheticSpec, generate_synthetic, split_items
+from fedcold.config import RunConfig
+from fedcold.data import generate_synthetic, split_items
 from fedcold.diffusion import DenoisingGenerator, build_schedule, init_denoiser
 from fedcold.errors import ConfigError
-from fedcold.federation import train_baseline_mapper
+from fedcold.mlp import TwoLayerMLP
 from fedcold.modality import FeatureTable
 from fedcold.numerics import finite_diff_grad_check, stream_rng
 from fedcold.privacy import (
@@ -20,7 +21,6 @@ from fedcold.privacy import (
     gaussian_noise_floor,
     mi_gaussian_estimate,
     structural_similarity_difference,
-    train_inversion_attack,
 )
 
 
@@ -34,35 +34,20 @@ class _Negate:
         return -np.asarray(x)
 
 
-def test_inversion_identity_task_converges():
-    rng = stream_rng(0, "oracle-identity")
-    x = rng.standard_normal((60, 8))
-    attacker = train_inversion_attack(x, x, 5000, 0.1, stream_rng(0, "oracle-init"))
-    mse = float(np.mean((attacker.predict(x) - x) ** 2))
-    assert mse < 1e-3
-
-
 def test_inversion_zero_epochs_is_untrained():
     rng = stream_rng(3, "attack")
     x = rng.standard_normal((5, 4))
-    a = train_inversion_attack(x, x, 0, 0.1, stream_rng(3, "init"))
-    b = train_inversion_attack(x, x, 0, 0.1, stream_rng(3, "init"))
+    a = TwoLayerMLP.fit(x, x, 0, 0.1, stream_rng(3, "init"))
+    b = TwoLayerMLP.fit(x, x, 0, 0.1, stream_rng(3, "init"))
     for name, tensor in a.tensors().items():
         np.testing.assert_array_equal(tensor, b.tensors()[name])
-
-
-def test_inversion_empty_leak_set_rejected():
-    with pytest.raises(ConfigError):
-        train_inversion_attack(
-            np.zeros((0, 4)), np.zeros((0, 3)), 10, 0.1, stream_rng(0, "x")
-        )
 
 
 def test_attack_gradient_check():
     rng = stream_rng(4, "gradcheck")
     x = rng.standard_normal((6, 5))
     y = rng.standard_normal((6, 3))
-    attacker = train_inversion_attack(x, y, 0, 0.1, stream_rng(4, "init"))
+    attacker = TwoLayerMLP.fit(x, y, 0, 0.1, stream_rng(4, "init"))
 
     def loss_fn(params):
         probe = dataclasses.replace(attacker, **params)
@@ -102,7 +87,7 @@ def test_random_attacker_near_zero_pearson():
     rng = stream_rng(1, "oracle-null")
     emb = rng.standard_normal((100, 16))
     feats = rng.standard_normal((100, 24))
-    attacker = train_inversion_attack(
+    attacker = TwoLayerMLP.fit(
         emb, feats, 0, 0.01, stream_rng(1, "oracle-null-init")
     )
     report = attack_and_score(attacker, emb, feats, "null")
@@ -115,7 +100,7 @@ def test_attack_report_metric_ranges(seed):
     rng = stream_rng(seed, "ranges")
     emb = rng.standard_normal((6, 4))
     feats = rng.standard_normal((6, 3))
-    attacker = train_inversion_attack(emb, feats, 2, 0.5, stream_rng(seed, "r-init"))
+    attacker = TwoLayerMLP.fit(emb, feats, 2, 0.5, stream_rng(seed, "r-init"))
     report = attack_and_score(attacker, emb, feats, "x")
     assert -1.0 <= report.cosine <= 1.0
     assert -1.0 <= report.pearson <= 1.0
@@ -242,18 +227,23 @@ def test_gaussian_entropy_matches_analytic():
 
 
 def _comparison_setup():
-    spec = SyntheticSpec(
-        n_users=40, n_items=30, n_clusters=3, feature_dim=12, seed=21
+    cfg = RunConfig(
+        synthetic=True,
+        synthetic_users=40,
+        synthetic_items=30,
+        synthetic_clusters=3,
+        synthetic_feature_dim=12,
+        seed=21,
     )
-    dataset, features = generate_synthetic(spec)
+    dataset, features = generate_synthetic(cfg)
     split = split_items(dataset, seed=21)
-    table = FeatureTable(dim=spec.feature_dim, rows=features)
+    table = FeatureTable(dim=12, rows=features)
     schedule = build_schedule(steps=6, noise_scale=1.0, noise_min=0.1, noise_max=0.6)
     generator = DenoisingGenerator(
         init_denoiser(8, 2, 12, stream_rng(21, "gen-init")), schedule, server_lr=1e-3
     )
     warm_rows = stream_rng(21, "warm").standard_normal((len(split.warm_items), 8))
-    mapper = train_baseline_mapper(
+    mapper = TwoLayerMLP.fit(
         features[split.warm_items], warm_rows, epochs=50, lr=0.05,
         rng=stream_rng(21, "mapper-init"),
     )
