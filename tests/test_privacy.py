@@ -34,6 +34,15 @@ class _Negate:
         return -np.asarray(x)
 
 
+def test_inversion_identity_task_converges():
+    # the inversion attacker's settings on the shared fit
+    rng = stream_rng(0, "oracle-identity")
+    x = rng.standard_normal((60, 8))
+    attacker = TwoLayerMLP.fit(x, x, 5000, 0.1, stream_rng(0, "oracle-init"))
+    mse = float(np.mean((attacker.predict(x) - x) ** 2))
+    assert mse < 1e-3
+
+
 def test_inversion_zero_epochs_is_untrained():
     rng = stream_rng(3, "attack")
     x = rng.standard_normal((5, 4))
@@ -41,6 +50,13 @@ def test_inversion_zero_epochs_is_untrained():
     b = TwoLayerMLP.fit(x, x, 0, 0.1, stream_rng(3, "init"))
     for name, tensor in a.tensors().items():
         np.testing.assert_array_equal(tensor, b.tensors()[name])
+
+
+def test_inversion_empty_leak_set_rejected():
+    with pytest.raises(ConfigError, match="zero rows"):
+        TwoLayerMLP.fit(
+            np.zeros((0, 4)), np.zeros((0, 3)), 10, 0.1, stream_rng(0, "x")
+        )
 
 
 def test_attack_gradient_check():
