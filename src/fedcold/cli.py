@@ -285,8 +285,7 @@ def cmd_attack(cfg: RunConfig) -> list[str]:
     generator = _load_generator(cfg, data)
     item_table = _load_preferring_best(cfg.out_dir, "item_embeddings")["item_embeddings"]
     mapper_path = _ckpt(cfg.out_dir, "mapper")
-    if not os.path.exists(mapper_path):
-        save_checkpoint(mapper_path, train_mapper(cfg, data, item_table).tensors())
+    save_checkpoint(mapper_path, train_mapper(cfg, data, item_table).tensors())
     # use the float32 checkpoint weights so a rerun scores identically
     mapper = TwoLayerMLP.from_tensors(load_checkpoint(mapper_path))
     result = run_attack(cfg, data, generator, mapper)
@@ -353,11 +352,17 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> list[str]:
         raise ConfigError("sweep needs at least one value")
     key, parse = ("dim", int) if param == "dim" else ("ldp_scale", float)
     subs = []
+    seen: dict[float, str] = {}
     for raw in values:
         try:
             value = parse(raw)
         except ValueError:
             raise ConfigError(f"bad sweep value for {param}: {raw!r}") from None
+        if value in seen:
+            raise ConfigError(
+                f"duplicate sweep value for {param}: {raw!r} is {seen[value]!r} again"
+            )
+        seen[value] = raw
         out_dir = os.path.join(cfg.out_dir, f"{param}_{raw}")
         sub = dataclasses.replace(cfg, **{key: value, "out_dir": out_dir})
         sub.validate()

@@ -228,8 +228,19 @@ def _check_t(t: np.ndarray, steps: int, lowest: int = 1) -> None:
 
 
 def _forward(
-    e_t: np.ndarray, t: np.ndarray, m: np.ndarray | None, p: DenoiserParams
+    e_t: np.ndarray,
+    tenc: np.ndarray,
+    m: np.ndarray | None,
+    p: DenoiserParams,
+    cond_key: np.ndarray | None = None,
 ):
+    """Denoiser forward pass: the clean-embedding estimate and the cache.
+
+    ``tenc`` holds each row's timestep encoding. ``cond_key`` is the
+    condition's key row, ``affine(m, cond_w, cond_b)``; a reverse chain, whose
+    conditions do not change from step to step, passes it in, and it is
+    computed here when omitted.
+    """
     n, d = e_t.shape
     h, dh = p.heads, p.width // p.heads
     if d != p.width:
@@ -238,10 +249,9 @@ def _forward(
         raise ConfigError(
             f"condition dim {m.shape[1]} does not match model cond_dim {p.cond_dim}"
         )
-    tenc = sinusoidal_encoding(t, d)
     kv_rows = [affine(tenc, p.time_w, p.time_b)]
     if m is not None:
-        kv_rows.append(affine(m, p.cond_w, p.cond_b))
+        kv_rows.append(affine(m, p.cond_w, p.cond_b) if cond_key is None else cond_key)
     kv = np.stack(kv_rows, axis=1)  # (n, r, d)
     r = kv.shape[1]
     qh = (e_t @ p.query_w).reshape(n, h, dh)
@@ -296,21 +306,6 @@ def _backward(d_out: np.ndarray, cache, p: DenoiserParams) -> dict[str, np.ndarr
         grads["cond_w"] = np.zeros_like(p.cond_w)
         grads["cond_b"] = np.zeros_like(p.cond_b)
     return grads
-
-
-def predict_denoised(
-    e_t: np.ndarray, t, m: np.ndarray | None, params: DenoiserParams
-) -> np.ndarray:
-    """Denoiser forward pass: estimate the clean embedding."""
-    e_t, single = _as_batch(e_t)
-    m, _ = _as_batch(m)
-    if m is not None and m.shape[0] == 1 and e_t.shape[0] > 1:
-        m = np.broadcast_to(m, (e_t.shape[0], m.shape[1]))
-    t_arr = np.atleast_1d(np.asarray(t))
-    if t_arr.size == 1 and e_t.shape[0] > 1:
-        t_arr = np.full(e_t.shape[0], int(t_arr[0]))
-    out, _ = _forward(e_t, t_arr, m, params)
-    return out[0] if single else out
 
 
 def q_sample(
@@ -410,7 +405,7 @@ def elbo_loss_fixed(
     t_arr = np.atleast_1d(np.asarray(t))
     _check_t(t_arr, schedule.steps)
     e_t = q_sample(e0, t_arr, eps, schedule)
-    pred, cache = _forward(e_t, t_arr, m, params)
+    pred, cache = _forward(e_t, sinusoidal_encoding(t_arr, params.width), m, params)
     diff = pred - e0
     loss = float(np.mean(diff * diff))
     d_out = 2.0 * diff / diff.size
@@ -484,27 +479,39 @@ class DenoisingGenerator:
 
         Per-item streams make each generated row independent of which other
         items are in the batch, while the denoiser itself runs vectorized
-        across items.
+        across items.  What no step changes is computed once per chain: the
+        condition key, the timestep encodings, and each item's noise, drawn
+        from its stream in one call (the same numbers, in the same order, as
+        one draw per step).
         """
         if mode not in INFERENCE_MODES:
             raise ConfigError(f"unknown inference mode {mode!r}")
         item_ids = list(item_ids)
         n = len(item_ids)
-        width = self.params.width
+        p, steps = self.params, self.schedule.steps
+        width = p.width
         if n == 0:
             return np.zeros((0, width))
+        cond_key = None
         if conditions is not None:
             conditions = np.asarray(conditions, dtype=np.float64)
             if conditions.shape[0] != n:
                 raise ConfigError(
                     f"{n} items but {conditions.shape[0]} condition rows"
                 )
-        rngs = [stream_rng(seed, stream_label, item) for item in item_ids]
-        x = np.stack([r.standard_normal(width) for r in rngs])
-        for t in range(self.schedule.steps, 0, -1):
-            pred = predict_denoised(x, t, conditions, self.params)
+            cond_key = affine(conditions, p.cond_w, p.cond_b)
+        # row k of an item's draws: the start noise, then the step-t noise
+        # at k = steps + 1 - t
+        draws = 1 if mode == "deterministic_mean" else steps
+        noise = np.empty((n, draws, width))
+        for i, item in enumerate(item_ids):
+            stream_rng(seed, stream_label, item).standard_normal(out=noise[i])
+        encodings = sinusoidal_encoding(np.arange(1, steps + 1), width)
+        x = noise[:, 0].copy()
+        for t in range(steps, 0, -1):
+            tenc = np.tile(encodings[t - 1], (n, 1))
+            pred, _ = _forward(x, tenc, conditions, p, cond_key)
             x = posterior_mean_from_prediction(x, t, pred, self.schedule)
             if mode == "stochastic" and t > 1:
-                sd = math.sqrt(self.schedule.sigma2[t])
-                x = x + sd * np.stack([r.standard_normal(width) for r in rngs])
+                x = x + math.sqrt(self.schedule.sigma2[t]) * noise[:, steps + 1 - t]
         return x

@@ -64,43 +64,77 @@ class TwoLayerMLP:
         h = np.tanh(affine(x, self.hidden_w, self.hidden_b))
         return affine(h, self.out_w, self.out_b)
 
+    def _workspace(self, n: int) -> dict[str, np.ndarray]:
+        """Every array one SGD epoch on ``n`` rows writes: activations and
+        gradients, allocated once per fit and overwritten by every epoch."""
+        hidden, out_dim = self.out_w.shape
+        return {
+            "h": np.empty((n, hidden)),
+            "h_sq": np.empty((n, hidden)),
+            "d_z": np.empty((n, hidden)),
+            "diff": np.empty((n, out_dim)),
+            "d_pred": np.empty((n, out_dim)),
+            **{name: np.empty_like(w) for name, w in self.tensors().items()},
+        }
+
     def loss_and_grads(
-        self, x: np.ndarray, y: np.ndarray
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        work: dict[str, np.ndarray] | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean squared error and its gradients for a batch."""
+        """Mean squared error and its gradients for a batch.
+
+        Every array is written into ``work`` (from ``_workspace``; fresh when
+        omitted), so the returned gradients are views of it.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        h = np.tanh(x @ self.hidden_w + self.hidden_b)
-        pred = h @ self.out_w + self.out_b
-        diff = pred - y
-        loss = float(np.mean(diff * diff))
-        d_pred = 2.0 * diff / diff.size
-        grads = {
-            "out_w": h.T @ d_pred,
-            "out_b": np.sum(d_pred, axis=0),
-        }
-        d_h = d_pred @ self.out_w.T
-        d_z = d_h * (1.0 - h * h)
-        grads["hidden_w"] = x.T @ d_z
-        grads["hidden_b"] = np.sum(d_z, axis=0)
+        if work is None:
+            work = self._workspace(x.shape[0])
+        h, h_sq, d_z = work["h"], work["h_sq"], work["d_z"]
+        diff, d_pred = work["diff"], work["d_pred"]
+        np.matmul(x, self.hidden_w, out=h)
+        np.add(h, self.hidden_b, out=h)
+        np.tanh(h, out=h)
+        np.matmul(h, self.out_w, out=diff)  # pred, then diff in place
+        np.add(diff, self.out_b, out=diff)
+        np.subtract(diff, y, out=diff)
+        np.multiply(diff, diff, out=d_pred)
+        loss = float(np.mean(d_pred))
+        np.multiply(2.0, diff, out=d_pred)
+        np.divide(d_pred, diff.size, out=d_pred)
+        grads = {name: work[name] for name in self.tensors()}
+        np.matmul(h.T, d_pred, out=grads["out_w"])
+        np.sum(d_pred, axis=0, out=grads["out_b"])
+        np.matmul(d_pred, self.out_w.T, out=d_z)  # d_h, then d_z in place
+        np.multiply(h, h, out=h_sq)
+        np.subtract(1.0, h_sq, out=h_sq)
+        np.multiply(d_z, h_sq, out=d_z)
+        np.matmul(x.T, d_z, out=grads["hidden_w"])
+        np.sum(d_z, axis=0, out=grads["hidden_b"])
         return loss, grads
 
     def sgd_train(
         self, x: np.ndarray, y: np.ndarray, epochs: int, lr: float
     ) -> list[float]:
-        """Full-batch SGD; returns the per-epoch loss trace."""
+        """Full-batch SGD; returns the per-epoch loss trace.
+
+        Every epoch runs in one workspace, so a fit allocates its arrays once.
+        """
         if epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {epochs}")
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        work = self._workspace(x.shape[0])
+        weights = self.tensors()
         losses = []
         for _ in range(epochs):
-            loss, grads = self.loss_and_grads(x, y)
+            loss, grads = self.loss_and_grads(x, y, work)
             losses.append(loss)
-            self.hidden_w -= lr * grads["hidden_w"]
-            self.hidden_b -= lr * grads["hidden_b"]
-            self.out_w -= lr * grads["out_w"]
-            self.out_b -= lr * grads["out_b"]
+            for name, w in weights.items():
+                w -= np.multiply(lr, grads[name], out=grads[name])
         return losses
 
     def tensors(self) -> dict[str, np.ndarray]:

@@ -351,6 +351,23 @@ def test_attack_two_rows_and_rerun_reproduces(monkeypatch, tmp_path):
     assert len(struct.splitlines()) == 4  # header + sample_n rows
 
 
+def test_attack_fits_the_mapper_over_an_existing_one(monkeypatch, tmp_path):
+    # a seed-2 run in a seed-1 out_dir must not score the seed-1 mapper
+    cfg = write_cfg(tmp_path / "run.cfg")
+
+    def train_and_attack(out, seed):
+        for stage in ("train", "attack"):
+            argv = (stage, "--config", cfg, "--seed", str(seed), "--out", out)
+            assert run(monkeypatch, tmp_path, *argv) == 0
+        return artifact_sha256(str(tmp_path / out / "mapper.ckpt"))
+
+    seed1 = train_and_attack("reused", 1)
+    reused = train_and_attack("reused", 2)
+    fresh = train_and_attack("fresh", 2)
+    assert seed1 != fresh
+    assert reused == fresh
+
+
 def test_attack_full_leak_rejected(monkeypatch, tmp_path, capsys):
     cfg = _trained(monkeypatch, tmp_path)
     assert run(monkeypatch, tmp_path, "attack", "--config", cfg) == 0
@@ -416,6 +433,21 @@ def test_sweep_rejects_malformed_values_before_any_run(
         assert len(err) == 1
         assert err[0] == f"fedcold sweep: bad sweep value for {param}: {bad}"
     assert not (tmp_path / "out/dim_8").exists()
+
+
+def test_sweep_rejects_duplicate_values_before_any_run(
+    monkeypatch, tmp_path, capsys
+):
+    cfg = write_cfg(tmp_path / "sweep.cfg", rounds=1)
+    for param, values, message in (
+        ("ldp", "0.5,.5,0.5", "'.5' is '0.5' again"),
+        ("dim", "8,4,08", "'08' is '8' again"),
+    ):
+        argv = ("sweep", "--config", cfg, "--param", param, "--values", values)
+        assert run(monkeypatch, tmp_path, *argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"fedcold sweep: duplicate sweep value for {param}: {message}"]
+    assert not (tmp_path / "out").exists()
 
 
 # manifests

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from fedcold.diffusion import (
     init_denoiser,
     posterior_mean_from_prediction,
     posterior_stats,
-    predict_denoised,
     q_sample,
     sinusoidal_encoding,
 )
@@ -36,7 +37,7 @@ def fusion(e_t, t, m, p):
     """Fused vector and per-head attention weights of one row, read from the
     denoiser's forward cache."""
     m = None if m is None else m[None, :]
-    _, cache = _forward(e_t[None, :], np.array([t]), m, p)
+    _, cache = _forward(e_t[None, :], sinusoidal_encoding(t, p.width), m, p)
     return cache[-1][0], cache[5][0]
 
 
@@ -243,8 +244,9 @@ def test_denoiser_deterministic():
     rng = stream_rng(10, "denoise-det")
     e_t = rng.standard_normal((4, 8))
     m = rng.standard_normal((4, 6))
-    out1 = predict_denoised(e_t, 3, m, p)
-    out2 = predict_denoised(e_t, 3, m, p)
+    tenc = sinusoidal_encoding(np.full(4, 3), 8)
+    out1, _ = _forward(e_t, tenc, m, p)
+    out2, _ = _forward(e_t, tenc, m, p)
     assert np.array_equal(out1, out2)
     assert out1.shape == (4, 8)
 
@@ -321,9 +323,10 @@ def test_denoiser_condition_sensitivity_after_training():
     e0 = rng.standard_normal((4, 8))
     m = rng.standard_normal((4, 6))
     gen.train_epochs(e0, m, stream_rng(17, "sens-train"), epochs=50, batch_size=4)
-    e_t = rng.standard_normal(8)
-    out_a = predict_denoised(e_t, 2, m[0], gen.params)
-    out_b = predict_denoised(e_t, 2, m[1], gen.params)
+    e_t = rng.standard_normal((1, 8))
+    tenc = sinusoidal_encoding(2, 8)
+    out_a, _ = _forward(e_t, tenc, m[:1], gen.params)
+    out_b, _ = _forward(e_t, tenc, m[1:2], gen.params)
     assert np.linalg.norm(out_a - out_b) > 1e-6
 
 
@@ -356,8 +359,8 @@ def test_reverse_sample_single_step_returns_prediction():
     m = stream_rng(22, "rev1-m").standard_normal(6)
     noise = stream_rng(23, "infer", 5).standard_normal(8)
     got = gen.generate([5], m[None, :], seed=23)
-    expected = predict_denoised(noise, 1, m, gen.params)
-    assert np.allclose(got[0], expected, atol=1e-12)
+    expected, _ = _forward(noise[None, :], sinusoidal_encoding(1, 8), m[None, :], gen.params)
+    assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_generate_empty_and_shapes():
@@ -382,3 +385,33 @@ def test_generate_per_item_streams():
 def test_generate_requires_matching_condition_rows():
     with pytest.raises(ConfigError):
         toy_generator().generate([1, 2], np.zeros((3, 6)), seed=0)
+
+
+def reference_chain(gen, item_ids, conditions, seed, mode, stream_label="infer"):
+    """The reverse chain with nothing hoisted: a fresh draw per item per step,
+    the encoding and the condition key recomputed by the forward each step."""
+    p, schedule = gen.params, gen.schedule
+    n, width = len(item_ids), p.width
+    rngs = [stream_rng(seed, stream_label, item) for item in item_ids]
+    x = np.stack([r.standard_normal(width) for r in rngs])
+    for t in range(schedule.steps, 0, -1):
+        pred, _ = _forward(x, sinusoidal_encoding(np.full(n, t), width), conditions, p)
+        x = posterior_mean_from_prediction(x, t, pred, schedule)
+        if mode == "stochastic" and t > 1:
+            sd = math.sqrt(schedule.sigma2[t])
+            x = x + sd * np.stack([r.standard_normal(width) for r in rngs])
+    return x
+
+
+@pytest.mark.parametrize("mode", ["deterministic_mean", "stochastic"])
+@pytest.mark.parametrize("conditioned", [True, False])
+@pytest.mark.parametrize("n", [1, 150])
+@pytest.mark.parametrize("steps", [2, 40])
+def test_generate_matches_reference_chain_bitwise(mode, conditioned, n, steps):
+    params = init_denoiser(64, 4, 8, stream_rng(26, "oracle-denoiser"))
+    gen = DenoisingGenerator(params, build_schedule(steps, 1.0, 0.1, 0.9), 1e-3)
+    conds = stream_rng(27, "oracle-m").standard_normal((n, 8)) if conditioned else None
+    items = list(range(3, 3 + n))
+    got = gen.generate(items, conds, seed=28, mode=mode, stream_label="oracle")
+    expected = reference_chain(gen, items, conds, 28, mode, stream_label="oracle")
+    assert np.array_equal(got, expected)

@@ -524,3 +524,38 @@ def test_mlp_zero_epochs_returns_init():
     assert losses == []
     for k, v in mlp.tensors().items():
         assert np.array_equal(v, before[k])
+
+
+def reference_sgd(mlp, x, y, epochs, lr):
+    """Full-batch SGD with every array allocated afresh each epoch."""
+    losses = []
+    for _ in range(epochs):
+        h = np.tanh(x @ mlp.hidden_w + mlp.hidden_b)
+        diff = h @ mlp.out_w + mlp.out_b - y
+        losses.append(float(np.mean(diff * diff)))
+        d_pred = 2.0 * diff / diff.size
+        d_z = (d_pred @ mlp.out_w.T) * (1.0 - h * h)
+        grads = {
+            "hidden_w": x.T @ d_z,
+            "hidden_b": np.sum(d_z, axis=0),
+            "out_w": h.T @ d_pred,
+            "out_b": np.sum(d_pred, axis=0),
+        }
+        mlp.hidden_w -= lr * grads["hidden_w"]
+        mlp.hidden_b -= lr * grads["hidden_b"]
+        mlp.out_w -= lr * grads["out_w"]
+        mlp.out_b -= lr * grads["out_b"]
+    return losses
+
+
+@pytest.mark.parametrize("rows, epochs", [(1, 40), (300, 40), (300, 0)])
+def test_sgd_train_matches_reference_bitwise(rows, epochs):
+    rng = stream_rng(13, "mlp-oracle", rows)
+    x = rng.standard_normal((rows, 8))
+    y = rng.standard_normal((rows, 64))
+    fitted = TwoLayerMLP.init(8, 128, 64, stream_rng(14, "mlp-oracle-init"))
+    expected = copy.deepcopy(fitted)
+    losses = fitted.sgd_train(x, y, epochs, 0.05)
+    assert losses == reference_sgd(expected, x, y, epochs, 0.05)
+    for name, tensor in fitted.tensors().items():
+        assert np.array_equal(tensor, expected.tensors()[name]), name

@@ -6,7 +6,7 @@ import pytest
 
 from fedcold.config import RunConfig
 from fedcold.data import Dataset
-from fedcold.diffusion import _forward, init_denoiser
+from fedcold.diffusion import _forward, init_denoiser, sinusoidal_encoding
 from fedcold.errors import ConfigError, DataFormatError
 from fedcold.modality import (
     encode_texts,
@@ -136,7 +136,7 @@ def test_project_condition_identity_and_zero():
     p.cond_b[:] = 0.0
 
     def condition_row(m):
-        _, cache = _forward(np.zeros((1, 4)), np.array([1]), m[None, :], p)
+        _, cache = _forward(np.zeros((1, 4)), sinusoidal_encoding(1, 4), m[None, :], p)
         kvh = cache[4]  # (rows, key/value rows, heads, head width)
         return kvh[0, 1].reshape(-1)
 
