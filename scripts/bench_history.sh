@@ -4,10 +4,22 @@
 # <sha7> names the commit measured (HEAD). Each workload's entry holds the
 # `perfbench env` line, the result line, and the spread of the raw samples
 # that each end-to-end median was taken over.
+# The file is named after HEAD, so the script refuses to run while src/,
+# perfbench/ or scripts/ differ from HEAD.
+# Only files taken back to back compare: perfbench scales its times by a
+# calibration loop, and that scaling does not carry across host speeds (one
+# commit measured 55 minutes apart read train_s 1.05 and 1.30). Quote a
+# parent file and a change file taken one right after the other.
 # Run from anywhere:  bash scripts/bench_history.sh [seed] [seconds]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+DIRTY="$(git status --porcelain -- src perfbench scripts)"
+if [ -n "$DIRTY" ]; then
+    echo "bench_history: src, perfbench or scripts differ from HEAD; commit first:" >&2
+    echo "$DIRTY" >&2
+    exit 1
+fi
 SEED="${1:-11}"
 RUN_SECONDS="${2:-55}"
 SHA="$(git rev-parse --short=7 HEAD)"

@@ -17,11 +17,12 @@ $RUN eval     --config "$CFG" --seed "$SEED" --out "$OUT"
 $RUN attack   --config "$CFG" --seed "$SEED" --out "$OUT" --mode stochastic
 
 # conditioning ablations: what the generator is worth without real features.
-# eval reads checkpoints from its own --out, so each ablation dir gets a copy
+# eval reads checkpoints and the train manifest (which it checks the config
+# against) from its own --out, so each ablation dir gets a copy of both
 for COND in zero random none; do
     ABL="$OUT/ablation_${COND}"
     mkdir -p "$ABL"
-    cp "$OUT"/*.ckpt "$ABL/"
+    cp "$OUT"/*.ckpt "$OUT/manifest_train.csv" "$ABL/"
     $RUN eval --config "$CFG" --seed "$SEED" --out "$ABL" --condition "$COND"
 done
 

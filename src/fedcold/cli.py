@@ -5,9 +5,11 @@ synthetic dataset, ``train`` runs the federated loop and writes checkpoints,
 ``infer`` generates cold-item embeddings, ``eval`` scores them, ``attack``
 runs the inversion-attack comparison, and ``sweep`` repeats train+eval over a
 parameter grid.  Every command writes a ``manifest_<command>.csv`` holding the
-fully resolved config, the seed, and a SHA-256 per artifact; the ``seconds``
-column of rounds.csv is masked before hashing because wall-clock timings are
-the one intentionally non-reproducible output.
+fully resolved config, the seed, and a SHA-256 per artifact; the wall-clock
+columns of rounds.csv are masked before hashing because timings are the one
+intentionally non-reproducible output.  ``infer``, ``eval`` and ``attack``
+refuse to run unless the identity keys of their config match those that
+``train`` recorded in its manifest.
 """
 
 from __future__ import annotations
@@ -41,6 +43,55 @@ from .pipeline import (
 )
 
 ROUNDS_CSV = "rounds.csv"
+ROUNDS_HEADER = [
+    "round",
+    "mean_client_loss",
+    "diffusion_loss",
+    "seconds",
+    "draw_seconds",
+    "kernel_seconds",
+    "noise_seconds",
+    "aggregate_seconds",
+    "upload_rows",
+    "distinct_items",
+    "payload_bytes",
+]
+# blanked before hashing; every other rounds.csv column is deterministic
+WALL_CLOCK_COLUMNS = (
+    "seconds",
+    "draw_seconds",
+    "kernel_seconds",
+    "noise_seconds",
+    "aggregate_seconds",
+)
+TRAIN_MANIFEST = "manifest_train.csv"
+# config keys that fix what train produced; a later stage must repeat them
+IDENTITY_KEYS = (
+    "seed",
+    "synthetic",
+    "synthetic_users",
+    "synthetic_items",
+    "synthetic_clusters",
+    "synthetic_p_in",
+    "synthetic_p_out",
+    "synthetic_feature_dim",
+    "synthetic_feature_noise",
+    "interactions_path",
+    "features_path",
+    "texts_path",
+    "encoder",
+    "hash_dim",
+    "normalize",
+    "split_warm",
+    "split_val",
+    "split_cold",
+    "dim",
+    "heads",
+    "steps",
+    "noise_scale",
+    "noise_min",
+    "noise_max",
+)
 
 
 def _fmt(value) -> str:
@@ -68,24 +119,29 @@ def write_csv(path: str, header: list[str], rows) -> None:
         raise
 
 
-def _mask_seconds(text: str) -> str:
+def _mask_wall_clock(text: str) -> str:
+    """CSV ``text`` with its ``WALL_CLOCK_COLUMNS`` blanked below the header."""
     lines = text.splitlines()
-    masked = [lines[0]] if lines else []
-    idx = lines[0].split(",").index("seconds") if lines else -1
+    if not lines:
+        return "\n"
+    header = lines[0].split(",")
+    idx = [header.index(name) for name in WALL_CLOCK_COLUMNS if name in header]
+    masked = [lines[0]]
     for line in lines[1:]:
         parts = line.split(",")
-        if 0 <= idx < len(parts):
-            parts[idx] = ""
+        for i in idx:
+            if i < len(parts):
+                parts[i] = ""
         masked.append(",".join(parts))
     return "\n".join(masked) + "\n"
 
 
 def artifact_sha256(path: str) -> str:
-    """File hash; rounds.csv is hashed with its wall-clock column blanked."""
+    """File hash; rounds.csv is hashed with its wall-clock columns blanked."""
     with open(path, "rb") as handle:
         data = handle.read()
     if os.path.basename(path) == ROUNDS_CSV:
-        data = _mask_seconds(data.decode("utf-8")).encode("utf-8")
+        data = _mask_wall_clock(data.decode("utf-8")).encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 
 
@@ -99,7 +155,8 @@ def write_manifest(
     rows = [("command", command), ("version", __version__)]
     rows += sorted(cfg.resolved().items())
     rows += extra or []
-    rows.append(("hash_note", f"{ROUNDS_CSV} seconds column masked before hashing"))
+    masked = " ".join(WALL_CLOCK_COLUMNS)
+    rows.append(("hash_note", f"{ROUNDS_CSV} columns {masked} masked before hashing"))
     for name in sorted(artifacts):
         rows.append((f"sha256:{name}", artifact_sha256(os.path.join(out_dir, name))))
     path = os.path.join(out_dir, f"manifest_{command}.csv")
@@ -117,6 +174,34 @@ def _load_preferring_best(out_dir: str, name: str) -> dict[str, np.ndarray]:
     if not os.path.exists(path):
         raise ConfigError(f"missing checkpoint: {path} (run `fedcold train` first)")
     return load_checkpoint(path)
+
+
+def _check_trained_identity(cfg: RunConfig) -> None:
+    """Refuse a config whose identity keys differ from those ``train`` used.
+
+    ``train`` records every resolved key in its manifest. A stage that loads
+    its checkpoints under another seed, data source, split, encoder or
+    generator shape would silently score the wrong run, so each differing key
+    is named in one ``ConfigError``.
+    """
+    path = os.path.join(cfg.out_dir, TRAIN_MANIFEST)
+    if not os.path.exists(path):
+        raise ConfigError(f"missing train manifest: {path} (run `fedcold train` first)")
+    recorded = {}
+    with open(path, encoding="utf-8") as handle:
+        for line in handle.read().splitlines():
+            key, _, value = line.partition(",")
+            recorded[key] = value
+    current = cfg.resolved()
+    differing = [
+        f"{key} {current[key]!r} (trained with {recorded.get(key)!r})"
+        for key in IDENTITY_KEYS
+        if recorded.get(key) != current[key]
+    ]
+    if differing:
+        raise ConfigError(
+            f"config does not match the run in {cfg.out_dir}: " + ", ".join(differing)
+        )
 
 
 def _load_generator(cfg: RunConfig, data: PreparedData) -> DenoisingGenerator:
@@ -182,11 +267,8 @@ def cmd_train(cfg: RunConfig) -> list[str]:
     save_checkpoint(_ckpt(cfg.out_dir, "denoiser_best"), result.best_denoiser)
     write_csv(
         os.path.join(cfg.out_dir, ROUNDS_CSV),
-        ["round", "mean_client_loss", "diffusion_loss", "seconds"],
-        (
-            [r.round, r.mean_client_loss, r.diffusion_loss, r.seconds]
-            for r in result.rounds
-        ),
+        ROUNDS_HEADER,
+        ([getattr(r, name) for name in ROUNDS_HEADER] for r in result.rounds),
     )
     write_csv(
         os.path.join(cfg.out_dir, "diagnostics.csv"),
@@ -222,7 +304,7 @@ def cmd_train(cfg: RunConfig) -> list[str]:
 
 
 def cmd_infer(cfg: RunConfig) -> list[str]:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _check_trained_identity(cfg)
     data = prepare_data(cfg)
     generator = _load_generator(cfg, data)
     rows = generate_cold(cfg, data, generator)
@@ -240,7 +322,7 @@ def cmd_infer(cfg: RunConfig) -> list[str]:
 
 
 def cmd_eval(cfg: RunConfig) -> EvalResult:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _check_trained_identity(cfg)
     data = prepare_data(cfg)
     generator = _load_generator(cfg, data)
     user_table = _load_preferring_best(cfg.out_dir, "user_embeddings")["user_embeddings"]
@@ -280,7 +362,7 @@ def cmd_eval(cfg: RunConfig) -> EvalResult:
 
 
 def cmd_attack(cfg: RunConfig) -> list[str]:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _check_trained_identity(cfg)
     data = prepare_data(cfg)
     generator = _load_generator(cfg, data)
     item_table = _load_preferring_best(cfg.out_dir, "item_embeddings")["item_embeddings"]

@@ -4,8 +4,8 @@ The forward process corrupts a clean embedding with a linear low-noise
 schedule; the denoiser predicts the clean embedding directly from the noisy
 one, the timestep, and an item modality condition fused in through multi-head
 attention. Reverse sampling walks the posterior means from pure noise down to
-a generated embedding. All gradients are hand-written and validated against
-the finite-difference oracle in :mod:`fedcold.numerics`.
+a generated embedding. All gradients are hand-written and checked against
+central differences in the tests.
 """
 
 from __future__ import annotations
@@ -358,19 +358,6 @@ def _broadcast_coeff(c: np.ndarray, like: np.ndarray):
     if c.size == 1:
         return c[0]
     return c
-
-
-def posterior_stats(
-    e0: np.ndarray, e_t: np.ndarray, t, schedule: NoiseSchedule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact mean and variance of the reverse-step posterior given e0."""
-    e0 = np.asarray(e0, dtype=np.float64)
-    e_t = np.asarray(e_t, dtype=np.float64)
-    if e0.shape != e_t.shape:
-        raise ConfigError(f"e0 shape {e0.shape} != e_t shape {e_t.shape}")
-    c_noisy, c_clean, var = _posterior_coeffs(t, schedule)
-    mean = _broadcast_coeff(c_noisy, e_t) * e_t + _broadcast_coeff(c_clean, e0) * e0
-    return mean, var if var.size > 1 else var[0]
 
 
 def posterior_mean_from_prediction(

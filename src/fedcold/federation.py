@@ -6,12 +6,14 @@ optionally with per-entry Laplace noise. The server averages uploads row-wise,
 trains the diffusion generator on warm rows, and redistributes.
 
 Within a round every client reads the same table and draws from its own
-per-(round, client) RNG stream, so the sampled clients train in lockstep: step
-``j`` applies every client's ``j``-th example as one batch of numpy operations
-over a round buffer of the rows the clients touch. Upload noise is added in
-place on that buffer, and the uploads are aggregated once per round. The
-result equals training the clients one after another bit for bit, and a
-simulation is a deterministic function of (dataset, config, seed).
+per-(round, client) RNG stream: first the uniforms for its negatives, which one
+round-wide Floyd step per column turns into k-subsets of its pool, then its
+upload noise. The sampled clients train in lockstep: step ``j`` applies every
+client's ``j``-th example as one batch of numpy operations over a round buffer
+of the rows the clients touch. Upload noise is added in place on that buffer,
+and the uploads are aggregated once per round. The result equals training the
+clients one after another bit for bit, and a simulation is a deterministic
+function of (dataset, config, seed).
 """
 
 from __future__ import annotations
@@ -96,20 +98,30 @@ class ServerState:
 
 @dataclass
 class RoundReport:
+    """One round's losses, phase timings and upload counters.
+
+    ``seconds`` spans the whole round; the client phase splits into negative
+    draws, the lockstep kernel, upload noise and aggregation. The counters
+    are deterministic: rows uploaded over all clients, the distinct items
+    among them, and the bytes of those float64 rows.
+    """
+
     round: int
     mean_client_loss: float
     diffusion_loss: float | None
     seconds: float
+    draw_seconds: float
+    kernel_seconds: float
+    noise_seconds: float
+    aggregate_seconds: float
+    upload_rows: int
+    distinct_items: int
+    payload_bytes: int
 
 
 def score_items(user_embedding: np.ndarray, item_rows: np.ndarray) -> np.ndarray:
     """Interaction probabilities: logistic of each item row dotted with the user."""
     return sigmoid(item_rows @ user_embedding)
-
-
-def bce_loss(y: float, y_hat: float) -> float:
-    p = min(max(y_hat, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
 
 
 def init_simulation(
@@ -139,27 +151,43 @@ def init_simulation(
     return ServerState(table=table), clients
 
 
-def _draw_examples(
-    state: ClientState, rng: np.random.Generator, k: int
-) -> np.ndarray:
-    """The client's example items for one pass, in training order.
+def sample_negatives(
+    clients: list[ClientState], rngs: list[np.random.Generator], k: int
+) -> list[np.ndarray]:
+    """Each client's ``k`` negatives per positive for one pass, round-wide.
 
-    Each positive is followed by its ``k`` negatives, drawn with one
-    ``rng.choice`` per positive in positive order before any other draw on the
-    stream, so the stream is consumed exactly as when each client trained in
-    turn and the upload noise drawn after it is unchanged.
+    Every client with positives draws one ``(positives, k)`` block of
+    uniforms from its own stream, before any other draw on it, into one round
+    array. Floyd's algorithm (Bentley & Floyd 1987) then turns each row into
+    ``k`` distinct pool indices, one vectorized step per column over every
+    positive of every client: ``t = floor(u * (j + 1))`` with
+    ``j = |pool| - k + c``, and ``t = j`` where an earlier column holds ``t``.
+    That gives uniform k-subsets without replacement, and because the streams
+    are per client a client's negatives do not depend on who else was sampled.
+    Returns, in client order, a ``(positives, k)`` array of item ids.
     """
-    if state.warm_positives.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if k > state.negative_pool.size:
-        raise ConfigError(
-            f"user {state.user_id}: negative pool too small for {k} draws"
-        )
-    examples = np.empty((state.warm_positives.size, 1 + k), dtype=np.int64)
-    examples[:, 0] = state.warm_positives
-    for row in examples:
-        row[1:] = rng.choice(state.negative_pool, size=k, replace=False)
-    return examples.ravel()
+    bounds = np.cumsum([0, *(c.warm_positives.size for c in clients)])
+    u = np.empty((bounds[-1], k))
+    pool_sizes = np.empty(bounds[-1], dtype=np.int64)
+    for client, rng, lo, hi in zip(clients, rngs, bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        if k > client.negative_pool.size:
+            raise ConfigError(
+                f"user {client.user_id}: negative pool too small for {k} draws"
+            )
+        rng.random(out=u[lo:hi])
+        pool_sizes[lo:hi] = client.negative_pool.size
+    picked = np.empty((bounds[-1], k), dtype=np.int64)
+    for c in range(k):
+        j = pool_sizes - (k - c)
+        t = np.floor(u[:, c] * (j + 1)).astype(np.int64)
+        taken = (picked[:, :c] == t[:, None]).any(axis=1)
+        picked[:, c] = np.where(taken, j, t)
+    return [
+        client.negative_pool[picked[lo:hi]]
+        for client, lo, hi in zip(clients, bounds[:-1], bounds[1:])
+    ]
 
 
 def _round_buffer(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -184,24 +212,33 @@ def train_clients_lockstep(
     table: np.ndarray,
     rngs: list[np.random.Generator],
     config: RunConfig,
+    seconds: dict[str, float] | None = None,
 ) -> tuple[list[UploadRows], list[float]]:
     """One local pass for every client, all clients advancing together.
 
     Per positive, a client takes one BCE-SGD step on it and then on each of
-    its negatives. Clients read the same table and touch disjoint copies of
-    its rows, so step ``j`` applies every client's ``j``-th example at once;
-    each client still sees exactly its own sequence of updates, in order, and
-    the result equals training the clients one after another bit for bit.
+    its negatives, which ``sample_negatives`` draws from ``rngs`` first.
+    Clients read the same table and touch disjoint copies of its rows, so step
+    ``j`` applies every client's ``j``-th example at once; each client still
+    sees exactly its own sequence of updates, in order, and the result equals
+    training the clients one after another bit for bit.
 
     The round buffer holds each client's touched rows (its sorted unique
     items) copied from ``table``, which is never written. User embeddings are
     updated in place. Returns, in client order, an upload view of each
     client's block of the buffer and the client's mean example loss (0.0
-    without examples).
+    without examples). ``seconds``, if given, receives the wall-clock time of
+    the draws under ``"draw"`` and of the rest under ``"kernel"``.
     """
     k = config.negatives_per_positive
     lr = config.local_lr
-    sequences = [_draw_examples(c, rng, k) for c, rng in zip(clients, rngs)]
+    start = time.perf_counter()
+    negatives = sample_negatives(clients, rngs, k)
+    drawn = time.perf_counter()
+    sequences = [
+        np.column_stack((c.warm_positives, negs)).ravel()
+        for c, negs in zip(clients, negatives)
+    ]
     lengths = np.array([s.size for s in sequences])
     # slots[j, c]: buffer row of client c's j-th example
     slots = np.zeros((int(lengths.max(initial=0)), len(clients)), dtype=np.int32)
@@ -240,6 +277,9 @@ def train_clients_lockstep(
         for c, items in enumerate(items_of)
     ]
     losses = [float(s / n) if n else 0.0 for s, n in zip(loss_sums, lengths)]
+    if seconds is not None:
+        seconds["draw"] = drawn - start
+        seconds["kernel"] = time.perf_counter() - drawn
     return uploads, losses
 
 
@@ -331,14 +371,20 @@ def run_round(
         raise ConfigError("no clients sampled this round")
 
     rngs = [stream_rng(seed, "client", round_index, c.user_id) for c in sampled]
+    phase: dict[str, float] = {}
     rows, losses = train_clients_lockstep(
-        sampled, server.table.embeddings, rngs, config
+        sampled, server.table.embeddings, rngs, config, seconds=phase
     )
+    noise_start = time.perf_counter()
     uploads = [
         ClientUpload(user_id=c.user_id, rows=apply_ldp(r, config.ldp_scale, rng))
         for c, r, rng in zip(sampled, rows, rngs)
     ]
+    aggregate_start = time.perf_counter()
     server.table = aggregate(server.table, uploads)
+    aggregate_end = time.perf_counter()
+    ids = np.concatenate([r.ids for r in rows])
+    n_items = server.table.embeddings.shape[0]
     losses = [loss for c, loss in zip(sampled, losses) if c.warm_positives.size]
     mean_loss = float(np.mean(losses)) if losses else 0.0
     return RoundReport(
@@ -346,4 +392,11 @@ def run_round(
         mean_client_loss=mean_loss,
         diffusion_loss=diffusion_loss,
         seconds=time.perf_counter() - start,
+        draw_seconds=phase["draw"],
+        kernel_seconds=phase["kernel"],
+        noise_seconds=aggregate_start - noise_start,
+        aggregate_seconds=aggregate_end - aggregate_start,
+        upload_rows=ids.size,
+        distinct_items=int(np.count_nonzero(np.bincount(ids, minlength=n_items))),
+        payload_bytes=sum(r.block.nbytes for r in rows),
     )

@@ -1,22 +1,18 @@
-"""Dense linear algebra, seeded RNG streams, and a finite-difference gradient checker.
+"""Dense linear algebra, seeded RNG streams, a stable sigmoid and Adam.
 
 All math runs on float64 numpy arrays; checkpoints quantize to float32 on save
 only. There is no autodiff engine: every learnable layer in this package ships
-a hand-written backward pass, and this module provides the central-difference
-oracle used to validate those gradients.
+a hand-written backward pass, which the tests check against central
+differences.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-
-GRAD_CHECK_H_MIN = 1e-6
-GRAD_CHECK_H_MAX = 1e-4
 
 
 def stream_rng(seed: int, *path: int | str) -> np.random.Generator:
@@ -88,81 +84,6 @@ def assert_finite(name: str, *arrays: np.ndarray) -> None:
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise NumericsError(f"non-finite values in {name}")
-
-
-@dataclass
-class GradCheckReport:
-    """Result of comparing analytic gradients against central differences."""
-
-    max_rel_error: float
-    n_checked: int
-    tolerance: float
-    passed: bool
-    worst_param: str = ""
-    worst_index: int = -1
-    per_param: dict[str, float] = field(default_factory=dict)
-
-
-def finite_diff_grad_check(
-    loss_fn,
-    params: dict[str, np.ndarray],
-    h: float = 1e-5,
-    tolerance: float = 1e-4,
-    max_coords_per_param: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> GradCheckReport:
-    """Validate analytic gradients with central finite differences.
-
-    ``loss_fn`` maps a parameter dict to ``(loss, grads)`` where ``grads``
-    mirrors the dict structure. For a subsample of coordinates (all of them
-    when ``max_coords_per_param`` is None) the analytic entry is compared to
-    ``(f(p + h e_i) - f(p - h e_i)) / (2h)``. Relative error uses
-    ``|a - n| / max(|a|, |n|, 1e-6)``.
-    """
-    if not (GRAD_CHECK_H_MIN <= h <= GRAD_CHECK_H_MAX):
-        raise ConfigError(
-            f"grad check step h={h} outside [{GRAD_CHECK_H_MIN}, {GRAD_CHECK_H_MAX}]"
-        )
-    if rng is None:
-        rng = stream_rng(0, "gradcheck")
-    work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-    loss, grads = loss_fn(work)
-    if not np.isfinite(loss):
-        raise NumericsError(f"loss is not finite: {loss}")
-
-    report = GradCheckReport(
-        max_rel_error=0.0, n_checked=0, tolerance=tolerance, passed=True
-    )
-    for name in sorted(work):
-        analytic = np.asarray(grads[name], dtype=np.float64).ravel()
-        flat = work[name].ravel()
-        n_coords = flat.size
-        if max_coords_per_param is not None and n_coords > max_coords_per_param:
-            idx = rng.choice(n_coords, size=max_coords_per_param, replace=False)
-            idx = np.sort(idx)
-        else:
-            idx = np.arange(n_coords)
-        worst_here = 0.0
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + h
-            up, _ = loss_fn(work)
-            flat[i] = orig - h
-            down, _ = loss_fn(work)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            a = analytic[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-            report.n_checked += 1
-            if rel > worst_here:
-                worst_here = rel
-            if rel > report.max_rel_error:
-                report.max_rel_error = rel
-                report.worst_param = name
-                report.worst_index = int(i)
-        report.per_param[name] = worst_here
-    report.passed = report.max_rel_error < tolerance
-    return report
 
 
 class Adam:

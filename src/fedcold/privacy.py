@@ -144,15 +144,6 @@ def fano_bound(mi_nats: float, n_categories: int) -> float:
     return max(0.0, 1.0 - (mi_nats + math.log(2.0)) / math.log(n_categories))
 
 
-def gaussian_noise_floor(dim: int, sigma_min: float) -> float:
-    """Entropy floor (nats) of a dim-dimensional Gaussian with per-axis scale sigma_min."""
-    if dim < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
-    if sigma_min <= 0:
-        raise ConfigError(f"sigma_min must be positive, got {sigma_min}")
-    return 0.5 * dim * math.log(2.0 * math.pi * math.e * sigma_min * sigma_min)
-
-
 def _ridged_logdet(cov: np.ndarray) -> float:
     cov = np.atleast_2d(cov)
     cov = cov + COV_RIDGE * np.eye(cov.shape[0])

@@ -1,0 +1,140 @@
+"""Reference oracles that only the tests call.
+
+Each one restates a piece of the program in its plainest scalar form, or
+checks it from outside: central-difference gradients, the exact reverse-step
+posterior, the Gaussian entropy floor, the clamped BCE loss, and Floyd's
+sampling of k distinct items.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from fedcold.diffusion import NoiseSchedule, _broadcast_coeff, _posterior_coeffs
+from fedcold.errors import ConfigError, NumericsError
+from fedcold.federation import PROB_CLAMP
+from fedcold.numerics import stream_rng
+
+GRAD_CHECK_H_MIN = 1e-6
+GRAD_CHECK_H_MAX = 1e-4
+
+
+@dataclass
+class GradCheckReport:
+    """Result of comparing analytic gradients against central differences."""
+
+    max_rel_error: float
+    n_checked: int
+    tolerance: float
+    passed: bool
+    worst_param: str = ""
+    worst_index: int = -1
+    per_param: dict[str, float] = field(default_factory=dict)
+
+
+def finite_diff_grad_check(
+    loss_fn,
+    params: dict[str, np.ndarray],
+    h: float = 1e-5,
+    tolerance: float = 1e-4,
+    max_coords_per_param: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> GradCheckReport:
+    """Validate analytic gradients with central finite differences.
+
+    ``loss_fn`` maps a parameter dict to ``(loss, grads)`` where ``grads``
+    mirrors the dict structure. For a subsample of coordinates (all of them
+    when ``max_coords_per_param`` is None) the analytic entry is compared to
+    ``(f(p + h e_i) - f(p - h e_i)) / (2h)``. Relative error uses
+    ``|a - n| / max(|a|, |n|, 1e-6)``.
+    """
+    if not (GRAD_CHECK_H_MIN <= h <= GRAD_CHECK_H_MAX):
+        raise ConfigError(
+            f"grad check step h={h} outside [{GRAD_CHECK_H_MIN}, {GRAD_CHECK_H_MAX}]"
+        )
+    if rng is None:
+        rng = stream_rng(0, "gradcheck")
+    work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+    loss, grads = loss_fn(work)
+    if not np.isfinite(loss):
+        raise NumericsError(f"loss is not finite: {loss}")
+
+    report = GradCheckReport(
+        max_rel_error=0.0, n_checked=0, tolerance=tolerance, passed=True
+    )
+    for name in sorted(work):
+        analytic = np.asarray(grads[name], dtype=np.float64).ravel()
+        flat = work[name].ravel()
+        n_coords = flat.size
+        if max_coords_per_param is not None and n_coords > max_coords_per_param:
+            idx = rng.choice(n_coords, size=max_coords_per_param, replace=False)
+            idx = np.sort(idx)
+        else:
+            idx = np.arange(n_coords)
+        worst_here = 0.0
+        for i in idx:
+            orig = flat[i]
+            flat[i] = orig + h
+            up, _ = loss_fn(work)
+            flat[i] = orig - h
+            down, _ = loss_fn(work)
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            a = analytic[i]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
+            report.n_checked += 1
+            if rel > worst_here:
+                worst_here = rel
+            if rel > report.max_rel_error:
+                report.max_rel_error = rel
+                report.worst_param = name
+                report.worst_index = int(i)
+        report.per_param[name] = worst_here
+    report.passed = report.max_rel_error < tolerance
+    return report
+
+
+def posterior_stats(
+    e0: np.ndarray, e_t: np.ndarray, t, schedule: NoiseSchedule
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean and variance of the reverse-step posterior given e0."""
+    e0 = np.asarray(e0, dtype=np.float64)
+    e_t = np.asarray(e_t, dtype=np.float64)
+    if e0.shape != e_t.shape:
+        raise ConfigError(f"e0 shape {e0.shape} != e_t shape {e_t.shape}")
+    c_noisy, c_clean, var = _posterior_coeffs(t, schedule)
+    mean = _broadcast_coeff(c_noisy, e_t) * e_t + _broadcast_coeff(c_clean, e0) * e0
+    return mean, var if var.size > 1 else var[0]
+
+
+def gaussian_noise_floor(dim: int, sigma_min: float) -> float:
+    """Entropy floor (nats) of a dim-dimensional Gaussian with per-axis scale sigma_min."""
+    if dim < 1:
+        raise ConfigError(f"dimension must be >= 1, got {dim}")
+    if sigma_min <= 0:
+        raise ConfigError(f"sigma_min must be positive, got {sigma_min}")
+    return 0.5 * dim * math.log(2.0 * math.pi * math.e * sigma_min * sigma_min)
+
+
+def bce_loss(y: float, y_hat: float) -> float:
+    """Binary cross-entropy with the prediction clamped as the client kernel does."""
+    p = min(max(y_hat, PROB_CLAMP), 1.0 - PROB_CLAMP)
+    return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
+
+
+def floyd_sample(pool: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``len(u)`` distinct items of ``pool`` by Floyd's algorithm, one at a time.
+
+    Step ``c`` picks ``t = floor(u[c] * (j + 1))`` with ``j = |pool| - k + c``
+    and takes ``j`` instead when ``t`` was already picked.
+    """
+    k = len(u)
+    picked: list[int] = []
+    for c in range(k):
+        j = pool.size - k + c
+        t = math.floor(u[c] * (j + 1))
+        picked.append(j if t in picked else t)
+    return pool[picked]

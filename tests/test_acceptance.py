@@ -24,12 +24,10 @@ from fedcold.diffusion import (
     elbo_loss_fixed,
     init_denoiser,
     posterior_mean_from_prediction,
-    posterior_stats,
 )
 from fedcold.evaluation import ndcg_at_k, recall_precision_at_k
-from fedcold.federation import bce_loss
 from fedcold.mlp import TwoLayerMLP
-from fedcold.numerics import finite_diff_grad_check, sigmoid, stream_rng
+from fedcold.numerics import sigmoid, stream_rng
 from fedcold.pipeline import (
     build_generator,
     evaluate_run,
@@ -39,7 +37,13 @@ from fedcold.pipeline import (
     run_training,
     train_mapper,
 )
-from fedcold.privacy import fano_bound, gaussian_noise_floor, mi_gaussian_estimate
+from fedcold.privacy import fano_bound, mi_gaussian_estimate
+from oracles import (
+    bce_loss,
+    finite_diff_grad_check,
+    gaussian_noise_floor,
+    posterior_stats,
+)
 
 SEEDS = (1, 2, 3)
 

@@ -215,6 +215,41 @@ def test_train_light_mode_logs_half_the_diffusion_entries(monkeypatch, tmp_path)
     assert [r.split(",")[0] for r in trained] == ["1", "3", "5", "7", "9"]
 
 
+def test_rounds_csv_phase_timings_are_masked_and_counters_hashed(
+    monkeypatch, tmp_path
+):
+    cfg = write_cfg(tmp_path / "r2.cfg", client_sample_ratio=0.5)
+    assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 0
+    path = tmp_path / "out/rounds.csv"
+    lines = path.read_text().splitlines()
+    assert lines[0] == (
+        "round,mean_client_loss,diffusion_loss,seconds,draw_seconds,"
+        "kernel_seconds,noise_seconds,aggregate_seconds,upload_rows,"
+        "distinct_items,payload_bytes"
+    )
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        seconds = [float(v) for v in row[3:8]]
+        assert all(s >= 0 for s in seconds)
+        assert sum(seconds[1:]) <= seconds[0]
+        upload_rows, distinct, payload = (int(v) for v in row[8:])
+        assert 0 < distinct <= upload_rows
+        assert payload == upload_rows * 8 * 8  # float64 rows of dim 8
+    first = artifact_sha256(str(path))
+
+    def rewrite(column, value):
+        edited = [line.split(",") for line in lines]
+        edited[1][column] = value
+        path.write_text("\n".join(",".join(row) for row in edited) + "\n")
+        return artifact_sha256(str(path))
+
+    for column in range(3, 8):  # wall-clock columns are blanked
+        assert rewrite(column, "12.5") == first
+    for column in range(8, 11):  # counters stay in the hash
+        assert rewrite(column, "7") != first
+
+
 def test_train_rerun_reproduces_rounds_csv(monkeypatch, tmp_path):
     cfg = write_cfg(tmp_path / "det.cfg")
     assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 0
@@ -279,14 +314,17 @@ def test_infer_stochastic_differs_from_deterministic(monkeypatch, tmp_path):
     assert run(monkeypatch, tmp_path, "infer", "--config", cfg, "--mode", "stochastic") == 0
     sto1 = (tmp_path / "out/cold_embeddings.csv").read_bytes()
     assert sto1 != det
+    # another seed is another run: it trains in its own out_dir
+    out4 = str(tmp_path / "out4")
+    assert run(monkeypatch, tmp_path, "train", "--config", cfg, "--seed", "4", "--out", out4) == 0
     assert (
         run(
             monkeypatch, tmp_path, "infer", "--config", cfg,
-            "--mode", "stochastic", "--seed", "4",
+            "--mode", "stochastic", "--seed", "4", "--out", out4,
         )
         == 0
     )
-    assert (tmp_path / "out/cold_embeddings.csv").read_bytes() != sto1
+    assert (tmp_path / "out4/cold_embeddings.csv").read_bytes() != sto1
 
 
 def test_infer_names_a_tensor_missing_from_the_checkpoint(
@@ -303,6 +341,69 @@ def test_infer_names_a_tensor_missing_from_the_checkpoint(
     assert len(err) == 1
     assert err[0].startswith("fedcold infer: ")
     assert err[0].endswith("time_w")
+
+
+# run identity
+
+
+@pytest.mark.parametrize("command", ["infer", "eval", "attack"])
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        (("--seed", "5"), "seed"),
+        ({"heads": 4}, "heads"),
+        ({"dim": 16}, "dim"),
+        ({"synthetic_users": 31}, "synthetic_users"),
+        ({"split_val": 0.15, "split_cold": 0.25}, "split_val"),
+        ({"noise_scale": 0.5}, "noise_scale"),
+    ],
+)
+def test_stages_refuse_a_run_trained_under_other_identity_keys(
+    monkeypatch, tmp_path, capsys, command, change, key
+):
+    _trained(monkeypatch, tmp_path)
+    if isinstance(change, dict):
+        cfg, argv = write_cfg(tmp_path / "other.cfg", **change), ()
+    else:
+        cfg, argv = str(tmp_path / "run.cfg"), change
+    capsys.readouterr()
+    assert run(monkeypatch, tmp_path, command, "--config", cfg, *argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"fedcold {command}: config does not match the run in out:")
+    for name in (key, "split_cold") if key == "split_val" else (key,):
+        assert f" {name} " in err[0]
+
+
+def test_identity_check_names_every_differing_key(monkeypatch, tmp_path, capsys):
+    _trained(monkeypatch, tmp_path)
+    cfg = write_cfg(tmp_path / "other.cfg", heads=4, steps=6)
+    capsys.readouterr()
+    assert run(monkeypatch, tmp_path, "eval", "--config", cfg, "--seed", "5") == 1
+    err = capsys.readouterr().err
+    assert "seed '5' (trained with '3')" in err
+    assert "heads '4' (trained with '2')" in err
+    assert "steps '6' (trained with '4')" in err
+
+
+def test_condition_mode_and_ldp_are_not_identity_keys(monkeypatch, tmp_path):
+    cfg = _trained(monkeypatch, tmp_path)
+    for argv in (("--condition", "zero"), ("--mode", "stochastic"), ("--ldp", "1")):
+        assert run(monkeypatch, tmp_path, "eval", "--config", cfg, *argv) == 0
+
+
+@pytest.mark.parametrize("command", ["infer", "eval", "attack"])
+def test_missing_train_manifest_fails_like_a_missing_checkpoint(
+    monkeypatch, tmp_path, capsys, command
+):
+    cfg = _trained(monkeypatch, tmp_path)
+    os.remove(tmp_path / "out/manifest_train.csv")
+    capsys.readouterr()
+    assert run(monkeypatch, tmp_path, command, "--config", cfg) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "missing train manifest" in err[0]
+    assert "(run `fedcold train` first)" in err[0]
 
 
 # eval

@@ -15,7 +15,7 @@ from fedcold.data import (
     split_items,
 )
 from fedcold.errors import ConfigError, DataFormatError
-from fedcold.federation import _draw_examples, init_simulation
+from fedcold.federation import init_simulation, sample_negatives
 from fedcold.numerics import stream_rng
 
 
@@ -159,7 +159,8 @@ def one_user_client(n_items, interacted, warm=None):
 
 def draw_negatives(client, k, rng):
     """The ``k`` negatives drawn for each positive in one local pass."""
-    return _draw_examples(client, rng, k).reshape(-1, 1 + k)[:, 1:]
+    [negatives] = sample_negatives([client], [rng], k)
+    return negatives
 
 
 def test_sample_negatives_avoids_interactions():

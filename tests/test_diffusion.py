@@ -14,13 +14,13 @@ from fedcold.diffusion import (
     elbo_loss_fixed,
     init_denoiser,
     posterior_mean_from_prediction,
-    posterior_stats,
     q_sample,
     sinusoidal_encoding,
 )
 from fedcold.diffusion import DenoiserParams
 from fedcold.errors import ConfigError
-from fedcold.numerics import finite_diff_grad_check, stream_rng
+from fedcold.numerics import stream_rng
+from oracles import finite_diff_grad_check, posterior_stats
 
 
 def hand_schedule():

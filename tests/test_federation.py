@@ -21,16 +21,17 @@ from fedcold.federation import (
     UploadRows,
     aggregate,
     apply_ldp,
-    bce_loss,
     diffusion_trains_this_round,
     init_simulation,
     run_round,
+    sample_negatives,
     score_items,
     train_clients_lockstep,
 )
 from fedcold.mlp import TwoLayerMLP
 from fedcold.modality import FeatureTable
-from fedcold.numerics import finite_diff_grad_check, sigmoid, stream_rng
+from fedcold.numerics import sigmoid, stream_rng
+from oracles import bce_loss, finite_diff_grad_check, floyd_sample
 
 
 def client_local_train(state, table, rng, config):
@@ -51,7 +52,7 @@ def client_local_train(state, table, rng, config):
             raise ConfigError(
                 f"user {state.user_id}: negative pool too small for {k} draws"
             )
-        negatives = rng.choice(state.negative_pool, size=k, replace=False)
+        negatives = floyd_sample(state.negative_pool, rng.random(k))
         for item, y in ((int(pos), 1.0), *((int(n), 0.0) for n in negatives)):
             row = local.get(item)
             if row is None:
@@ -368,6 +369,90 @@ def test_lockstep_small_negative_pool_names_the_user():
     rngs = [stream_rng(1, "client", 1, c.user_id) for c in clients]
     with pytest.raises(ConfigError, match=f"user {client.user_id}:"):
         train_clients_lockstep(clients, server.table.embeddings, rngs, config)
+
+
+def pool_clients(n_clients, positives, pool, pool_sizes=None):
+    """Clients holding ``positives`` and a prefix of ``pool`` sized per client."""
+    sizes = pool_sizes or [len(pool)] * n_clients
+    return [
+        federation.ClientState(
+            user_id=u,
+            user_embedding=np.zeros(2),
+            warm_positives=np.array(positives, dtype=np.int64),
+            negative_pool=np.array(pool[:size], dtype=np.int64),
+        )
+        for u, size in zip(range(n_clients), sizes)
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_sample_negatives_equals_scalar_floyd_oracle_bitwise(k):
+    rng = stream_rng(20, "floyd-setup", k)
+    sizes = [int(n) for n in rng.integers(k, 40, size=30)]
+    clients = pool_clients(30, [], list(range(100, 140)), sizes)
+    for c in clients:
+        c.warm_positives = np.arange(int(rng.integers(0, 12)), dtype=np.int64)
+    clients[4].warm_positives = np.zeros(0, np.int64)
+    got = sample_negatives(
+        clients, [stream_rng(20, "client", 1, c.user_id) for c in clients], k
+    )
+    for c, negatives in zip(clients, got):
+        u = stream_rng(20, "client", 1, c.user_id).random((c.warm_positives.size, k))
+        want = [floyd_sample(c.negative_pool, row) for row in u]
+        assert negatives.shape == (c.warm_positives.size, k)
+        assert np.array_equal(negatives, np.reshape(want, (-1, k)))
+
+
+def test_sample_negatives_uniform_over_k_subsets():
+    pool = [3, 7, 8, 12, 14, 19]
+    positives = [0, 1, 2, 4, 5, 6, 9, 10, 11, 13]
+    clients = pool_clients(3000, positives, pool)
+    rngs = [stream_rng(21, "client", 1, c.user_id) for c in clients]
+    draws = np.concatenate(sample_negatives(clients, rngs, 2))
+    assert draws.shape == (30_000, 2)
+    assert np.all(draws[:, 0] != draws[:, 1])
+    assert np.all(np.isin(draws, pool))
+    counts = {}
+    for a, b in draws.tolist():
+        key = (min(a, b), max(a, b))
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == 15  # every 2-subset of the pool of 6
+    expected = draws.shape[0] / 15
+    chi2 = sum((n - expected) ** 2 / expected for n in counts.values())
+    assert chi2 < 36.12  # the 0.999 quantile of chi-square with 14 dof
+
+
+def test_sample_negatives_do_not_depend_on_other_clients():
+    clients = pool_clients(5, [0, 1, 2], list(range(3, 20)))
+    every = sample_negatives(
+        clients, [stream_rng(22, "client", 1, c.user_id) for c in clients], 4
+    )
+    [alone] = sample_negatives([clients[3]], [stream_rng(22, "client", 1, 3)], 4)
+    assert np.array_equal(alone, every[3])
+
+
+class ConstantUniforms:
+    """A stand-in stream whose every uniform is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.value)
+        out[...] = self.value
+        return out
+
+
+@pytest.mark.parametrize("pool_size", [3, 4, 5, 8, 17, 1024, 1025, 2**20 + 1])
+def test_sample_negatives_largest_uniform_stays_in_range(pool_size):
+    # floor(u * (j + 1)) never reaches j + 1, so every column takes t = j
+    pool = np.arange(pool_size, dtype=np.int64) + 50
+    clients = pool_clients(1, [0], pool)
+    below_one = ConstantUniforms(np.nextafter(1.0, 0.0))
+    [negatives] = sample_negatives(clients, [below_one], 3)
+    assert negatives.tolist() == [pool[-3:].tolist()]
+    assert floyd_sample(pool, below_one.random(3)).tolist() == pool[-3:].tolist()
 
 
 def test_negative_pools_keep_warm_order():

@@ -12,16 +12,16 @@ from fedcold.diffusion import DenoisingGenerator, build_schedule, init_denoiser
 from fedcold.errors import ConfigError
 from fedcold.mlp import TwoLayerMLP
 from fedcold.modality import FeatureTable
-from fedcold.numerics import finite_diff_grad_check, stream_rng
+from fedcold.numerics import stream_rng
 from fedcold.privacy import (
     attack_and_score,
     compare_pipelines,
     fano_bound,
     gaussian_entropy,
-    gaussian_noise_floor,
     mi_gaussian_estimate,
     structural_similarity_difference,
 )
+from oracles import finite_diff_grad_check, gaussian_noise_floor
 
 
 class _Identity:
