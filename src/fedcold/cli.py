@@ -20,6 +20,7 @@ import hashlib
 import os
 import sys
 import tempfile
+import threading
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .diffusion import DenoisingGenerator
 from .errors import ConfigError, FedcoldError
 from .mlp import TwoLayerMLP
 from .pipeline import (
+    AttackResult,
     EvalResult,
     PreparedData,
     build_generator,
@@ -41,6 +43,7 @@ from .pipeline import (
     run_training,
     train_mapper,
 )
+from .privacy import DiffusionDraws, draw_diffusion_rows
 
 ROUNDS_CSV = "rounds.csv"
 ROUNDS_HEADER = [
@@ -48,10 +51,13 @@ ROUNDS_HEADER = [
     "mean_client_loss",
     "diffusion_loss",
     "seconds",
+    "generator_seconds",
     "draw_seconds",
     "kernel_seconds",
     "noise_seconds",
     "aggregate_seconds",
+    "chain_seconds",
+    "val_seconds",
     "upload_rows",
     "distinct_items",
     "payload_bytes",
@@ -59,10 +65,13 @@ ROUNDS_HEADER = [
 # blanked before hashing; every other rounds.csv column is deterministic
 WALL_CLOCK_COLUMNS = (
     "seconds",
+    "generator_seconds",
     "draw_seconds",
     "kernel_seconds",
     "noise_seconds",
     "aggregate_seconds",
+    "chain_seconds",
+    "val_seconds",
 )
 TRAIN_MANIFEST = "manifest_train.csv"
 # config keys that fix what train produced; a later stage must repeat them
@@ -246,6 +255,13 @@ def cmd_gen_data(cfg: RunConfig) -> list[str]:
 def cmd_train(cfg: RunConfig) -> list[str]:
     os.makedirs(cfg.out_dir, exist_ok=True)
     data = prepare_data(cfg)
+    n_val = len(data.split.val_items)
+    if cfg.val_k >= n_val:
+        print(
+            f"fedcold train: notice: val_k {cfg.val_k} >= {n_val} validation items, "
+            "so validation recall saturates and the best round is the last",
+            file=sys.stderr,
+        )
     result = run_training(cfg, data)
     save_checkpoint(
         _ckpt(cfg.out_dir, "item_embeddings"), {"item_embeddings": result.item_table}
@@ -361,16 +377,45 @@ def cmd_eval(cfg: RunConfig) -> EvalResult:
     return result
 
 
-def cmd_attack(cfg: RunConfig) -> list[str]:
-    _check_trained_identity(cfg)
-    data = prepare_data(cfg)
-    generator = _load_generator(cfg, data)
-    item_table = _load_preferring_best(cfg.out_dir, "item_embeddings")["item_embeddings"]
-    mapper_path = _ckpt(cfg.out_dir, "mapper")
-    save_checkpoint(mapper_path, train_mapper(cfg, data, item_table).tensors())
-    # use the float32 checkpoint weights so a rerun scores identically
-    mapper = TwoLayerMLP.from_tensors(load_checkpoint(mapper_path))
-    result = run_attack(cfg, data, generator, mapper)
+def _fit_mapper_beside(
+    cfg: RunConfig,
+    data: PreparedData,
+    generator: DenoisingGenerator,
+    item_table: np.ndarray,
+) -> tuple[TwoLayerMLP, DiffusionDraws]:
+    """The baseline mapper and the generator's attack draws, computed at once.
+
+    The two share no data, and numpy releases the interpreter lock in BLAS
+    and in its ufunc loops, so the mapper fit runs on a worker thread while
+    this thread runs the reverse chains; the stage then waits only for the
+    longer of the two. Keep it this way round: a worker thread gets its own
+    malloc arena, and chains run there stop reusing the heap that ``train``
+    freed (with the split reversed, ``cold-4x-sparse`` peak RSS rose 5 %). The
+    worker is always joined, and an exception it raised is raised here.
+    """
+    fitted: dict[str, TwoLayerMLP | BaseException] = {}
+
+    def fit() -> None:
+        try:
+            fitted["mapper"] = train_mapper(cfg, data, item_table)
+        except BaseException as exc:  # handed to the main thread below
+            fitted["error"] = exc
+
+    worker = threading.Thread(target=fit, name="fedcold-mapper-fit")
+    worker.start()
+    try:
+        draws = draw_diffusion_rows(
+            data.split, data.features, generator, cfg.seed, cfg.mi_draws
+        )
+    finally:
+        worker.join()
+    if "error" in fitted:
+        raise fitted["error"]
+    return fitted["mapper"], draws
+
+
+def _write_attack_report(out_dir: str, n: int, result: AttackResult) -> list[str]:
+    """The attack CSVs of ``result``; ``n`` is the structural sample size."""
     comparison = result.comparison
 
     def report_row(report, mi, fano):
@@ -385,7 +430,7 @@ def cmd_attack(cfg: RunConfig) -> list[str]:
         ]
 
     write_csv(
-        os.path.join(cfg.out_dir, "attack_report.csv"),
+        os.path.join(out_dir, "attack_report.csv"),
         ["method", "mse", "mae", "cosine", "pearson", "mi_nats", "fano_lower_bound"],
         [
             report_row(
@@ -395,31 +440,44 @@ def cmd_attack(cfg: RunConfig) -> list[str]:
         ],
     )
     write_csv(
-        os.path.join(cfg.out_dir, "attack_entropy.csv"),
+        os.path.join(out_dir, "attack_entropy.csv"),
         ["method", "entropy_nats"],
         [
             ["diffusion", comparison.entropy_diffusion],
             ["mapper", comparison.entropy_mapper],
         ],
     )
-    n = cfg.struct_sample_n
     header = [f"c{j}" for j in range(n)]
     for method, matrix in (
         ("diffusion", result.structural_diffusion),
         ("mapper", result.structural_mapper),
     ):
         write_csv(
-            os.path.join(cfg.out_dir, f"structural_diff_{method}.csv"),
+            os.path.join(out_dir, f"structural_diff_{method}.csv"),
             header,
             (list(matrix[i]) for i in range(n)),
         )
-    names = [
+    return [
         "attack_report.csv",
         "attack_entropy.csv",
         "structural_diff_diffusion.csv",
         "structural_diff_mapper.csv",
-        "mapper.ckpt",
     ]
+
+
+def cmd_attack(cfg: RunConfig) -> list[str]:
+    _check_trained_identity(cfg)
+    data = prepare_data(cfg)
+    generator = _load_generator(cfg, data)
+    item_table = _load_preferring_best(cfg.out_dir, "item_embeddings")["item_embeddings"]
+    mapper, draws = _fit_mapper_beside(cfg, data, generator, item_table)
+    mapper_path = _ckpt(cfg.out_dir, "mapper")
+    save_checkpoint(mapper_path, mapper.tensors())
+    # use the float32 checkpoint weights so a rerun scores identically
+    mapper = TwoLayerMLP.from_tensors(load_checkpoint(mapper_path))
+    result = run_attack(cfg, data, draws, mapper)
+    names = _write_attack_report(cfg.out_dir, cfg.struct_sample_n, result)
+    names.append("mapper.ckpt")
     write_manifest(cfg.out_dir, "attack", cfg, names)
     return names
 

@@ -100,16 +100,20 @@ class ServerState:
 class RoundReport:
     """One round's losses, phase timings and upload counters.
 
-    ``seconds`` spans the whole round; the client phase splits into negative
-    draws, the lockstep kernel, upload noise and aggregation. The counters
-    are deterministic: rows uploaded over all clients, the distinct items
-    among them, and the bytes of those float64 rows.
+    ``seconds`` spans ``run_round``: denoiser epochs, then the client phase
+    split into negative draws, the lockstep kernel, upload noise and
+    aggregation. The training loop runs the diagnostic and validation chains
+    and the validation scoring after the round and records their times in
+    ``chain_seconds`` and ``val_seconds``. The counters are deterministic:
+    rows uploaded over all clients, the distinct items among them, and the
+    bytes of those float64 rows.
     """
 
     round: int
     mean_client_loss: float
     diffusion_loss: float | None
     seconds: float
+    generator_seconds: float
     draw_seconds: float
     kernel_seconds: float
     noise_seconds: float
@@ -117,6 +121,8 @@ class RoundReport:
     upload_rows: int
     distinct_items: int
     payload_bytes: int
+    chain_seconds: float = 0.0
+    val_seconds: float = 0.0
 
 
 def score_items(user_embedding: np.ndarray, item_rows: np.ndarray) -> np.ndarray:
@@ -345,6 +351,7 @@ def run_round(
     server.table.round = round_index
 
     diffusion_loss = None
+    generator_start = time.perf_counter()
     if generator is not None and diffusion_trains_this_round(
         round_index, config.light_mode
     ):
@@ -358,6 +365,7 @@ def run_round(
             epochs=config.server_epochs,
             batch_size=config.batch_size,
         )
+    generator_seconds = time.perf_counter() - generator_start
 
     if config.client_sample_ratio >= 1.0:
         sampled = clients
@@ -392,6 +400,7 @@ def run_round(
         mean_client_loss=mean_loss,
         diffusion_loss=diffusion_loss,
         seconds=time.perf_counter() - start,
+        generator_seconds=generator_seconds,
         draw_seconds=phase["draw"],
         kernel_seconds=phase["kernel"],
         noise_seconds=aggregate_start - noise_start,

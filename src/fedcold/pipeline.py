@@ -7,6 +7,7 @@ named substreams, so a seed plus a resolved config reproduces every result.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,12 @@ from .federation import RoundReport, init_simulation, run_round
 from .mlp import TwoLayerMLP
 from .modality import FeatureTable, encode_texts, l2_normalize_rows, load_features
 from .numerics import assert_finite, stream_rng
-from .privacy import PipelineComparison, compare_pipelines, structural_similarity_difference
+from .privacy import (
+    DiffusionDraws,
+    PipelineComparison,
+    compare_pipelines,
+    structural_similarity_difference,
+)
 
 
 @dataclass
@@ -167,6 +173,7 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
             np.array([report.mean_client_loss, report.diffusion_loss or 0.0]),
         )
 
+        chain_start = time.perf_counter()
         cold_rows = generator.generate(
             cold,
             cold_conditions,
@@ -174,6 +181,25 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
             mode="deterministic_mean",
             stream_label=f"diag{report.round}",
         )
+        val_rows = generator.generate(
+            val_items,
+            val_conditions,
+            cfg.seed,
+            mode="deterministic_mean",
+            stream_label=f"val{report.round}",
+        )
+        val_start = time.perf_counter()
+        report.chain_seconds = val_start - chain_start
+        try:
+            val_report = evaluate_cold(
+                users, val_items, val_rows, val_by_user, [cfg.val_k]
+            )
+            recall = val_report.per_k[cfg.val_k].recall
+        except ConfigError:
+            recall = None
+        report.val_seconds = time.perf_counter() - val_start
+        val_recalls.append(recall)
+
         diag = distribution_diagnostics(server.table.embeddings[warm], cold_rows)
         diagnostics.append(
             DiagnosticsRow(
@@ -182,22 +208,6 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
                 covariance_distance=diag.covariance_distance,
             )
         )
-
-        val_rows = generator.generate(
-            val_items,
-            val_conditions,
-            cfg.seed,
-            mode="deterministic_mean",
-            stream_label=f"val{report.round}",
-        )
-        try:
-            val_report = evaluate_cold(
-                users, val_items, val_rows, val_by_user, [cfg.val_k]
-            )
-            recall = val_report.per_k[cfg.val_k].recall
-        except ConfigError:
-            recall = None
-        val_recalls.append(recall)
         # ties go to the later round: with few validation items small K values
         # saturate, and the most-trained state is the right default then
         if best_recall is None or (recall is not None and recall >= best_recall):
@@ -289,10 +299,11 @@ class AttackResult:
 def run_attack(
     cfg: RunConfig,
     data: PreparedData,
-    generator: DenoisingGenerator,
+    draws: DiffusionDraws,
     mapper: TwoLayerMLP,
 ) -> AttackResult:
-    """The paired inversion attack on the generator and the ``mapper`` foil.
+    """The paired inversion attack on the generator's ``draws`` and the
+    ``mapper`` foil.
 
     Both structural matrices sample the same item subset: the two sampling
     streams are keyed identically, so the entries are comparable cell by cell.
@@ -300,13 +311,12 @@ def run_attack(
     comparison = compare_pipelines(
         data.split,
         data.features,
-        generator,
+        draws,
         mapper,
         seed=cfg.seed,
         leak=cfg.leak_fraction,
         attack_epochs=cfg.attack_epochs,
         attack_lr=cfg.attack_lr,
-        mi_draws=cfg.mi_draws,
         n_clusters=data.n_clusters,
     )
     structural = {}

@@ -75,8 +75,9 @@ def attack_and_score(
     embeddings: np.ndarray,
     features: np.ndarray,
     method: str,
-) -> AttackReport:
-    """Reconstruct features from embeddings and average per-item metrics."""
+) -> tuple[AttackReport, np.ndarray]:
+    """Reconstruct features from embeddings; the averaged per-item metrics and
+    the reconstruction they score."""
     embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if embeddings.shape[0] == 0:
@@ -91,13 +92,14 @@ def attack_and_score(
     mae = float(np.mean(np.mean(np.abs(diff), axis=1)))
     cosines = [_cosine(recon[i], features[i]) for i in range(recon.shape[0])]
     pearsons = [_pearson(recon[i], features[i]) for i in range(recon.shape[0])]
-    return AttackReport(
+    report = AttackReport(
         method=method,
         mse=mse,
         mae=mae,
         cosine=float(np.mean(cosines)),
         pearson=float(np.mean(pearsons)),
     )
+    return report, recon
 
 
 def _cosine_matrix(rows: np.ndarray) -> np.ndarray:
@@ -191,27 +193,60 @@ def _split_leak(
     return np.sort(perm[:n_leak]), np.sort(perm[n_leak:])
 
 
-def compare_pipelines(
+@dataclass
+class DiffusionDraws:
+    """The generator's stochastic chains over the cold items, in cold order."""
+
+    attack: np.ndarray  # the embeddings the inversion attacker sees
+    mi: list[np.ndarray]  # independent regenerations for the MI estimate
+
+
+def draw_diffusion_rows(
     split: SplitDataset,
     features: FeatureTable,
     generator: DenoisingGenerator,
+    seed: int,
+    mi_draws: int,
+) -> DiffusionDraws:
+    """The ``attack`` chain and ``mi_draws`` MI chains, each on its own stream.
+
+    The chains run in stochastic mode, their per-step noise being the
+    mechanism under test.
+    """
+    cold = list(split.cold_items)
+    cold_features = features.rows[cold]
+
+    def chain(label: str) -> np.ndarray:
+        return generator.generate(
+            cold, cold_features, seed, mode="stochastic", stream_label=label
+        )
+
+    return DiffusionDraws(
+        attack=chain("attack"),
+        mi=[chain(f"attack-mi-diffusion-{d}") for d in range(mi_draws)],
+    )
+
+
+def compare_pipelines(
+    split: SplitDataset,
+    features: FeatureTable,
+    draws: DiffusionDraws,
     mapper: TwoLayerMLP,
     seed: int,
     leak: float = 0.2,
     attack_epochs: int = 500,
     attack_lr: float = 0.01,
-    mi_draws: int = 8,
     n_clusters: int | None = None,
 ) -> PipelineComparison:
     """Run the same inversion attack against both cold-item pipelines.
 
     Both pipelines share the leaked item subset and the attacker architecture.
-    The generator runs in stochastic mode, its per-step noise being the
-    mechanism under test; the mapper is deterministic by construction.  MI is
-    estimated from mi_draws repeated generations per cold item so the sample
-    count clears the joint-Gaussian row requirement (the mapper's rows repeat
-    verbatim, as its output cannot vary).  When the features carry a known
-    discrete label (synthetic clusters), a Fano bound is reported as well.
+    The generator's rows are its stochastic ``draws``; the mapper is
+    deterministic by construction.  MI is estimated from the repeated
+    generations per cold item so the sample count clears the joint-Gaussian
+    row requirement (the mapper's rows repeat verbatim, as its output cannot
+    vary).  When the features carry a known discrete label (synthetic
+    clusters), a Fano bound is reported as well.
     """
     cold = list(split.cold_items)
     if len(cold) < 3:
@@ -220,14 +255,10 @@ def compare_pipelines(
     leak_idx, target_idx = _split_leak(
         len(cold), leak, stream_rng(seed, "privacy", "leak")
     )
-
-    emb_diffusion = generator.generate(
-        cold, cold_features, seed, mode="stochastic", stream_label="attack"
-    )
     emb_mapper = mapper.predict(cold_features)
 
     reports, recons = {}, {}
-    for method, emb in (("diffusion", emb_diffusion), ("mapper", emb_mapper)):
+    for method, emb in (("diffusion", draws.attack), ("mapper", emb_mapper)):
         attacker = TwoLayerMLP.fit(
             emb[leak_idx],
             cold_features[leak_idx],
@@ -235,25 +266,15 @@ def compare_pipelines(
             attack_lr,
             stream_rng(seed, "privacy", "attacker-init"),
         )
-        reports[method] = attack_and_score(
+        reports[method], recons[method] = attack_and_score(
             attacker, emb[target_idx], cold_features[target_idx], method
         )
-        recons[method] = attacker.predict(emb[target_idx])
 
+    mi_draws = len(draws.mi)
     feature_rep = np.vstack([cold_features] * mi_draws)
     mi_values, entropies = {}, {}
-    draws = [
-        generator.generate(
-            cold,
-            cold_features,
-            seed,
-            mode="stochastic",
-            stream_label=f"attack-mi-diffusion-{d}",
-        )
-        for d in range(mi_draws)
-    ]
     for method, rows in (
-        ("diffusion", np.vstack(draws)),
+        ("diffusion", np.vstack(draws.mi)),
         ("mapper", np.vstack([emb_mapper] * mi_draws)),
     ):
         mi_values[method] = mi_gaussian_estimate(feature_rep, rows)

@@ -37,7 +37,7 @@ from fedcold.pipeline import (
     run_training,
     train_mapper,
 )
-from fedcold.privacy import fano_bound, mi_gaussian_estimate
+from fedcold.privacy import draw_diffusion_rows, fano_bound, mi_gaussian_estimate
 from oracles import (
     bce_loss,
     finite_diff_grad_check,
@@ -362,7 +362,8 @@ def test_08_diffusion_embeddings_resist_inversion(benchmark_runs):
         cfg, data, result = benchmark_runs[seed]
         gen = _best_generator(cfg, data, result)
         mapper = train_mapper(cfg, data, result.best_item_table)
-        attack = run_attack(cfg, data, gen, mapper)
+        draws = draw_diffusion_rows(data.split, data.features, gen, cfg.seed, cfg.mi_draws)
+        attack = run_attack(cfg, data, draws, mapper)
         mse_d.append(attack.comparison.diffusion.mse)
         mse_m.append(attack.comparison.mapper.mse)
         pe_d.append(abs(attack.comparison.diffusion.pearson))

@@ -1,14 +1,20 @@
 import math
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from fedcold import cli
 from fedcold.checkpoint import load_checkpoint, save_checkpoint
 from fedcold.cli import artifact_sha256, main
 from fedcold.config import RunConfig, load_config, parse_config
 from fedcold.errors import ConfigError
-from fedcold.pipeline import prepare_data
+from fedcold.mlp import TwoLayerMLP
+from fedcold.pipeline import prepare_data, run_attack, train_mapper
+from fedcold.privacy import draw_diffusion_rows
 
 BASE = {
     "synthetic": "true",
@@ -215,6 +221,22 @@ def test_train_light_mode_logs_half_the_diffusion_entries(monkeypatch, tmp_path)
     assert [r.split(",")[0] for r in trained] == ["1", "3", "5", "7", "9"]
 
 
+def test_train_notes_a_val_k_that_saturates_validation(monkeypatch, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "val.cfg", rounds=1, synthetic_items=60)
+    n_val = len(prepare_data(load_config(cfg)).split.val_items)
+    assert n_val >= 2
+    for val_k in (n_val + 3, n_val):
+        cfg = write_cfg(tmp_path / "val.cfg", rounds=1, synthetic_items=60, val_k=val_k)
+        assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"fedcold train: notice: val_k {val_k} >= {n_val} validation items, "
+            "so validation recall saturates and the best round is the last"
+        ]
+    cfg = write_cfg(tmp_path / "val.cfg", rounds=1, synthetic_items=60, val_k=n_val - 1)
+    assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_rounds_csv_phase_timings_are_masked_and_counters_hashed(
     monkeypatch, tmp_path
 ):
@@ -223,17 +245,20 @@ def test_rounds_csv_phase_timings_are_masked_and_counters_hashed(
     path = tmp_path / "out/rounds.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == (
-        "round,mean_client_loss,diffusion_loss,seconds,draw_seconds,"
-        "kernel_seconds,noise_seconds,aggregate_seconds,upload_rows,"
-        "distinct_items,payload_bytes"
+        "round,mean_client_loss,diffusion_loss,seconds,generator_seconds,"
+        "draw_seconds,kernel_seconds,noise_seconds,aggregate_seconds,"
+        "chain_seconds,val_seconds,upload_rows,distinct_items,payload_bytes"
     )
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 2
     for row in rows:
-        seconds = [float(v) for v in row[3:8]]
+        seconds = [float(v) for v in row[3:11]]
         assert all(s >= 0 for s in seconds)
-        assert sum(seconds[1:]) <= seconds[0]
-        upload_rows, distinct, payload = (int(v) for v in row[8:])
+        # generator epochs and the client phase fall inside run_round's span;
+        # the chains and validation scoring follow it
+        assert sum(seconds[1:6]) <= seconds[0]
+        assert seconds[6] > 0 and seconds[7] > 0
+        upload_rows, distinct, payload = (int(v) for v in row[11:])
         assert 0 < distinct <= upload_rows
         assert payload == upload_rows * 8 * 8  # float64 rows of dim 8
     first = artifact_sha256(str(path))
@@ -244,9 +269,9 @@ def test_rounds_csv_phase_timings_are_masked_and_counters_hashed(
         path.write_text("\n".join(",".join(row) for row in edited) + "\n")
         return artifact_sha256(str(path))
 
-    for column in range(3, 8):  # wall-clock columns are blanked
+    for column in range(3, 11):  # wall-clock columns are blanked
         assert rewrite(column, "12.5") == first
-    for column in range(8, 11):  # counters stay in the hash
+    for column in range(11, 14):  # counters stay in the hash
         assert rewrite(column, "7") != first
 
 
@@ -273,6 +298,7 @@ def test_train_stops_before_writing_non_finite_checkpoints(
     cfg = write_cfg(tmp_path / "lr.cfg", local_lr="1e6", rounds=3)
     assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 1
     err = capsys.readouterr().err.strip().splitlines()
+    err = [line for line in err if not line.startswith("fedcold train: notice:")]
     assert len(err) == 1
     assert err[0].startswith("fedcold train: non-finite values in tensor")
     assert not list((tmp_path / "out").glob("*.ckpt"))
@@ -467,6 +493,101 @@ def test_attack_fits_the_mapper_over_an_existing_one(monkeypatch, tmp_path):
     fresh = train_and_attack("fresh", 2)
     assert seed1 != fresh
     assert reused == fresh
+
+
+ATTACK_FILES = (
+    "attack_report.csv",
+    "attack_entropy.csv",
+    "structural_diff_diffusion.csv",
+    "structural_diff_mapper.csv",
+    "mapper.ckpt",
+)
+
+
+def test_attack_threaded_equals_a_sequential_oracle(monkeypatch, tmp_path):
+    # the mapper fit on its worker thread and the chains on the main thread
+    # share no array and no random stream, so overlapping them changes no bit
+    cfg_path = _trained(monkeypatch, tmp_path)
+    recorded = []
+
+    def recording_run_attack(*args):
+        recorded.append(run_attack(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(cli, "run_attack", recording_run_attack)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads as often as possible
+    try:
+        assert run(monkeypatch, tmp_path, "attack", "--config", cfg_path) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    (threaded,) = recorded
+
+    # one thread, in order: mapper fit, save and reload, chains, comparison
+    cfg = load_config(cfg_path)
+    oracle_dir = tmp_path / "oracle"
+    oracle_dir.mkdir()
+    data = prepare_data(cfg)
+    item_table = load_checkpoint(str(tmp_path / "out/item_embeddings_best.ckpt"))
+    mapper = train_mapper(cfg, data, item_table["item_embeddings"])
+    save_checkpoint(str(oracle_dir / "mapper.ckpt"), mapper.tensors())
+    mapper = TwoLayerMLP.from_tensors(load_checkpoint(str(oracle_dir / "mapper.ckpt")))
+    generator = cli._load_generator(cfg, data)
+    draws = draw_diffusion_rows(data.split, data.features, generator, cfg.seed, cfg.mi_draws)
+    oracle = run_attack(cfg, data, draws, mapper)
+    cli._write_attack_report(str(oracle_dir), cfg.struct_sample_n, oracle)
+
+    for name in ATTACK_FILES:
+        assert (tmp_path / "out" / name).read_bytes() == (oracle_dir / name).read_bytes()
+    ours, theirs = threaded.comparison, oracle.comparison
+    assert (ours.diffusion, ours.mapper) == (theirs.diffusion, theirs.mapper)
+    assert (ours.mi_diffusion, ours.mi_mapper) == (theirs.mi_diffusion, theirs.mi_mapper)
+    assert (ours.entropy_diffusion, ours.entropy_mapper) == (
+        theirs.entropy_diffusion, theirs.entropy_mapper
+    )
+    assert (ours.fano_diffusion, ours.fano_mapper) == (
+        theirs.fano_diffusion, theirs.fano_mapper
+    )
+    for name in ("target_features", "recon_diffusion", "recon_mapper"):
+        np.testing.assert_array_equal(getattr(ours, name), getattr(theirs, name))
+    for name in ("structural_diffusion", "structural_mapper"):
+        np.testing.assert_array_equal(getattr(threaded, name), getattr(oracle, name))
+
+
+def test_attack_errors_on_either_thread_exit_one_after_the_join(
+    monkeypatch, tmp_path, capsys
+):
+    cfg = _trained(monkeypatch, tmp_path)
+    capsys.readouterr()
+    threads = threading.active_count()
+
+    def failing_fit(*args):
+        raise ConfigError("mapper fit failed")
+
+    monkeypatch.setattr(cli, "train_mapper", failing_fit)
+    assert run(monkeypatch, tmp_path, "attack", "--config", cfg) == 1
+    assert capsys.readouterr().err.splitlines() == ["fedcold attack: mapper fit failed"]
+    assert not (tmp_path / "out/mapper.ckpt").exists()
+    assert threading.active_count() == threads
+
+    fitted = threading.Event()
+
+    def slow_fit(*args):
+        time.sleep(0.2)  # still fitting when the chains fail
+        mapper = train_mapper(*args)
+        fitted.set()
+        return mapper
+
+    def failing_chains(*args):
+        raise ConfigError("chains failed")
+
+    monkeypatch.setattr(cli, "train_mapper", slow_fit)
+    monkeypatch.setattr(cli, "draw_diffusion_rows", failing_chains)
+    assert run(monkeypatch, tmp_path, "attack", "--config", cfg) == 1
+    assert fitted.is_set()  # the worker was joined before attack returned
+    assert capsys.readouterr().err.splitlines() == ["fedcold attack: chains failed"]
+    assert not (tmp_path / "out/mapper.ckpt").exists()
+    assert threading.active_count() == threads
 
 
 def test_attack_full_leak_rejected(monkeypatch, tmp_path, capsys):

@@ -16,6 +16,7 @@ from fedcold.numerics import stream_rng
 from fedcold.privacy import (
     attack_and_score,
     compare_pipelines,
+    draw_diffusion_rows,
     fano_bound,
     gaussian_entropy,
     mi_gaussian_estimate,
@@ -79,7 +80,8 @@ def test_attack_gradient_check():
 def test_perfect_attacker_metrics():
     rng = stream_rng(5, "perfect")
     feats = rng.standard_normal((10, 6))
-    report = attack_and_score(_Identity(), feats, feats, "diffusion")
+    report, recon = attack_and_score(_Identity(), feats, feats, "diffusion")
+    np.testing.assert_array_equal(recon, feats)  # the reconstruction it scored
     assert report.mse == 0.0 and report.mae == 0.0
     assert report.cosine == pytest.approx(1.0)
     assert report.pearson == pytest.approx(1.0)
@@ -88,13 +90,13 @@ def test_perfect_attacker_metrics():
 def test_antiparallel_attacker_cosine():
     rng = stream_rng(6, "anti")
     feats = rng.standard_normal((8, 5))
-    report = attack_and_score(_Negate(), feats, feats, "mapper")
+    report, _ = attack_and_score(_Negate(), feats, feats, "mapper")
     assert report.cosine == pytest.approx(-1.0)
 
 
 def test_zero_variance_feature_scores_pearson_zero():
     feats = np.ones((1, 4))  # constant coordinates, correlation undefined
-    report = attack_and_score(_Identity(), feats, feats, "m")
+    report, _ = attack_and_score(_Identity(), feats, feats, "m")
     assert report.pearson == 0.0
     assert report.cosine == pytest.approx(1.0)
 
@@ -106,7 +108,7 @@ def test_random_attacker_near_zero_pearson():
     attacker = TwoLayerMLP.fit(
         emb, feats, 0, 0.01, stream_rng(1, "oracle-null-init")
     )
-    report = attack_and_score(attacker, emb, feats, "null")
+    report, _ = attack_and_score(attacker, emb, feats, "null")
     assert abs(report.pearson) < 0.1
 
 
@@ -117,7 +119,7 @@ def test_attack_report_metric_ranges(seed):
     emb = rng.standard_normal((6, 4))
     feats = rng.standard_normal((6, 3))
     attacker = TwoLayerMLP.fit(emb, feats, 2, 0.5, stream_rng(seed, "r-init"))
-    report = attack_and_score(attacker, emb, feats, "x")
+    report, _ = attack_and_score(attacker, emb, feats, "x")
     assert -1.0 <= report.cosine <= 1.0
     assert -1.0 <= report.pearson <= 1.0
     assert report.mse >= 0.0 and report.mae >= 0.0
@@ -268,9 +270,13 @@ def _comparison_setup():
 
 def test_compare_pipelines_deterministic_and_labeled():
     split, table, generator, mapper = _comparison_setup()
-    kwargs = dict(seed=5, leak=0.25, attack_epochs=40, attack_lr=0.05, mi_draws=4)
-    first = compare_pipelines(split, table, generator, mapper, **kwargs)
-    second = compare_pipelines(split, table, generator, mapper, **kwargs)
+    kwargs = dict(seed=5, leak=0.25, attack_epochs=40, attack_lr=0.05)
+    first = compare_pipelines(
+        split, table, draw_diffusion_rows(split, table, generator, 5, 4), mapper, **kwargs
+    )
+    second = compare_pipelines(
+        split, table, draw_diffusion_rows(split, table, generator, 5, 4), mapper, **kwargs
+    )
     assert first.diffusion == second.diffusion
     assert first.mapper == second.mapper
     assert (first.mi_diffusion, first.mi_mapper) == (second.mi_diffusion, second.mi_mapper)
@@ -290,9 +296,8 @@ def test_compare_pipelines_deterministic_and_labeled():
 def test_compare_pipelines_fano_with_clusters():
     split, table, generator, mapper = _comparison_setup()
     result = compare_pipelines(
-        split, table, generator, mapper,
-        seed=6, leak=0.25, attack_epochs=10, attack_lr=0.05, mi_draws=4,
-        n_clusters=3,
+        split, table, draw_diffusion_rows(split, table, generator, 6, 4), mapper,
+        seed=6, leak=0.25, attack_epochs=10, attack_lr=0.05, n_clusters=3,
     )
     assert 0.0 <= result.fano_diffusion <= 1.0
     assert 0.0 <= result.fano_mapper <= 1.0
@@ -300,11 +305,10 @@ def test_compare_pipelines_fano_with_clusters():
 
 def test_compare_pipelines_leak_bounds():
     split, table, generator, mapper = _comparison_setup()
+    draws = draw_diffusion_rows(split, table, generator, 7, 4)
     for bad_leak in (0.0, 1.0, 1.5):
         with pytest.raises(ConfigError):
-            compare_pipelines(
-                split, table, generator, mapper, seed=7, leak=bad_leak, mi_draws=4
-            )
+            compare_pipelines(split, table, draws, mapper, seed=7, leak=bad_leak)
 
 
 def test_stochastic_generation_varies_mapper_repeats():
