@@ -70,7 +70,6 @@ class TwoLayerMLP:
         hidden, out_dim = self.out_w.shape
         return {
             "h": np.empty((n, hidden)),
-            "h_sq": np.empty((n, hidden)),
             "d_z": np.empty((n, hidden)),
             "diff": np.empty((n, out_dim)),
             "d_pred": np.empty((n, out_dim)),
@@ -92,7 +91,7 @@ class TwoLayerMLP:
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         if work is None:
             work = self._workspace(x.shape[0])
-        h, h_sq, d_z = work["h"], work["h_sq"], work["d_z"]
+        h, d_z = work["h"], work["d_z"]
         diff, d_pred = work["diff"], work["d_pred"]
         np.matmul(x, self.hidden_w, out=h)
         np.add(h, self.hidden_b, out=h)
@@ -108,9 +107,9 @@ class TwoLayerMLP:
         np.matmul(h.T, d_pred, out=grads["out_w"])
         np.sum(d_pred, axis=0, out=grads["out_b"])
         np.matmul(d_pred, self.out_w.T, out=d_z)  # d_h, then d_z in place
-        np.multiply(h, h, out=h_sq)
-        np.subtract(1.0, h_sq, out=h_sq)
-        np.multiply(d_z, h_sq, out=d_z)
+        np.multiply(h, h, out=h)  # 1 - h², over h: its last reader is out_w's grad
+        np.subtract(1.0, h, out=h)
+        np.multiply(d_z, h, out=d_z)
         np.matmul(x.T, d_z, out=grads["hidden_w"])
         np.sum(d_z, axis=0, out=grads["hidden_b"])
         return loss, grads
