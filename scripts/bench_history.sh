@@ -8,12 +8,20 @@
 # perfbench/ or scripts/ differ from HEAD.
 # Only files taken back to back compare: perfbench scales its times by a
 # calibration loop, and that scaling does not carry across host speeds (one
-# commit measured 55 minutes apart read train_s 1.05 and 1.30). Quote a
-# parent file and a change file taken one right after the other.
-# Run from anywhere:  bash scripts/bench_history.sh [seed] [seconds]
+# commit measured 55 minutes apart read train_s 1.05 and 1.30). With --pair
+# the script takes such a pair itself: it measures HEAD's parent from a
+# temporary git worktree, then HEAD, and writes both files; the worktree is
+# removed on exit.
+# Run from anywhere:  bash scripts/bench_history.sh [--pair] [seed] [seconds]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+ROOT="$(pwd)"
+PAIR=0
+if [ "${1:-}" = "--pair" ]; then
+    PAIR=1
+    shift
+fi
 DIRTY="$(git status --porcelain -- src perfbench scripts)"
 if [ -n "$DIRTY" ]; then
     echo "bench_history: src, perfbench or scripts differ from HEAD; commit first:" >&2
@@ -22,18 +30,27 @@ if [ -n "$DIRTY" ]; then
 fi
 SEED="${1:-11}"
 RUN_SECONDS="${2:-55}"
-SHA="$(git rev-parse --short=7 HEAD)"
-OUT="BENCH_$(date -u +%Y-%m-%d)-${SHA}.json"
 LOGS="$(mktemp -d)"
-trap 'rm -rf "$LOGS"' EXIT
+PARENT_TREE=""
+cleanup() {
+    if [ -n "$PARENT_TREE" ]; then
+        git -C "$ROOT" worktree remove --force "$PARENT_TREE" || true
+    fi
+    rm -rf "$LOGS"
+}
+trap cleanup EXIT
 
-for W in clients-4x-ldp cold-4x-sparse; do
-    python3 perfbench/run.py --workload "$W" --seed "$SEED" \
-        --seconds "$RUN_SECONDS" --trace 0 > "$LOGS/$W.out"
-    cp ".perfbench_work/$W/result.json" "$LOGS/$W.json"
-done
-
-python3 - "$LOGS" "$SHA" "$OUT" <<'EOF'
+# measure TREE: both workloads on the checkout at TREE, recorded at the root
+# of this repository under the name of TREE's HEAD
+measure() {
+    local tree="$1" sha
+    sha="$(git -C "$tree" rev-parse --short=7 HEAD)"
+    for W in clients-4x-ldp cold-4x-sparse; do
+        python3 "$tree/perfbench/run.py" --workload "$W" --seed "$SEED" \
+            --seconds "$RUN_SECONDS" --trace 0 > "$LOGS/$W.out"
+        cp "$tree/.perfbench_work/$W/result.json" "$LOGS/$W.json"
+    done
+    python3 - "$LOGS" "$sha" "$ROOT/BENCH_$(date -u +%Y-%m-%d)-${sha}.json" <<'EOF'
 import json
 import os
 import statistics
@@ -63,5 +80,13 @@ for name in ("clients-4x-ldp", "cold-4x-sparse"):
 with open(out, "w", encoding="utf-8") as f:
     json.dump(record, f, indent=1, sort_keys=True)
     f.write("\n")
-print(out)
+print(os.path.basename(out))
 EOF
+}
+
+if [ "$PAIR" = 1 ]; then
+    PARENT_TREE="$LOGS/parent"
+    git worktree add --quiet --detach "$PARENT_TREE" HEAD^
+    measure "$PARENT_TREE"
+fi
+measure "$ROOT"

@@ -105,6 +105,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             name = reader.take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: malformed section name") from exc
+        if name in tensors:
+            raise DataFormatError(f"{path}: duplicate tensor {name!r}")
         rows = reader.u32()
         cols = reader.u32()
         raw = reader.take(rows * cols * 4)

@@ -227,19 +227,45 @@ def _check_t(t: np.ndarray, steps: int, lowest: int = 1) -> None:
         raise ConfigError(f"timestep out of range [{lowest}, {steps}]")
 
 
+def _forward_workspace(
+    n: int, p: DenoiserParams, cond_key: np.ndarray | None
+) -> dict[str, np.ndarray]:
+    """Every array a forward pass on ``n`` rows writes, with the condition
+    key ``cond_key`` (``affine(m, cond_w, cond_b)``; None without a
+    condition) already in row 1 of the key/value stack.
+
+    A reverse chain, whose conditions do not change from step to step, makes
+    one and passes it to every step.
+    """
+    d, h = p.width, p.heads
+    r = 1 if cond_key is None else 2
+    kv = np.empty((n, r, d))
+    if cond_key is not None:
+        kv[:, 1] = cond_key
+    return {
+        "kv": kv,
+        "q": np.empty((n, d)),
+        "scores": np.empty((n, h, r)),
+        "heads": np.empty((n, h, d // h)),
+        "x": np.empty((n, 2 * d)),
+        "a1": np.empty((n, 2 * d)),
+        "a2": np.empty((n, 2 * d)),
+        "out": np.empty((n, d)),
+    }
+
+
 def _forward(
     e_t: np.ndarray,
     tenc: np.ndarray,
     m: np.ndarray | None,
     p: DenoiserParams,
-    cond_key: np.ndarray | None = None,
+    work: dict[str, np.ndarray] | None = None,
 ):
     """Denoiser forward pass: the clean-embedding estimate and the cache.
 
-    ``tenc`` holds each row's timestep encoding. ``cond_key`` is the
-    condition's key row, ``affine(m, cond_w, cond_b)``; a reverse chain, whose
-    conditions do not change from step to step, passes it in, and it is
-    computed here when omitted.
+    ``tenc`` holds each row's timestep encoding. Every array is written into
+    ``work`` (from ``_forward_workspace``; fresh when omitted), so the
+    estimate and the cache are views of it.
     """
     n, d = e_t.shape
     h, dh = p.heads, p.width // p.heads
@@ -249,23 +275,31 @@ def _forward(
         raise ConfigError(
             f"condition dim {m.shape[1]} does not match model cond_dim {p.cond_dim}"
         )
-    kv_rows = [affine(tenc, p.time_w, p.time_b)]
-    if m is not None:
-        kv_rows.append(affine(m, p.cond_w, p.cond_b) if cond_key is None else cond_key)
-    kv = np.stack(kv_rows, axis=1)  # (n, r, d)
+    if work is None:
+        cond_key = None if m is None else affine(m, p.cond_w, p.cond_b)
+        work = _forward_workspace(n, p, cond_key)
+    kv, x, a1, a2, out = work["kv"], work["x"], work["a1"], work["a2"], work["out"]
+    time_key = np.matmul(tenc, p.time_w, out=kv[:, 0])
+    np.add(time_key, p.time_b, out=time_key)
     r = kv.shape[1]
-    qh = (e_t @ p.query_w).reshape(n, h, dh)
+    qh = np.matmul(e_t, p.query_w, out=work["q"]).reshape(n, h, dh)
     kvh = kv.reshape(n, r, h, dh)
     scale = 1.0 / math.sqrt(dh)
-    scores = np.einsum("nhd,nrhd->nhr", qh, kvh) * scale
+    scores = np.einsum("nhd,nrhd->nhr", qh, kvh, out=work["scores"])
+    np.multiply(scores, scale, out=scores)
     attn = softmax_rows(scores)
-    heads_out = np.einsum("nhr,nrhd->nhd", attn, kvh)
+    heads_out = np.einsum("nhr,nrhd->nhd", attn, kvh, out=work["heads"])
     concat = heads_out.reshape(n, d)
-    fused = concat @ p.out_w
-    x = np.concatenate([e_t, fused], axis=1)
-    a1 = np.tanh(x @ p.trunk1_w + p.trunk1_b)
-    a2 = np.tanh(a1 @ p.trunk2_w + p.trunk2_b)
-    out = a2 @ p.trunk3_w + p.trunk3_b
+    x[:, :d] = e_t  # x = [e_t | fused]
+    fused = np.matmul(concat, p.out_w, out=x[:, d:])
+    np.matmul(x, p.trunk1_w, out=a1)
+    np.add(a1, p.trunk1_b, out=a1)
+    np.tanh(a1, out=a1)
+    np.matmul(a1, p.trunk2_w, out=a2)
+    np.add(a2, p.trunk2_b, out=a2)
+    np.tanh(a2, out=a2)
+    np.matmul(a2, p.trunk3_w, out=out)
+    np.add(out, p.trunk3_b, out=out)
     cache = (e_t, tenc, m, qh, kvh, attn, concat, x, a1, a2, scale, r, fused)
     return out, cache
 
@@ -350,26 +384,6 @@ def _posterior_coeffs(t, schedule: NoiseSchedule):
         / one_minus_ab
     )
     return c_noisy, c_clean, var
-
-
-def _broadcast_coeff(c: np.ndarray, like: np.ndarray):
-    if like.ndim == 2 and c.size == like.shape[0]:
-        return c[:, None]
-    if c.size == 1:
-        return c[0]
-    return c
-
-
-def posterior_mean_from_prediction(
-    e_t: np.ndarray, t, e0_hat: np.ndarray, schedule: NoiseSchedule
-) -> np.ndarray:
-    """Model-side posterior mean: the exact mean with e0 replaced by ê0."""
-    e_t = np.asarray(e_t, dtype=np.float64)
-    e0_hat = np.asarray(e0_hat, dtype=np.float64)
-    if e_t.shape != e0_hat.shape:
-        raise ConfigError(f"e_t shape {e_t.shape} != e0_hat shape {e0_hat.shape}")
-    c_noisy, c_clean, _ = _posterior_coeffs(t, schedule)
-    return _broadcast_coeff(c_noisy, e_t) * e_t + _broadcast_coeff(c_clean, e0_hat) * e0_hat
 
 
 def elbo_loss_fixed(
@@ -467,9 +481,10 @@ class DenoisingGenerator:
         Per-item streams make each generated row independent of which other
         items are in the batch, while the denoiser itself runs vectorized
         across items.  What no step changes is computed once per chain: the
-        condition key, the timestep encodings, and each item's noise, drawn
-        from its stream in one call (the same numbers, in the same order, as
-        one draw per step).
+        condition key, the timestep encodings, the posterior coefficients,
+        and each item's noise, drawn from its stream in one call (the same
+        numbers, in the same order, as one draw per step).  Every step runs
+        in one forward workspace and updates ``x`` in place.
         """
         if mode not in INFERENCE_MODES:
             raise ConfigError(f"unknown inference mode {mode!r}")
@@ -487,18 +502,27 @@ class DenoisingGenerator:
                     f"{n} items but {conditions.shape[0]} condition rows"
                 )
             cond_key = affine(conditions, p.cond_w, p.cond_b)
+        work = _forward_workspace(n, p, cond_key)
         # row k of an item's draws: the start noise, then the step-t noise
         # at k = steps + 1 - t
         draws = 1 if mode == "deterministic_mean" else steps
         noise = np.empty((n, draws, width))
         for i, item in enumerate(item_ids):
             stream_rng(seed, stream_label, item).standard_normal(out=noise[i])
-        encodings = sinusoidal_encoding(np.arange(1, steps + 1), width)
+        timesteps = np.arange(1, steps + 1)
+        encodings = sinusoidal_encoding(timesteps, width)
+        c_noisy, c_clean, _ = _posterior_coeffs(timesteps, self.schedule)
+        tenc = np.empty((n, width))  # the step's encoding on every row
         x = noise[:, 0].copy()
         for t in range(steps, 0, -1):
-            tenc = np.tile(encodings[t - 1], (n, 1))
-            pred, _ = _forward(x, tenc, conditions, p, cond_key)
-            x = posterior_mean_from_prediction(x, t, pred, self.schedule)
+            tenc[:] = encodings[t - 1]
+            pred, _ = _forward(x, tenc, conditions, p, work)
+            # the posterior mean c_noisy·x + c_clean·pred, in place
+            np.multiply(x, c_noisy[t - 1], out=x)
+            np.multiply(pred, c_clean[t - 1], out=pred)
+            np.add(x, pred, out=x)
             if mode == "stochastic" and t > 1:
-                x = x + math.sqrt(self.schedule.sigma2[t]) * noise[:, steps + 1 - t]
+                sd = math.sqrt(self.schedule.sigma2[t])
+                np.multiply(noise[:, steps + 1 - t], sd, out=pred)
+                np.add(x, pred, out=x)
         return x

@@ -57,53 +57,84 @@ class TwoLayerMLP:
         if x.shape[0] == 0:
             raise ConfigError("cannot fit an MLP on zero rows")
         mlp = cls.init(x.shape[1], HIDDEN, y.shape[1], rng)
-        mlp.sgd_train(x, y, epochs, lr)
+        mlp.sgd_train(x, y, epochs, lr, _trace=False)
         return mlp
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         h = np.tanh(affine(x, self.hidden_w, self.hidden_b))
         return affine(h, self.out_w, self.out_b)
 
-    def _workspace(self, n: int) -> dict[str, np.ndarray]:
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of the flat buffer ``flat``, one per tensor, in ``tensors()``
+        order and shaped like the tensor."""
+        views, start = {}, 0
+        for name, w in self.tensors().items():
+            views[name] = flat[start : start + w.size].reshape(w.shape)
+            start += w.size
+        return views
+
+    def _workspace(self, n: int, trace: bool = True) -> dict:
         """Every array one SGD epoch on ``n`` rows writes: activations and
-        gradients, allocated once per fit and overwritten by every epoch."""
+        gradients, allocated once per fit and overwritten by every epoch.
+
+        The gradients share one flat buffer, ``grad``, laid out as
+        ``_flatten`` lays out the weights, so one call updates them all.
+        Without ``trace`` the epochs skip the two calls that form the loss.
+        """
         hidden, out_dim = self.out_w.shape
+        grad = np.empty(sum(w.size for w in self.tensors().values()))
         return {
             "h": np.empty((n, hidden)),
             "d_z": np.empty((n, hidden)),
             "diff": np.empty((n, out_dim)),
             "d_pred": np.empty((n, out_dim)),
-            **{name: np.empty_like(w) for name, w in self.tensors().items()},
+            "grad": grad,
+            "grads": self._views(grad),
+            "trace": trace,
         }
+
+    def _flatten(self) -> np.ndarray:
+        """Copy the weights into one flat buffer and make each tensor a view
+        of it; returns the buffer."""
+        flat = np.concatenate([w.ravel() for w in self.tensors().values()])
+        for name, view in self._views(flat).items():
+            setattr(self, name, view)
+        return flat
 
     def loss_and_grads(
         self,
         x: np.ndarray,
         y: np.ndarray,
-        work: dict[str, np.ndarray] | None = None,
-    ) -> tuple[float, dict[str, np.ndarray]]:
+        work: dict | None = None,
+    ) -> tuple[float | None, dict[str, np.ndarray]]:
         """Mean squared error and its gradients for a batch.
 
-        Every array is written into ``work`` (from ``_workspace``; fresh when
-        omitted), so the returned gradients are views of it.
+        Every array is written into ``work`` (from ``_workspace``), so the
+        returned gradients are views of it. Without ``work`` the inputs are
+        coerced and a fresh workspace is made; the SGD loop passes its own,
+        with inputs it coerced once per fit. The loss is None when ``work``
+        keeps no trace.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         if work is None:
+            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+            y = np.atleast_2d(np.asarray(y, dtype=np.float64))
             work = self._workspace(x.shape[0])
         h, d_z = work["h"], work["d_z"]
         diff, d_pred = work["diff"], work["d_pred"]
+        grads = work["grads"]
         np.matmul(x, self.hidden_w, out=h)
         np.add(h, self.hidden_b, out=h)
         np.tanh(h, out=h)
         np.matmul(h, self.out_w, out=diff)  # pred, then diff in place
         np.add(diff, self.out_b, out=diff)
         np.subtract(diff, y, out=diff)
-        np.multiply(diff, diff, out=d_pred)
-        loss = float(np.mean(d_pred))
-        np.multiply(2.0, diff, out=d_pred)
-        np.divide(d_pred, diff.size, out=d_pred)
-        grads = {name: work[name] for name in self.tensors()}
+        loss = None
+        if work["trace"]:
+            np.multiply(diff, diff, out=d_pred)
+            loss = float(np.mean(d_pred))
+        # 2·diff/size: doubling and halving are exact, so dividing by size/2
+        # rounds the same quotient
+        np.divide(diff, diff.size / 2.0, out=d_pred)
         np.matmul(h.T, d_pred, out=grads["out_w"])
         np.sum(d_pred, axis=0, out=grads["out_b"])
         np.matmul(d_pred, self.out_w.T, out=d_z)  # d_h, then d_z in place
@@ -115,25 +146,33 @@ class TwoLayerMLP:
         return loss, grads
 
     def sgd_train(
-        self, x: np.ndarray, y: np.ndarray, epochs: int, lr: float
+        self, x: np.ndarray, y: np.ndarray, epochs: int, lr: float, _trace: bool = True
     ) -> list[float]:
         """Full-batch SGD; returns the per-epoch loss trace.
 
-        Every epoch runs in one workspace, so a fit allocates its arrays once.
+        Every epoch runs in one workspace, so a fit allocates its arrays once,
+        and the weights and gradients each lie in one flat buffer, so a step
+        is two calls. ``fit``, which discards the trace, passes ``_trace=False``
+        and gets an empty one: the loss is two of an epoch's 19 numpy calls,
+        and beside the attack stage's reverse chains each call waits for the
+        interpreter lock.
         """
         if epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {epochs}")
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        work = self._workspace(x.shape[0])
-        weights = self.tensors()
+        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        weights = self._flatten()
+        work = self._workspace(x.shape[0], _trace)
+        grad = work["grad"]
         losses = []
         for _ in range(epochs):
-            loss, grads = self.loss_and_grads(x, y, work)
-            losses.append(loss)
-            for name, w in weights.items():
-                w -= np.multiply(lr, grads[name], out=grads[name])
+            loss, _ = self.loss_and_grads(x, y, work)
+            if _trace:
+                losses.append(loss)
+            np.multiply(grad, lr, out=grad)
+            np.subtract(weights, grad, out=weights)
         return losses
 
     def tensors(self) -> dict[str, np.ndarray]:

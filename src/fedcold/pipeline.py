@@ -39,6 +39,8 @@ from .numerics import assert_finite, stream_rng
 from .privacy import (
     DiffusionDraws,
     PipelineComparison,
+    PipelineSide,
+    attack_side,
     compare_pipelines,
     structural_similarity_difference,
 )
@@ -289,6 +291,41 @@ def train_mapper(
     )
 
 
+def diffusion_side(
+    cfg: RunConfig, data: PreparedData, draws: DiffusionDraws
+) -> PipelineSide:
+    """The generator's half of the inversion comparison, on its ``draws``."""
+    return attack_side(
+        data.split,
+        data.features,
+        "diffusion",
+        draws.attack,
+        draws.mi,
+        seed=cfg.seed,
+        leak=cfg.leak_fraction,
+        attack_epochs=cfg.attack_epochs,
+        attack_lr=cfg.attack_lr,
+    )
+
+
+def mapper_side(cfg: RunConfig, data: PreparedData, mapper: TwoLayerMLP) -> PipelineSide:
+    """The mapper's half of the inversion comparison. The mapper is
+    deterministic, so each of its ``mi_draws`` regenerations repeats its rows
+    verbatim."""
+    rows = mapper.predict(data.features.rows[list(data.split.cold_items)])
+    return attack_side(
+        data.split,
+        data.features,
+        "mapper",
+        rows,
+        [rows] * cfg.mi_draws,
+        seed=cfg.seed,
+        leak=cfg.leak_fraction,
+        attack_epochs=cfg.attack_epochs,
+        attack_lr=cfg.attack_lr,
+    )
+
+
 @dataclass
 class AttackResult:
     comparison: PipelineComparison
@@ -299,26 +336,15 @@ class AttackResult:
 def run_attack(
     cfg: RunConfig,
     data: PreparedData,
-    draws: DiffusionDraws,
-    mapper: TwoLayerMLP,
+    diffusion: PipelineSide,
+    mapper: PipelineSide,
 ) -> AttackResult:
-    """The paired inversion attack on the generator's ``draws`` and the
-    ``mapper`` foil.
+    """The paired inversion attack from the generator's and the mapper's sides.
 
     Both structural matrices sample the same item subset: the two sampling
     streams are keyed identically, so the entries are comparable cell by cell.
     """
-    comparison = compare_pipelines(
-        data.split,
-        data.features,
-        draws,
-        mapper,
-        seed=cfg.seed,
-        leak=cfg.leak_fraction,
-        attack_epochs=cfg.attack_epochs,
-        attack_lr=cfg.attack_lr,
-        n_clusters=data.n_clusters,
-    )
+    comparison = compare_pipelines(diffusion, mapper, n_clusters=data.n_clusters)
     structural = {}
     for method, recon in (
         ("diffusion", comparison.recon_diffusion),

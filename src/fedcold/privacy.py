@@ -227,26 +227,37 @@ def draw_diffusion_rows(
     )
 
 
-def compare_pipelines(
+@dataclass
+class PipelineSide:
+    """One pipeline's half of the comparison: the inversion attack on its rows
+    and the information its regenerations carry about the features."""
+
+    report: AttackReport
+    target_features: np.ndarray  # true features of the attacked items
+    recon: np.ndarray  # the attacker's reconstruction of them
+    mi: float
+    entropy: float
+
+
+def attack_side(
     split: SplitDataset,
     features: FeatureTable,
-    draws: DiffusionDraws,
-    mapper: TwoLayerMLP,
+    method: str,
+    attacked: np.ndarray,
+    regenerations: list[np.ndarray],
     seed: int,
     leak: float = 0.2,
     attack_epochs: int = 500,
     attack_lr: float = 0.01,
-    n_clusters: int | None = None,
-) -> PipelineComparison:
-    """Run the same inversion attack against both cold-item pipelines.
+) -> PipelineSide:
+    """The inversion attack and the MI estimate for one cold-item pipeline.
 
-    Both pipelines share the leaked item subset and the attacker architecture.
-    The generator's rows are its stochastic ``draws``; the mapper is
-    deterministic by construction.  MI is estimated from the repeated
-    generations per cold item so the sample count clears the joint-Gaussian
-    row requirement (the mapper's rows repeat verbatim, as its output cannot
-    vary).  When the features carry a known discrete label (synthetic
-    clusters), a Fano bound is reported as well.
+    ``attacked`` holds the pipeline's rows for the cold items, in cold order;
+    an attacker trains on the leaked items' rows and reconstructs the rest.
+    ``regenerations`` are repeated generations of the same rows, stacked so
+    the MI sample count clears the joint-Gaussian row requirement. The leaked
+    subset and the attacker's initialization come from streams keyed by
+    ``seed`` alone, so both pipelines face the same attack.
     """
     cold = list(split.cold_items)
     if len(cold) < 3:
@@ -255,46 +266,50 @@ def compare_pipelines(
     leak_idx, target_idx = _split_leak(
         len(cold), leak, stream_rng(seed, "privacy", "leak")
     )
-    emb_mapper = mapper.predict(cold_features)
+    attacker = TwoLayerMLP.fit(
+        attacked[leak_idx],
+        cold_features[leak_idx],
+        attack_epochs,
+        attack_lr,
+        stream_rng(seed, "privacy", "attacker-init"),
+    )
+    target = cold_features[target_idx]
+    report, recon = attack_and_score(attacker, attacked[target_idx], target, method)
+    rows = np.vstack(regenerations)
+    feature_rep = np.vstack([cold_features] * len(regenerations))
+    return PipelineSide(
+        report=report,
+        target_features=target,
+        recon=recon,
+        mi=mi_gaussian_estimate(feature_rep, rows),
+        entropy=gaussian_entropy(rows),
+    )
 
-    reports, recons = {}, {}
-    for method, emb in (("diffusion", draws.attack), ("mapper", emb_mapper)):
-        attacker = TwoLayerMLP.fit(
-            emb[leak_idx],
-            cold_features[leak_idx],
-            attack_epochs,
-            attack_lr,
-            stream_rng(seed, "privacy", "attacker-init"),
-        )
-        reports[method], recons[method] = attack_and_score(
-            attacker, emb[target_idx], cold_features[target_idx], method
-        )
 
-    mi_draws = len(draws.mi)
-    feature_rep = np.vstack([cold_features] * mi_draws)
-    mi_values, entropies = {}, {}
-    for method, rows in (
-        ("diffusion", np.vstack(draws.mi)),
-        ("mapper", np.vstack([emb_mapper] * mi_draws)),
-    ):
-        mi_values[method] = mi_gaussian_estimate(feature_rep, rows)
-        entropies[method] = gaussian_entropy(rows)
+def compare_pipelines(
+    diffusion: PipelineSide, mapper: PipelineSide, n_clusters: int | None = None
+) -> PipelineComparison:
+    """The two sides of the same inversion attack, side by side.
 
-    def fano(method: str) -> float | None:
+    When the features carry a known discrete label (synthetic clusters), a
+    Fano bound is reported for each side as well.
+    """
+
+    def fano(side: PipelineSide) -> float | None:
         if n_clusters is None:
             return None
-        return fano_bound(max(0.0, mi_values[method]), n_clusters)
+        return fano_bound(max(0.0, side.mi), n_clusters)
 
     return PipelineComparison(
-        diffusion=reports["diffusion"],
-        mapper=reports["mapper"],
-        mi_diffusion=mi_values["diffusion"],
-        mi_mapper=mi_values["mapper"],
-        entropy_diffusion=entropies["diffusion"],
-        entropy_mapper=entropies["mapper"],
-        fano_diffusion=fano("diffusion"),
-        fano_mapper=fano("mapper"),
-        target_features=cold_features[target_idx],
-        recon_diffusion=recons["diffusion"],
-        recon_mapper=recons["mapper"],
+        diffusion=diffusion.report,
+        mapper=mapper.report,
+        mi_diffusion=diffusion.mi,
+        mi_mapper=mapper.mi,
+        entropy_diffusion=diffusion.entropy,
+        entropy_mapper=mapper.entropy,
+        fano_diffusion=fano(diffusion),
+        fano_mapper=fano(mapper),
+        target_features=diffusion.target_features,
+        recon_diffusion=diffusion.recon,
+        recon_mapper=mapper.recon,
     )

@@ -2,8 +2,8 @@
 
 Each one restates a piece of the program in its plainest scalar form, or
 checks it from outside: central-difference gradients, the exact reverse-step
-posterior, the Gaussian entropy floor, the clamped BCE loss, and Floyd's
-sampling of k distinct items.
+posterior and the model's posterior mean, the Gaussian entropy floor, the
+clamped BCE loss, and Floyd's sampling of k distinct items.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedcold.diffusion import NoiseSchedule, _broadcast_coeff, _posterior_coeffs
+from fedcold.diffusion import NoiseSchedule, _posterior_coeffs
 from fedcold.errors import ConfigError, NumericsError
 from fedcold.federation import PROB_CLAMP
 from fedcold.numerics import stream_rng
@@ -95,6 +95,29 @@ def finite_diff_grad_check(
         report.per_param[name] = worst_here
     report.passed = report.max_rel_error < tolerance
     return report
+
+
+def _broadcast_coeff(c: np.ndarray, like: np.ndarray):
+    if like.ndim == 2 and c.size == like.shape[0]:
+        return c[:, None]
+    if c.size == 1:
+        return c[0]
+    return c
+
+
+def posterior_mean_from_prediction(
+    e_t: np.ndarray, t, e0_hat: np.ndarray, schedule: NoiseSchedule
+) -> np.ndarray:
+    """Model-side posterior mean: the exact mean with e0 replaced by ê0.
+
+    The reverse chain forms the same sum in place, from the same
+    ``_posterior_coeffs``."""
+    e_t = np.asarray(e_t, dtype=np.float64)
+    e0_hat = np.asarray(e0_hat, dtype=np.float64)
+    if e_t.shape != e0_hat.shape:
+        raise ConfigError(f"e_t shape {e_t.shape} != e0_hat shape {e0_hat.shape}")
+    c_noisy, c_clean, _ = _posterior_coeffs(t, schedule)
+    return _broadcast_coeff(c_noisy, e_t) * e_t + _broadcast_coeff(c_clean, e0_hat) * e0_hat
 
 
 def posterior_stats(

@@ -23,15 +23,16 @@ from fedcold.diffusion import (
     build_schedule,
     elbo_loss_fixed,
     init_denoiser,
-    posterior_mean_from_prediction,
 )
 from fedcold.evaluation import ndcg_at_k, recall_precision_at_k
 from fedcold.mlp import TwoLayerMLP
 from fedcold.numerics import sigmoid, stream_rng
 from fedcold.pipeline import (
     build_generator,
+    diffusion_side,
     evaluate_run,
     generate_cold,
+    mapper_side,
     prepare_data,
     run_attack,
     run_training,
@@ -42,6 +43,7 @@ from oracles import (
     bce_loss,
     finite_diff_grad_check,
     gaussian_noise_floor,
+    posterior_mean_from_prediction,
     posterior_stats,
 )
 
@@ -363,7 +365,9 @@ def test_08_diffusion_embeddings_resist_inversion(benchmark_runs):
         gen = _best_generator(cfg, data, result)
         mapper = train_mapper(cfg, data, result.best_item_table)
         draws = draw_diffusion_rows(data.split, data.features, gen, cfg.seed, cfg.mi_draws)
-        attack = run_attack(cfg, data, draws, mapper)
+        attack = run_attack(
+            cfg, data, diffusion_side(cfg, data, draws), mapper_side(cfg, data, mapper)
+        )
         mse_d.append(attack.comparison.diffusion.mse)
         mse_m.append(attack.comparison.mapper.mse)
         pe_d.append(abs(attack.comparison.diffusion.pearson))

@@ -1,7 +1,11 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcold.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from fedcold.diffusion import build_schedule, init_denoiser, DenoiserParams
@@ -49,8 +53,6 @@ def test_hand_built_file_parses():
         + struct.pack("<II", 2, 2)
         + floats
     )
-    import tempfile, os
-
     fd, path = tempfile.mkstemp()
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -138,3 +140,67 @@ def test_from_tensors_names_every_missing_tensor():
     del mlp["out_b"]
     with pytest.raises(DataFormatError, match="MLP .*: out_b$"):
         TwoLayerMLP.from_tensors(mlp)
+
+
+def _section(name: str, rows: int, cols: int) -> bytes:
+    encoded = name.encode("utf-8")
+    values = struct.pack(f"<{rows * cols}f", *range(rows * cols))
+    return struct.pack("<I", len(encoded)) + encoded + struct.pack("<II", rows, cols) + values
+
+
+def test_duplicate_sections_are_refused(tmp_path):
+    # save_checkpoint cannot write two sections of one name; a hand-built
+    # file that has them must not keep only the last
+    path = tmp_path / "dup.ckpt"
+    path.write_bytes(
+        MAGIC + struct.pack("<II", VERSION, 2) + _section("a", 1, 1) + _section("a", 1, 1)
+    )
+    with pytest.raises(DataFormatError, match="duplicate tensor 'a'"):
+        load_checkpoint(str(path))
+
+
+def _load_bytes(blob: bytes):
+    """``load_checkpoint`` on ``blob``: the tensors, or the DataFormatError."""
+    fd, path = tempfile.mkstemp(suffix=".ckpt")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(blob)
+        return load_checkpoint(path)
+    except DataFormatError as exc:
+        return exc
+    finally:
+        os.unlink(path)
+
+
+@given(st.binary(max_size=96), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_load_checkpoint_on_arbitrary_bytes_returns_tensors_or_refuses(tail, prefixed):
+    blob = MAGIC + struct.pack("<I", VERSION) + tail if prefixed else tail
+    loaded = _load_bytes(blob)
+    if not isinstance(loaded, DataFormatError):
+        assert all(v.ndim == 2 and v.dtype == np.float64 for v in loaded.values())
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["a", "b", "\u00e9"]), st.integers(0, 2), st.integers(0, 2)),
+        max_size=4,
+    ),
+    st.integers(-1, 2),
+    st.binary(max_size=4),
+    st.integers(0, 12),
+)
+@settings(max_examples=150, deadline=None)
+def test_load_checkpoint_on_section_like_bytes_returns_tensors_or_refuses(
+    sections, count_shift, junk, cut
+):
+    blob = MAGIC + struct.pack("<II", VERSION, max(0, len(sections) + count_shift))
+    blob += b"".join(_section(*s) for s in sections) + junk
+    loaded = _load_bytes(blob[: len(blob) - cut])
+    if not isinstance(loaded, DataFormatError):
+        names = [name for name, _, _ in sections]
+        assert len(set(names)) == len(names)  # duplicates are refused
+        assert set(loaded) <= set(names)
+        for name, rows, cols in sections:
+            if name in loaded:
+                assert loaded[name].shape == (rows, cols)

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import sys
@@ -6,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcold import cli
 from fedcold.checkpoint import load_checkpoint, save_checkpoint
@@ -13,7 +17,13 @@ from fedcold.cli import artifact_sha256, main
 from fedcold.config import RunConfig, load_config, parse_config
 from fedcold.errors import ConfigError
 from fedcold.mlp import TwoLayerMLP
-from fedcold.pipeline import prepare_data, run_attack, train_mapper
+from fedcold.pipeline import (
+    diffusion_side,
+    mapper_side,
+    prepare_data,
+    run_attack,
+    train_mapper,
+)
 from fedcold.privacy import draw_diffusion_rows
 
 BASE = {
@@ -75,6 +85,22 @@ def test_parse_config_rejects_unknown_and_duplicates():
         parse_config("rounds\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("rounds = soon\n")
+
+
+@given(
+    st.sampled_from(sorted(RunConfig().resolved())),
+    st.text(max_size=24),
+)
+@settings(max_examples=120, deadline=None)
+def test_parse_config_and_validate_return_a_config_or_refuse(key, value):
+    # any known key with arbitrary text yields a RunConfig or a ConfigError
+    base = "" if key == "synthetic" else "synthetic = true\n"
+    try:
+        cfg = parse_config(f"{base}{key} = {value}\n")
+        cfg.validate()
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_paths_resolve_relative_to_config_dir(tmp_path):
@@ -199,6 +225,106 @@ def test_gen_data_output_trains(monkeypatch, tmp_path):
     )
     assert run(monkeypatch, tmp_path, "train", "--config", files) == 0
     assert (tmp_path / "trained/item_embeddings.ckpt").exists()
+
+
+def _rename_items(path, column, rename):
+    """Rewrite a CSV with the item id in ``column`` passed through ``rename``."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    header = rows[0][0] in ("user_id", "item_id")
+    for row in rows[header:]:
+        row[column] = rename(row[column])
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+
+def _comma_dir_cfg(tmp_path):
+    """A config that trains on the CSVs gen-data wrote under ``ge,n/data``."""
+    return write_cfg(
+        tmp_path / "files.cfg",
+        synthetic=None,
+        synthetic_users=None,
+        synthetic_items=None,
+        synthetic_clusters=None,
+        synthetic_feature_dim=None,
+        interactions_path="ge,n/data/interactions.csv",
+        features_path="ge,n/data/features.csv",
+        out_dir="trained",
+    )
+
+
+def _csv_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def test_ids_with_a_comma_and_a_quote_keep_every_row_in_its_columns(
+    monkeypatch, tmp_path
+):
+    # quoted CSV input may hold any id, so every artifact quotes it back; the
+    # data directory's comma, quoted in the manifest, passes the identity check
+    cfg = write_cfg(tmp_path / "gen.cfg", out_dir="ge,n")
+    assert run(monkeypatch, tmp_path, "gen-data", "--config", cfg) == 0
+    data = tmp_path / "ge,n/data"
+
+    def rename(item):
+        return f'it,{item}"q'
+
+    _rename_items(data / "interactions.csv", 1, rename)
+    _rename_items(data / "features.csv", 0, rename)
+    files = _comma_dir_cfg(tmp_path)
+    for command in ("train", "infer", "eval"):
+        assert run(monkeypatch, tmp_path, command, "--config", files) == 0
+    out = tmp_path / "trained"
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".csv"):
+            header, *rows = _csv_rows(out / name)
+            assert {len(row) for row in rows} <= {len(header)}, name
+    interacted = {row[1] for row in _csv_rows(data / "interactions.csv")}
+    exported = [row[0] for row in _csv_rows(out / "embeddings_export.csv")[1:]]
+    assert sorted(exported) == sorted(interacted)
+    cold = [row[0] for row in _csv_rows(out / "cold_embeddings.csv")[1:]]
+    assert cold and all(item.startswith("it,") and item.endswith('"q') for item in cold)
+
+
+def test_write_csv_quotes_fields_that_csv_reader_would_split(tmp_path):
+    header = ["id", "note", "n", "x", "empty"]
+    rows = [
+        ["it,3", 'say "hi"', 1, 0.1, None],
+        ["two\nlines", "cr\rhere", 2, np.float64(2.5), ""],
+    ]
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), header, rows)
+    text = path.read_bytes().decode("utf-8")
+    assert text == (
+        'id,note,n,x,empty\n"it,3","say ""hi""",1,0.1,\n"two\nlines","cr\rhere",2,2.5,\n'
+    )
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        header,
+        ["it,3", 'say "hi"', "1", "0.1", ""],
+        ["two\nlines", "cr\rhere", "2", "2.5", ""],
+    ]
+
+
+def test_identity_check_reads_a_manifest_written_before_values_were_quoted(
+    monkeypatch, tmp_path, capsys
+):
+    cfg = write_cfg(tmp_path / "gen.cfg", out_dir="ge,n")
+    assert run(monkeypatch, tmp_path, "gen-data", "--config", cfg) == 0
+    files = _comma_dir_cfg(tmp_path)
+    assert run(monkeypatch, tmp_path, "train", "--config", files) == 0
+    # the writer before quoting joined every field with bare commas
+    manifest = tmp_path / "trained/manifest_train.csv"
+    rows = _csv_rows(manifest)
+    assert ["k_list", "5,10"] in rows
+    manifest.write_text("".join(",".join(row) + "\n" for row in rows))
+    assert "k_list,5,10\n" in manifest.read_text()
+    assert run(monkeypatch, tmp_path, "eval", "--config", files) == 0
+    capsys.readouterr()
+    assert run(monkeypatch, tmp_path, "eval", "--config", files, "--seed", "5") == 1
+    err = capsys.readouterr().err
+    assert "seed '5' (trained with '3')" in err
+    assert "interactions_path" not in err
 
 
 # train
@@ -523,7 +649,8 @@ def test_attack_threaded_equals_a_sequential_oracle(monkeypatch, tmp_path):
         sys.setswitchinterval(interval)
     (threaded,) = recorded
 
-    # one thread, in order: mapper fit, save and reload, chains, comparison
+    # one thread, in order: mapper fit, save and reload, chains, the
+    # generator's side, the mapper's side, comparison
     cfg = load_config(cfg_path)
     oracle_dir = tmp_path / "oracle"
     oracle_dir.mkdir()
@@ -534,7 +661,8 @@ def test_attack_threaded_equals_a_sequential_oracle(monkeypatch, tmp_path):
     mapper = TwoLayerMLP.from_tensors(load_checkpoint(str(oracle_dir / "mapper.ckpt")))
     generator = cli._load_generator(cfg, data)
     draws = draw_diffusion_rows(data.split, data.features, generator, cfg.seed, cfg.mi_draws)
-    oracle = run_attack(cfg, data, draws, mapper)
+    diffusion = diffusion_side(cfg, data, draws)
+    oracle = run_attack(cfg, data, diffusion, mapper_side(cfg, data, mapper))
     cli._write_attack_report(str(oracle_dir), cfg.struct_sample_n, oracle)
 
     for name in ATTACK_FILES:
@@ -677,10 +805,8 @@ def test_sweep_rejects_duplicate_values_before_any_run(
 
 def test_manifest_covers_config_and_artifact_hashes(monkeypatch, tmp_path):
     cfg = _trained(monkeypatch, tmp_path)
-    manifest = dict(
-        line.split(",", 1)
-        for line in (tmp_path / "out/manifest_train.csv").read_text().splitlines()[1:]
-    )
+    with open(tmp_path / "out/manifest_train.csv", newline="") as handle:
+        manifest = dict(list(csv.reader(handle))[1:])
     loaded = load_config(cfg)
     for key, value in loaded.resolved().items():
         assert manifest[key] == value

@@ -8,19 +8,24 @@ from hypothesis import strategies as st
 from fedcold.config import RunConfig
 from fedcold.diffusion import (
     DenoisingGenerator,
+    _backward,
     _forward,
+    _forward_workspace,
     build_schedule,
     elbo_loss,
     elbo_loss_fixed,
     init_denoiser,
-    posterior_mean_from_prediction,
     q_sample,
     sinusoidal_encoding,
 )
 from fedcold.diffusion import DenoiserParams
 from fedcold.errors import ConfigError
-from fedcold.numerics import stream_rng
-from oracles import finite_diff_grad_check, posterior_stats
+from fedcold.numerics import affine, stream_rng
+from oracles import (
+    finite_diff_grad_check,
+    posterior_mean_from_prediction,
+    posterior_stats,
+)
 
 
 def hand_schedule():
@@ -249,6 +254,31 @@ def test_denoiser_deterministic():
     out2, _ = _forward(e_t, tenc, m, p)
     assert np.array_equal(out1, out2)
     assert out1.shape == (4, 8)
+
+
+@pytest.mark.parametrize("conditioned", [True, False])
+def test_forward_in_a_workspace_equals_a_fresh_forward_bitwise(conditioned):
+    # a reverse chain runs every step in one workspace; each step must read
+    # as a fresh forward does, down to the cache that _backward reads
+    p = toy_params()
+    rng = stream_rng(12, "forward-work")
+    m = rng.standard_normal((5, 6)) if conditioned else None
+    work = _forward_workspace(5, p, None if m is None else affine(m, p.cond_w, p.cond_b))
+    for t in (4, 1, 3):
+        e_t = rng.standard_normal((5, 8))
+        tenc = sinusoidal_encoding(np.full(5, t), 8)
+        fresh_out, fresh_cache = _forward(e_t, tenc, m, p)
+        out, cache = _forward(e_t, tenc, m, p, work)
+        assert np.array_equal(out, fresh_out)
+        assert len(cache) == len(fresh_cache)
+        for got, expected in zip(cache, fresh_cache):
+            assert (got is None) == (expected is None)
+            if expected is not None:
+                assert np.array_equal(got, expected)
+        d_out = rng.standard_normal((5, 8))
+        grads = _backward(d_out, cache, p)
+        for name, grad in _backward(d_out, fresh_cache, p).items():
+            assert np.array_equal(grads[name], grad), name
 
 
 def test_elbo_gradient_check_all_params():

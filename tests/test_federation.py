@@ -28,7 +28,7 @@ from fedcold.federation import (
     score_items,
     train_clients_lockstep,
 )
-from fedcold.mlp import TwoLayerMLP
+from fedcold.mlp import HIDDEN, TwoLayerMLP
 from fedcold.modality import FeatureTable
 from fedcold.numerics import sigmoid, stream_rng
 from oracles import bce_loss, finite_diff_grad_check, floyd_sample
@@ -644,3 +644,39 @@ def test_sgd_train_matches_reference_bitwise(rows, epochs):
     assert losses == reference_sgd(expected, x, y, epochs, 0.05)
     for name, tensor in fitted.tensors().items():
         assert np.array_equal(tensor, expected.tensors()[name]), name
+
+
+def test_fit_matches_reference_bitwise_at_mapper_shapes():
+    # the baseline mapper's shapes: 313 warm rows of 8 features to width 64
+    rng = stream_rng(15, "mlp-fit-oracle")
+    x = rng.standard_normal((313, 8))
+    y = rng.standard_normal((313, 64))
+    fitted = TwoLayerMLP.fit(x, y, 300, 0.05, stream_rng(16, "mlp-fit-init"))
+    expected = TwoLayerMLP.init(8, HIDDEN, 64, stream_rng(16, "mlp-fit-init"))
+    reference_sgd(expected, x, y, 300, 0.05)
+    for name, tensor in fitted.tensors().items():
+        assert np.array_equal(tensor, expected.tensors()[name]), name
+
+
+def test_sgd_train_resumes_where_it_stopped():
+    rng = stream_rng(17, "mlp-resume")
+    x = rng.standard_normal((20, 5))
+    y = rng.standard_normal((20, 3))
+    split = TwoLayerMLP.init(5, 16, 3, stream_rng(18, "mlp-resume-init"))
+    whole = copy.deepcopy(split)
+    losses = split.sgd_train(x, y, 7, 0.05) + split.sgd_train(x, y, 5, 0.05)
+    assert losses == whole.sgd_train(x, y, 12, 0.05)
+    for name, tensor in split.tensors().items():
+        assert np.array_equal(tensor, whole.tensors()[name]), name
+
+
+def test_fitting_another_model_leaves_a_model_unchanged():
+    rng = stream_rng(19, "mlp-independent")
+    x = rng.standard_normal((30, 6))
+    y = rng.standard_normal((30, 4))
+    first = TwoLayerMLP.fit(x, y, 20, 0.05, stream_rng(20, "mlp-first"))
+    kept = {name: tensor.copy() for name, tensor in first.tensors().items()}
+    TwoLayerMLP.fit(x, y, 20, 0.05, stream_rng(21, "mlp-second"))
+    TwoLayerMLP.fit(x[:10], y[:10], 20, 0.05, stream_rng(20, "mlp-first"))
+    for name, tensor in first.tensors().items():
+        assert np.array_equal(tensor, kept[name]), name

@@ -15,6 +15,7 @@ from fedcold.modality import FeatureTable
 from fedcold.numerics import stream_rng
 from fedcold.privacy import (
     attack_and_score,
+    attack_side,
     compare_pipelines,
     draw_diffusion_rows,
     fano_bound,
@@ -268,15 +269,22 @@ def _comparison_setup():
     return split, table, generator, mapper
 
 
+def _compare(split, table, generator, mapper, seed, n_clusters=None, **kwargs):
+    """Both sides of the comparison, as ``fedcold attack`` computes them."""
+    draws = draw_diffusion_rows(split, table, generator, seed, 4)
+    rows = mapper.predict(table.rows[split.cold_items])
+    return compare_pipelines(
+        attack_side(split, table, "diffusion", draws.attack, draws.mi, seed, **kwargs),
+        attack_side(split, table, "mapper", rows, [rows] * 4, seed, **kwargs),
+        n_clusters=n_clusters,
+    )
+
+
 def test_compare_pipelines_deterministic_and_labeled():
     split, table, generator, mapper = _comparison_setup()
-    kwargs = dict(seed=5, leak=0.25, attack_epochs=40, attack_lr=0.05)
-    first = compare_pipelines(
-        split, table, draw_diffusion_rows(split, table, generator, 5, 4), mapper, **kwargs
-    )
-    second = compare_pipelines(
-        split, table, draw_diffusion_rows(split, table, generator, 5, 4), mapper, **kwargs
-    )
+    kwargs = dict(leak=0.25, attack_epochs=40, attack_lr=0.05)
+    first = _compare(split, table, generator, mapper, 5, **kwargs)
+    second = _compare(split, table, generator, mapper, 5, **kwargs)
     assert first.diffusion == second.diffusion
     assert first.mapper == second.mapper
     assert (first.mi_diffusion, first.mi_mapper) == (second.mi_diffusion, second.mi_mapper)
@@ -295,9 +303,9 @@ def test_compare_pipelines_deterministic_and_labeled():
 
 def test_compare_pipelines_fano_with_clusters():
     split, table, generator, mapper = _comparison_setup()
-    result = compare_pipelines(
-        split, table, draw_diffusion_rows(split, table, generator, 6, 4), mapper,
-        seed=6, leak=0.25, attack_epochs=10, attack_lr=0.05, n_clusters=3,
+    result = _compare(
+        split, table, generator, mapper, 6,
+        n_clusters=3, leak=0.25, attack_epochs=10, attack_lr=0.05,
     )
     assert 0.0 <= result.fano_diffusion <= 1.0
     assert 0.0 <= result.fano_mapper <= 1.0
@@ -308,7 +316,9 @@ def test_compare_pipelines_leak_bounds():
     draws = draw_diffusion_rows(split, table, generator, 7, 4)
     for bad_leak in (0.0, 1.0, 1.5):
         with pytest.raises(ConfigError):
-            compare_pipelines(split, table, draws, mapper, seed=7, leak=bad_leak)
+            attack_side(
+                split, table, "diffusion", draws.attack, draws.mi, 7, leak=bad_leak
+            )
 
 
 def test_stochastic_generation_varies_mapper_repeats():
