@@ -145,16 +145,16 @@ def test_from_tensors_names_every_missing_tensor():
 def _section(name: str, rows: int, cols: int) -> bytes:
     encoded = name.encode("utf-8")
     values = struct.pack(f"<{rows * cols}f", *range(rows * cols))
-    return struct.pack("<I", len(encoded)) + encoded + struct.pack("<II", rows, cols) + values
+    header = struct.pack("<I", len(encoded)) + encoded + struct.pack("<II", rows, cols)
+    return header + values
 
 
 def test_duplicate_sections_are_refused(tmp_path):
     # save_checkpoint cannot write two sections of one name; a hand-built
     # file that has them must not keep only the last
     path = tmp_path / "dup.ckpt"
-    path.write_bytes(
-        MAGIC + struct.pack("<II", VERSION, 2) + _section("a", 1, 1) + _section("a", 1, 1)
-    )
+    section = _section("a", 1, 1)
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, 2) + section + section)
     with pytest.raises(DataFormatError, match="duplicate tensor 'a'"):
         load_checkpoint(str(path))
 
@@ -183,7 +183,9 @@ def test_load_checkpoint_on_arbitrary_bytes_returns_tensors_or_refuses(tail, pre
 
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["a", "b", "\u00e9"]), st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(
+            st.sampled_from(["a", "b", "\u00e9"]), st.integers(0, 2), st.integers(0, 2)
+        ),
         max_size=4,
     ),
     st.integers(-1, 2),
