@@ -108,11 +108,15 @@ IDENTITY_KEYS = (
 
 def _fmt(value) -> str:
     """One CSV field; text holding a comma, a quote or a line break is quoted
-    so that ``csv.reader`` reads it back. Numbers never need quoting, and
+    so that ``csv.reader`` reads it back. A 1-D numeric array stands for one
+    field per element, written as ``repr`` of each Python number, the same
+    bytes as the elements passed one by one. Numbers never need quoting, and
     ``csv.writer``, which scans every character of every field, made each
     ``infer`` + ``eval`` pass 20 ms slower on ``cold-4x-sparse``."""
     if value is None:
         return ""
+    if isinstance(value, np.ndarray):
+        return ",".join(map(repr, value.tolist()))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))  # numpy 2 scalars repr as "np.float64(...)"
     text = str(value)
@@ -126,7 +130,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
     A field holding a comma, a quote or a line break is quoted, so an item id
     such as ``it,3`` keeps its row's columns in place; every other field is
-    written as is.
+    written as is. A row may end in a 1-D numeric array, such as an embedding
+    row, which is written as one field per element.
     """
     lines = [",".join(_fmt(v) for v in header)]
     for row in rows:
@@ -247,7 +252,7 @@ def cmd_gen_data(cfg: RunConfig) -> list[str]:
     write_csv(
         os.path.join(data_dir, "features.csv"),
         ["item_id"] + [f"f{j}" for j in range(dim)],
-        ([ds.item_ids[i]] + list(data.features.rows[i]) for i in range(ds.n_items)),
+        ([ds.item_ids[i], data.features.rows[i]] for i in range(ds.n_items)),
     )
     write_csv(
         os.path.join(data_dir, "users_idmap.csv"),
@@ -346,7 +351,7 @@ def cmd_infer(cfg: RunConfig) -> list[str]:
         os.path.join(cfg.out_dir, "cold_embeddings.csv"),
         ["item_id"] + [f"f{j}" for j in range(cfg.dim)],
         (
-            [ds.item_ids[item]] + list(rows[pos])
+            [ds.item_ids[item], rows[pos]]
             for pos, item in enumerate(data.split.cold_items)
         ),
     )
@@ -382,7 +387,7 @@ def cmd_eval(cfg: RunConfig) -> EvalResult:
     def export_rows():
         for item in range(ds.n_items):
             row = cold_rows[cold_pos[item]] if item in cold_set else item_table[item]
-            yield [ds.item_ids[item], int(item in cold_set)] + list(row)
+            yield [ds.item_ids[item], int(item in cold_set), row]
 
     write_csv(
         os.path.join(cfg.out_dir, "embeddings_export.csv"),
@@ -475,7 +480,7 @@ def _write_attack_report(out_dir: str, n: int, result: AttackResult) -> list[str
         write_csv(
             os.path.join(out_dir, f"structural_diff_{method}.csv"),
             header,
-            (list(matrix[i]) for i in range(n)),
+            ([matrix[i]] for i in range(n)),
         )
     return [
         "attack_report.csv",

@@ -65,22 +65,21 @@ class SplitDataset:
     test_interactions: list[tuple[int, int]]
 
     def test_items_by_user(self) -> dict[int, set[int]]:
-        index: dict[int, set[int]] = {}
-        for u, i in self.test_interactions:
-            index.setdefault(u, set()).add(i)
-        return index
+        return _items_by_user(self.test_interactions)
 
     def val_items_by_user(self) -> dict[int, set[int]]:
-        index: dict[int, set[int]] = {}
-        for u, i in self.val_interactions:
-            index.setdefault(u, set()).add(i)
-        return index
+        return _items_by_user(self.val_interactions)
 
     def train_items_by_user(self) -> dict[int, set[int]]:
-        index: dict[int, set[int]] = {}
-        for u, i in self.train_interactions:
-            index.setdefault(u, set()).add(i)
-        return index
+        return _items_by_user(self.train_interactions)
+
+
+def _items_by_user(interactions: list[tuple[int, int]]) -> dict[int, set[int]]:
+    """Item set per user, for the users that appear in ``interactions``."""
+    index: dict[int, set[int]] = {}
+    for u, i in interactions:
+        index.setdefault(u, set()).add(i)
+    return index
 
 
 def _id_map_path(path: str, kind: str) -> str:
@@ -250,7 +249,8 @@ def generate_synthetic(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
             forced = int(rng.choice(in_cluster))
             hits[u, forced] = True
 
-    interactions = [(int(u), int(i)) for u, i in zip(*np.nonzero(hits))]
+    users, items = np.nonzero(hits)
+    interactions = list(zip(users.tolist(), items.tolist()))
     centroids = np.eye(feature_dim)[:, :n_clusters].T  # orthogonal units
     noise = rng.standard_normal((n_items, feature_dim))
     features = centroids[i_cluster] + cfg.synthetic_feature_noise * noise

@@ -6,6 +6,7 @@ interaction, then macro-averages recall, precision, and NDCG at each cutoff.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -34,46 +35,6 @@ class DistributionDiagnostics:
     covariance_distance: float
 
 
-def rank_cold(
-    user_embedding: np.ndarray, cold_ids: list[int], cold_embeddings: np.ndarray
-) -> list[int]:
-    """Cold items sorted by predicted score, ties broken by ascending id."""
-    if len(cold_ids) != cold_embeddings.shape[0]:
-        raise ConfigError(
-            f"{len(cold_ids)} ids but {cold_embeddings.shape[0]} embedding rows"
-        )
-    scores = score_items(user_embedding, cold_embeddings)
-    ids = np.asarray(cold_ids)
-    order = np.lexsort((ids, -scores))
-    return [int(ids[i]) for i in order]
-
-
-def recall_precision_at_k(
-    ranking: list[int], relevant: set[int], k: int
-) -> tuple[float, float]:
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if not relevant:
-        raise ConfigError("relevant set must be non-empty")
-    hits = sum(1 for item in ranking[:k] if item in relevant)
-    return hits / len(relevant), hits / k
-
-
-def ndcg_at_k(ranking: list[int], relevant: set[int], k: int) -> float:
-    """Binary-relevance NDCG with 1/log2(rank+1) discounts."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if not relevant:
-        raise ConfigError("relevant set must be non-empty")
-    dcg = 0.0
-    for rank, item in enumerate(ranking[:k], start=1):
-        if item in relevant:
-            dcg += 1.0 / math.log2(rank + 1)
-    ideal_hits = min(len(relevant), k)
-    idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, ideal_hits + 1))
-    return dcg / idcg
-
-
 def evaluate_cold(
     user_embeddings: np.ndarray,
     cold_ids: list[int],
@@ -84,30 +45,56 @@ def evaluate_cold(
     """Macro-averaged ranking quality over users with test interactions.
 
     Users whose test items are not cold ids (or with empty test sets) are
-    skipped; each remaining user ranks the full cold catalogue.
+    skipped; each remaining user ranks the full cold catalogue by predicted
+    score, ties broken by ascending id. The ranking is formed once per user,
+    and every cutoff k is read from the ranks of its hits: recall is hits over
+    relevant items, precision hits over k, and NDCG the binary-relevance
+    ``1/log2(rank+1)`` discounts of the hits, added in rank order, over those
+    of the ideal ranking.
     """
     if not k_list or any(k < 1 for k in k_list):
         raise ConfigError(f"bad cutoff list {k_list}")
+    if len(cold_ids) != cold_embeddings.shape[0]:
+        raise ConfigError(
+            f"{len(cold_ids)} ids but {cold_embeddings.shape[0]} embedding rows"
+        )
+    ids = np.asarray(cold_ids)
     cold_set = set(cold_ids)
-    sums = {k: np.zeros(3) for k in k_list}
+    top = max(k_list)
+    discount = [1.0 / math.log2(rank + 1) for rank in range(1, top + 1)]
+    # ideal_dcg[j]: DCG of a ranking whose first j items are hits, formed by
+    # sum(), which adds with compensation from Python 3.12 on
+    ideal_dcg = [sum(discount[:j]) for j in range(top + 1)]
+    sums = {k: [0.0, 0.0, 0.0] for k in k_list}
     n_users = 0
     for user in sorted(test_by_user):
         relevant = test_by_user[user] & cold_set
         if not relevant:
             continue
-        ranking = rank_cold(user_embeddings[user], cold_ids, cold_embeddings)
         n_users += 1
+        scores = score_items(user_embeddings[user], cold_embeddings)
+        ranking = ids[np.lexsort((ids, -scores))[:top]].tolist()
+        hit_ranks = [
+            rank for rank, item in enumerate(ranking, start=1) if item in relevant
+        ]
+        # dcg[j]: the discounts of the first j hits, added in rank order
+        dcg = [0.0]
+        for rank in hit_ranks:
+            dcg.append(dcg[-1] + discount[rank - 1])
+        n_relevant = len(relevant)
         for k in k_list:
-            recall, precision = recall_precision_at_k(ranking, relevant, k)
-            ndcg = ndcg_at_k(ranking, relevant, k)
-            sums[k] += (recall, precision, ndcg)
+            hits = bisect.bisect_right(hit_ranks, k)
+            total = sums[k]
+            total[0] += hits / n_relevant
+            total[1] += hits / k
+            total[2] += dcg[hits] / ideal_dcg[min(n_relevant, k)]
     if n_users == 0:
         raise ConfigError("no users with cold test interactions to evaluate")
     per_k = {
         k: KMetrics(
-            recall=float(sums[k][0] / n_users),
-            precision=float(sums[k][1] / n_users),
-            ndcg=float(sums[k][2] / n_users),
+            recall=sums[k][0] / n_users,
+            precision=sums[k][1] / n_users,
+            ndcg=sums[k][2] / n_users,
         )
         for k in k_list
     }

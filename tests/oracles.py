@@ -3,7 +3,8 @@
 Each one restates a piece of the program in its plainest scalar form, or
 checks it from outside: central-difference gradients, the exact reverse-step
 posterior and the model's posterior mean, the Gaussian entropy floor, the
-clamped BCE loss, and Floyd's sampling of k distinct items.
+clamped BCE loss, Floyd's sampling of k distinct items, and the cold ranking
+with its per-cutoff recall, precision and NDCG.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from fedcold.diffusion import NoiseSchedule, _posterior_coeffs
 from fedcold.errors import ConfigError, NumericsError
-from fedcold.federation import PROB_CLAMP
+from fedcold.federation import PROB_CLAMP, score_items
 from fedcold.numerics import stream_rng
 
 GRAD_CHECK_H_MIN = 1e-6
@@ -161,3 +162,43 @@ def floyd_sample(pool: np.ndarray, u: np.ndarray) -> np.ndarray:
         t = math.floor(u[c] * (j + 1))
         picked.append(j if t in picked else t)
     return pool[picked]
+
+
+def rank_cold(
+    user_embedding: np.ndarray, cold_ids: list[int], cold_embeddings: np.ndarray
+) -> list[int]:
+    """Cold items sorted by predicted score, ties broken by ascending id."""
+    if len(cold_ids) != cold_embeddings.shape[0]:
+        raise ConfigError(
+            f"{len(cold_ids)} ids but {cold_embeddings.shape[0]} embedding rows"
+        )
+    scores = score_items(user_embedding, cold_embeddings)
+    ids = np.asarray(cold_ids)
+    order = np.lexsort((ids, -scores))
+    return [int(ids[i]) for i in order]
+
+
+def recall_precision_at_k(
+    ranking: list[int], relevant: set[int], k: int
+) -> tuple[float, float]:
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if not relevant:
+        raise ConfigError("relevant set must be non-empty")
+    hits = sum(1 for item in ranking[:k] if item in relevant)
+    return hits / len(relevant), hits / k
+
+
+def ndcg_at_k(ranking: list[int], relevant: set[int], k: int) -> float:
+    """Binary-relevance NDCG with 1/log2(rank+1) discounts."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if not relevant:
+        raise ConfigError("relevant set must be non-empty")
+    dcg = 0.0
+    for rank, item in enumerate(ranking[:k], start=1):
+        if item in relevant:
+            dcg += 1.0 / math.log2(rank + 1)
+    ideal_hits = min(len(relevant), k)
+    idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, ideal_hits + 1))
+    return dcg / idcg

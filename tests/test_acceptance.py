@@ -24,7 +24,6 @@ from fedcold.diffusion import (
     elbo_loss_fixed,
     init_denoiser,
 )
-from fedcold.evaluation import ndcg_at_k, recall_precision_at_k
 from fedcold.mlp import TwoLayerMLP
 from fedcold.numerics import sigmoid, stream_rng
 from fedcold.pipeline import (
@@ -43,8 +42,10 @@ from oracles import (
     bce_loss,
     finite_diff_grad_check,
     gaussian_noise_floor,
+    ndcg_at_k,
     posterior_mean_from_prediction,
     posterior_stats,
+    recall_precision_at_k,
 )
 
 SEEDS = (1, 2, 3)

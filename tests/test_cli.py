@@ -287,6 +287,45 @@ def test_ids_with_a_comma_and_a_quote_keep_every_row_in_its_columns(
     assert cold and all(item.startswith("it,") and item.endswith('"q') for item in cold)
 
 
+def test_non_finite_feature_of_a_cold_item_stops_train(monkeypatch, tmp_path, capsys):
+    # a nan on a cold item once went through train, infer and eval: the cold
+    # embedding row, the diagnostics and the metrics were written from it
+    cfg = write_cfg(tmp_path / "gen.cfg", out_dir="ge,n")
+    assert run(monkeypatch, tmp_path, "gen-data", "--config", cfg) == 0
+    files = _comma_dir_cfg(tmp_path)
+    split = prepare_data(load_config(files)).split
+    cold_id = split.dataset.item_ids[split.cold_items[0]]
+    path = tmp_path / "ge,n/data/features.csv"
+    rows = _csv_rows(path)
+    line = next(n for n, row in enumerate(rows, start=1) if row[0] == cold_id)
+    rows[line - 1][2] = "nan"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    capsys.readouterr()
+    assert run(monkeypatch, tmp_path, "train", "--config", files) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"fedcold train: {path}:{line}: non-finite feature value"
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_write_csv_array_field_is_the_per_element_fields(tmp_path, dtype):
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, -2.5]
+    with np.errstate(over="ignore"):
+        row = np.array(values).astype(dtype)
+    header = ["id", "cold"] + [f"f{j}" for j in range(row.size)]
+    whole, split = tmp_path / "whole.csv", tmp_path / "split.csv"
+    cli.write_csv(str(whole), header, [["it,1", 1, row], ["it2", 0, row[::-1]]])
+    cli.write_csv(
+        str(split), header, [["it,1", 1] + list(row), ["it2", 0] + list(row[::-1])]
+    )
+    assert whole.read_bytes() == split.read_bytes()
+    if dtype is np.float64:
+        assert whole.read_bytes().splitlines()[1] == (
+            b'"it,1",1,nan,inf,-inf,-0.0,0.0,5e-324,1e+300,0.1,-2.5'
+        )
+
+
 def test_write_csv_quotes_fields_that_csv_reader_would_split(tmp_path):
     header = ["id", "note", "n", "x", "empty"]
     rows = [

@@ -280,6 +280,15 @@ def test_synthetic_deterministic_per_seed():
     assert ds1.interactions != ds3.interactions
 
 
+def test_synthetic_interactions_are_int_tuples_in_row_major_order():
+    ds, _ = generate_synthetic(synthetic(seed=4))
+    assert all(type(u) is int and type(i) is int for u, i in ds.interactions)
+    hits = np.zeros((ds.n_users, ds.n_items), dtype=bool)
+    hits[tuple(np.array(ds.interactions).T)] = True
+    # the per-pair comprehension the list was once built with
+    assert ds.interactions == [(int(u), int(i)) for u, i in zip(*np.nonzero(hits))]
+
+
 def test_synthetic_validation_errors():
     for keys, message in (
         ({"synthetic_users": 0}, "at least one user and item"),

@@ -7,14 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcold.errors import ConfigError
-from fedcold.evaluation import (
-    distribution_diagnostics,
-    evaluate_cold,
-    ndcg_at_k,
-    rank_cold,
-    recall_precision_at_k,
-)
+from fedcold.evaluation import distribution_diagnostics, evaluate_cold
+from fedcold.federation import score_items
 from fedcold.numerics import stream_rng
+from oracles import ndcg_at_k, rank_cold, recall_precision_at_k
 
 
 def brute_recall_precision(ranking, relevant, k):
@@ -136,6 +132,67 @@ def test_evaluate_cold_macro_average():
 def test_evaluate_cold_requires_evaluable_users():
     with pytest.raises(ConfigError):
         evaluate_cold(np.zeros((1, 2)), [0], np.zeros((1, 2)), {0: {5}}, [1])
+    with pytest.raises(ConfigError, match="2 ids but 1 embedding rows"):
+        evaluate_cold(np.zeros((1, 2)), [0, 1], np.zeros((1, 2)), {0: {0}}, [1])
+
+
+def reference_evaluate_cold(user_embeddings, cold_ids, cold_rows, test_by_user, k_list):
+    """One full ranking per user and one oracle call per cutoff, summed in
+    float64: per cutoff (recall, precision, ndcg), and the user count."""
+    cold_set = set(cold_ids)
+    sums = {k: np.zeros(3) for k in k_list}
+    n_users = 0
+    for user in sorted(test_by_user):
+        relevant = test_by_user[user] & cold_set
+        if not relevant:
+            continue
+        ranking = rank_cold(user_embeddings[user], cold_ids, cold_rows)
+        n_users += 1
+        for k in k_list:
+            recall, precision = recall_precision_at_k(ranking, relevant, k)
+            sums[k] += (recall, precision, ndcg_at_k(ranking, relevant, k))
+    return {k: tuple(float(v / n_users) for v in sums[k]) for k in k_list}, n_users
+
+
+def ranking_case(seed, scale):
+    """Users over a cold catalogue of unsorted ids whose rows repeat, so that
+    scores tie; some users have no cold test item or no test item at all."""
+    rng = stream_rng(seed, "ranking-case")
+    n_cold, dim = 23, 6
+    distinct = rng.standard_normal((7, dim))
+    cold_rows = distinct[rng.integers(0, 7, size=n_cold)]
+    cold_ids = rng.permutation(1000)[:n_cold].tolist()
+    users = scale * rng.standard_normal((90, dim))
+    test_by_user = {}
+    for user in range(90):
+        if user % 9 == 0:
+            test_by_user[user] = set()
+        elif user % 9 == 1:
+            test_by_user[user] = {2000 + user}
+        else:
+            size = int(rng.integers(1, 12))
+            test_by_user[user] = set(rng.choice(cold_ids, size, replace=False).tolist())
+    return users, cold_ids, cold_rows, test_by_user
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3], ids=["plain", "saturated"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_evaluate_cold_equals_per_cutoff_oracles(seed, scale):
+    users, cold_ids, cold_rows, test_by_user = ranking_case(seed, scale)
+    if scale > 1:  # sigmoid reads exactly 1.0 for many rows of some users
+        assert max(
+            int((score_items(users[u], cold_rows) == 1.0).sum()) for u in test_by_user
+        ) > 3
+    k_list = [1, 4, 10, len(cold_ids) + 7]
+    want, n_users = reference_evaluate_cold(
+        users, cold_ids, cold_rows, test_by_user, k_list
+    )
+    report = evaluate_cold(users, cold_ids, cold_rows, test_by_user, k_list)
+    assert report.n_users == n_users == 70
+    for k in k_list:
+        got = report.per_k[k]
+        assert (got.recall, got.precision, got.ndcg) == want[k]
+        assert type(got.recall) is float and type(got.ndcg) is float
 
 
 def test_evaluate_cold_chance_level_with_random_embeddings():

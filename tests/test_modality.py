@@ -66,6 +66,19 @@ def test_load_features_inconsistent_width(tmp_path):
         load_features(str(path), ds)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_load_features_refuses_non_finite_values(tmp_path, value):
+    ds = make_dataset(3)
+    path = tmp_path / "features.csv"
+    write_features(
+        path,
+        [("item_id", "f0", "f1"), ("it1", "1.0", "2.0"), ("it2", "0.5", value), ("it0", "inf", "1")],
+    )
+    # the first line holding one is named, not the first item
+    with pytest.raises(DataFormatError, match=f"^{path}:3: non-finite feature value$"):
+        load_features(str(path), ds)
+
+
 def test_load_features_l2_normalization(tmp_path):
     inter = tmp_path / "interactions.csv"
     inter.write_text("u0,it0\nu0,it1\nu0,it2\n")
