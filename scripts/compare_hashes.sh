@@ -75,16 +75,19 @@ run_all() {
     for seed in 1 2 3; do
         for stage in train infer eval "attack --mode stochastic"; do
             # shellcheck disable=SC2086  # stage carries its own flags
-            fedcold "$tree" $stage --config "$BENCH_CFG" --seed "$seed" --out "$out/benchmark_seed$seed"
+            fedcold "$tree" $stage --config "$BENCH_CFG" --seed "$seed" \
+                --out "$out/benchmark_seed$seed"
         done
     done
     for W in clients-4x-ldp cold-4x-sparse; do
         while read -r stage; do
             # shellcheck disable=SC2086
-            fedcold "$tree" $stage --config "$INPUTS/$W/workload.cfg" --seed 11 --out "$out/$W"
+            fedcold "$tree" $stage --config "$INPUTS/$W/workload.cfg" --seed 11 \
+                --out "$out/$W"
         done < "$INPUTS/$W/stages.txt"
     done
-    fedcold "$tree" sweep --config "$INPUTS/sweep.cfg" --out "$out/ldp_sweep" --param ldp --values 0,1
+    fedcold "$tree" sweep --config "$INPUTS/sweep.cfg" --out "$out/ldp_sweep" \
+        --param ldp --values 0,1
 }
 
 echo "compare_hashes: running $(git rev-parse --short=7 HEAD^) (parent)" >&2
@@ -109,18 +112,18 @@ def hash_lines(root):
             with open(path, encoding="utf-8", newline="") as handle:
                 for row in csv.reader(handle):
                     if row and (row[0].startswith("sha256:") or row[0] == "best_round"):
-                        found[f"{os.path.relpath(path, root)} {row[0]}"] = ",".join(row[1:])
+                        key = f"{os.path.relpath(path, root)} {row[0]}"
+                        found[key] = ",".join(row[1:])
     return found
 
 
 parent, head = (hash_lines(root) for root in sys.argv[1:])
 if not parent or not head:
     sys.exit("compare_hashes: no manifest lines found")
-differing = [
-    key for key in sorted(parent.keys() | head.keys()) if parent.get(key) != head.get(key)
-]
+keys = sorted(parent.keys() | head.keys())
+differing = [key for key in keys if parent.get(key) != head.get(key)]
 for key in differing:
     print(f"{key}: parent {parent.get(key)} HEAD {head.get(key)}")
-print(f"compare_hashes: {len(differing)} of {len(parent.keys() | head.keys())} lines differ")
+print(f"compare_hashes: {len(differing)} of {len(keys)} lines differ")
 sys.exit(1 if differing else 0)
 EOF

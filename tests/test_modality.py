@@ -72,7 +72,12 @@ def test_load_features_refuses_non_finite_values(tmp_path, value):
     path = tmp_path / "features.csv"
     write_features(
         path,
-        [("item_id", "f0", "f1"), ("it1", "1.0", "2.0"), ("it2", "0.5", value), ("it0", "inf", "1")],
+        [
+            ("item_id", "f0", "f1"),
+            ("it1", "1.0", "2.0"),
+            ("it2", "0.5", value),
+            ("it0", "inf", "1"),
+        ],
     )
     # the first line holding one is named, not the first item
     with pytest.raises(DataFormatError, match=f"^{path}:3: non-finite feature value$"):
