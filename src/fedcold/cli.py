@@ -33,7 +33,6 @@ from .diffusion import DenoisingGenerator
 from .errors import ConfigError, FedcoldError
 from .mlp import TwoLayerMLP
 from .pipeline import (
-    AttackResult,
     EvalResult,
     PreparedData,
     build_generator,
@@ -42,7 +41,6 @@ from .pipeline import (
     generate_cold,
     mapper_side,
     prepare_data,
-    run_attack,
     run_training,
     train_mapper,
 )
@@ -303,27 +301,16 @@ def cmd_train(cfg: RunConfig) -> list[str]:
         {"user_embeddings": result.best_user_table},
     )
     save_checkpoint(_ckpt(cfg.out_dir, "denoiser_best"), result.best_denoiser)
-    write_csv(
-        os.path.join(cfg.out_dir, ROUNDS_CSV),
-        ROUNDS_HEADER,
-        ([getattr(r, name) for name in ROUNDS_HEADER] for r in result.rounds),
-    )
-    write_csv(
-        os.path.join(cfg.out_dir, "diagnostics.csv"),
-        ["round", "centroid_distance", "covariance_distance"],
-        (
-            [d.round, d.centroid_distance, d.covariance_distance]
-            for d in result.diagnostics
-        ),
-    )
-    write_csv(
-        os.path.join(cfg.out_dir, "validation.csv"),
-        ["round", "val_recall"],
-        (
-            [r.round, recall]
-            for r, recall in zip(result.rounds, result.val_recalls)
-        ),
-    )
+    for name, columns in (
+        (ROUNDS_CSV, ROUNDS_HEADER),
+        ("diagnostics.csv", ["round", "centroid_distance", "covariance_distance"]),
+        ("validation.csv", ["round", "val_recall"]),
+    ):
+        write_csv(
+            os.path.join(cfg.out_dir, name),
+            columns,
+            ([getattr(r, c) for c in columns] for r in result.rounds),
+        )
     names = [
         "item_embeddings.ckpt",
         "user_embeddings.ckpt",
@@ -439,55 +426,40 @@ def _fit_mapper_beside(
     return fitted["mapper"], diffusion
 
 
-def _write_attack_report(out_dir: str, n: int, result: AttackResult) -> list[str]:
-    """The attack CSVs of ``result``; ``n`` is the structural sample size."""
-    comparison = result.comparison
-
-    def report_row(report, mi, fano):
-        return [
-            report.method,
-            report.mse,
-            report.mae,
-            report.cosine,
-            report.pearson,
-            mi,
-            fano,
-        ]
-
+def _write_attack_report(out_dir: str, sides: list[PipelineSide]) -> list[str]:
+    """The attack CSVs of ``sides``, one row or file per side, in order."""
     write_csv(
         os.path.join(out_dir, "attack_report.csv"),
         ["method", "mse", "mae", "cosine", "pearson", "mi_nats", "fano_lower_bound"],
-        [
-            report_row(
-                comparison.diffusion, comparison.mi_diffusion, comparison.fano_diffusion
-            ),
-            report_row(comparison.mapper, comparison.mi_mapper, comparison.fano_mapper),
-        ],
+        (
+            [
+                side.report.method,
+                side.report.mse,
+                side.report.mae,
+                side.report.cosine,
+                side.report.pearson,
+                side.mi,
+                side.fano,
+            ]
+            for side in sides
+        ),
     )
     write_csv(
         os.path.join(out_dir, "attack_entropy.csv"),
         ["method", "entropy_nats"],
-        [
-            ["diffusion", comparison.entropy_diffusion],
-            ["mapper", comparison.entropy_mapper],
-        ],
+        ([side.report.method, side.entropy] for side in sides),
     )
-    header = [f"c{j}" for j in range(n)]
-    for method, matrix in (
-        ("diffusion", result.structural_diffusion),
-        ("mapper", result.structural_mapper),
-    ):
+    names = ["attack_report.csv", "attack_entropy.csv"]
+    for side in sides:
+        n = side.structural.shape[0]
+        name = f"structural_diff_{side.report.method}.csv"
         write_csv(
-            os.path.join(out_dir, f"structural_diff_{method}.csv"),
-            header,
-            ([matrix[i]] for i in range(n)),
+            os.path.join(out_dir, name),
+            [f"c{j}" for j in range(n)],
+            ([row] for row in side.structural),
         )
-    return [
-        "attack_report.csv",
-        "attack_entropy.csv",
-        "structural_diff_diffusion.csv",
-        "structural_diff_mapper.csv",
-    ]
+        names.append(name)
+    return names
 
 
 def cmd_attack(cfg: RunConfig) -> list[str]:
@@ -500,8 +472,9 @@ def cmd_attack(cfg: RunConfig) -> list[str]:
     save_checkpoint(mapper_path, mapper.tensors())
     # use the float32 checkpoint weights so a rerun scores identically
     mapper = TwoLayerMLP.from_tensors(load_checkpoint(mapper_path))
-    result = run_attack(cfg, data, diffusion, mapper_side(cfg, data, mapper))
-    names = _write_attack_report(cfg.out_dir, cfg.struct_sample_n, result)
+    names = _write_attack_report(
+        cfg.out_dir, [diffusion, mapper_side(cfg, data, mapper)]
+    )
     names.append("mapper.ckpt")
     write_manifest(cfg.out_dir, "attack", cfg, names)
     return names

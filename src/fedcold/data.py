@@ -97,7 +97,7 @@ def _write_id_map(path: str, originals: list[str]) -> None:
     os.replace(tmp, path)
 
 
-def load_interactions(path: str, write_id_maps: bool = True) -> Dataset:
+def load_interactions(path: str) -> Dataset:
     """Load an interaction CSV, densify ids, and persist the id maps.
 
     Duplicate ``(user, item)`` pairs are dropped with a logged count; a
@@ -150,9 +150,8 @@ def load_interactions(path: str, write_id_maps: bool = True) -> Dataset:
         log.warning("%s: dropped %d duplicate interactions", path, duplicates)
     user_list = list(users)
     item_list = list(items)
-    if write_id_maps:
-        _write_id_map(_id_map_path(path, "users"), user_list)
-        _write_id_map(_id_map_path(path, "items"), item_list)
+    _write_id_map(_id_map_path(path, "users"), user_list)
+    _write_id_map(_id_map_path(path, "items"), item_list)
     return Dataset(
         n_users=len(users),
         n_items=len(items),

@@ -378,12 +378,7 @@ def _posterior_coeffs(t, schedule: NoiseSchedule):
     c_clean = (
         np.sqrt(schedule.alpha_bar[t_arr - 1]) * schedule.beta[t_arr] / one_minus_ab
     )
-    var = (
-        schedule.beta[t_arr]
-        * (1.0 - schedule.alpha_bar[t_arr - 1])
-        / one_minus_ab
-    )
-    return c_noisy, c_clean, var
+    return c_noisy, c_clean
 
 
 def elbo_loss_fixed(
@@ -511,7 +506,7 @@ class DenoisingGenerator:
             stream_rng(seed, stream_label, item).standard_normal(out=noise[i])
         timesteps = np.arange(1, steps + 1)
         encodings = sinusoidal_encoding(timesteps, width)
-        c_noisy, c_clean, _ = _posterior_coeffs(timesteps, self.schedule)
+        c_noisy, c_clean = _posterior_coeffs(timesteps, self.schedule)
         tenc = np.empty((n, width))  # the step's encoding on every row
         x = noise[:, 0].copy()
         for t in range(steps, 0, -1):

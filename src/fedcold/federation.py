@@ -92,21 +92,18 @@ class GlobalItemTable:
 
 
 @dataclass
-class ServerState:
-    table: GlobalItemTable
-
-
-@dataclass
 class RoundReport:
-    """One round's losses, phase timings and upload counters.
+    """One round's losses, phase timings, upload counters and diagnostics.
 
     ``seconds`` spans ``run_round``: denoiser epochs, then the client phase
     split into negative draws, the lockstep kernel, upload noise and
     aggregation. The training loop runs the diagnostic and validation chains
     and the validation scoring after the round and records their times in
-    ``chain_seconds`` and ``val_seconds``. The counters are deterministic:
-    rows uploaded over all clients, the distinct items among them, and the
-    bytes of those float64 rows.
+    ``chain_seconds`` and ``val_seconds``, the validation recall in
+    ``val_recall`` (``None`` when no user was evaluable), and the warm/cold
+    distribution distances of the diagnostic chain. The counters are
+    deterministic: rows uploaded over all clients, the distinct items among
+    them, and the bytes of those float64 rows.
     """
 
     round: int
@@ -123,6 +120,9 @@ class RoundReport:
     payload_bytes: int
     chain_seconds: float = 0.0
     val_seconds: float = 0.0
+    val_recall: float | None = None
+    centroid_distance: float = 0.0
+    covariance_distance: float = 0.0
 
 
 def score_items(user_embedding: np.ndarray, item_rows: np.ndarray) -> np.ndarray:
@@ -132,7 +132,7 @@ def score_items(user_embedding: np.ndarray, item_rows: np.ndarray) -> np.ndarray
 
 def init_simulation(
     split: SplitDataset, config: RunConfig
-) -> tuple[ServerState, list[ClientState]]:
+) -> tuple[GlobalItemTable, list[ClientState]]:
     """Gaussian-initialized item table and clients with static training pools."""
     ds = split.dataset
     rng = stream_rng(config.seed, "init")
@@ -154,7 +154,7 @@ def init_simulation(
                 negative_pool=pool,
             )
         )
-    return ServerState(table=table), clients
+    return table, clients
 
 
 def sample_negatives(
@@ -304,7 +304,7 @@ def apply_ldp(rows: UploadRows, scale: float, rng: np.random.Generator) -> Uploa
     return rows
 
 
-def aggregate(table: GlobalItemTable, uploads: list[ClientUpload]) -> GlobalItemTable:
+def aggregate(embeddings: np.ndarray, uploads: list[ClientUpload]) -> np.ndarray:
     """Row-wise arithmetic mean over uploaders; untouched rows carry over.
 
     Uploads are summed in ascending client order (the first upload of an item
@@ -312,7 +312,7 @@ def aggregate(table: GlobalItemTable, uploads: list[ClientUpload]) -> GlobalItem
     ``np.mean(np.stack(rows), axis=0)`` bit for bit and does not depend on the
     order uploads arrive in.
     """
-    new = table.embeddings.copy()
+    new = embeddings.copy()
     total = np.empty_like(new)
     count = np.zeros(new.shape[0], dtype=np.int64)
     for up in sorted(uploads, key=lambda u: u.user_id):
@@ -323,7 +323,7 @@ def aggregate(table: GlobalItemTable, uploads: list[ClientUpload]) -> GlobalItem
         count[ids] += 1
     touched = count > 0
     new[touched] = total[touched] / count[touched, None]
-    return GlobalItemTable(embeddings=new, round=table.round)
+    return new
 
 
 def diffusion_trains_this_round(round_index: int, light_mode: bool) -> bool:
@@ -332,7 +332,7 @@ def diffusion_trains_this_round(round_index: int, light_mode: bool) -> bool:
 
 
 def run_round(
-    server: ServerState,
+    table: GlobalItemTable,
     clients: list[ClientState],
     generator: DenoisingGenerator | None,
     features: FeatureTable | None,
@@ -343,12 +343,12 @@ def run_round(
 
     Trains the diffusion generator on warm rows unless the light cadence skips
     this round, distributes the table, trains the sampled clients in lockstep,
-    and aggregates their noised uploads into the server table.
+    and aggregates their noised uploads into ``table``.
     """
     start = time.perf_counter()
     seed = config.seed
-    round_index = server.table.round + 1
-    server.table.round = round_index
+    round_index = table.round + 1
+    table.round = round_index
 
     diffusion_loss = None
     generator_start = time.perf_counter()
@@ -359,7 +359,7 @@ def run_round(
             raise ConfigError("diffusion training requires item features")
         warm = np.array(split.warm_items, dtype=np.int64)
         diffusion_loss = generator.train_epochs(
-            server.table.embeddings[warm],
+            table.embeddings[warm],
             features.rows[warm],
             stream_rng(seed, "diffusion", round_index),
             epochs=config.server_epochs,
@@ -381,7 +381,7 @@ def run_round(
     rngs = [stream_rng(seed, "client", round_index, c.user_id) for c in sampled]
     phase: dict[str, float] = {}
     rows, losses = train_clients_lockstep(
-        sampled, server.table.embeddings, rngs, config, seconds=phase
+        sampled, table.embeddings, rngs, config, seconds=phase
     )
     noise_start = time.perf_counter()
     uploads = [
@@ -389,10 +389,10 @@ def run_round(
         for c, r, rng in zip(sampled, rows, rngs)
     ]
     aggregate_start = time.perf_counter()
-    server.table = aggregate(server.table, uploads)
+    table.embeddings = aggregate(table.embeddings, uploads)
     aggregate_end = time.perf_counter()
     ids = np.concatenate([r.ids for r in rows])
-    n_items = server.table.embeddings.shape[0]
+    n_items = table.embeddings.shape[0]
     losses = [loss for c, loss in zip(sampled, losses) if c.warm_positives.size]
     mean_loss = float(np.mean(losses)) if losses else 0.0
     return RoundReport(

@@ -36,14 +36,7 @@ from .federation import RoundReport, init_simulation, run_round
 from .mlp import TwoLayerMLP
 from .modality import FeatureTable, encode_texts, l2_normalize_rows, load_features
 from .numerics import assert_finite, stream_rng
-from .privacy import (
-    DiffusionDraws,
-    PipelineComparison,
-    PipelineSide,
-    attack_side,
-    compare_pipelines,
-    structural_similarity_difference,
-)
+from .privacy import DiffusionDraws, PipelineSide, attack_side
 
 
 @dataclass
@@ -112,17 +105,8 @@ def substituted_conditions(
 
 
 @dataclass
-class DiagnosticsRow:
-    round: int
-    centroid_distance: float
-    covariance_distance: float
-
-
-@dataclass
 class TrainResult:
     rounds: list[RoundReport]
-    diagnostics: list[DiagnosticsRow]
-    val_recalls: list[float | None]  # per round; None when no user was evaluable
     best_round: int
     generator: DenoisingGenerator
     item_table: np.ndarray  # final, after the last aggregation
@@ -147,7 +131,7 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
     far.
     """
     generator = build_generator(cfg, data.features.dim)
-    server, clients = init_simulation(data.split, cfg)
+    table, clients = init_simulation(data.split, cfg)
     warm = np.array(data.split.warm_items, dtype=np.int64)
     cold = data.split.cold_items
     val_items = data.split.val_items
@@ -156,8 +140,6 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
     val_conditions = data.features.rows[val_items]
 
     rounds: list[RoundReport] = []
-    diagnostics: list[DiagnosticsRow] = []
-    val_recalls: list[float | None] = []
     best_round = 0
     best_recall = None
     best_item = None
@@ -165,12 +147,12 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
     best_denoiser: dict = {}
 
     for _ in range(cfg.rounds):
-        report = run_round(server, clients, generator, data.features, data.split, cfg)
+        report = run_round(table, clients, generator, data.features, data.split, cfg)
         rounds.append(report)
         users = _user_matrix(clients)
         assert_finite(
             f"round {report.round} (item table, user embeddings or losses)",
-            server.table.embeddings,
+            table.embeddings,
             users,
             np.array([report.mean_client_loss, report.diffusion_loss or 0.0]),
         )
@@ -200,22 +182,16 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
         except ConfigError:
             recall = None
         report.val_seconds = time.perf_counter() - val_start
-        val_recalls.append(recall)
-
-        diag = distribution_diagnostics(server.table.embeddings[warm], cold_rows)
-        diagnostics.append(
-            DiagnosticsRow(
-                round=report.round,
-                centroid_distance=diag.centroid_distance,
-                covariance_distance=diag.covariance_distance,
-            )
-        )
+        report.val_recall = recall
+        diag = distribution_diagnostics(table.embeddings[warm], cold_rows)
+        report.centroid_distance = diag.centroid_distance
+        report.covariance_distance = diag.covariance_distance
         # ties go to the later round: with few validation items small K values
         # saturate, and the most-trained state is the right default then
         if best_recall is None or (recall is not None and recall >= best_recall):
             best_recall = recall
             best_round = report.round
-            best_item = server.table.embeddings.copy()
+            best_item = table.embeddings.copy()
             best_user = users.copy()
             best_denoiser = {
                 k: v.copy() for k, v in generator.params.tensors().items()
@@ -223,11 +199,9 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
 
     return TrainResult(
         rounds=rounds,
-        diagnostics=diagnostics,
-        val_recalls=val_recalls,
         best_round=best_round,
         generator=generator,
-        item_table=server.table.embeddings,
+        item_table=table.embeddings,
         user_table=_user_matrix(clients),
         best_item_table=best_item,
         best_user_table=best_user,
@@ -291,73 +265,37 @@ def train_mapper(
     )
 
 
+def _attack_side(
+    cfg: RunConfig,
+    data: PreparedData,
+    method: str,
+    attacked: np.ndarray,
+    regenerations: list[np.ndarray],
+) -> PipelineSide:
+    return attack_side(
+        data.split,
+        data.features,
+        method,
+        attacked,
+        regenerations,
+        seed=cfg.seed,
+        leak=cfg.leak_fraction,
+        attack_epochs=cfg.attack_epochs,
+        attack_lr=cfg.attack_lr,
+        struct_sample_n=cfg.struct_sample_n,
+        n_clusters=data.n_clusters,
+    )
+
+
 def diffusion_side(
     cfg: RunConfig, data: PreparedData, draws: DiffusionDraws
 ) -> PipelineSide:
-    """The generator's half of the inversion comparison, on its ``draws``."""
-    return attack_side(
-        data.split,
-        data.features,
-        "diffusion",
-        draws.attack,
-        draws.mi,
-        seed=cfg.seed,
-        leak=cfg.leak_fraction,
-        attack_epochs=cfg.attack_epochs,
-        attack_lr=cfg.attack_lr,
-    )
+    """The generator's attack results, on its ``draws``."""
+    return _attack_side(cfg, data, "diffusion", draws.attack, draws.mi)
 
 
 def mapper_side(cfg: RunConfig, data: PreparedData, mapper: TwoLayerMLP) -> PipelineSide:
-    """The mapper's half of the inversion comparison. The mapper is
-    deterministic, so each of its ``mi_draws`` regenerations repeats its rows
-    verbatim."""
+    """The mapper's attack results. The mapper is deterministic, so each of
+    its ``mi_draws`` regenerations repeats its rows verbatim."""
     rows = mapper.predict(data.features.rows[list(data.split.cold_items)])
-    return attack_side(
-        data.split,
-        data.features,
-        "mapper",
-        rows,
-        [rows] * cfg.mi_draws,
-        seed=cfg.seed,
-        leak=cfg.leak_fraction,
-        attack_epochs=cfg.attack_epochs,
-        attack_lr=cfg.attack_lr,
-    )
-
-
-@dataclass
-class AttackResult:
-    comparison: PipelineComparison
-    structural_diffusion: np.ndarray
-    structural_mapper: np.ndarray
-
-
-def run_attack(
-    cfg: RunConfig,
-    data: PreparedData,
-    diffusion: PipelineSide,
-    mapper: PipelineSide,
-) -> AttackResult:
-    """The paired inversion attack from the generator's and the mapper's sides.
-
-    Both structural matrices sample the same item subset: the two sampling
-    streams are keyed identically, so the entries are comparable cell by cell.
-    """
-    comparison = compare_pipelines(diffusion, mapper, n_clusters=data.n_clusters)
-    structural = {}
-    for method, recon in (
-        ("diffusion", comparison.recon_diffusion),
-        ("mapper", comparison.recon_mapper),
-    ):
-        structural[method] = structural_similarity_difference(
-            comparison.target_features,
-            recon,
-            sample_n=cfg.struct_sample_n,
-            rng=stream_rng(cfg.seed, "privacy", "struct"),
-        )
-    return AttackResult(
-        comparison=comparison,
-        structural_diffusion=structural["diffusion"],
-        structural_mapper=structural["mapper"],
-    )
+    return _attack_side(cfg, data, "mapper", rows, [rows] * cfg.mi_draws)

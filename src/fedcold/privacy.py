@@ -37,23 +37,6 @@ class AttackReport:
     pearson: float
 
 
-@dataclass
-class PipelineComparison:
-    diffusion: AttackReport
-    mapper: AttackReport
-    mi_diffusion: float
-    mi_mapper: float
-    entropy_diffusion: float
-    entropy_mapper: float
-    fano_diffusion: float | None
-    fano_mapper: float | None
-    # attacked (non-leaked) items: true features and each attacker's output,
-    # kept so callers can build structural-similarity comparisons
-    target_features: np.ndarray = None
-    recon_diffusion: np.ndarray = None
-    recon_mapper: np.ndarray = None
-
-
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     # Zero variance on either side leaves the correlation undefined; score 0.
     sa, sb = np.std(a), np.std(b)
@@ -229,14 +212,15 @@ def draw_diffusion_rows(
 
 @dataclass
 class PipelineSide:
-    """One pipeline's half of the comparison: the inversion attack on its rows
-    and the information its regenerations carry about the features."""
+    """One pipeline's attack results: the inversion attack on its rows, the
+    information its regenerations carry about the features, and how well the
+    reconstruction keeps which items look alike."""
 
     report: AttackReport
-    target_features: np.ndarray  # true features of the attacked items
-    recon: np.ndarray  # the attacker's reconstruction of them
     mi: float
     entropy: float
+    fano: float | None  # known only when the features carry a cluster label
+    structural: np.ndarray  # see ``structural_similarity_difference``
 
 
 def attack_side(
@@ -249,15 +233,21 @@ def attack_side(
     leak: float = 0.2,
     attack_epochs: int = 500,
     attack_lr: float = 0.01,
+    struct_sample_n: int = 20,
+    n_clusters: int | None = None,
 ) -> PipelineSide:
-    """The inversion attack and the MI estimate for one cold-item pipeline.
+    """The inversion attack, the MI estimate, the Fano bound and the
+    structural matrix for one cold-item pipeline.
 
     ``attacked`` holds the pipeline's rows for the cold items, in cold order;
     an attacker trains on the leaked items' rows and reconstructs the rest.
     ``regenerations`` are repeated generations of the same rows, stacked so
     the MI sample count clears the joint-Gaussian row requirement. The leaked
-    subset and the attacker's initialization come from streams keyed by
-    ``seed`` alone, so both pipelines face the same attack.
+    subset, the attacker's initialization and the structural sample come
+    from streams keyed by ``seed`` alone, so both pipelines face the same
+    attack and their structural matrices compare cell by cell. A Fano bound
+    needs a label of at least 2 categories, so it is ``None`` unless
+    ``n_clusters >= 2``.
     """
     cold = list(split.cold_items)
     if len(cold) < 3:
@@ -277,39 +267,17 @@ def attack_side(
     report, recon = attack_and_score(attacker, attacked[target_idx], target, method)
     rows = np.vstack(regenerations)
     feature_rep = np.vstack([cold_features] * len(regenerations))
+    mi = mi_gaussian_estimate(feature_rep, rows)
+    has_label = n_clusters is not None and n_clusters >= 2
     return PipelineSide(
         report=report,
-        target_features=target,
-        recon=recon,
-        mi=mi_gaussian_estimate(feature_rep, rows),
+        mi=mi,
         entropy=gaussian_entropy(rows),
-    )
-
-
-def compare_pipelines(
-    diffusion: PipelineSide, mapper: PipelineSide, n_clusters: int | None = None
-) -> PipelineComparison:
-    """The two sides of the same inversion attack, side by side.
-
-    When the features carry a known discrete label (synthetic clusters), a
-    Fano bound is reported for each side as well.
-    """
-
-    def fano(side: PipelineSide) -> float | None:
-        if n_clusters is None:
-            return None
-        return fano_bound(max(0.0, side.mi), n_clusters)
-
-    return PipelineComparison(
-        diffusion=diffusion.report,
-        mapper=mapper.report,
-        mi_diffusion=diffusion.mi,
-        mi_mapper=mapper.mi,
-        entropy_diffusion=diffusion.entropy,
-        entropy_mapper=mapper.entropy,
-        fano_diffusion=fano(diffusion),
-        fano_mapper=fano(mapper),
-        target_features=diffusion.target_features,
-        recon_diffusion=diffusion.recon,
-        recon_mapper=mapper.recon,
+        fano=fano_bound(max(0.0, mi), n_clusters) if has_label else None,
+        structural=structural_similarity_difference(
+            target,
+            recon,
+            sample_n=struct_sample_n,
+            rng=stream_rng(seed, "privacy", "struct"),
+        ),
     )

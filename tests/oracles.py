@@ -117,7 +117,7 @@ def posterior_mean_from_prediction(
     e0_hat = np.asarray(e0_hat, dtype=np.float64)
     if e_t.shape != e0_hat.shape:
         raise ConfigError(f"e_t shape {e_t.shape} != e0_hat shape {e0_hat.shape}")
-    c_noisy, c_clean, _ = _posterior_coeffs(t, schedule)
+    c_noisy, c_clean = _posterior_coeffs(t, schedule)
     return _broadcast_coeff(c_noisy, e_t) * e_t + _broadcast_coeff(c_clean, e0_hat) * e0_hat
 
 
@@ -129,7 +129,8 @@ def posterior_stats(
     e_t = np.asarray(e_t, dtype=np.float64)
     if e0.shape != e_t.shape:
         raise ConfigError(f"e0 shape {e0.shape} != e_t shape {e_t.shape}")
-    c_noisy, c_clean, var = _posterior_coeffs(t, schedule)
+    c_noisy, c_clean = _posterior_coeffs(t, schedule)
+    var = schedule.sigma2[np.atleast_1d(np.asarray(t))]
     mean = _broadcast_coeff(c_noisy, e_t) * e_t + _broadcast_coeff(c_clean, e0) * e0
     return mean, var if var.size > 1 else var[0]
 

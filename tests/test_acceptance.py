@@ -33,7 +33,6 @@ from fedcold.pipeline import (
     generate_cold,
     mapper_side,
     prepare_data,
-    run_attack,
     run_training,
     train_mapper,
 )
@@ -346,7 +345,7 @@ def test_07_centroid_gap_shrinks(benchmark_runs):
     ratios = []
     for seed in SEEDS:
         _, _, result = benchmark_runs[seed]
-        by_round = {d.round: d.centroid_distance for d in result.diagnostics}
+        by_round = {r.round: r.centroid_distance for r in result.rounds}
         ratios.append(by_round[50] / by_round[5])
     _verdict(
         7,
@@ -366,15 +365,14 @@ def test_08_diffusion_embeddings_resist_inversion(benchmark_runs):
         gen = _best_generator(cfg, data, result)
         mapper = train_mapper(cfg, data, result.best_item_table)
         draws = draw_diffusion_rows(data.split, data.features, gen, cfg.seed, cfg.mi_draws)
-        attack = run_attack(
-            cfg, data, diffusion_side(cfg, data, draws), mapper_side(cfg, data, mapper)
-        )
-        mse_d.append(attack.comparison.diffusion.mse)
-        mse_m.append(attack.comparison.mapper.mse)
-        pe_d.append(abs(attack.comparison.diffusion.pearson))
-        pe_m.append(abs(attack.comparison.mapper.pearson))
-        mi_d.append(attack.comparison.mi_diffusion)
-        mi_m.append(attack.comparison.mi_mapper)
+        diffusion = diffusion_side(cfg, data, draws)
+        mapped = mapper_side(cfg, data, mapper)
+        mse_d.append(diffusion.report.mse)
+        mse_m.append(mapped.report.mse)
+        pe_d.append(abs(diffusion.report.pearson))
+        pe_m.append(abs(mapped.report.pearson))
+        mi_d.append(diffusion.mi)
+        mi_m.append(mapped.mi)
     means = tuple(float(np.mean(v)) for v in (mse_d, mse_m, pe_d, pe_m, mi_d, mi_m))
     passed = means[0] > means[1] and means[2] < means[3] and means[4] < means[5]
     _verdict(

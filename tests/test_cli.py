@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -16,14 +17,9 @@ from fedcold.checkpoint import load_checkpoint, save_checkpoint
 from fedcold.cli import artifact_sha256, main
 from fedcold.config import RunConfig, load_config, parse_config
 from fedcold.errors import ConfigError
+from fedcold.federation import RoundReport
 from fedcold.mlp import TwoLayerMLP
-from fedcold.pipeline import (
-    diffusion_side,
-    mapper_side,
-    prepare_data,
-    run_attack,
-    train_mapper,
-)
+from fedcold.pipeline import diffusion_side, mapper_side, prepare_data, train_mapper
 from fedcold.privacy import draw_diffusion_rows
 
 BASE = {
@@ -440,6 +436,23 @@ def test_rounds_csv_phase_timings_are_masked_and_counters_hashed(
         assert rewrite(column, "7") != first
 
 
+def test_train_csv_headers_cover_every_round_report_field_once(
+    monkeypatch, tmp_path
+):
+    # a RoundReport field added without a column fails here
+    cfg = write_cfg(tmp_path / "run.cfg", rounds=1)
+    assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 0
+    headers = [
+        (tmp_path / "out" / name).read_text().splitlines()[0].split(",")
+        for name in ("rounds.csv", "diagnostics.csv", "validation.csv")
+    ]
+    fields = {f.name for f in dataclasses.fields(RoundReport)}
+    assert "round" in fields and all(header[0] == "round" for header in headers)
+    assert sorted(c for header in headers for c in header[1:]) == sorted(
+        fields - {"round"}
+    )
+
+
 def test_train_rerun_reproduces_rounds_csv(monkeypatch, tmp_path):
     cfg = write_cfg(tmp_path / "det.cfg")
     assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 0
@@ -674,12 +687,13 @@ def test_attack_threaded_equals_a_sequential_oracle(monkeypatch, tmp_path):
     # share no array and no random stream, so overlapping them changes no bit
     cfg_path = _trained(monkeypatch, tmp_path)
     recorded = []
+    write_attack_report = cli._write_attack_report
 
-    def recording_run_attack(*args):
-        recorded.append(run_attack(*args))
-        return recorded[-1]
+    def recording_write(out_dir, sides):
+        recorded.append(sides)
+        return write_attack_report(out_dir, sides)
 
-    monkeypatch.setattr(cli, "run_attack", recording_run_attack)
+    monkeypatch.setattr(cli, "_write_attack_report", recording_write)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads as often as possible
     try:
@@ -689,7 +703,7 @@ def test_attack_threaded_equals_a_sequential_oracle(monkeypatch, tmp_path):
     (threaded,) = recorded
 
     # one thread, in order: mapper fit, save and reload, chains, the
-    # generator's side, the mapper's side, comparison
+    # generator's side, the mapper's side, the report
     cfg = load_config(cfg_path)
     oracle_dir = tmp_path / "oracle"
     oracle_dir.mkdir()
@@ -700,25 +714,17 @@ def test_attack_threaded_equals_a_sequential_oracle(monkeypatch, tmp_path):
     mapper = TwoLayerMLP.from_tensors(load_checkpoint(str(oracle_dir / "mapper.ckpt")))
     generator = cli._load_generator(cfg, data)
     draws = draw_diffusion_rows(data.split, data.features, generator, cfg.seed, cfg.mi_draws)
-    diffusion = diffusion_side(cfg, data, draws)
-    oracle = run_attack(cfg, data, diffusion, mapper_side(cfg, data, mapper))
-    cli._write_attack_report(str(oracle_dir), cfg.struct_sample_n, oracle)
+    oracle = [diffusion_side(cfg, data, draws), mapper_side(cfg, data, mapper)]
+    write_attack_report(str(oracle_dir), oracle)
 
     for name in ATTACK_FILES:
         assert (tmp_path / "out" / name).read_bytes() == (oracle_dir / name).read_bytes()
-    ours, theirs = threaded.comparison, oracle.comparison
-    assert (ours.diffusion, ours.mapper) == (theirs.diffusion, theirs.mapper)
-    assert (ours.mi_diffusion, ours.mi_mapper) == (theirs.mi_diffusion, theirs.mi_mapper)
-    assert (ours.entropy_diffusion, ours.entropy_mapper) == (
-        theirs.entropy_diffusion, theirs.entropy_mapper
-    )
-    assert (ours.fano_diffusion, ours.fano_mapper) == (
-        theirs.fano_diffusion, theirs.fano_mapper
-    )
-    for name in ("target_features", "recon_diffusion", "recon_mapper"):
-        np.testing.assert_array_equal(getattr(ours, name), getattr(theirs, name))
-    for name in ("structural_diffusion", "structural_mapper"):
-        np.testing.assert_array_equal(getattr(threaded, name), getattr(oracle, name))
+    assert [s.report.method for s in threaded] == ["diffusion", "mapper"]
+    for ours, theirs in zip(threaded, oracle, strict=True):
+        assert ours.report == theirs.report
+        assert (ours.mi, ours.entropy) == (theirs.mi, theirs.entropy)
+        assert ours.fano == theirs.fano
+        np.testing.assert_array_equal(ours.structural, theirs.structural)
 
 
 def test_attack_errors_on_either_thread_exit_one_after_the_join(
@@ -755,6 +761,26 @@ def test_attack_errors_on_either_thread_exit_one_after_the_join(
     assert capsys.readouterr().err.splitlines() == ["fedcold attack: chains failed"]
     assert not (tmp_path / "out/mapper.ckpt").exists()
     assert threading.active_count() == threads
+
+    # the generator's structural sample fails before the join: 5 items attacked
+    monkeypatch.setattr(cli, "train_mapper", train_mapper)
+    monkeypatch.setattr(cli, "draw_diffusion_rows", draw_diffusion_rows)
+    big = write_cfg(tmp_path / "big.cfg", struct_sample_n=10)
+    assert run(monkeypatch, tmp_path, "attack", "--config", big) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["fedcold attack: need at least 10 items, got 5"]
+    assert not (tmp_path / "out/mapper.ckpt").exists()
+    assert threading.active_count() == threads
+
+
+def test_attack_on_one_cluster_reports_no_fano_bound(monkeypatch, tmp_path):
+    # a Fano bound needs a label of at least 2 categories
+    cfg = _trained(monkeypatch, tmp_path, synthetic_clusters=1)
+    assert run(monkeypatch, tmp_path, "attack", "--config", cfg) == 0
+    with open(tmp_path / "out/attack_report.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["method"] for row in rows] == ["diffusion", "mapper"]
+    assert [row["fano_lower_bound"] for row in rows] == ["", ""]
 
 
 def test_attack_full_leak_rejected(monkeypatch, tmp_path, capsys):

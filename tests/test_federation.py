@@ -17,7 +17,6 @@ from fedcold.diffusion import DenoisingGenerator, build_schedule, init_denoiser
 from fedcold.errors import ConfigError
 from fedcold.federation import (
     ClientUpload,
-    GlobalItemTable,
     UploadRows,
     aggregate,
     apply_ldp,
@@ -91,9 +90,9 @@ def small_setup(seed=0, n_users=12, n_items=15, dim=8):
     )
     dataset, features = generate_synthetic(config)
     split = split_items(dataset, seed=seed)
-    server, clients = init_simulation(split, config)
+    item_table, clients = init_simulation(split, config)
     table = FeatureTable(dim=6, rows=features)
-    return split, config, server, clients, table
+    return split, config, item_table, clients, table
 
 
 def make_generator(dim, cond_dim, seed=0):
@@ -155,16 +154,16 @@ def one_user_toy():
         test_interactions=[],
     )
     config = RunConfig(rounds=1, negatives_per_positive=1, dim=4, seed=7)
-    server, clients = init_simulation(split, config)
-    return split, config, server, clients
+    item_table, clients = init_simulation(split, config)
+    return split, config, item_table, clients
 
 
 def test_one_epoch_decreases_training_loss():
-    _, config, server, clients = one_user_toy()
+    _, config, item_table, clients = one_user_toy()
     client = clients[0]
     assert list(client.warm_positives) == [0]
     assert list(client.negative_pool) == [1]  # only possible negative
-    table = server.table.embeddings
+    table = item_table.embeddings
 
     def current_loss():
         pos, neg = score_items(client.user_embedding, table[:2])
@@ -183,10 +182,10 @@ def test_one_epoch_decreases_training_loss():
 
 
 def test_client_touches_only_positives_and_negatives():
-    split, config, server, clients, _ = small_setup()
+    split, config, item_table, clients, _ = small_setup()
     client = next(c for c in clients if c.warm_positives.size > 0)
     rng = stream_rng(0, "client", 1, client.user_id)
-    [rows], _ = train_clients_lockstep([client], server.table.embeddings, [rng], config)
+    [rows], _ = train_clients_lockstep([client], item_table.embeddings, [rng], config)
     touched = set(rows)
     allowed = set(int(i) for i in client.warm_positives) | set(
         int(i) for i in client.negative_pool
@@ -226,8 +225,8 @@ def test_apply_ldp_deterministic():
 
 
 def test_aggregate_mean_and_carry_over():
-    table = GlobalItemTable(embeddings=np.zeros((4, 3)))
-    table.embeddings[3] = 9.0
+    table = np.zeros((4, 3))
+    table[3] = 9.0
     uploads = [
         ClientUpload(
             user_id=1, rows=upload_rows({0: np.full(3, 2.0), 1: np.full(3, 4.0)})
@@ -235,26 +234,26 @@ def test_aggregate_mean_and_carry_over():
         ClientUpload(user_id=0, rows=upload_rows({0: np.full(3, 6.0)})),
     ]
     out = aggregate(table, uploads)
-    assert np.allclose(out.embeddings[0], 4.0)  # mean of 2 and 6
-    assert np.allclose(out.embeddings[1], 4.0)  # single uploader copied
-    assert np.allclose(out.embeddings[3], 9.0)  # untouched row carried over
+    assert np.allclose(out[0], 4.0)  # mean of 2 and 6
+    assert np.allclose(out[1], 4.0)  # single uploader copied
+    assert np.allclose(out[3], 9.0)  # untouched row carried over
 
 
 def test_aggregate_permutation_invariant_exactly():
     rng = stream_rng(4, "agg-perm")
-    table = GlobalItemTable(embeddings=rng.standard_normal((3, 5)))
+    table = rng.standard_normal((3, 5))
     ups = [
         ClientUpload(user_id=u, rows=upload_rows({1: rng.standard_normal(5)}))
         for u in range(7)
     ]
     out1 = aggregate(table, ups)
     out2 = aggregate(table, list(reversed(ups)))
-    assert np.array_equal(out1.embeddings, out2.embeddings)
+    assert np.array_equal(out1, out2)
 
 
 def test_aggregate_equals_mean_of_stack_bitwise():
     rng = stream_rng(5, "agg-mean")
-    table = GlobalItemTable(embeddings=rng.standard_normal((6, 7)))
+    table = rng.standard_normal((6, 7))
     uploads = [
         ClientUpload(
             user_id=u,
@@ -268,7 +267,7 @@ def test_aggregate_equals_mean_of_stack_bitwise():
     for item in range(6):
         rows = [up.rows[item] for up in uploads if item in up.rows]
         assert len(rows) >= 3
-        assert np.array_equal(out.embeddings[item], np.mean(np.stack(rows), axis=0))
+        assert np.array_equal(out[item], np.mean(np.stack(rows), axis=0))
 
 
 def oracle_uploads(clients, table, config, seed, round_index):
@@ -296,18 +295,18 @@ def assert_rows_equal(got, want):
 @pytest.mark.parametrize("seed", [0, 3, 7, 12])
 @pytest.mark.parametrize("ldp_scale", [0.0, 0.7])
 def test_lockstep_kernel_equals_scalar_oracle_bitwise(seed, ldp_scale):
-    split, config, server, clients, _ = small_setup(
+    split, config, item_table, clients, _ = small_setup(
         seed, n_users=100, n_items=60, dim=64
     )
     config = dataclasses.replace(config, ldp_scale=ldp_scale)
     clients[1].warm_positives = np.zeros(0, np.int64)  # a client with no examples
     # spread the scores over (0, 1): near ln 2 the vector log and dot product
     # rarely differ from the scalar ones in the last bit
-    server.table.embeddings *= 30.0
+    item_table.embeddings *= 30.0
     for c in clients:
         c.user_embedding *= 30.0
     twins = copy.deepcopy(clients)
-    table = server.table.embeddings
+    table = item_table.embeddings
     before = table.copy()
     rngs = [stream_rng(seed, "client", 1, c.user_id) for c in clients]
     rows, losses = train_clients_lockstep(clients, table, rngs, config)
@@ -329,7 +328,7 @@ def oracle_table(table, clients, config, round_index):
         for c, r in zip(clients, rows)
         if r
     ]
-    return aggregate(GlobalItemTable(embeddings=table), uploads).embeddings, losses
+    return aggregate(table, uploads), losses
 
 
 def recorded_uploads(monkeypatch):
@@ -345,17 +344,17 @@ def recorded_uploads(monkeypatch):
 
 
 def test_run_round_sampled_clients_match_scalar_oracle_bitwise(monkeypatch):
-    split, config, server, clients, _ = small_setup(seed=9, n_users=40, dim=64)
+    split, config, item_table, clients, _ = small_setup(seed=9, n_users=40, dim=64)
     config = dataclasses.replace(config, client_sample_ratio=0.4, ldp_scale=0.5)
     twins = copy.deepcopy(clients)
-    table = server.table.embeddings.copy()
+    table = item_table.embeddings.copy()
     calls = recorded_uploads(monkeypatch)
-    report = run_round(server, clients, None, None, split, config)
+    report = run_round(item_table, clients, None, None, split, config)
     [uploads] = calls
     sampled = [twins[up.user_id] for up in uploads]
     assert 0 < len(sampled) < len(clients)
     want_table, want_losses = oracle_table(table, sampled, config, 1)
-    assert np.array_equal(server.table.embeddings, want_table)
+    assert np.array_equal(item_table.embeddings, want_table)
     kept = [loss for c, loss in zip(sampled, want_losses) if c.warm_positives.size]
     assert report.mean_client_loss == float(np.mean(kept))
     for c, twin in zip(clients, twins):
@@ -363,12 +362,12 @@ def test_run_round_sampled_clients_match_scalar_oracle_bitwise(monkeypatch):
 
 
 def test_lockstep_small_negative_pool_names_the_user():
-    split, config, server, clients, _ = small_setup(seed=1)
+    split, config, item_table, clients, _ = small_setup(seed=1)
     client = next(c for c in clients if c.warm_positives.size > 0)
     client.negative_pool = client.negative_pool[:1]
     rngs = [stream_rng(1, "client", 1, c.user_id) for c in clients]
     with pytest.raises(ConfigError, match=f"user {client.user_id}:"):
-        train_clients_lockstep(clients, server.table.embeddings, rngs, config)
+        train_clients_lockstep(clients, item_table.embeddings, rngs, config)
 
 
 def pool_clients(n_clients, positives, pool, pool_sizes=None):
@@ -456,7 +455,7 @@ def test_sample_negatives_largest_uniform_stays_in_range(pool_size):
 
 
 def test_negative_pools_keep_warm_order():
-    split, config, server, clients, _ = small_setup(seed=2)
+    split, config, item_table, clients, _ = small_setup(seed=2)
     split.warm_items.reverse()
     _, clients = init_simulation(split, config)
     by_user = split.dataset.by_user()
@@ -475,23 +474,23 @@ def test_light_mode_cadence():
 
 
 def test_run_round_light_mode_counts():
-    split, config, server, clients, feats = small_setup()
+    split, config, item_table, clients, feats = small_setup()
     config = dataclasses.replace(config, light_mode=True, rounds=10)
     gen = make_generator(config.dim, feats.dim)
     events = 0
     for _ in range(10):
-        report = run_round(server, clients, gen, feats, split, config)
+        report = run_round(item_table, clients, gen, feats, split, config)
         if report.diffusion_loss is not None:
             events += 1
     assert events == 5
 
 
 def test_run_round_two_rounds_one_diffusion_event_in_light_mode():
-    split, config, server, clients, feats = small_setup()
+    split, config, item_table, clients, feats = small_setup()
     config = dataclasses.replace(config, light_mode=True)
     gen = make_generator(config.dim, feats.dim)
-    r1 = run_round(server, clients, gen, feats, split, config)
-    r2 = run_round(server, clients, gen, feats, split, config)
+    r1 = run_round(item_table, clients, gen, feats, split, config)
+    r2 = run_round(item_table, clients, gen, feats, split, config)
     assert r1.diffusion_loss is not None
     assert r2.diffusion_loss is None
 
@@ -499,42 +498,42 @@ def test_run_round_two_rounds_one_diffusion_event_in_light_mode():
 def test_run_round_deterministic_simulation():
     tables = []
     for _ in range(2):
-        split, config, server, clients, feats = small_setup(seed=5)
+        split, config, item_table, clients, feats = small_setup(seed=5)
         config = dataclasses.replace(config, seed=11)
         gen = make_generator(config.dim, feats.dim, seed=5)
         for _ in range(3):
-            run_round(server, clients, gen, feats, split, config)
-        tables.append(server.table.embeddings.copy())
+            run_round(item_table, clients, gen, feats, split, config)
+        tables.append(item_table.embeddings.copy())
     assert np.array_equal(tables[0], tables[1])
 
 
 def test_run_round_cold_rows_never_touched():
-    split, config, server, clients, feats = small_setup(seed=2)
+    split, config, item_table, clients, feats = small_setup(seed=2)
     config = dataclasses.replace(config, seed=3)
     cold = np.array(split.cold_items)
-    initial_cold = server.table.embeddings[cold].copy()
+    initial_cold = item_table.embeddings[cold].copy()
     gen = make_generator(config.dim, feats.dim)
     for _ in range(3):
-        run_round(server, clients, gen, feats, split, config)
-        assert np.array_equal(server.table.embeddings[cold], initial_cold)
+        run_round(item_table, clients, gen, feats, split, config)
+        assert np.array_equal(item_table.embeddings[cold], initial_cold)
 
 
 def test_run_round_full_participation_uploads():
-    split, config, server, clients, feats = small_setup(seed=4)
+    split, config, item_table, clients, feats = small_setup(seed=4)
     twins = copy.deepcopy(clients)
-    table = server.table.embeddings.copy()
-    run_round(server, clients, None, feats, split, config)
+    table = item_table.embeddings.copy()
+    run_round(item_table, clients, None, feats, split, config)
     want_table, _ = oracle_table(table, twins, config, 1)
-    assert np.array_equal(server.table.embeddings, want_table)
+    assert np.array_equal(item_table.embeddings, want_table)
     for c, twin in zip(clients, twins):
         assert np.array_equal(c.user_embedding, twin.user_embedding)
 
 
 def test_run_round_client_sampling_ratio(monkeypatch):
-    split, config, server, clients, feats = small_setup(seed=6)
+    split, config, item_table, clients, feats = small_setup(seed=6)
     config = dataclasses.replace(config, client_sample_ratio=0.5)
     calls = recorded_uploads(monkeypatch)
-    run_round(server, clients, None, feats, split, config)
+    run_round(item_table, clients, None, feats, split, config)
     [uploads] = calls
     assert len(uploads) == math.ceil(0.5 * len(clients))
     uploaded_users = [u.user_id for u in uploads]
@@ -542,8 +541,8 @@ def test_run_round_client_sampling_ratio(monkeypatch):
 
 
 def test_mean_client_loss_positive():
-    split, config, server, clients, feats = small_setup(seed=8)
-    report = run_round(server, clients, None, feats, split, config)
+    split, config, item_table, clients, feats = small_setup(seed=8)
+    report = run_round(item_table, clients, None, feats, split, config)
     assert report.mean_client_loss > 0
     assert report.round == 1
     assert report.seconds >= 0

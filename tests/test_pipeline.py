@@ -36,9 +36,9 @@ def train_with_recalls(monkeypatch, recalls):
     scripted = iter(recalls)
     run_round = pipeline.run_round
 
-    def recording_run_round(server, *args):
-        report = run_round(server, *args)
-        tables.append(server.table.embeddings.copy())
+    def recording_run_round(table, *args):
+        report = run_round(table, *args)
+        tables.append(table.embeddings.copy())
         return report
 
     def scripted_evaluate(user_matrix, items, rows, by_user, ks):
@@ -59,7 +59,7 @@ def train_with_recalls(monkeypatch, recalls):
 def test_best_round_is_the_latest_maximum(monkeypatch):
     recalls = [0.2, None, 0.5, 0.5, 0.1]
     result, tables, users = train_with_recalls(monkeypatch, recalls)
-    assert result.val_recalls == recalls
+    assert [r.val_recall for r in result.rounds] == recalls
     assert result.best_round == 4
     np.testing.assert_array_equal(result.best_item_table, tables[3])
     np.testing.assert_array_equal(result.best_user_table, users[3])

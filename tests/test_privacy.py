@@ -16,7 +16,6 @@ from fedcold.numerics import stream_rng
 from fedcold.privacy import (
     attack_and_score,
     attack_side,
-    compare_pipelines,
     draw_diffusion_rows,
     fano_bound,
     gaussian_entropy,
@@ -269,14 +268,15 @@ def _comparison_setup():
     return split, table, generator, mapper
 
 
-def _compare(split, table, generator, mapper, seed, n_clusters=None, **kwargs):
-    """Both sides of the comparison, as ``fedcold attack`` computes them."""
+def _compare(split, table, generator, mapper, seed, **kwargs):
+    """Both sides of the comparison, as ``fedcold attack`` computes them; the
+    setup attacks 7 items, so the structural sample is 5 of them."""
     draws = draw_diffusion_rows(split, table, generator, seed, 4)
     rows = mapper.predict(table.rows[split.cold_items])
-    return compare_pipelines(
+    kwargs["struct_sample_n"] = 5
+    return (
         attack_side(split, table, "diffusion", draws.attack, draws.mi, seed, **kwargs),
         attack_side(split, table, "mapper", rows, [rows] * 4, seed, **kwargs),
-        n_clusters=n_clusters,
     )
 
 
@@ -285,30 +285,27 @@ def test_compare_pipelines_deterministic_and_labeled():
     kwargs = dict(leak=0.25, attack_epochs=40, attack_lr=0.05)
     first = _compare(split, table, generator, mapper, 5, **kwargs)
     second = _compare(split, table, generator, mapper, 5, **kwargs)
-    assert first.diffusion == second.diffusion
-    assert first.mapper == second.mapper
-    assert (first.mi_diffusion, first.mi_mapper) == (second.mi_diffusion, second.mi_mapper)
-    assert (first.entropy_diffusion, first.entropy_mapper) == (
-        second.entropy_diffusion, second.entropy_mapper
-    )
-    np.testing.assert_array_equal(first.recon_diffusion, second.recon_diffusion)
-    np.testing.assert_array_equal(first.recon_mapper, second.recon_mapper)
-    np.testing.assert_array_equal(first.target_features, second.target_features)
-    assert first.diffusion.method == "diffusion"
-    assert first.mapper.method == "mapper"
-    assert first.fano_diffusion is None and first.fano_mapper is None
-    assert math.isfinite(first.mi_diffusion) and math.isfinite(first.mi_mapper)
-    assert first.recon_diffusion.shape == first.target_features.shape
+    for ours, theirs in zip(first, second):
+        assert ours.report == theirs.report
+        assert ours.mi == theirs.mi
+        assert ours.entropy == theirs.entropy
+        np.testing.assert_array_equal(ours.structural, theirs.structural)
+    diffusion, mapper_side = first
+    assert diffusion.report.method == "diffusion"
+    assert mapper_side.report.method == "mapper"
+    assert diffusion.fano is None and mapper_side.fano is None
+    assert math.isfinite(diffusion.mi) and math.isfinite(mapper_side.mi)
+    assert diffusion.structural.shape == mapper_side.structural.shape == (5, 5)
 
 
 def test_compare_pipelines_fano_with_clusters():
     split, table, generator, mapper = _comparison_setup()
-    result = _compare(
+    sides = _compare(
         split, table, generator, mapper, 6,
         n_clusters=3, leak=0.25, attack_epochs=10, attack_lr=0.05,
     )
-    assert 0.0 <= result.fano_diffusion <= 1.0
-    assert 0.0 <= result.fano_mapper <= 1.0
+    for side in sides:
+        assert 0.0 <= side.fano <= 1.0
 
 
 def test_compare_pipelines_leak_bounds():
