@@ -31,6 +31,7 @@ from .config import CONDITION_MODES, RunConfig, config_help, load_config
 from .data import save_interactions
 from .diffusion import DenoisingGenerator
 from .errors import ConfigError, FedcoldError
+from .federation import RoundReport
 from .mlp import TwoLayerMLP
 from .pipeline import (
     EvalResult,
@@ -272,7 +273,20 @@ def cmd_gen_data(cfg: RunConfig) -> list[str]:
     return names
 
 
-def cmd_train(cfg: RunConfig) -> list[str]:
+def _print_progress(report: RoundReport, rounds: int) -> None:
+    """One stderr line for a finished round; nothing it prints is an artifact."""
+    recall = "n/a" if report.val_recall is None else f"{report.val_recall:.4f}"
+    seconds = report.seconds + report.chain_seconds + report.val_seconds
+    print(
+        f"fedcold train: round {report.round}/{rounds} "
+        f"loss {report.mean_client_loss:.4f} val_recall {recall} "
+        f"seconds {seconds:.3f}",
+        file=sys.stderr,
+        flush=True,
+    )
+
+
+def cmd_train(cfg: RunConfig, progress: bool = False) -> list[str]:
     os.makedirs(cfg.out_dir, exist_ok=True)
     data = prepare_data(cfg)
     n_val = len(data.split.val_items)
@@ -282,7 +296,8 @@ def cmd_train(cfg: RunConfig) -> list[str]:
             "so validation recall saturates and the best round is the last",
             file=sys.stderr,
         )
-    result = run_training(cfg, data)
+    on_round = (lambda r: _print_progress(r, cfg.rounds)) if progress else None
+    result = run_training(cfg, data, on_round)
     save_checkpoint(
         _ckpt(cfg.out_dir, "item_embeddings"), {"item_embeddings": result.item_table}
     )
@@ -559,6 +574,12 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for name in ("gen-data", "train", "infer", "eval", "attack"):
         _add_common(commands.add_parser(name))
+    commands.choices["train"].add_argument(
+        "--progress",
+        action="store_true",
+        help="print one stderr line per round: round, mean client loss, "
+        "validation recall and seconds",
+    )
     sweep = commands.add_parser("sweep")
     _add_common(sweep)
     sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
@@ -595,7 +616,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen-data":
             cmd_gen_data(cfg)
         elif args.command == "train":
-            cmd_train(cfg)
+            cmd_train(cfg, progress=args.progress)
         elif args.command == "infer":
             cmd_infer(cfg)
         elif args.command == "eval":

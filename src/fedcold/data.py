@@ -34,22 +34,12 @@ class Dataset:
     timestamps: list[float] | None = None
     user_ids: list[str] = field(default_factory=list)
     item_ids: list[str] = field(default_factory=list)
-    _by_user: dict[int, set[int]] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.user_ids:
             self.user_ids = [str(u) for u in range(self.n_users)]
         if not self.item_ids:
             self.item_ids = [str(i) for i in range(self.n_items)]
-
-    def by_user(self) -> dict[int, set[int]]:
-        """Item set per user, computed once and cached."""
-        if self._by_user is None:
-            index: dict[int, set[int]] = {u: set() for u in range(self.n_users)}
-            for u, i in self.interactions:
-                index[u].add(i)
-            self._by_user = index
-        return self._by_user
 
 
 @dataclass

@@ -11,13 +11,14 @@ central differences in the tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .checkpoint import require_tensors
 from .errors import ConfigError
-from .numerics import Adam, affine, softmax_rows, stream_rng
+from .numerics import Adam, affine, rekey, softmax_rows
 
 INFERENCE_MODES = ("deterministic_mean", "stochastic")
 
@@ -469,22 +470,31 @@ class DenoisingGenerator:
         conditions: np.ndarray | None,
         seed: int,
         mode: str = "deterministic_mean",
-        stream_label: str = "infer",
+        stream_label: str | Sequence[str] = "infer",
     ) -> np.ndarray:
         """Generate embeddings for a list of items, one RNG stream per item.
 
-        Per-item streams make each generated row independent of which other
-        items are in the batch, while the denoiser itself runs vectorized
-        across items.  What no step changes is computed once per chain: the
-        condition key, the timestep encodings, the posterior coefficients,
-        and each item's noise, drawn from its stream in one call (the same
-        numbers, in the same order, as one draw per step).  Every step runs
-        in one forward workspace and updates ``x`` in place.
+        Row ``i`` draws from stream ``(seed, label_i, item_i)``, where
+        ``stream_label`` is one label for every row or one label per row.
+        Per-row streams make each generated row independent of which other
+        rows share the chain, so sets of items with their own labels run as
+        one chain, while the denoiser itself runs vectorized across rows.
+        What no step changes is computed once per chain: the condition key,
+        the timestep encodings, the posterior coefficients, and each row's
+        noise, drawn from its stream in one call (the same numbers, in the
+        same order, as one draw per step), the streams taking turns in one
+        re-keyed generator.  Every step runs in one forward workspace and
+        updates ``x`` in place.
         """
         if mode not in INFERENCE_MODES:
             raise ConfigError(f"unknown inference mode {mode!r}")
         item_ids = list(item_ids)
         n = len(item_ids)
+        labels = (
+            [stream_label] * n if isinstance(stream_label, str) else list(stream_label)
+        )
+        if len(labels) != n:
+            raise ConfigError(f"{n} items but {len(labels)} stream labels")
         p, steps = self.params, self.schedule.steps
         width = p.width
         if n == 0:
@@ -502,8 +512,10 @@ class DenoisingGenerator:
         # at k = steps + 1 - t
         draws = 1 if mode == "deterministic_mean" else steps
         noise = np.empty((n, draws, width))
-        for i, item in enumerate(item_ids):
-            stream_rng(seed, stream_label, item).standard_normal(out=noise[i])
+        rng = None
+        for i, (label, item) in enumerate(zip(labels, item_ids)):
+            rng = rekey(rng, seed, label, item)
+            rng.standard_normal(out=noise[i])
         timesteps = np.arange(1, steps + 1)
         encodings = sinusoidal_encoding(timesteps, width)
         c_noisy, c_clean = _posterior_coeffs(timesteps, self.schedule)

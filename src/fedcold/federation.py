@@ -31,7 +31,7 @@ from .data import SplitDataset
 from .diffusion import DenoisingGenerator
 from .errors import ConfigError
 from .modality import FeatureTable
-from .numerics import sigmoid, stream_rng
+from .numerics import rekey, sigmoid, stream_rng
 
 PROB_CLAMP = 1e-12
 INIT_STD = 0.01
@@ -43,12 +43,15 @@ class ClientState:
 
     ``warm_positives`` are the user's training items and ``negative_pool``
     the warm items they never interacted with, both fixed for the run.
+    ``rng`` is the client's one generator, built on first use and re-keyed to
+    the client's stream of each round it is sampled in.
     """
 
     user_id: int
     user_embedding: np.ndarray
     warm_positives: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     negative_pool: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
 
 class UploadRows(Mapping):
@@ -97,11 +100,12 @@ class RoundReport:
 
     ``seconds`` spans ``run_round``: denoiser epochs, then the client phase
     split into negative draws, the lockstep kernel, upload noise and
-    aggregation. The training loop runs the diagnostic and validation chains
-    and the validation scoring after the round and records their times in
-    ``chain_seconds`` and ``val_seconds``, the validation recall in
+    aggregation. After the round the training loop runs one reverse chain
+    over the cold and the validation items, whose cold rows are the round's
+    diagnostic rows, and scores the validation rows; it records their times
+    in ``chain_seconds`` and ``val_seconds``, the validation recall in
     ``val_recall`` (``None`` when no user was evaluable), and the warm/cold
-    distribution distances of the diagnostic chain. The counters are
+    distribution distances of the cold rows. The counters are
     deterministic: rows uploaded over all clients, the distinct items among
     them, and the bytes of those float64 rows.
     """
@@ -130,30 +134,45 @@ def score_items(user_embedding: np.ndarray, item_rows: np.ndarray) -> np.ndarray
     return sigmoid(item_rows @ user_embedding)
 
 
+def _user_item_mask(
+    interactions: list[tuple[int, int]], n_users: int, n_items: int
+) -> np.ndarray:
+    """Boolean ``(n_users, n_items)`` matrix, True at every interaction."""
+    mask = np.zeros((n_users, n_items), dtype=bool)
+    pairs = np.array(interactions, dtype=np.int64).reshape(-1, 2)
+    mask[pairs[:, 0], pairs[:, 1]] = True
+    return mask
+
+
 def init_simulation(
     split: SplitDataset, config: RunConfig
 ) -> tuple[GlobalItemTable, list[ClientState]]:
-    """Gaussian-initialized item table and clients with static training pools."""
+    """Gaussian-initialized item table and clients with static training pools.
+
+    The ``init`` stream draws the item table, then one user matrix, whose
+    rows are the same numbers as one draw per user in user order; each client
+    keeps its row. A client's positives are its training items in ascending
+    order, and its negative pool the warm items, in warm order, that it never
+    interacted with.
+    """
     ds = split.dataset
     rng = stream_rng(config.seed, "init")
     table = GlobalItemTable(
         embeddings=INIT_STD * rng.standard_normal((ds.n_items, config.dim))
     )
-    train_by_user = split.train_items_by_user()
+    users = INIT_STD * rng.standard_normal((ds.n_users, config.dim))
     warm = np.array(split.warm_items, dtype=np.int64)
-    clients = []
-    for u in range(ds.n_users):
-        positives = np.array(sorted(train_by_user.get(u, ())), dtype=np.int64)
-        interacted = np.fromiter(ds.by_user()[u], dtype=np.int64)
-        pool = warm[~np.isin(warm, interacted)]  # keeps the warm order
-        clients.append(
-            ClientState(
-                user_id=u,
-                user_embedding=INIT_STD * rng.standard_normal(config.dim),
-                warm_positives=positives,
-                negative_pool=pool,
-            )
+    trained = _user_item_mask(split.train_interactions, ds.n_users, ds.n_items)
+    pools = ~_user_item_mask(ds.interactions, ds.n_users, ds.n_items)[:, warm]
+    clients = [
+        ClientState(
+            user_id=u,
+            user_embedding=users[u],
+            warm_positives=np.flatnonzero(trained[u]),
+            negative_pool=warm[pools[u]],
         )
+        for u in range(ds.n_users)
+    ]
     return table, clients
 
 
@@ -213,6 +232,31 @@ def _round_buffer(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.take(table, ids, axis=0, out=buffer.reshape(rows, dim), mode="clip")
 
 
+def buffer_index(
+    sequences: list[np.ndarray], n_items: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The round buffer's rows, each client's block of them, and every example's row.
+
+    Each client's block holds its touched items in ascending order, and the
+    blocks follow in client order. One ``np.unique`` over the keys
+    ``client * n_items + item`` of every example yields exactly those rows,
+    and its inverse is each example's buffer row, in the order of the
+    concatenated ``sequences``. The keys are int32 while every key fits and
+    int64 otherwise. Returns the item of each buffer row, the ``len(sequences)
+    + 1`` block bounds and the inverse.
+    """
+    n_clients = len(sequences)
+    dtype = np.int32 if n_clients * n_items < 2**31 else np.int64
+    lengths = [s.size for s in sequences]
+    keys = np.repeat(np.arange(n_clients, dtype=dtype) * dtype(n_items), lengths)
+    keys += np.concatenate([np.zeros(0, dtype), *sequences], dtype=dtype)
+    rows, inverse = np.unique(keys, return_inverse=True)
+    owners = rows // dtype(n_items)
+    bounds = np.searchsorted(owners, np.arange(n_clients + 1))
+    items = (rows - owners * dtype(n_items)).astype(np.int64)
+    return items, bounds, inverse
+
+
 def train_clients_lockstep(
     clients: list[ClientState],
     table: np.ndarray,
@@ -246,16 +290,12 @@ def train_clients_lockstep(
         for c, negs in zip(clients, negatives)
     ]
     lengths = np.array([s.size for s in sequences])
+    items, bounds, inverse = buffer_index(sequences, table.shape[0])
     # slots[j, c]: buffer row of client c's j-th example
-    slots = np.zeros((int(lengths.max(initial=0)), len(clients)), dtype=np.int32)
-    items_of = []
-    offset = 0
-    for c, sequence in enumerate(sequences):
-        items, slot = np.unique(sequence, return_inverse=True)
-        items_of.append(items)
-        slots[: slot.size, c] = offset + slot
-        offset += items.size
-    buffer = _round_buffer(table, np.concatenate(items_of))
+    steps = np.arange(int(lengths.max(initial=0)))
+    slots = np.zeros((steps.size, len(clients)), dtype=np.int32)
+    slots.T[steps < lengths[:, None]] = inverse
+    buffer = _round_buffer(table, items)
     users = np.stack([c.user_embedding for c in clients])
     loss_sums = np.zeros(len(clients))
     for j in range(slots.shape[0]):
@@ -277,10 +317,9 @@ def train_clients_lockstep(
     for client, user, n in zip(clients, users, lengths):
         if n:
             client.user_embedding[...] = user
-    bounds = np.cumsum([0, *(items.size for items in items_of)])
     uploads = [
-        UploadRows(items, buffer[bounds[c] : bounds[c + 1]])
-        for c, items in enumerate(items_of)
+        UploadRows(items[lo:hi], buffer[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     losses = [float(s / n) if n else 0.0 for s, n in zip(loss_sums, lengths)]
     if seconds is not None:
@@ -378,7 +417,9 @@ def run_round(
     if not sampled:
         raise ConfigError("no clients sampled this round")
 
-    rngs = [stream_rng(seed, "client", round_index, c.user_id) for c in sampled]
+    for c in sampled:
+        c.rng = rekey(c.rng, seed, "client", round_index, c.user_id)
+    rngs = [c.rng for c in sampled]
     phase: dict[str, float] = {}
     rows, losses = train_clients_lockstep(
         sampled, table.embeddings, rngs, config, seconds=phase

@@ -8,6 +8,7 @@ named substreams, so a seed plus a resolved config reproduces every result.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,15 +121,21 @@ def _user_matrix(clients) -> np.ndarray:
     return np.stack([c.user_embedding for c in clients])
 
 
-def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
+def run_training(
+    cfg: RunConfig,
+    data: PreparedData,
+    on_round: Callable[[RoundReport], None] | None = None,
+) -> TrainResult:
     """Federated rounds with per-round diagnostics and validation tracking.
 
     After each round the table, the user embeddings and the losses must be
-    finite.  Cold and validation embeddings are generated in deterministic mode
-    from per-round streams, so running them does not perturb the training
-    trajectory.  The best round is the latest maximum of validation recall at
+    finite.  Cold and validation embeddings are generated in deterministic mode,
+    in one chain per round whose cold rows draw from ``diag{round}`` streams
+    and validation rows from ``val{round}`` streams, so running them does not
+    perturb the training trajectory.  The best round is the latest maximum of validation recall at
     ``val_k``; until a round has an evaluable user, every round is the best so
-    far.
+    far.  ``on_round``, if given, is called with each round's completed
+    report.
     """
     generator = build_generator(cfg, data.features.dim)
     table, clients = init_simulation(data.split, cfg)
@@ -136,8 +143,9 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
     cold = data.split.cold_items
     val_items = data.split.val_items
     val_by_user = data.split.val_items_by_user()
-    cold_conditions = data.features.rows[cold]
-    val_conditions = data.features.rows[val_items]
+    # one chain per round over the cold items, then the validation items
+    chain_items = cold + val_items
+    chain_conditions = data.features.rows[chain_items]
 
     rounds: list[RoundReport] = []
     best_round = 0
@@ -158,20 +166,15 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
         )
 
         chain_start = time.perf_counter()
-        cold_rows = generator.generate(
-            cold,
-            cold_conditions,
+        rows = generator.generate(
+            chain_items,
+            chain_conditions,
             cfg.seed,
             mode="deterministic_mean",
-            stream_label=f"diag{report.round}",
+            stream_label=[f"diag{report.round}"] * len(cold)
+            + [f"val{report.round}"] * len(val_items),
         )
-        val_rows = generator.generate(
-            val_items,
-            val_conditions,
-            cfg.seed,
-            mode="deterministic_mean",
-            stream_label=f"val{report.round}",
-        )
+        cold_rows, val_rows = rows[: len(cold)], rows[len(cold) :]
         val_start = time.perf_counter()
         report.chain_seconds = val_start - chain_start
         try:
@@ -196,6 +199,8 @@ def run_training(cfg: RunConfig, data: PreparedData) -> TrainResult:
             best_denoiser = {
                 k: v.copy() for k, v in generator.params.tensors().items()
             }
+        if on_round is not None:
+            on_round(report)
 
     return TrainResult(
         rounds=rounds,

@@ -3,8 +3,9 @@
 Each one restates a piece of the program in its plainest scalar form, or
 checks it from outside: central-difference gradients, the exact reverse-step
 posterior and the model's posterior mean, the Gaussian entropy floor, the
-clamped BCE loss, Floyd's sampling of k distinct items, and the cold ranking
-with its per-cutoff recall, precision and NDCG.
+clamped BCE loss, Floyd's sampling of k distinct items, the simulation's
+set-up one user at a time, the round buffer's index one client at a time, and
+the cold ranking with its per-cutoff recall, precision and NDCG.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import numpy as np
 
 from fedcold.diffusion import NoiseSchedule, _posterior_coeffs
 from fedcold.errors import ConfigError, NumericsError
-from fedcold.federation import PROB_CLAMP, score_items
+from fedcold.federation import (
+    INIT_STD,
+    PROB_CLAMP,
+    ClientState,
+    GlobalItemTable,
+    score_items,
+)
 from fedcold.numerics import stream_rng
 
 GRAD_CHECK_H_MIN = 1e-6
@@ -163,6 +170,57 @@ def floyd_sample(pool: np.ndarray, u: np.ndarray) -> np.ndarray:
         t = math.floor(u[c] * (j + 1))
         picked.append(j if t in picked else t)
     return pool[picked]
+
+
+def init_simulation_per_user(split, config):
+    """The item table and clients set up one user at a time.
+
+    After the item table, the ``init`` stream draws each user's embedding in
+    user order; a user's negative pool is the warm items, in warm order, that
+    ``np.isin`` does not find among its interactions.
+    """
+    ds = split.dataset
+    rng = stream_rng(config.seed, "init")
+    table = GlobalItemTable(
+        embeddings=INIT_STD * rng.standard_normal((ds.n_items, config.dim))
+    )
+    train_by_user = split.train_items_by_user()
+    by_user = {u: set() for u in range(ds.n_users)}
+    for u, i in ds.interactions:
+        by_user[u].add(i)
+    warm = np.array(split.warm_items, dtype=np.int64)
+    clients = []
+    for u in range(ds.n_users):
+        positives = np.array(sorted(train_by_user.get(u, ())), dtype=np.int64)
+        interacted = np.fromiter(by_user[u], dtype=np.int64)
+        clients.append(
+            ClientState(
+                user_id=u,
+                user_embedding=INIT_STD * rng.standard_normal(config.dim),
+                warm_positives=positives,
+                negative_pool=warm[~np.isin(warm, interacted)],
+            )
+        )
+    return table, clients
+
+
+def buffer_index_per_client(sequences):
+    """The round buffer's index from one ``np.unique`` per client.
+
+    Each client's sorted unique items follow in client order; an example's
+    buffer row is its client's offset plus its inverse index. Returns the
+    buffer rows' items, the block bounds and every example's row.
+    """
+    items_of, rows_of = [], []
+    offset = 0
+    for sequence in sequences:
+        items, slot = np.unique(sequence, return_inverse=True)
+        items_of.append(items)
+        rows_of.append(offset + slot)
+        offset += items.size
+    bounds = np.cumsum([0, *(items.size for items in items_of)])
+    empty = np.zeros(0, dtype=np.int64)
+    return np.concatenate([empty, *items_of]), bounds, np.concatenate([empty, *rows_of])
 
 
 def rank_cold(

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -467,6 +468,34 @@ def test_train_rerun_reproduces_rounds_csv(monkeypatch, tmp_path):
     assert (tmp_path / "out/denoiser.ckpt").read_bytes() == (
         tmp_path / "prev/denoiser.ckpt"
     ).read_bytes()
+
+
+def test_train_progress_prints_one_line_per_round_and_changes_no_artifact(
+    monkeypatch, tmp_path, capsys
+):
+    cfg = write_cfg(tmp_path / "progress.cfg", rounds=3, client_sample_ratio=0.5)
+    assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 0
+    quiet = capsys.readouterr()
+    os.rename(tmp_path / "out", tmp_path / "quiet")
+    assert run(monkeypatch, tmp_path, "train", "--config", cfg, "--progress") == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    lines = loud.err[len(quiet.err) :].splitlines()
+    assert loud.err.startswith(quiet.err) and len(lines) == 3
+    for r, line in enumerate(lines, start=1):
+        assert re.fullmatch(
+            rf"fedcold train: round {r}/3 loss \d+\.\d{{4}} "
+            r"val_recall (\d\.\d{4}|n/a) seconds \d+\.\d{3}",
+            line,
+        ), line
+    names = sorted(os.listdir(tmp_path / "quiet"))
+    assert names == sorted(os.listdir(tmp_path / "out"))
+    for name in names:
+        quiet_path, loud_path = tmp_path / "quiet" / name, tmp_path / "out" / name
+        if name == "rounds.csv":  # its wall-clock columns differ from run to run
+            assert artifact_sha256(str(loud_path)) == artifact_sha256(str(quiet_path))
+        else:
+            assert loud_path.read_bytes() == quiet_path.read_bytes(), name
 
 
 def test_train_stops_before_writing_non_finite_checkpoints(

@@ -445,3 +445,41 @@ def test_generate_matches_reference_chain_bitwise(mode, conditioned, n, steps):
     got = gen.generate(items, conds, seed=28, mode=mode, stream_label="oracle")
     expected = reference_chain(gen, items, conds, 28, mode, stream_label="oracle")
     assert np.array_equal(got, expected)
+
+
+def chain_rows(gen, items, conds, labels, mode):
+    return gen.generate(items, conds, seed=29, mode=mode, stream_label=labels)
+
+
+@pytest.mark.parametrize("mode", ["deterministic_mean", "stochastic"])
+def test_merged_chain_rows_do_not_depend_on_what_shares_the_chain(mode):
+    # the training loop's shape: 39 cold rows on diag streams, 13 validation
+    # rows on val streams, at the benchmark's width and heads
+    params = init_denoiser(64, 4, 8, stream_rng(30, "merged-denoiser"))
+    gen = DenoisingGenerator(params, build_schedule(40, 1.0, 0.1, 0.9), 1e-3)
+    cold, val = list(range(50, 89)), list(range(10, 23))
+    conds = stream_rng(31, "merged-m").standard_normal((52, 8))
+    labels = ["diag3"] * 39 + ["val3"] * 13
+    merged = chain_rows(gen, cold + val, conds, labels, mode)
+    assert np.array_equal(merged[:39], chain_rows(gen, cold, conds[:39], "diag3", mode))
+    assert np.array_equal(merged[39:], chain_rows(gen, val, conds[39:], "val3", mode))
+    # any order and any company: a row follows its item, condition and label
+    order = stream_rng(32, "merged-order").permutation(52)
+    items = [(cold + val)[i] for i in order]
+    shuffled = chain_rows(gen, items, conds[order], [labels[i] for i in order], mode)
+    assert np.array_equal(shuffled, merged[order])
+    # a row whose label is swapped draws from another stream
+    swapped = list(labels)
+    swapped[0], swapped[45] = swapped[45], swapped[0]
+    moved = chain_rows(gen, cold + val, conds, swapped, mode)
+    assert not np.array_equal(moved[0], merged[0])
+    assert not np.array_equal(moved[45], merged[45])
+    keep = np.ones(52, dtype=bool)
+    keep[[0, 45]] = False
+    assert np.array_equal(moved[keep], merged[keep])
+
+
+def test_generate_requires_one_label_per_row():
+    conds = np.zeros((3, 6))
+    with pytest.raises(ConfigError, match="3 items but 2 stream labels"):
+        toy_generator().generate([1, 2, 3], conds, seed=0, stream_label=["a", "b"])

@@ -20,6 +20,7 @@ from fedcold.federation import (
     UploadRows,
     aggregate,
     apply_ldp,
+    buffer_index,
     diffusion_trains_this_round,
     init_simulation,
     run_round,
@@ -30,7 +31,13 @@ from fedcold.federation import (
 from fedcold.mlp import HIDDEN, TwoLayerMLP
 from fedcold.modality import FeatureTable
 from fedcold.numerics import sigmoid, stream_rng
-from oracles import bce_loss, finite_diff_grad_check, floyd_sample
+from oracles import (
+    bce_loss,
+    buffer_index_per_client,
+    finite_diff_grad_check,
+    floyd_sample,
+    init_simulation_per_user,
+)
 
 
 def client_local_train(state, table, rng, config):
@@ -458,11 +465,94 @@ def test_negative_pools_keep_warm_order():
     split, config, item_table, clients, _ = small_setup(seed=2)
     split.warm_items.reverse()
     _, clients = init_simulation(split, config)
-    by_user = split.dataset.by_user()
+    interactions = set(split.dataset.interactions)
     for c in clients:
-        want = [i for i in split.warm_items if i not in by_user[c.user_id]]
+        want = [i for i in split.warm_items if (c.user_id, i) not in interactions]
         assert c.negative_pool.tolist() == want
         assert c.negative_pool.dtype == np.int64
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_init_simulation_equals_per_user_oracle(seed):
+    split, config, _, _, _ = small_setup(seed, n_users=40, n_items=30)
+    # two users keep their interactions but lose every training positive
+    dropped = {3, 17}
+    split = dataclasses.replace(
+        split,
+        train_interactions=[
+            (u, i) for u, i in split.train_interactions if u not in dropped
+        ],
+    )
+    table, clients = init_simulation(split, config)
+    want_table, want_clients = init_simulation_per_user(split, config)
+    assert np.array_equal(table.embeddings, want_table.embeddings)
+    assert [c.user_id for c in clients] == list(range(40))
+    for c, want in zip(clients, want_clients):
+        assert np.array_equal(c.user_embedding, want.user_embedding)
+        assert c.warm_positives.dtype == c.negative_pool.dtype == np.int64
+        assert np.array_equal(c.warm_positives, want.warm_positives)
+        assert np.array_equal(c.negative_pool, want.negative_pool)
+    assert all(clients[u].warm_positives.size == 0 for u in dropped)
+    assert all(clients[u].negative_pool.size > 0 for u in dropped)
+
+
+def index_sequences(seed, n_clients, n_items, max_len=12):
+    """Per-client example sequences with repeats; every third client has none."""
+    rng = stream_rng(seed, "index-sequences")
+    sequences = []
+    for c in range(n_clients):
+        length = 0 if c % 3 == 1 else int(rng.integers(1, max_len))
+        # items from both ends of the range, so the largest keys are used
+        low = rng.integers(0, 4, size=length)
+        sequences.append(np.where(rng.random(length) < 0.5, low, n_items - 1 - low))
+    return sequences
+
+
+@pytest.mark.parametrize(
+    "n_clients, n_items",
+    [
+        (1, 5),
+        (7, 15),
+        (40, 60),
+        (1, 2**31 - 1),  # the largest key, 2**31 - 2, still fits int32
+        (4, 2**30),  # keys up to 2**32 - 1: the int64 fallback
+        (3, 2**40),
+    ],
+)
+def test_buffer_index_equals_per_client_unique_oracle(n_clients, n_items):
+    sequences = index_sequences(n_clients, n_clients, n_items)
+    items, bounds, inverse = buffer_index(sequences, n_items)
+    want_items, want_bounds, want_inverse = buffer_index_per_client(sequences)
+    assert items.dtype == np.int64
+    assert np.array_equal(items, want_items)
+    assert np.array_equal(bounds, want_bounds)
+    assert np.array_equal(inverse, want_inverse)
+    assert np.array_equal(items[inverse], np.concatenate(sequences))
+
+
+def test_buffer_index_of_clients_without_examples():
+    items, bounds, inverse = buffer_index([np.zeros(0, np.int64)] * 3, 10)
+    assert items.size == inverse.size == 0
+    assert bounds.tolist() == [0, 0, 0, 0]
+
+
+def test_run_round_rekeyed_client_streams_match_fresh_streams_over_rounds(
+    monkeypatch,
+):
+    split, config, item_table, clients, _ = small_setup(seed=13, n_users=30, dim=16)
+    config = dataclasses.replace(config, client_sample_ratio=0.5, ldp_scale=0.3)
+    twins = copy.deepcopy(clients)
+    calls = recorded_uploads(monkeypatch)
+    for round_index in range(1, 4):
+        table = item_table.embeddings.copy()
+        run_round(item_table, clients, None, None, split, config)
+        sampled = [twins[up.user_id] for up in calls[-1]]
+        want_table, _ = oracle_table(table, sampled, config, round_index)
+        assert np.array_equal(item_table.embeddings, want_table)
+    for c, twin in zip(clients, twins):
+        assert np.array_equal(c.user_embedding, twin.user_embedding)
+    # some clients were sampled again, so their generators were re-keyed
+    assert {up.user_id for up in calls[0]} & {up.user_id for up in calls[1]}
 
 
 def test_light_mode_cadence():

@@ -7,6 +7,7 @@ from fedcold.errors import ConfigError
 from fedcold.numerics import (
     Adam,
     affine,
+    rekey,
     sigmoid,
     softmax_rows,
     stream_rng,
@@ -102,6 +103,63 @@ def test_stream_rng_distinct_paths_differ():
     z = stream_rng(8, "clients", 3, 5).standard_normal(8)
     assert not np.array_equal(x, y)
     assert not np.array_equal(x, z)
+
+
+def draw_all(rng):
+    """Draws through every path a stream's state touches: the 32-bit half
+    word, whole 64-bit words, the Gaussian and the Laplace samplers."""
+    return (
+        rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
+        rng.standard_normal(7).tolist(),
+        rng.random(5).tolist(),
+        rng.laplace(0.0, 2.0, size=3).tolist(),
+        rng.integers(0, 2**32, size=1, dtype=np.uint32).tolist(),
+        rng.standard_normal(2).tolist(),
+    )
+
+
+def philox_state(rng):
+    state = rng.bit_generator.state
+    words = [state["state"]["counter"], state["state"]["key"], state["buffer"]]
+    rest = [state["buffer_pos"], state["has_uint32"], state["uinteger"]]
+    return [w.tolist() for w in words] + rest
+
+
+# what a generator may have drawn before it is re-keyed; an odd number of
+# 32-bit integers leaves a cached half word, random(3) a part-used buffer
+LEFTOVERS = {
+    "nothing": lambda rng: None,
+    "uint32": lambda rng: rng.integers(0, 2**32, size=5, dtype=np.uint32),
+    "random3": lambda rng: rng.random(3),
+    "normal": lambda rng: rng.standard_normal(11),
+    "laplace": lambda rng: rng.laplace(0.0, 1.0, size=2),
+}
+
+paths = st.lists(
+    st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=6)), max_size=4
+)
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    paths,
+    st.integers(0, 2**64 - 1),
+    paths,
+    st.sampled_from(sorted(LEFTOVERS)),
+)
+@settings(max_examples=150, deadline=None)
+def test_rekeyed_generator_equals_a_fresh_stream(seed, path, old_seed, old_path, left):
+    rng = stream_rng(old_seed, *old_path)
+    LEFTOVERS[left](rng)
+    assert rekey(rng, seed, *path) is rng
+    fresh = stream_rng(seed, *path)
+    assert philox_state(rng) == philox_state(fresh)
+    assert draw_all(rng) == draw_all(fresh)
+
+
+def test_rekey_builds_a_generator_from_none():
+    rng = rekey(None, 5, "client", 2, 9)
+    assert draw_all(rng) == draw_all(stream_rng(5, "client", 2, 9))
 
 
 def test_sigmoid_values_and_stability():
