@@ -346,20 +346,20 @@ def apply_ldp(rows: UploadRows, scale: float, rng: np.random.Generator) -> Uploa
 def aggregate(embeddings: np.ndarray, uploads: list[ClientUpload]) -> np.ndarray:
     """Row-wise arithmetic mean over uploaders; untouched rows carry over.
 
-    Uploads are summed in ascending client order (the first upload of an item
-    assigns, later ones add) and divided by the count, which equals
-    ``np.mean(np.stack(rows), axis=0)`` bit for bit and does not depend on the
-    order uploads arrive in.
+    Uploads are summed in ascending client order onto a total that starts at
+    ``-0.0``, which adds to every float, ``+0.0`` and ``-0.0`` included,
+    without changing it, so an item's first upload lands as is and each
+    upload is one ``+=``. The sum is divided by the count, which equals
+    ``np.mean(np.stack(rows), axis=0)`` bit for bit and does not depend on
+    the order uploads arrive in.
     """
     new = embeddings.copy()
-    total = np.empty_like(new)
-    count = np.zeros(new.shape[0], dtype=np.int64)
-    for up in sorted(uploads, key=lambda u: u.user_id):
-        ids, block = up.rows.ids, up.rows.block
-        first = count[ids] == 0
-        total[ids[first]] = block[first]
-        total[ids[~first]] += block[~first]
-        count[ids] += 1
+    total = np.full_like(new, -0.0)
+    ordered = sorted(uploads, key=lambda u: u.user_id)
+    for up in ordered:
+        total[up.rows.ids] += up.rows.block
+    ids = np.concatenate([np.zeros(0, np.int64), *(up.rows.ids for up in ordered)])
+    count = np.bincount(ids, minlength=new.shape[0])
     touched = count > 0
     new[touched] = total[touched] / count[touched, None]
     return new

@@ -99,13 +99,15 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With ``z = exp(-|x|)``, never above 1, it is ``1 / (1 + z)`` for
+    ``x >= 0`` and ``z / (1 + z)`` below; both branches come from one ``exp``
+    over the whole array.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    z = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, z) / (1.0 + z)
     if out.ndim == 0:
         return float(out)
     return out

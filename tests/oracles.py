@@ -3,9 +3,10 @@
 Each one restates a piece of the program in its plainest scalar form, or
 checks it from outside: central-difference gradients, the exact reverse-step
 posterior and the model's posterior mean, the Gaussian entropy floor, the
-clamped BCE loss, Floyd's sampling of k distinct items, the simulation's
-set-up one user at a time, the round buffer's index one client at a time, and
-the cold ranking with its per-cutoff recall, precision and NDCG.
+logistic with one branch per sign, the clamped BCE loss, Floyd's sampling of k distinct items, the simulation's
+set-up one user at a time, the round buffer's index one client at a time,
+mean aggregation whose first upload assigns, and the cold ranking with its
+per-cutoff recall, precision and NDCG.
 """
 
 from __future__ import annotations
@@ -151,6 +152,18 @@ def gaussian_noise_floor(dim: int, sigma_min: float) -> float:
     return 0.5 * dim * math.log(2.0 * math.pi * math.e * sigma_min * sigma_min)
 
 
+def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
+    """The stable logistic, each sign on its own: ``1 / (1 + exp(-x))`` for
+    ``x >= 0`` and ``exp(x) / (1 + exp(x))`` below."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def bce_loss(y: float, y_hat: float) -> float:
     """Binary cross-entropy with the prediction clamped as the client kernel does."""
     p = min(max(y_hat, PROB_CLAMP), 1.0 - PROB_CLAMP)
@@ -221,6 +234,26 @@ def buffer_index_per_client(sequences):
     bounds = np.cumsum([0, *(items.size for items in items_of)])
     empty = np.zeros(0, dtype=np.int64)
     return np.concatenate([empty, *items_of]), bounds, np.concatenate([empty, *rows_of])
+
+
+def aggregate_first_assigns(embeddings, uploads):
+    """Mean aggregation where an item's first upload assigns and later ones add.
+
+    Uploads are taken in ascending client order; rows nobody uploaded carry
+    over.
+    """
+    new = embeddings.copy()
+    total = np.empty_like(new)
+    count = np.zeros(new.shape[0], dtype=np.int64)
+    for up in sorted(uploads, key=lambda u: u.user_id):
+        ids, block = up.rows.ids, up.rows.block
+        first = count[ids] == 0
+        total[ids[first]] = block[first]
+        total[ids[~first]] += block[~first]
+        count[ids] += 1
+    touched = count > 0
+    new[touched] = total[touched] / count[touched, None]
+    return new
 
 
 def rank_cold(

@@ -32,6 +32,7 @@ from fedcold.mlp import HIDDEN, TwoLayerMLP
 from fedcold.modality import FeatureTable
 from fedcold.numerics import sigmoid, stream_rng
 from oracles import (
+    aggregate_first_assigns,
     bce_loss,
     buffer_index_per_client,
     finite_diff_grad_check,
@@ -275,6 +276,30 @@ def test_aggregate_equals_mean_of_stack_bitwise():
         rows = [up.rows[item] for up in uploads if item in up.rows]
         assert len(rows) >= 3
         assert np.array_equal(out[item], np.mean(np.stack(rows), axis=0))
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_aggregate_equals_first_assigns_oracle_bitwise_on_signed_zeros(seed):
+    rng = stream_rng(seed, "agg-zeros")
+    table = rng.standard_normal((9, 5))
+    uploads = []
+    for u in rng.permutation(12).tolist():
+        items = sorted(rng.choice(7, size=int(rng.integers(0, 5)), replace=False))
+        # entries drawn from -0.0, +0.0 and normals, so sums and single
+        # uploads both meet zeros of either sign
+        block = rng.standard_normal((len(items), 5))
+        zeros = rng.integers(0, 3, size=block.shape)
+        block[zeros == 1] = -0.0
+        block[zeros == 2] = 0.0
+        rows = UploadRows(np.array(items, dtype=np.int64), block)
+        uploads.append(ClientUpload(user_id=u, rows=rows))
+    # item 7's one upload is all -0.0; nobody uploads item 8
+    uploads.append(ClientUpload(12, UploadRows(np.array([7]), np.full((1, 5), -0.0))))
+    out = aggregate(table, uploads)
+    want = aggregate_first_assigns(table, uploads)
+    assert np.array_equal(out, want)
+    assert np.array_equal(np.signbit(out), np.signbit(want))
+    assert np.all(np.signbit(out[7])) and np.array_equal(out[8], table[8])
 
 
 def oracle_uploads(clients, table, config, seed, round_index):

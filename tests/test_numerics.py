@@ -12,7 +12,7 @@ from fedcold.numerics import (
     softmax_rows,
     stream_rng,
 )
-from oracles import finite_diff_grad_check
+from oracles import finite_diff_grad_check, sigmoid_two_branch
 
 
 def naive_affine(x, w, b):
@@ -168,6 +168,15 @@ def test_sigmoid_values_and_stability():
     assert sigmoid(-800.0) == pytest.approx(0.0, abs=1e-300)
     x = np.array([-5.0, 0.0, 5.0])
     assert np.allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-12)
+
+
+def test_sigmoid_equals_the_two_branch_form_bitwise():
+    rng = stream_rng(12, "sigmoid-bits")
+    edges = [0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, 710.0, -745.2, np.inf, -np.inf]
+    for x in (rng.standard_normal(100_000) * 30, np.array(edges)):
+        got = sigmoid(x)
+        assert np.array_equal(got.view(np.uint64), sigmoid_two_branch(x).view(np.uint64))
+    assert sigmoid(-0.0) == 0.5 and isinstance(sigmoid(2.0), float)
 
 
 def test_grad_check_quadratic():
