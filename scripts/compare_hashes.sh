@@ -8,11 +8,16 @@
 #   - both perfbench workload configs at seed 11, with their stages; the
 #     configs and input CSVs are written by importing perfbench/spec.py, which
 #     is only read (no bytecode is written next to it);
+#   - a clients-4x-ldp variant with rounds = 2 and client_sample_ratio = 0.5,
+#     with the same stages: about 31.5 MB of examples a round, so two client
+#     chunks of federation.ROUND_BUFFER_BYTES, under sampling and upload
+#     noise that compounds over the rounds;
 #   - a 2-round copy of scripts/benchmark.cfg: sweep --param ldp --values 0,1.
 # Both trees run the configs and the perfbench spec of this checkout, so only
-# the program differs. The parent is checked out in a temporary git worktree,
-# removed on exit. The script refuses to run while src/, perfbench/ or
-# scripts/ differ from HEAD, since the result would not be HEAD's.
+# the program differs. The parent is unpacked with git archive into a
+# temporary directory, removed on exit. The script refuses to run while src/,
+# perfbench/ or scripts/ differ from HEAD, since the result would not be
+# HEAD's.
 # Run from anywhere:  bash scripts/compare_hashes.sh
 set -euo pipefail
 
@@ -25,17 +30,11 @@ if [ -n "$DIRTY" ]; then
     exit 1
 fi
 WORK="$(mktemp -d)"
-PARENT_TREE=""
-cleanup() {
-    if [ -n "$PARENT_TREE" ]; then
-        git -C "$ROOT" worktree remove --force "$PARENT_TREE" || true
-    fi
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
+trap 'rm -rf "$WORK"' EXIT
 
 PARENT_TREE="$WORK/parent-tree"
-git worktree add --quiet --detach "$PARENT_TREE" HEAD^
+mkdir -p "$PARENT_TREE"
+git archive HEAD^ src | tar -x -C "$PARENT_TREE"
 
 # inputs shared by both trees
 INPUTS="$WORK/inputs"
@@ -61,6 +60,12 @@ with open(os.path.join(directory, "stages.txt"), "w", encoding="utf-8") as handl
     handle.writelines(" ".join(stage) + "\n" for stage in workload.stages)
 EOF
 done
+# the sampled variant: the clients-4x-ldp config and stages, two sampled rounds
+W=clients-4x-ldp-sampled
+mkdir -p "$INPUTS/$W"
+sed -e 's/^rounds = .*/rounds = 2/' -e '$a client_sample_ratio = 0.5' \
+    "$INPUTS/clients-4x-ldp/workload.cfg" > "$INPUTS/$W/workload.cfg"
+cp "$INPUTS/clients-4x-ldp/stages.txt" "$INPUTS/$W/stages.txt"
 
 # fedcold TREE ARGS...: the command-line tool of TREE's program
 fedcold() {
@@ -79,7 +84,7 @@ run_all() {
                 --out "$out/benchmark_seed$seed"
         done
     done
-    for W in clients-4x-ldp cold-4x-sparse; do
+    for W in clients-4x-ldp clients-4x-ldp-sampled cold-4x-sparse; do
         while read -r stage; do
             # shellcheck disable=SC2086
             fedcold "$tree" $stage --config "$INPUTS/$W/workload.cfg" --seed 11 \

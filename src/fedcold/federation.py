@@ -7,13 +7,16 @@ trains the diffusion generator on warm rows, and redistributes.
 
 Within a round every client reads the same table and draws from its own
 per-(round, client) RNG stream: first the uniforms for its negatives, which one
-round-wide Floyd step per column turns into k-subsets of its pool, then its
-upload noise. The sampled clients train in lockstep: step ``j`` applies every
-client's ``j``-th example as one batch of numpy operations over a round buffer
-of the rows the clients touch. Upload noise is added in place on that buffer,
-and the uploads are aggregated once per round. The result equals training the
-clients one after another bit for bit, and a simulation is a deterministic
-function of (dataset, config, seed).
+Floyd step per column turns into k-subsets of its pool, then its upload noise.
+The sampled clients train in consecutive chunks, in ascending user order, each
+bounded by ``ROUND_BUFFER_BYTES`` of examples. Within a chunk the clients
+train in lockstep: step ``j`` applies every client's ``j``-th example as one
+batch of numpy operations over a round buffer of the rows the clients touch.
+Upload noise is added in place on that buffer, and each chunk's uploads are
+folded into one running sum per round, which is divided by the uploader counts
+after the last chunk. The result equals training the clients one after another
+bit for bit, and a simulation is a deterministic function of (dataset, config,
+seed).
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .numerics import rekey, sigmoid, stream_rng
 
 PROB_CLAMP = 1e-12
 INIT_STD = 0.01
+# example bound of one chunk of a round's clients; a larger client is a chunk alone
+ROUND_BUFFER_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -215,21 +220,52 @@ def sample_negatives(
     ]
 
 
-def _round_buffer(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``table[ids]`` in an anonymous memory mapping of its own.
+class _RoundBuffer:
+    """The anonymous memory mapping that the chunks of one round fill in turn.
 
     The round buffer is the kernel's one large allocation. Taken from malloc,
     freeing it raises glibc's dynamic mmap threshold, so later temporaries stay
     on the heap and the process's peak resident memory grows by about the
     buffer's size (``peak_rss_mb`` +4-7 % on the ``cold-4x-sparse`` benchmark
-    workload). The mapping goes back to the system when the last view of it
-    (the uploads) is dropped.
+    workload). The first chunk maps exactly its rows; a later chunk reuses the
+    mapping and replaces it only when it needs more rows than it holds. A
+    mapping goes back to the system when the last view of it (a chunk's
+    uploads) is dropped, and the last one when the round drops this buffer.
     """
-    rows, dim = ids.size, table.shape[1]
-    mapping = mmap.mmap(-1, max(rows * dim * 8, 1))
-    buffer = np.frombuffer(mapping, dtype=np.float64, count=rows * dim)
-    # mode="clip" writes straight into out; the default mode copies via a temporary
-    return np.take(table, ids, axis=0, out=buffer.reshape(rows, dim), mode="clip")
+
+    def __init__(self) -> None:
+        self.mapping: mmap.mmap | None = None
+
+    def take(self, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """``table[ids]`` at the start of the mapping."""
+        rows, dim = ids.size, table.shape[1]
+        if self.mapping is None or len(self.mapping) < rows * dim * 8:
+            self.mapping = mmap.mmap(-1, max(rows * dim * 8, 1))
+        buffer = np.frombuffer(self.mapping, dtype=np.float64, count=rows * dim)
+        # mode="clip" writes straight into out; the default mode copies via a temporary
+        return np.take(table, ids, axis=0, out=buffer.reshape(rows, dim), mode="clip")
+
+
+def _chunks(
+    clients: list[ClientState], example_bytes: int
+) -> Iterator[list[ClientState]]:
+    """Consecutive runs of ``clients`` whose examples fit ``ROUND_BUFFER_BYTES``.
+
+    A client's examples (positives times ``example_bytes``) bound the bytes
+    of its buffer rows. Every run holds at least one client, so only a run of
+    one client can exceed the budget.
+    """
+    chunk: list[ClientState] = []
+    size = 0
+    for client in clients:
+        need = client.warm_positives.size * example_bytes
+        if chunk and size + need > ROUND_BUFFER_BYTES:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(client)
+        size += need
+    if chunk:
+        yield chunk
 
 
 def buffer_index(
@@ -263,6 +299,7 @@ def train_clients_lockstep(
     rngs: list[np.random.Generator],
     config: RunConfig,
     seconds: dict[str, float] | None = None,
+    round_buffer: _RoundBuffer | None = None,
 ) -> tuple[list[UploadRows], list[float]]:
     """One local pass for every client, all clients advancing together.
 
@@ -274,11 +311,13 @@ def train_clients_lockstep(
     training the clients one after another bit for bit.
 
     The round buffer holds each client's touched rows (its sorted unique
-    items) copied from ``table``, which is never written. User embeddings are
-    updated in place. Returns, in client order, an upload view of each
-    client's block of the buffer and the client's mean example loss (0.0
-    without examples). ``seconds``, if given, receives the wall-clock time of
-    the draws under ``"draw"`` and of the rest under ``"kernel"``.
+    items) copied from ``table``, which is never written; it is taken from
+    ``round_buffer``, whose mapping the chunks of a round share, or from a
+    mapping of its own. User embeddings are updated in place. Returns, in
+    client order, an upload view of each client's block of the buffer and
+    the client's mean example loss (0.0 without examples). ``seconds``, if
+    given, adds the wall-clock time of the draws to ``"draw"`` and of the
+    rest to ``"kernel"``.
     """
     k = config.negatives_per_positive
     lr = config.local_lr
@@ -295,7 +334,7 @@ def train_clients_lockstep(
     steps = np.arange(int(lengths.max(initial=0)))
     slots = np.zeros((steps.size, len(clients)), dtype=np.int32)
     slots.T[steps < lengths[:, None]] = inverse
-    buffer = _round_buffer(table, items)
+    buffer = (round_buffer or _RoundBuffer()).take(table, items)
     users = np.stack([c.user_embedding for c in clients])
     loss_sums = np.zeros(len(clients))
     for j in range(slots.shape[0]):
@@ -323,8 +362,8 @@ def train_clients_lockstep(
     ]
     losses = [float(s / n) if n else 0.0 for s, n in zip(loss_sums, lengths)]
     if seconds is not None:
-        seconds["draw"] = drawn - start
-        seconds["kernel"] = time.perf_counter() - drawn
+        seconds["draw"] = seconds.get("draw", 0.0) + drawn - start
+        seconds["kernel"] = seconds.get("kernel", 0.0) + time.perf_counter() - drawn
     return uploads, losses
 
 
@@ -343,23 +382,34 @@ def apply_ldp(rows: UploadRows, scale: float, rng: np.random.Generator) -> Uploa
     return rows
 
 
-def aggregate(embeddings: np.ndarray, uploads: list[ClientUpload]) -> np.ndarray:
-    """Row-wise arithmetic mean over uploaders; untouched rows carry over.
+def aggregate(
+    total: np.ndarray, count: np.ndarray, uploads: list[ClientUpload]
+) -> None:
+    """Fold ``uploads`` into a round's running ``total`` and per-item ``count``.
 
-    Uploads are summed in ascending client order onto a total that starts at
-    ``-0.0``, which adds to every float, ``+0.0`` and ``-0.0`` included,
-    without changing it, so an item's first upload lands as is and each
-    upload is one ``+=``. The sum is divided by the count, which equals
-    ``np.mean(np.stack(rows), axis=0)`` bit for bit and does not depend on
-    the order uploads arrive in.
+    Uploads are added in ascending client order, one ``+=`` each, onto a
+    total that starts at ``-0.0``, which adds to every float, ``+0.0`` and
+    ``-0.0`` included, without changing it, so an item's first upload lands
+    as is. A round folds its chunks in ascending client order too, so the
+    additions do not depend on where the chunks split or on the order
+    uploads arrive in within one.
     """
-    new = embeddings.copy()
-    total = np.full_like(new, -0.0)
     ordered = sorted(uploads, key=lambda u: u.user_id)
     for up in ordered:
         total[up.rows.ids] += up.rows.block
     ids = np.concatenate([np.zeros(0, np.int64), *(up.rows.ids for up in ordered)])
-    count = np.bincount(ids, minlength=new.shape[0])
+    count += np.bincount(ids, minlength=count.size)
+
+
+def mean_table(
+    embeddings: np.ndarray, total: np.ndarray, count: np.ndarray
+) -> np.ndarray:
+    """Row-wise arithmetic mean over uploaders; untouched rows carry over.
+
+    ``total`` and ``count`` are what ``aggregate`` folded; the sum divided by
+    the count equals ``np.mean(np.stack(rows), axis=0)`` bit for bit.
+    """
+    new = embeddings.copy()
     touched = count > 0
     new[touched] = total[touched] / count[touched, None]
     return new
@@ -381,8 +431,11 @@ def run_round(
     """One federated round.
 
     Trains the diffusion generator on warm rows unless the light cadence skips
-    this round, distributes the table, trains the sampled clients in lockstep,
-    and aggregates their noised uploads into ``table``.
+    this round, distributes the table, trains the sampled clients in chunks of
+    at most ``ROUND_BUFFER_BYTES`` of examples (or one client), each chunk in
+    lockstep, folds each chunk's noised uploads into one running sum, and
+    writes the mean into ``table`` after the last chunk. The phase timings
+    sum over the chunks.
     """
     start = time.perf_counter()
     seed = config.seed
@@ -419,23 +472,44 @@ def run_round(
 
     for c in sampled:
         c.rng = rekey(c.rng, seed, "client", round_index, c.user_id)
-    rngs = [c.rng for c in sampled]
-    phase: dict[str, float] = {}
-    rows, losses = train_clients_lockstep(
-        sampled, table.embeddings, rngs, config, seconds=phase
-    )
-    noise_start = time.perf_counter()
-    uploads = [
-        ClientUpload(user_id=c.user_id, rows=apply_ldp(r, config.ldp_scale, rng))
-        for c, r, rng in zip(sampled, rows, rngs)
-    ]
-    aggregate_start = time.perf_counter()
-    table.embeddings = aggregate(table.embeddings, uploads)
-    aggregate_end = time.perf_counter()
-    ids = np.concatenate([r.ids for r in rows])
-    n_items = table.embeddings.shape[0]
+    dim = table.embeddings.shape[1]
+    total = count = None
+    round_buffer = _RoundBuffer()
+    phase = dict.fromkeys(("draw", "kernel", "noise", "aggregate"), 0.0)
+    losses: list[float] = []
+    example_bytes = (1 + config.negatives_per_positive) * dim * 8
+    for chunk in _chunks(sampled, example_bytes):
+        rngs = [c.rng for c in chunk]
+        rows, chunk_losses = train_clients_lockstep(
+            chunk,
+            table.embeddings,
+            rngs,
+            config,
+            seconds=phase,
+            round_buffer=round_buffer,
+        )
+        noise_start = time.perf_counter()
+        uploads = [
+            ClientUpload(user_id=c.user_id, rows=apply_ldp(r, config.ldp_scale, rng))
+            for c, r, rng in zip(chunk, rows, rngs)
+        ]
+        aggregate_start = time.perf_counter()
+        if total is None:
+            # after the first kernel, so a one-chunk round peaks where it did unchunked
+            total = np.full_like(table.embeddings, -0.0)
+            count = np.zeros(table.embeddings.shape[0], dtype=np.int64)
+        aggregate(total, count, uploads)
+        phase["noise"] += aggregate_start - noise_start
+        phase["aggregate"] += time.perf_counter() - aggregate_start
+        losses += chunk_losses
+        # the next chunk may replace the mapping these view
+        del rows, uploads
+    mean_start = time.perf_counter()
+    table.embeddings = mean_table(table.embeddings, total, count)
+    phase["aggregate"] += time.perf_counter() - mean_start
     losses = [loss for c, loss in zip(sampled, losses) if c.warm_positives.size]
     mean_loss = float(np.mean(losses)) if losses else 0.0
+    upload_rows = int(count.sum())
     return RoundReport(
         round=round_index,
         mean_client_loss=mean_loss,
@@ -444,9 +518,9 @@ def run_round(
         generator_seconds=generator_seconds,
         draw_seconds=phase["draw"],
         kernel_seconds=phase["kernel"],
-        noise_seconds=aggregate_start - noise_start,
-        aggregate_seconds=aggregate_end - aggregate_start,
-        upload_rows=ids.size,
-        distinct_items=int(np.count_nonzero(np.bincount(ids, minlength=n_items))),
-        payload_bytes=sum(r.block.nbytes for r in rows),
+        noise_seconds=phase["noise"],
+        aggregate_seconds=phase["aggregate"],
+        upload_rows=upload_rows,
+        distinct_items=int(np.count_nonzero(count)),
+        payload_bytes=upload_rows * dim * 8,
     )

@@ -23,6 +23,7 @@ from fedcold.federation import (
     buffer_index,
     diffusion_trains_this_round,
     init_simulation,
+    mean_table,
     run_round,
     sample_negatives,
     score_items,
@@ -232,6 +233,14 @@ def test_apply_ldp_deterministic():
     assert np.array_equal(a[5], b[5])
 
 
+def aggregated(table, uploads):
+    """The mean table of ``uploads`` folded by one ``aggregate`` call."""
+    total = np.full_like(table, -0.0)
+    count = np.zeros(table.shape[0], dtype=np.int64)
+    aggregate(total, count, uploads)
+    return mean_table(table, total, count)
+
+
 def test_aggregate_mean_and_carry_over():
     table = np.zeros((4, 3))
     table[3] = 9.0
@@ -241,7 +250,7 @@ def test_aggregate_mean_and_carry_over():
         ),
         ClientUpload(user_id=0, rows=upload_rows({0: np.full(3, 6.0)})),
     ]
-    out = aggregate(table, uploads)
+    out = aggregated(table, uploads)
     assert np.allclose(out[0], 4.0)  # mean of 2 and 6
     assert np.allclose(out[1], 4.0)  # single uploader copied
     assert np.allclose(out[3], 9.0)  # untouched row carried over
@@ -254,8 +263,8 @@ def test_aggregate_permutation_invariant_exactly():
         ClientUpload(user_id=u, rows=upload_rows({1: rng.standard_normal(5)}))
         for u in range(7)
     ]
-    out1 = aggregate(table, ups)
-    out2 = aggregate(table, list(reversed(ups)))
+    out1 = aggregated(table, ups)
+    out2 = aggregated(table, list(reversed(ups)))
     assert np.array_equal(out1, out2)
 
 
@@ -271,7 +280,7 @@ def test_aggregate_equals_mean_of_stack_bitwise():
         )
         for u in range(9)
     ]
-    out = aggregate(table, uploads)
+    out = aggregated(table, uploads)
     for item in range(6):
         rows = [up.rows[item] for up in uploads if item in up.rows]
         assert len(rows) >= 3
@@ -295,7 +304,7 @@ def test_aggregate_equals_first_assigns_oracle_bitwise_on_signed_zeros(seed):
         uploads.append(ClientUpload(user_id=u, rows=rows))
     # item 7's one upload is all -0.0; nobody uploads item 8
     uploads.append(ClientUpload(12, UploadRows(np.array([7]), np.full((1, 5), -0.0))))
-    out = aggregate(table, uploads)
+    out = aggregated(table, uploads)
     want = aggregate_first_assigns(table, uploads)
     assert np.array_equal(out, want)
     assert np.array_equal(np.signbit(out), np.signbit(want))
@@ -360,16 +369,16 @@ def oracle_table(table, clients, config, round_index):
         for c, r in zip(clients, rows)
         if r
     ]
-    return aggregate(table, uploads), losses
+    return aggregated(table, uploads), losses
 
 
 def recorded_uploads(monkeypatch):
     """The upload lists ``run_round`` hands to ``aggregate``, one per call."""
     calls = []
 
-    def recording_aggregate(table, uploads):
+    def recording_aggregate(total, count, uploads):
         calls.append(uploads)
-        return aggregate(table, uploads)
+        aggregate(total, count, uploads)
 
     monkeypatch.setattr(federation, "aggregate", recording_aggregate)
     return calls
@@ -390,6 +399,108 @@ def test_run_round_sampled_clients_match_scalar_oracle_bitwise(monkeypatch):
     kept = [loss for c, loss in zip(sampled, want_losses) if c.warm_positives.size]
     assert report.mean_client_loss == float(np.mean(kept))
     for c, twin in zip(clients, twins):
+        assert np.array_equal(c.user_embedding, twin.user_embedding)
+
+
+def chunk_setup():
+    """Sampled, noised rounds over 40 users; user 12 (sampled in round 1) has
+    no positives."""
+    split, config, item_table, clients, _ = small_setup(seed=9, n_users=40, dim=64)
+    config = dataclasses.replace(config, client_sample_ratio=0.4, ldp_scale=0.5)
+    clients[12].warm_positives = np.zeros(0, np.int64)
+    return split, config, item_table, clients
+
+
+def chunked_rounds(monkeypatch, budget):
+    """Two rounds of ``chunk_setup`` at chunk budget ``budget``, recorded.
+
+    Returns the clients, the item table, the round reports, each round's
+    chunks as lists of user ids, and each round's buffer takes as (bytes of
+    the rows, bytes of the mapping that holds them).
+    """
+    split, config, item_table, clients = chunk_setup()
+    chunks, takes = [], []
+
+    def recording_train(chunk, *args, **kwargs):
+        chunks[-1].append([c.user_id for c in chunk])
+        return train_clients_lockstep(chunk, *args, **kwargs)
+
+    class RecordingBuffer(federation._RoundBuffer):
+        def take(self, table, ids):
+            out = super().take(table, ids)
+            takes[-1].append((out.nbytes, len(self.mapping)))
+            return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(federation, "ROUND_BUFFER_BYTES", budget)
+        patch.setattr(federation, "train_clients_lockstep", recording_train)
+        patch.setattr(federation, "_RoundBuffer", RecordingBuffer)
+        reports = []
+        for _ in range(2):
+            chunks.append([])
+            takes.append([])
+            reports.append(run_round(item_table, clients, None, None, split, config))
+    return clients, item_table, reports, chunks, takes
+
+
+def test_run_round_in_chunks_equals_one_chunk_and_scalar_oracle_bitwise(
+    monkeypatch,
+):
+    _, config, start, twins = chunk_setup()
+    example_bytes = (1 + config.negatives_per_positive) * config.dim * 8
+    budget = 4 * example_bytes  # 5-positive clients exceed it
+    one_clients, one_table, one_reports, one_chunks, one_takes = chunked_rounds(
+        monkeypatch, federation.ROUND_BUFFER_BYTES
+    )
+    clients, table, reports, chunks, takes = chunked_rounds(monkeypatch, budget)
+
+    want = start.embeddings
+    for r, (report, one_report) in enumerate(zip(reports, one_reports)):
+        [users] = one_chunks[r]
+        # a one-chunk round maps exactly its rows
+        [(rows_bytes, mapped)] = one_takes[r]
+        assert rows_bytes == mapped
+        # consecutive chunks in user order; only a lone client exceeds the budget
+        assert len(chunks[r]) >= 3
+        assert [u for chunk in chunks[r] for u in chunk] == users
+        sizes = [
+            sum(twins[u].warm_positives.size for u in chunk) * example_bytes
+            for chunk in chunks[r]
+        ]
+        assert all(s <= budget or len(c) == 1 for s, c in zip(sizes, chunks[r]))
+        assert any(s > budget for s in sizes)
+        assert any(twins[u].warm_positives.size == 0 for u in users)
+        assert all(rows <= mapped for rows, mapped in takes[r])
+
+        sampled = [twins[u] for u in users]
+        rows, losses = oracle_uploads(sampled, want, config, config.seed, r + 1)
+        want = aggregated(
+            want,
+            [
+                ClientUpload(user_id=c.user_id, rows=upload_rows(rs))
+                for c, rs in zip(sampled, rows)
+                if rs
+            ],
+        )
+        kept = [loss for c, loss in zip(sampled, losses) if c.warm_positives.size]
+        assert report.mean_client_loss == one_report.mean_client_loss
+        assert report.mean_client_loss == float(np.mean(kept))
+        n_rows = sum(len(rs) for rs in rows)
+        counters = (n_rows, len(set().union(*rows)), n_rows * config.dim * 8)
+        assert counters == (
+            report.upload_rows,
+            report.distinct_items,
+            report.payload_bytes,
+        )
+        assert counters == (
+            one_report.upload_rows,
+            one_report.distinct_items,
+            one_report.payload_bytes,
+        )
+    assert np.array_equal(table.embeddings, one_table.embeddings)
+    assert np.array_equal(table.embeddings, want)
+    for c, one_client, twin in zip(clients, one_clients, twins):
+        assert np.array_equal(c.user_embedding, one_client.user_embedding)
         assert np.array_equal(c.user_embedding, twin.user_embedding)
 
 
