@@ -9,9 +9,10 @@
 # Only files taken back to back compare: perfbench scales its times by a
 # calibration loop, and that scaling does not carry across host speeds (one
 # commit measured 55 minutes apart read train_s 1.05 and 1.30). With --pair
-# the script takes such a pair itself: it measures HEAD's parent from a
-# temporary git worktree, then HEAD, and writes both files; the worktree is
-# removed on exit.
+# the script takes such a pair itself: it measures HEAD's parent, unpacked
+# with git archive into a temporary directory as scripts/compare_hashes.sh
+# does, then HEAD, and writes both files; the directory is removed on exit.
+# For a claim, alternate many pairs with scripts/bench_pairs.sh instead.
 # Run from anywhere:  bash scripts/bench_history.sh [--pair] [seed] [seconds]
 set -euo pipefail
 
@@ -31,20 +32,12 @@ fi
 SEED="${1:-11}"
 RUN_SECONDS="${2:-55}"
 LOGS="$(mktemp -d)"
-PARENT_TREE=""
-cleanup() {
-    if [ -n "$PARENT_TREE" ]; then
-        git -C "$ROOT" worktree remove --force "$PARENT_TREE" || true
-    fi
-    rm -rf "$LOGS"
-}
-trap cleanup EXIT
+trap 'rm -rf "$LOGS"' EXIT
 
-# measure TREE: both workloads on the checkout at TREE, recorded at the root
-# of this repository under the name of TREE's HEAD
+# measure TREE SHA: both workloads on the program at TREE, recorded at the
+# root of this repository under the name of commit SHA
 measure() {
-    local tree="$1" sha
-    sha="$(git -C "$tree" rev-parse --short=7 HEAD)"
+    local tree="$1" sha="$2"
     for W in clients-4x-ldp cold-4x-sparse; do
         python3 "$tree/perfbench/run.py" --workload "$W" --seed "$SEED" \
             --seconds "$RUN_SECONDS" --trace 0 > "$LOGS/$W.out"
@@ -86,7 +79,8 @@ EOF
 
 if [ "$PAIR" = 1 ]; then
     PARENT_TREE="$LOGS/parent"
-    git worktree add --quiet --detach "$PARENT_TREE" HEAD^
-    measure "$PARENT_TREE"
+    mkdir -p "$PARENT_TREE"
+    git archive HEAD^ | tar -x -C "$PARENT_TREE"
+    measure "$PARENT_TREE" "$(git rev-parse --short=7 HEAD^)"
 fi
-measure "$ROOT"
+measure "$ROOT" "$(git rev-parse --short=7 HEAD)"

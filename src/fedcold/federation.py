@@ -7,16 +7,18 @@ trains the diffusion generator on warm rows, and redistributes.
 
 Within a round every client reads the same table and draws from its own
 per-(round, client) RNG stream: first the uniforms for its negatives, which one
-Floyd step per column turns into k-subsets of its pool, then its upload noise.
-The sampled clients train in consecutive chunks, in ascending user order, each
-bounded by ``ROUND_BUFFER_BYTES`` of examples. Within a chunk the clients
-train in lockstep: step ``j`` applies every client's ``j``-th example as one
-batch of numpy operations over a round buffer of the rows the clients touch.
-Upload noise is added in place on that buffer, and each chunk's uploads are
-folded into one running sum per round, which is divided by the uploader counts
-after the last chunk. The result equals training the clients one after another
-bit for bit, and a simulation is a deterministic function of (dataset, config,
-seed).
+Floyd step per column turns into k-subsets of its pool, then the uniforms of
+its upload noise, which one branch-free inverse CDF turns into Laplace noise
+(``Generator.laplace``'s, up to the last bit of the log). The sampled clients
+train in consecutive chunks, in ascending user order, each bounded by
+``ROUND_BUFFER_BYTES`` of examples. Within a chunk the clients train in
+lockstep, longest first: step ``j`` applies the ``j``-th example of every
+client that has one, a prefix of them, as one batch of numpy operations over
+a round buffer of the rows the clients touch. Upload noise is added in place
+on that buffer, and each chunk's uploads are folded into one running sum per
+round, which is divided by the uploader counts after the last chunk. The
+result equals training the clients one after another bit for bit, and a
+simulation is a deterministic function of (dataset, config, seed).
 """
 
 from __future__ import annotations
@@ -308,7 +310,11 @@ def train_clients_lockstep(
     Clients read the same table and touch disjoint copies of its rows, so step
     ``j`` applies every client's ``j``-th example at once; each client still
     sees exactly its own sequence of updates, in order, and the result equals
-    training the clients one after another bit for bit.
+    training the clients one after another bit for bit. The kernel's columns
+    are the clients by example count, longest first and stable, so the
+    clients active at step ``j`` are a prefix of them: each step slices its
+    users and loss sums, and takes its slots by that prefix, instead of
+    masking them. The round buffer and the slot table stay in client order.
 
     The round buffer holds each client's touched rows (its sorted unique
     items) copied from ``table``, which is never written; it is taken from
@@ -334,51 +340,84 @@ def train_clients_lockstep(
     steps = np.arange(int(lengths.max(initial=0)))
     slots = np.zeros((steps.size, len(clients)), dtype=np.int32)
     slots.T[steps < lengths[:, None]] = inverse
+    # the kernel's columns: clients by example count, longest first, so that
+    # the clients with a j-th example are the first active[j] columns
+    columns = np.argsort(-lengths, kind="stable")
+    active = np.searchsorted(-lengths[columns], -steps)
     buffer = (round_buffer or _RoundBuffer()).take(table, items)
-    users = np.stack([c.user_embedding for c in clients])
+    users = np.stack([clients[c].user_embedding for c in columns])
     loss_sums = np.zeros(len(clients))
-    for j in range(slots.shape[0]):
-        active = lengths > j
+    for j, n in enumerate(active.tolist()):
         y = 1.0 if j % (1 + k) == 0 else 0.0
-        step_slots = slots[j, active]
-        e = users[active]
+        step_slots = slots[j, columns[:n]]
+        e = users[:n]
         r = buffer[step_slots]
         y_hat = sigmoid(np.matmul(e[:, None, :], r[:, :, None])[:, 0, 0])
         p = np.clip(y_hat, PROB_CLAMP, 1.0 - PROB_CLAMP)
         if y == 0.0:
             p = 1.0 - p
         # math.log, not np.log: the vector log may differ in the last bit
-        loss_sums[active] -= [math.log(v) for v in p.tolist()]
+        loss_sums[:n] -= np.fromiter(map(math.log, p.tolist()), float, n)
         g = y_hat - y
         buffer[step_slots] = r - (lr * g)[:, None] * e
-        users[active] = e - lr * (g[:, None] * r)
+        e -= lr * (g[:, None] * r)
 
-    for client, user, n in zip(clients, users, lengths):
+    losses = [0.0] * len(clients)
+    for c, user, n, loss_sum in zip(
+        columns.tolist(), users, lengths[columns].tolist(), loss_sums.tolist()
+    ):
         if n:
-            client.user_embedding[...] = user
+            clients[c].user_embedding[...] = user
+            losses[c] = loss_sum / n
     uploads = [
         UploadRows(items[lo:hi], buffer[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    losses = [float(s / n) if n else 0.0 for s, n in zip(loss_sums, lengths)]
     if seconds is not None:
         seconds["draw"] = seconds.get("draw", 0.0) + drawn - start
         seconds["kernel"] = seconds.get("kernel", 0.0) + time.perf_counter() - drawn
     return uploads, losses
 
 
+def _nonzero_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniforms from ``rng``, every exact ``0.0`` skipped and redrawn."""
+    u = rng.random(n)
+    # a min reduction is the cheapest test for a zero among uniforms
+    while u.min(initial=1.0) == 0.0:
+        kept = u[u != 0.0]
+        u = np.concatenate((kept, rng.random(n - kept.size)))
+    return u
+
+
 def apply_ldp(rows: UploadRows, scale: float, rng: np.random.Generator) -> UploadRows:
     """Per-entry Laplace noise on upload rows; scale 0 is a bitwise no-op.
 
     The noise is added in place, since the client never reads its rows again.
-    It comes from one draw over the rows in ascending item order, which equals
-    one draw per row in that order.
+    It is the inverse CDF of one draw of uniforms ``U`` over the rows in
+    ascending item order, the doubles that ``Generator.laplace`` consumes,
+    with an exact ``0.0`` skipped as it skips one:
+    ``copysign(scale * log(min(U + U, (2.0 - U) - U)), U - 0.5)``. That is
+    numpy's ``loc - scale * log(2.0 - U - U)`` for ``U >= 0.5`` and
+    ``loc + scale * log(U + U)`` below, at ``loc = 0``, without a branch:
+    the ``min`` picks the branch's argument and the sign of ``U - 0.5``
+    (that of ``(U + U) - 1.0``, both exact) its sign. Only the vector
+    ``np.log`` may differ from libm's ``log`` in the last bit, so the noise
+    equals ``rng.laplace(0.0, scale, size)`` to within ``1e-12 * scale``.
     """
     if scale < 0:
         raise ConfigError("ldp scale must be non-negative")
     if scale == 0.0:
         return rows
-    rows.block += rng.laplace(0.0, scale, size=rows.block.shape)
+    u = _nonzero_uniforms(rng, rows.block.size).reshape(rows.block.shape)
+    noise = np.subtract(2.0, u)
+    noise -= u
+    u += u
+    np.minimum(noise, u, out=noise)
+    np.log(noise, out=noise)
+    noise *= scale
+    u -= 1.0
+    np.copysign(noise, u, out=noise)
+    rows.block += noise
     return rows
 
 

@@ -5,8 +5,9 @@ checks it from outside: central-difference gradients, the exact reverse-step
 posterior and the model's posterior mean, the Gaussian entropy floor, the
 logistic with one branch per sign, the clamped BCE loss, Floyd's sampling of k distinct items, the simulation's
 set-up one user at a time, the round buffer's index one client at a time,
-mean aggregation whose first upload assigns, and the cold ranking with its
-per-cutoff recall, precision and NDCG.
+Laplace upload noise by numpy's two branches, mean aggregation whose first
+upload assigns, and the cold ranking with its per-cutoff recall, precision
+and NDCG.
 """
 
 from __future__ import annotations
@@ -183,6 +184,25 @@ def floyd_sample(pool: np.ndarray, u: np.ndarray) -> np.ndarray:
         t = math.floor(u[c] * (j + 1))
         picked.append(j if t in picked else t)
     return pool[picked]
+
+
+def laplace_row(rng, scale, size):
+    """``size`` entries of Laplace(0, ``scale``) noise, by numpy's two branches.
+
+    Each entry takes the stream's next double that is not exactly ``0.0``,
+    one at a time, as ``Generator.laplace`` does, and maps it to
+    ``0.0 - scale * log(2.0 - U - U)`` for ``U >= 0.5`` and to
+    ``0.0 + scale * log(U + U)`` below; the logs are one ``np.log`` over the
+    row.
+    """
+    u = np.empty(size)
+    for i in range(size):
+        u[i] = rng.random()
+        while u[i] == 0.0:
+            u[i] = rng.random()
+    upper = u >= 0.5
+    v = scale * np.log(np.where(upper, 2.0 - u - u, u + u))
+    return np.where(upper, 0.0 - v, 0.0 + v)
 
 
 def init_simulation_per_user(split, config):

@@ -39,6 +39,7 @@ from oracles import (
     finite_diff_grad_check,
     floyd_sample,
     init_simulation_per_user,
+    laplace_row,
 )
 
 
@@ -210,10 +211,74 @@ def test_client_upload_has_no_user_embedding_field():
     assert field_names == {"user_id", "rows"}
 
 
+# a million noised entries: the vector log's last-bit differences show by then
+LDP_SHAPE = (1000, 1000)
+
+
+def state_leaves(rng):
+    """The leaves of ``rng``'s bit-generator state, in key order."""
+
+    def leaves(state):
+        if isinstance(state, dict):
+            return [leaf for key in sorted(state) for leaf in leaves(state[key])]
+        return [np.asarray(state).tolist()]
+
+    return leaves(rng.bit_generator.state)
+
+
 def test_apply_ldp_zero_is_identity():
-    rows = upload_rows({3: np.ones(4), 1: np.zeros(4)})
-    out = apply_ldp(rows, 0.0, stream_rng(0, "ldp"))
+    rng = stream_rng(0, "ldp")
+    block = rng.standard_normal(LDP_SHAPE)
+    block[::7, ::3] = -0.0
+    before, state = block.copy(), state_leaves(rng)
+    rows = UploadRows(np.arange(LDP_SHAPE[0]), block)
+    out = apply_ldp(rows, 0.0, rng)
     assert out is rows
+    assert out.block.tobytes() == before.tobytes()
+    assert state_leaves(rng) == state
+
+
+def assert_noise_is_laplace(noise, want, scale):
+    """``noise`` is ``want`` up to the log's last bit, sign for sign."""
+    assert np.max(np.abs(noise - want)) <= 1e-12 * scale
+    assert np.array_equal(np.signbit(noise), np.signbit(want))
+
+
+@pytest.mark.parametrize("scale", [0.5, 10.0])
+def test_apply_ldp_equals_generator_laplace(scale):
+    rng, twin = stream_rng(4, "ldp-laplace"), stream_rng(4, "ldp-laplace")
+    rows = UploadRows(np.arange(LDP_SHAPE[0]), np.zeros(LDP_SHAPE))
+    noise = apply_ldp(rows, scale, rng).block
+    want = twin.laplace(0.0, scale, size=LDP_SHAPE)
+    assert_noise_is_laplace(noise, want, scale)
+    # only the last bit of a few logs differs
+    assert np.count_nonzero(noise != want) < 0.01 * want.size
+    assert state_leaves(rng) == state_leaves(twin)
+
+
+@pytest.mark.parametrize("scale", [0.5, 10.0])
+@pytest.mark.parametrize("shape, first_zero", [(LDP_SHAPE, 5), ((1, 2), 1)])
+def test_apply_ldp_skips_exact_zeros_as_laplace_does(scale, shape, first_zero):
+    # MT19937 tempers a zero key word to a zero output, and a double takes two
+    # outputs: zeroing four key words makes doubles first_zero and
+    # first_zero + 1 exactly 0.0. With shape (1, 2) the zero that the block's
+    # draw skips is redrawn as a zero too.
+    state = np.random.MT19937(5).state
+    state["state"]["pos"] = 600
+    zeros = 600 + 2 * first_zero
+    state["state"]["key"][zeros : zeros + 4] = 0
+    probe, rng, twin = (np.random.Generator(np.random.MT19937()) for _ in range(3))
+    for generator in (probe, rng, twin):
+        generator.bit_generator.state = state
+    drawn = probe.random(first_zero + 3)
+    assert np.flatnonzero(drawn == 0.0).tolist() == [first_zero, first_zero + 1]
+
+    rows = UploadRows(np.arange(shape[0]), np.zeros(shape))
+    noise = apply_ldp(rows, scale, rng).block
+    want = twin.laplace(0.0, scale, size=shape)
+    assert np.all(np.isfinite(noise))
+    assert_noise_is_laplace(noise, want, scale)
+    assert state_leaves(rng) == state_leaves(twin)
 
 
 def test_apply_ldp_noise_variance():
@@ -312,15 +377,15 @@ def test_aggregate_equals_first_assigns_oracle_bitwise_on_signed_zeros(seed):
 
 
 def oracle_uploads(clients, table, config, seed, round_index):
-    """Scalar-oracle rows and losses, with one noise draw per row by item."""
+    """Scalar-oracle rows and losses, with the noise drawn row by row by item."""
     rows, losses = [], []
     for c in clients:
         rng = stream_rng(seed, "client", round_index, c.user_id)
         local, loss = client_local_train(c, table, rng, config)
         if config.ldp_scale:
             for item in sorted(local):
-                local[item] = local[item] + rng.laplace(
-                    0.0, config.ldp_scale, size=local[item].shape
+                local[item] = local[item] + laplace_row(
+                    rng, config.ldp_scale, local[item].size
                 )
         rows.append(local)
         losses.append(loss)
