@@ -377,7 +377,7 @@ def test_aggregate_equals_first_assigns_oracle_bitwise_on_signed_zeros(seed):
 
 
 def oracle_uploads(clients, table, config, seed, round_index):
-    """Scalar-oracle rows and losses, with the noise drawn row by row by item."""
+    """Scalar-oracle rows and losses, with one noise draw per row by item."""
     rows, losses = [], []
     for c in clients:
         rng = stream_rng(seed, "client", round_index, c.user_id)
