@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Byte-identity check: run the same experiments on HEAD's parent and on this
-# checkout, and print every `sha256:` or `best_round` manifest line that
-# differs between the two. Exits 1 if one differs, 0 if none does.
+# Byte-identity check: run the same experiments on a base revision (HEAD's
+# parent unless BASE names another) and on this checkout, and print every
+# `sha256:` or `best_round` manifest line that differs between the two.
+# Exits 1 if one differs, 0 if none does.
 # The experiments, each from a fresh output directory:
 #   - scripts/benchmark.cfg at seeds 1-3: train, infer, eval and
 #     attack --mode stochastic;
@@ -14,13 +15,18 @@
 #     noise that compounds over the rounds;
 #   - a 2-round copy of scripts/benchmark.cfg: sweep --param ldp --values 0,1.
 # Both trees run the configs and the perfbench spec of this checkout, so only
-# the program differs. The parent is unpacked with git archive into a
+# the program differs. The base is unpacked with git archive into a
 # temporary directory, removed on exit. The script refuses to run while src/,
 # perfbench/ or scripts/ differ from HEAD, since the result would not be
 # HEAD's.
-# Run from anywhere:  bash scripts/compare_hashes.sh
+# Run from anywhere:  bash scripts/compare_hashes.sh [BASE]
 set -euo pipefail
 
+if [ $# -gt 1 ]; then
+    echo "usage: compare_hashes.sh [BASE]" >&2
+    exit 2
+fi
+BASE="${1:-HEAD^}"
 cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
 DIRTY="$(git status --porcelain -- src perfbench scripts)"
@@ -29,12 +35,16 @@ if [ -n "$DIRTY" ]; then
     echo "$DIRTY" >&2
     exit 1
 fi
+if ! git rev-parse --quiet --verify "$BASE^{commit}" > /dev/null; then
+    echo "compare_hashes: BASE '$BASE' names no commit" >&2
+    exit 2
+fi
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-PARENT_TREE="$WORK/parent-tree"
-mkdir -p "$PARENT_TREE"
-git archive HEAD^ src | tar -x -C "$PARENT_TREE"
+BASE_TREE="$WORK/base-tree"
+mkdir -p "$BASE_TREE"
+git archive "$BASE" src | tar -x -C "$BASE_TREE"
 
 # inputs shared by both trees
 INPUTS="$WORK/inputs"
@@ -95,12 +105,12 @@ run_all() {
         --param ldp --values 0,1
 }
 
-echo "compare_hashes: running $(git rev-parse --short=7 HEAD^) (parent)" >&2
-run_all "$PARENT_TREE" "$WORK/parent"
+echo "compare_hashes: running $(git rev-parse --short=7 "$BASE") (base)" >&2
+run_all "$BASE_TREE" "$WORK/base"
 echo "compare_hashes: running $(git rev-parse --short=7 HEAD) (HEAD)" >&2
 run_all "$ROOT" "$WORK/head"
 
-python3 - "$WORK/parent" "$WORK/head" <<'EOF'
+python3 - "$WORK/base" "$WORK/head" <<'EOF'
 import csv
 import os
 import sys
@@ -122,13 +132,13 @@ def hash_lines(root):
     return found
 
 
-parent, head = (hash_lines(root) for root in sys.argv[1:])
-if not parent or not head:
+base, head = (hash_lines(root) for root in sys.argv[1:])
+if not base or not head:
     sys.exit("compare_hashes: no manifest lines found")
-keys = sorted(parent.keys() | head.keys())
-differing = [key for key in keys if parent.get(key) != head.get(key)]
+keys = sorted(base.keys() | head.keys())
+differing = [key for key in keys if base.get(key) != head.get(key)]
 for key in differing:
-    print(f"{key}: parent {parent.get(key)} HEAD {head.get(key)}")
+    print(f"{key}: base {base.get(key)} HEAD {head.get(key)}")
 print(f"compare_hashes: {len(differing)} of {len(keys)} lines differ")
 sys.exit(1 if differing else 0)
 EOF

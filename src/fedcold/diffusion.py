@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checkpoint import require_tensors
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .numerics import Adam, affine, rekey, softmax_rows
 
 INFERENCE_MODES = ("deterministic_mean", "stochastic")
@@ -90,7 +90,44 @@ def build_schedule(
     )
 
 
-@dataclass
+# every tensor of the denoiser, in the order they lie in its flat buffer
+_TENSORS = (
+    "time_w",
+    "time_b",
+    "cond_w",
+    "cond_b",
+    "query_w",
+    "out_w",
+    "trunk1_w",
+    "trunk1_b",
+    "trunk2_w",
+    "trunk2_b",
+    "trunk3_w",
+    "trunk3_b",
+)
+
+
+def _shapes(width: int, cond_dim: int) -> dict[str, tuple[int, ...]]:
+    d, d2 = width, 2 * width
+    shapes = (
+        (d, d), (d,), (cond_dim, d), (d,), (d, d), (d, d),
+        (d2, d2), (d2,), (d2, d2), (d2,), (d2, d), (d,),
+    )  # fmt: skip
+    return dict(zip(_TENSORS, shapes))
+
+
+def _views(flat: np.ndarray, width: int, cond_dim: int) -> dict[str, np.ndarray]:
+    """Views of the flat buffer ``flat``, one per tensor, in ``_TENSORS``
+    order and shaped like the tensor."""
+    views, start = {}, 0
+    for name, shape in _shapes(width, cond_dim).items():
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
+
+
+@dataclass(eq=False)
 class DenoiserParams:
     """Learnable tensors of the conditional denoiser.
 
@@ -99,11 +136,16 @@ class DenoiserParams:
     noisy embedding, one slice per head. The fused vector is concatenated
     with the noisy embedding and pushed through a two-hidden-layer tanh trunk
     back to the embedding width.
+
+    Every tensor is a view of ``flat``, the one buffer the optimizer steps in
+    place. Write into a tensor (``p.time_w[:] = w``); a tensor rebound to
+    another array would no longer train, and the optimizer refuses it.
     """
 
     width: int
     heads: int
     cond_dim: int
+    flat: np.ndarray = field(repr=False)
     time_w: np.ndarray
     time_b: np.ndarray
     cond_w: np.ndarray
@@ -117,54 +159,37 @@ class DenoiserParams:
     trunk3_w: np.ndarray
     trunk3_b: np.ndarray
 
+    @classmethod
+    def zeros(cls, width: int, heads: int, cond_dim: int) -> "DenoiserParams":
+        """All-zero parameters, every tensor a view of one new flat buffer."""
+        _check_dims(width, heads, cond_dim)
+        size = sum(math.prod(s) for s in _shapes(width, cond_dim).values())
+        flat = np.zeros(size)
+        return cls(width, heads, cond_dim, flat, **_views(flat, width, cond_dim))
+
     def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "time_w": self.time_w,
-            "time_b": self.time_b,
-            "cond_w": self.cond_w,
-            "cond_b": self.cond_b,
-            "query_w": self.query_w,
-            "out_w": self.out_w,
-            "trunk1_w": self.trunk1_w,
-            "trunk1_b": self.trunk1_b,
-            "trunk2_w": self.trunk2_w,
-            "trunk2_b": self.trunk2_b,
-            "trunk3_w": self.trunk3_w,
-            "trunk3_b": self.trunk3_b,
-        }
+        return {name: getattr(self, name) for name in _TENSORS}
 
     @classmethod
     def from_tensors(
         cls, width: int, heads: int, cond_dim: int, tensors: dict[str, np.ndarray]
     ) -> "DenoiserParams":
-        """Parameters from checkpoint tensors; DataFormatError names any missing."""
+        """Parameters from checkpoint tensors, copied into a new flat buffer;
+        DataFormatError names any missing or misshapen."""
         _check_dims(width, heads, cond_dim)
-        # every field after width, heads and cond_dim is a tensor
-        require_tensors(tensors, [f.name for f in fields(cls)[3:]], "denoiser")
-
-        def mat(name: str) -> np.ndarray:
-            return np.asarray(tensors[name], dtype=np.float64)
-
-        def vec(name: str) -> np.ndarray:
-            return np.asarray(tensors[name], dtype=np.float64).ravel()
-
-        return cls(
-            width=width,
-            heads=heads,
-            cond_dim=cond_dim,
-            time_w=mat("time_w"),
-            time_b=vec("time_b"),
-            cond_w=mat("cond_w"),
-            cond_b=vec("cond_b"),
-            query_w=mat("query_w"),
-            out_w=mat("out_w"),
-            trunk1_w=mat("trunk1_w"),
-            trunk1_b=vec("trunk1_b"),
-            trunk2_w=mat("trunk2_w"),
-            trunk2_b=vec("trunk2_b"),
-            trunk3_w=mat("trunk3_w"),
-            trunk3_b=vec("trunk3_b"),
-        )
+        require_tensors(tensors, list(_TENSORS), "denoiser")
+        params = cls.zeros(width, heads, cond_dim)
+        for name, view in params.tensors().items():
+            arr = np.asarray(tensors[name], dtype=np.float64)
+            if view.ndim == 1:
+                arr = arr.ravel()
+            if arr.shape != view.shape:
+                raise DataFormatError(
+                    f"denoiser tensor {name!r} has shape {arr.shape}, "
+                    f"expected {view.shape}"
+                )
+            view[...] = arr
+        return params
 
 
 def _check_dims(width: int, heads: int, cond_dim: int) -> None:
@@ -179,28 +204,14 @@ def _check_dims(width: int, heads: int, cond_dim: int) -> None:
 def init_denoiser(
     width: int, heads: int, cond_dim: int, rng: np.random.Generator
 ) -> DenoiserParams:
-    _check_dims(width, heads, cond_dim)
-
-    def xavier(rows: int, cols: int) -> np.ndarray:
-        return np.sqrt(2.0 / (rows + cols)) * rng.standard_normal((rows, cols))
-
-    return DenoiserParams(
-        width=width,
-        heads=heads,
-        cond_dim=cond_dim,
-        time_w=xavier(width, width),
-        time_b=np.zeros(width),
-        cond_w=xavier(cond_dim, width),
-        cond_b=np.zeros(width),
-        query_w=xavier(width, width),
-        out_w=xavier(width, width),
-        trunk1_w=xavier(2 * width, 2 * width),
-        trunk1_b=np.zeros(2 * width),
-        trunk2_w=xavier(2 * width, 2 * width),
-        trunk2_b=np.zeros(2 * width),
-        trunk3_w=xavier(2 * width, width),
-        trunk3_b=np.zeros(width),
-    )
+    """Xavier-normal weights, drawn in place in ``_TENSORS`` order, and zero
+    biases."""
+    params = DenoiserParams.zeros(width, heads, cond_dim)
+    for name, w in params.tensors().items():
+        if w.ndim == 2:
+            rng.standard_normal(out=w)
+            w *= math.sqrt(2.0 / (w.shape[0] + w.shape[1]))
+    return params
 
 
 def sinusoidal_encoding(t, width: int) -> np.ndarray:
@@ -212,6 +223,19 @@ def sinusoidal_encoding(t, width: int) -> np.ndarray:
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
     ang = t * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+def step_keys(p: DenoiserParams, encodings: np.ndarray, out: np.ndarray | None = None):
+    """The time keys of every step, ``affine(encodings, time_w, time_b)``.
+
+    ``encodings`` holds the timestep encodings of steps 1..steps, so row
+    ``t - 1`` is step ``t``'s key. A training step gathers its rows' keys from
+    this table and a reverse-chain step broadcasts its step's row, in place of
+    one projection per row.
+    """
+    out = np.matmul(encodings, p.time_w, out=out)
+    np.add(out, p.time_b, out=out)
+    return out
 
 
 def _as_batch(x: np.ndarray | None) -> tuple[np.ndarray | None, bool]:
@@ -228,44 +252,109 @@ def _check_t(t: np.ndarray, steps: int, lowest: int = 1) -> None:
         raise ConfigError(f"timestep out of range [{lowest}, {steps}]")
 
 
-def _forward_workspace(
-    n: int, p: DenoiserParams, cond_key: np.ndarray | None
-) -> dict[str, np.ndarray]:
-    """Every array a forward pass on ``n`` rows writes, with the condition
-    key ``cond_key`` (``affine(m, cond_w, cond_b)``; None without a
-    condition) already in row 1 of the key/value stack.
+@dataclass(eq=False)
+class _Workspace:
+    """Every array a pass over ``n`` rows writes, allocated once and
+    overwritten by every pass.
 
-    A reverse chain, whose conditions do not change from step to step, makes
-    one and passes it to every step.
+    A reverse chain makes one with its condition key, which does not change
+    from step to step, and runs every step in it. A training call makes one
+    per batch size, with the arrays a step's loss and backward pass write as
+    well (``train=True``); ``_backward`` reuses the arrays it has read for the
+    last time.
     """
+
+    kv: np.ndarray  # (n, key rows, d): the time key, then the condition key
+    q: np.ndarray
+    scores: np.ndarray
+    heads: np.ndarray
+    x: np.ndarray  # [e_t | fused]
+    h1: np.ndarray
+    h2: np.ndarray
+    out: np.ndarray
+    # a training step's: its noisy rows, their encodings, the step-key table,
+    # the backward pass's (n, 2d) array and the flat gradient with its views
+    e_t: np.ndarray | None = None
+    tenc: np.ndarray | None = None
+    keys: np.ndarray | None = None
+    dz: np.ndarray | None = None
+    grad: np.ndarray | None = None
+    grads: dict[str, np.ndarray] | None = None
+
+
+def _workspace(
+    n: int,
+    p: DenoiserParams,
+    cond_key: np.ndarray | None,
+    steps: int = 0,
+    train: bool = False,
+) -> _Workspace:
+    """A workspace for ``n`` rows, with ``cond_key`` (``affine(m, cond_w,
+    cond_b)``; None without a condition) in the condition-key row. A training
+    workspace, for a schedule of ``steps`` steps, is written a new condition
+    key by every step; pass any array of the key's shape."""
     d, h = p.width, p.heads
     r = 1 if cond_key is None else 2
     kv = np.empty((n, r, d))
     if cond_key is not None:
         kv[:, 1] = cond_key
-    return {
-        "kv": kv,
-        "q": np.empty((n, d)),
-        "scores": np.empty((n, h, r)),
-        "heads": np.empty((n, h, d // h)),
-        "x": np.empty((n, 2 * d)),
-        "a1": np.empty((n, 2 * d)),
-        "a2": np.empty((n, 2 * d)),
-        "out": np.empty((n, d)),
-    }
+    work = _Workspace(
+        kv=kv,
+        q=np.empty((n, d)),
+        scores=np.empty((n, h, r)),
+        heads=np.empty((n, h, d // h)),
+        x=np.empty((n, 2 * d)),
+        h1=np.empty((n, 2 * d)),
+        h2=np.empty((n, 2 * d)),
+        out=np.empty((n, d)),
+    )
+    if train:
+        work.e_t = np.empty((n, d))
+        work.tenc = np.empty((n, d))
+        work.keys = np.empty((steps, d))
+        work.dz = np.empty((n, 2 * d))
+        work.grad = np.empty(p.flat.size)
+        work.grads = _views(work.grad, p.width, p.cond_dim)
+    return work
+
+
+@dataclass(eq=False)
+class ForwardCache:
+    """What a forward pass leaves for ``_backward``: views of its workspace."""
+
+    e_t: np.ndarray
+    m: np.ndarray | None
+    q: np.ndarray  # (n, heads, head width)
+    kv: np.ndarray  # (n, key rows, heads, head width)
+    attention: np.ndarray  # (n, heads, key rows): the softmax weights
+    heads: np.ndarray  # (n, d): the heads' outputs side by side
+    x: np.ndarray  # [e_t | fused]
+    h1: np.ndarray
+    h2: np.ndarray
+    scale: float
+
+    @property
+    def fused(self) -> np.ndarray:
+        return self.x[:, self.e_t.shape[1] :]
+
+    @property
+    def cond_key(self) -> np.ndarray | None:
+        n, r = self.kv.shape[:2]
+        return None if r == 1 else self.kv[:, 1].reshape(n, -1)
 
 
 def _forward(
     e_t: np.ndarray,
-    tenc: np.ndarray,
+    time_key: np.ndarray,
     m: np.ndarray | None,
     p: DenoiserParams,
-    work: dict[str, np.ndarray] | None = None,
-):
+    work: _Workspace | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
     """Denoiser forward pass: the clean-embedding estimate and the cache.
 
-    ``tenc`` holds each row's timestep encoding. Every array is written into
-    ``work`` (from ``_forward_workspace``; fresh when omitted), so the
+    ``time_key`` holds each row's time key, or one key for every row: rows of
+    ``step_keys``. Every array is written into ``work`` (from ``_workspace``,
+    with the condition key of ``m`` in it; fresh when omitted), so the
     estimate and the cache are views of it.
     """
     n, d = e_t.shape
@@ -278,51 +367,73 @@ def _forward(
         )
     if work is None:
         cond_key = None if m is None else affine(m, p.cond_w, p.cond_b)
-        work = _forward_workspace(n, p, cond_key)
-    kv, x, a1, a2, out = work["kv"], work["x"], work["a1"], work["a2"], work["out"]
-    time_key = np.matmul(tenc, p.time_w, out=kv[:, 0])
-    np.add(time_key, p.time_b, out=time_key)
+        work = _workspace(n, p, cond_key)
+    kv, x, h1, h2, out = work.kv, work.x, work.h1, work.h2, work.out
+    kv[:, 0] = time_key
     r = kv.shape[1]
-    qh = np.matmul(e_t, p.query_w, out=work["q"]).reshape(n, h, dh)
+    qh = np.matmul(e_t, p.query_w, out=work.q).reshape(n, h, dh)
     kvh = kv.reshape(n, r, h, dh)
     scale = 1.0 / math.sqrt(dh)
-    scores = np.einsum("nhd,nrhd->nhr", qh, kvh, out=work["scores"])
+    scores = np.einsum("nhd,nrhd->nhr", qh, kvh, out=work.scores)
     np.multiply(scores, scale, out=scores)
     attn = softmax_rows(scores)
-    heads_out = np.einsum("nhr,nrhd->nhd", attn, kvh, out=work["heads"])
+    heads_out = np.einsum("nhr,nrhd->nhd", attn, kvh, out=work.heads)
     concat = heads_out.reshape(n, d)
     x[:, :d] = e_t  # x = [e_t | fused]
-    fused = np.matmul(concat, p.out_w, out=x[:, d:])
-    np.matmul(x, p.trunk1_w, out=a1)
-    np.add(a1, p.trunk1_b, out=a1)
-    np.tanh(a1, out=a1)
-    np.matmul(a1, p.trunk2_w, out=a2)
-    np.add(a2, p.trunk2_b, out=a2)
-    np.tanh(a2, out=a2)
-    np.matmul(a2, p.trunk3_w, out=out)
+    np.matmul(concat, p.out_w, out=x[:, d:])
+    np.matmul(x, p.trunk1_w, out=h1)
+    np.add(h1, p.trunk1_b, out=h1)
+    np.tanh(h1, out=h1)
+    np.matmul(h1, p.trunk2_w, out=h2)
+    np.add(h2, p.trunk2_b, out=h2)
+    np.tanh(h2, out=h2)
+    np.matmul(h2, p.trunk3_w, out=out)
     np.add(out, p.trunk3_b, out=out)
-    cache = (e_t, tenc, m, qh, kvh, attn, concat, x, a1, a2, scale, r, fused)
+    cache = ForwardCache(e_t, m, qh, kvh, attn, concat, x, h1, h2, scale)
     return out, cache
 
 
-def _backward(d_out: np.ndarray, cache, p: DenoiserParams) -> dict[str, np.ndarray]:
-    e_t, tenc, m, qh, kvh, attn, concat, x, a1, a2, scale, r, _ = cache
+def _backward(
+    d_out: np.ndarray,
+    cache: ForwardCache,
+    tenc: np.ndarray,
+    p: DenoiserParams,
+    work: _Workspace | None = None,
+) -> dict[str, np.ndarray]:
+    """Every tensor's gradient, given the output gradient ``d_out`` and the
+    encodings ``tenc`` that the rows' time keys were projected from.
+
+    The gradients are views of a training workspace's flat gradient (fresh
+    when ``work`` is None). The pass overwrites the cache's trunk arrays
+    once it has read them for the last time, so it runs once per forward.
+    """
+    e_t, m, qh, kvh, attn = cache.e_t, cache.m, cache.q, cache.kv, cache.attention
+    x, h1, h2, scale = cache.x, cache.h1, cache.h2, cache.scale
     n, d = e_t.shape
     h, dh = p.heads, p.width // p.heads
-    grads: dict[str, np.ndarray] = {}
-    grads["trunk3_w"] = a2.T @ d_out
-    grads["trunk3_b"] = d_out.sum(axis=0)
-    d_a2 = d_out @ p.trunk3_w.T
-    d_z2 = d_a2 * (1.0 - a2 * a2)
-    grads["trunk2_w"] = a1.T @ d_z2
-    grads["trunk2_b"] = d_z2.sum(axis=0)
-    d_a1 = d_z2 @ p.trunk2_w.T
-    d_z1 = d_a1 * (1.0 - a1 * a1)
-    grads["trunk1_w"] = x.T @ d_z1
-    grads["trunk1_b"] = d_z1.sum(axis=0)
-    d_x = d_z1 @ p.trunk1_w.T
-    d_fused = d_x[:, d:]
-    grads["out_w"] = concat.T @ d_fused
+    r = kvh.shape[1]
+    if work is None or work.grads is None:
+        grads = _views(np.empty(p.flat.size), p.width, p.cond_dim)
+        dz = np.empty((n, 2 * d))
+    else:
+        grads, dz = work.grads, work.dz
+    np.matmul(h2.T, d_out, out=grads["trunk3_w"])
+    np.sum(d_out, axis=0, out=grads["trunk3_b"])
+    np.matmul(d_out, p.trunk3_w.T, out=dz)  # d_h2
+    np.multiply(h2, h2, out=h2)  # 1 - h2², over h2: its last reader was above
+    np.subtract(1.0, h2, out=h2)
+    np.multiply(dz, h2, out=dz)  # d_z2
+    np.matmul(h1.T, dz, out=grads["trunk2_w"])
+    np.sum(dz, axis=0, out=grads["trunk2_b"])
+    np.matmul(dz, p.trunk2_w.T, out=h2)  # d_h1, over h2
+    np.multiply(h1, h1, out=h1)
+    np.subtract(1.0, h1, out=h1)
+    np.multiply(h2, h1, out=h2)  # d_z1
+    np.matmul(x.T, h2, out=grads["trunk1_w"])
+    np.sum(h2, axis=0, out=grads["trunk1_b"])
+    np.matmul(h2, p.trunk1_w.T, out=dz)  # d_x
+    d_fused = dz[:, d:]
+    np.matmul(cache.heads.T, d_fused, out=grads["out_w"])
     d_heads = (d_fused @ p.out_w.T).reshape(n, h, dh)
     # value path (K == V) plus the softmax/key path
     d_attn = np.einsum("nhd,nrhd->nhr", d_heads, kvh)
@@ -330,23 +441,27 @@ def _backward(d_out: np.ndarray, cache, p: DenoiserParams) -> dict[str, np.ndarr
     d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
     d_qh = np.einsum("nhr,nrhd->nhd", d_scores, kvh) * scale
     d_kvh += np.einsum("nhr,nhd->nrhd", d_scores, qh) * scale
-    grads["query_w"] = e_t.T @ d_qh.reshape(n, d)
+    np.matmul(e_t.T, d_qh.reshape(n, d), out=grads["query_w"])
     d_kv = d_kvh.reshape(n, r, d)
-    grads["time_w"] = tenc.T @ d_kv[:, 0, :]
-    grads["time_b"] = d_kv[:, 0, :].sum(axis=0)
+    np.matmul(tenc.T, d_kv[:, 0, :], out=grads["time_w"])
+    np.sum(d_kv[:, 0, :], axis=0, out=grads["time_b"])
     if m is not None:
-        grads["cond_w"] = m.T @ d_kv[:, 1, :]
-        grads["cond_b"] = d_kv[:, 1, :].sum(axis=0)
+        np.matmul(m.T, d_kv[:, 1, :], out=grads["cond_w"])
+        np.sum(d_kv[:, 1, :], axis=0, out=grads["cond_b"])
     else:
-        grads["cond_w"] = np.zeros_like(p.cond_w)
-        grads["cond_b"] = np.zeros_like(p.cond_b)
+        grads["cond_w"][...] = 0.0
+        grads["cond_b"][...] = 0.0
     return grads
 
 
 def q_sample(
-    e0: np.ndarray, t, eps: np.ndarray, schedule: NoiseSchedule
+    e0: np.ndarray, t, eps: np.ndarray, schedule: NoiseSchedule, out=None
 ) -> np.ndarray:
-    """Corrupt a clean embedding to timestep t with given noise."""
+    """Corrupt a clean embedding to timestep t with given noise.
+
+    With ``out`` (shaped like ``e0``; ``eps`` itself may be passed) the
+    result is written there.
+    """
     e0 = np.asarray(e0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if e0.shape != eps.shape:
@@ -358,7 +473,10 @@ def q_sample(
         ab = ab[:, None]
     elif ab.size == 1:
         ab = ab[0]
-    return np.sqrt(ab) * e0 + np.sqrt(1.0 - ab) * eps
+    # √(1 - ᾱ)·eps first, so that eps may be out: the sum is the same
+    out = np.multiply(np.sqrt(1.0 - ab), eps, out=out)
+    out += np.sqrt(ab) * e0
+    return out
 
 
 def _posterior_coeffs(t, schedule: NoiseSchedule):
@@ -389,24 +507,42 @@ def elbo_loss_fixed(
     eps: np.ndarray,
     params: DenoiserParams,
     schedule: NoiseSchedule,
+    work: _Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Reconstruction loss and gradients for fixed timesteps and noise.
 
     The training objective fixes the clean-embedding parameterization: the
     loss is the mean squared error between the denoiser output and the clean
-    embedding, averaged over the batch.
+    embedding, averaged over the batch. Every array is written into ``work``
+    (from ``_workspace`` with ``train=True``; fresh when omitted), so the
+    gradients are views of its flat gradient; ``eps`` may be its ``e_t``.
     """
     e0, _ = _as_batch(e0)
     m, _ = _as_batch(m)
     eps, _ = _as_batch(eps)
     t_arr = np.atleast_1d(np.asarray(t))
     _check_t(t_arr, schedule.steps)
-    e_t = q_sample(e0, t_arr, eps, schedule)
-    pred, cache = _forward(e_t, sinusoidal_encoding(t_arr, params.width), m, params)
-    diff = pred - e0
-    loss = float(np.mean(diff * diff))
-    d_out = 2.0 * diff / diff.size
-    grads = _backward(d_out, cache, params)
+    n, d = e0.shape
+    p = params
+    if work is None:
+        cond_key = None if m is None else np.empty((n, d))
+        work = _workspace(n, p, cond_key, schedule.steps, train=True)
+    e_t = q_sample(e0, t_arr, eps, schedule, out=work.e_t)
+    encodings = sinusoidal_encoding(np.arange(1, schedule.steps + 1), p.width)
+    keys = step_keys(p, encodings, out=work.keys)
+    rows = t_arr - 1
+    np.take(encodings, rows, axis=0, out=work.tenc, mode="clip")
+    if m is not None:
+        work.kv[:, 1] = affine(m, p.cond_w, p.cond_b)
+    pred, cache = _forward(e_t, keys[rows], m, p, work)
+    diff = np.subtract(pred, e0, out=pred)
+    square = work.dz.reshape(-1)[: n * d].reshape(n, d)
+    np.multiply(diff, diff, out=square)
+    loss = float(np.mean(square))
+    # 2·diff/size: doubling and halving are exact, so dividing by size/2
+    # rounds the same quotient
+    d_out = np.divide(diff, diff.size / 2.0, out=diff)
+    grads = _backward(d_out, cache, work.tenc, p, work)
     return loss, grads
 
 
@@ -416,13 +552,18 @@ def elbo_loss(
     params: DenoiserParams,
     schedule: NoiseSchedule,
     rng: np.random.Generator,
+    work: _Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Monte Carlo training loss: one uniform timestep and noise per row."""
+    """Monte Carlo training loss: one uniform timestep and noise per row,
+    the noise drawn into ``work`` when given."""
     e0, _ = _as_batch(e0)
     n = e0.shape[0]
     t = rng.integers(1, schedule.steps + 1, size=n)
-    eps = rng.standard_normal(e0.shape)
-    return elbo_loss_fixed(e0, m, t, eps, params, schedule)
+    if work is None:
+        eps = rng.standard_normal(e0.shape)
+    else:
+        eps = rng.standard_normal(out=work.e_t)
+    return elbo_loss_fixed(e0, m, t, eps, params, schedule, work)
 
 
 class DenoisingGenerator:
@@ -443,7 +584,13 @@ class DenoisingGenerator:
         epochs: int,
         batch_size: int,
     ) -> float:
-        """Run SGD epochs over the given rows; returns the mean batch loss."""
+        """Run SGD epochs over the given rows; returns the mean batch loss.
+
+        Each batch size (the full batches and the last, shorter one) trains
+        in one workspace, which the call frees when it returns; a step gathers
+        its rows into it and writes its gradient into the workspace's flat
+        gradient, which one Adam step applies to the flat parameters.
+        """
         if epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {epochs}")
         if batch_size < 1:
@@ -451,17 +598,27 @@ class DenoisingGenerator:
         n = e0_rows.shape[0]
         if n == 0:
             raise ConfigError("cannot train the denoiser on zero rows")
-        tensors = self.params.tensors()
+        p, steps = self.params, self.schedule.steps
+        works: dict[int, tuple[_Workspace, np.ndarray, np.ndarray, np.ndarray]] = {}
         losses = []
         for _ in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch_size):
                 batch = order[start : start + batch_size]
-                loss, grads = elbo_loss(
-                    e0_rows[batch], conditions[batch], self.params, self.schedule, rng
-                )
+                size = batch.size
+                if size not in works:
+                    works[size] = (
+                        _workspace(size, p, np.empty((size, p.width)), steps, True),
+                        np.empty((size, p.width)),
+                        np.empty((size, p.cond_dim)),
+                        np.empty(p.flat.size),
+                    )
+                work, e0, m, scratch = works[size]
+                np.take(e0_rows, batch, axis=0, out=e0, mode="clip")
+                np.take(conditions, batch, axis=0, out=m, mode="clip")
+                loss, _ = elbo_loss(e0, m, p, self.schedule, rng, work)
                 losses.append(loss)
-                self.opt.step(tensors, grads)
+                self.opt.step(p.flat, p.tensors(), work.grad, scratch)
         return float(np.mean(losses))
 
     def generate(
@@ -480,7 +637,7 @@ class DenoisingGenerator:
         rows share the chain, so sets of items with their own labels run as
         one chain, while the denoiser itself runs vectorized across rows.
         What no step changes is computed once per chain: the condition key,
-        the timestep encodings, the posterior coefficients, and each row's
+        the step-key table, the posterior coefficients, and each row's
         noise, drawn from its stream in one call (the same numbers, in the
         same order, as one draw per step), the streams taking turns in one
         re-keyed generator.  Every step runs in one forward workspace and
@@ -507,7 +664,7 @@ class DenoisingGenerator:
                     f"{n} items but {conditions.shape[0]} condition rows"
                 )
             cond_key = affine(conditions, p.cond_w, p.cond_b)
-        work = _forward_workspace(n, p, cond_key)
+        work = _workspace(n, p, cond_key)
         # row k of an item's draws: the start noise, then the step-t noise
         # at k = steps + 1 - t
         draws = 1 if mode == "deterministic_mean" else steps
@@ -517,13 +674,11 @@ class DenoisingGenerator:
             rng = rekey(rng, seed, label, item)
             rng.standard_normal(out=noise[i])
         timesteps = np.arange(1, steps + 1)
-        encodings = sinusoidal_encoding(timesteps, width)
+        keys = step_keys(p, sinusoidal_encoding(timesteps, width))
         c_noisy, c_clean = _posterior_coeffs(timesteps, self.schedule)
-        tenc = np.empty((n, width))  # the step's encoding on every row
         x = noise[:, 0].copy()
         for t in range(steps, 0, -1):
-            tenc[:] = encodings[t - 1]
-            pred, _ = _forward(x, tenc, conditions, p, work)
+            pred, _ = _forward(x, keys[t - 1], conditions, p, work)
             # the posterior mean c_noisy·x + c_clean·pred, in place
             np.multiply(x, c_noisy[t - 1], out=x)
             np.multiply(pred, c_clean[t - 1], out=pred)

@@ -121,10 +121,12 @@ def assert_finite(name: str, *arrays: np.ndarray) -> None:
 
 
 class Adam:
-    """Adam optimizer over a named parameter dict, updating in place.
+    """Adam over one flat parameter buffer, updating it in place.
 
     Used for the server-side denoiser; the federated client updates and the
-    baseline mapper/attacker deliberately stay on plain SGD.
+    baseline mapper/attacker deliberately stay on plain SGD. Every update is
+    elementwise, so one pass over the flat buffer rounds each weight exactly
+    as a pass per tensor would. The moments are allocated at the first step.
     """
 
     def __init__(
@@ -141,20 +143,47 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(
+        self,
+        weights: np.ndarray,
+        views: dict[str, np.ndarray],
+        grad: np.ndarray,
+        scratch: np.ndarray,
+    ) -> None:
+        """One step of ``weights`` against ``grad``, both flat.
+
+        ``views`` names the tensors that the caller reads its model from; each
+        must be a view of ``weights``. One rebound to a copy (``p.w = ...``
+        where ``p.w[:] = ...`` was meant) would never see a step, so the step
+        refuses it. ``grad`` and ``scratch``, shaped like ``weights``, are
+        overwritten.
+        """
+        for name, view in views.items():
+            if view.base is not weights:
+                raise ConfigError(
+                    f"parameter {name!r} is not a view of the optimizer's buffer; "
+                    f"write into it with [...] = instead of rebinding it"
+                )
+        if self._m is None:
+            self._m = np.zeros_like(weights)
+            self._v = np.zeros_like(weights)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name in sorted(params):
-            g = grads[name]
-            m = self._m.setdefault(name, np.zeros_like(params[name]))
-            v = self._v.setdefault(name, np.zeros_like(params[name]))
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            params[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v = self._m, self._v
+        m *= b1
+        np.multiply(grad, 1 - b1, out=scratch)
+        m += scratch
+        v *= b2
+        np.multiply(grad, 1 - b2, out=scratch)  # (1 - b2)·g·g, in that order
+        scratch *= grad
+        v += scratch
+        np.divide(v, 1 - b2**self.t, out=scratch)  # the denominator
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        np.divide(m, 1 - b1**self.t, out=grad)  # the numerator, lr·m̂
+        np.multiply(grad, self.lr, out=grad)
+        np.divide(grad, scratch, out=grad)
+        weights -= grad

@@ -6,8 +6,10 @@ posterior and the model's posterior mean, the Gaussian entropy floor, the
 logistic with one branch per sign, the clamped BCE loss, Floyd's sampling of k distinct items, the simulation's
 set-up one user at a time, the round buffer's index one client at a time,
 Laplace upload noise by numpy's two branches, mean aggregation whose first
-upload assigns, and the cold ranking with its per-cutoff recall, precision
-and NDCG.
+upload assigns, the cold ranking with its per-cutoff recall, precision and
+NDCG, and the denoiser's training as first written: Adam over a dict of
+tensors, and a loss that projects each row's time key and attends by einsum
+and a row softmax.
 """
 
 from __future__ import annotations
@@ -17,7 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedcold.diffusion import NoiseSchedule, _posterior_coeffs
+from fedcold.diffusion import (
+    NoiseSchedule,
+    _posterior_coeffs,
+    sinusoidal_encoding,
+)
 from fedcold.errors import ConfigError, NumericsError
 from fedcold.federation import (
     INIT_STD,
@@ -26,7 +32,7 @@ from fedcold.federation import (
     GlobalItemTable,
     score_items,
 )
-from fedcold.numerics import stream_rng
+from fedcold.numerics import affine, softmax_rows, stream_rng
 
 GRAD_CHECK_H_MIN = 1e-6
 GRAD_CHECK_H_MAX = 1e-4
@@ -314,3 +320,114 @@ def ndcg_at_k(ranking: list[int], relevant: set[int], k: int) -> float:
     ideal_hits = min(len(relevant), k)
     idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, ideal_hits + 1))
     return dcg / idcg
+
+
+class DictAdam:
+    """Adam over a named parameter dict, one tensor at a time, in place."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name in sorted(params):
+            g = grads[name]
+            m = self._m.setdefault(name, np.zeros_like(params[name]))
+            v = self._v.setdefault(name, np.zeros_like(params[name]))
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mhat = m / (1 - b1**self.t)
+            vhat = v / (1 - b2**self.t)
+            params[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def attention_einsum(q, keys, scale):
+    """Softmax attention of per-head queries ``q`` (n, heads, head width) over
+    the key/value stack ``keys`` (n, key rows, heads, head width): the
+    weights (n, heads, key rows) and the heads' outputs."""
+    attn = softmax_rows(np.einsum("nhd,nrhd->nhr", q, keys) * scale)
+    return attn, np.einsum("nhr,nrhd->nhd", attn, keys)
+
+
+def attention_einsum_backward(d_heads, q, keys, attn, scale):
+    """Gradients of ``attention_einsum`` for the heads' gradient ``d_heads``:
+    the queries' and the keys' (keys are the values too)."""
+    d_attn = np.einsum("nhd,nrhd->nhr", d_heads, keys)
+    d_keys = np.einsum("nhr,nhd->nrhd", attn, d_heads)
+    d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
+    d_q = np.einsum("nhr,nrhd->nhd", d_scores, keys) * scale
+    d_keys += np.einsum("nhr,nhd->nrhd", d_scores, q) * scale
+    return d_q, d_keys
+
+
+def reference_denoiser_loss(e0, m, t, eps, p, schedule):
+    """The denoiser's reconstruction loss and gradients with fresh arrays
+    throughout: each row's time key projected from its own encoding, the
+    time and condition keys stacked and attended by ``attention_einsum``."""
+    n, d = e0.shape
+    h, dh = p.heads, p.width // p.heads
+    ab = schedule.alpha_bar[t][:, None]
+    e_t = np.sqrt(ab) * e0 + np.sqrt(1.0 - ab) * eps
+    tenc = sinusoidal_encoding(t, d)
+    keys = [affine(tenc, p.time_w, p.time_b)]
+    if m is not None:
+        keys.append(affine(m, p.cond_w, p.cond_b))
+    kvh = np.stack(keys, axis=1).reshape(n, len(keys), h, dh)
+    qh = (e_t @ p.query_w).reshape(n, h, dh)
+    scale = 1.0 / math.sqrt(dh)
+    attn, heads = attention_einsum(qh, kvh, scale)
+    concat = heads.reshape(n, d)
+    x = np.concatenate([e_t, concat @ p.out_w], axis=1)
+    a1 = np.tanh(x @ p.trunk1_w + p.trunk1_b)
+    a2 = np.tanh(a1 @ p.trunk2_w + p.trunk2_b)
+    diff = a2 @ p.trunk3_w + p.trunk3_b - e0
+    loss = float(np.mean(diff * diff))
+    d_out = 2.0 * diff / diff.size
+    grads = {"trunk3_w": a2.T @ d_out, "trunk3_b": d_out.sum(axis=0)}
+    d_z2 = d_out @ p.trunk3_w.T * (1.0 - a2 * a2)
+    grads["trunk2_w"] = a1.T @ d_z2
+    grads["trunk2_b"] = d_z2.sum(axis=0)
+    d_z1 = d_z2 @ p.trunk2_w.T * (1.0 - a1 * a1)
+    grads["trunk1_w"] = x.T @ d_z1
+    grads["trunk1_b"] = d_z1.sum(axis=0)
+    d_fused = (d_z1 @ p.trunk1_w.T)[:, d:]
+    grads["out_w"] = concat.T @ d_fused
+    d_heads = (d_fused @ p.out_w.T).reshape(n, h, dh)
+    d_qh, d_kvh = attention_einsum_backward(d_heads, qh, kvh, attn, scale)
+    grads["query_w"] = e_t.T @ d_qh.reshape(n, d)
+    d_kv = d_kvh.reshape(n, len(keys), d)
+    grads["time_w"] = tenc.T @ d_kv[:, 0]
+    grads["time_b"] = d_kv[:, 0].sum(axis=0)
+    if m is None:
+        grads["cond_w"] = np.zeros_like(p.cond_w)
+        grads["cond_b"] = np.zeros_like(p.cond_b)
+    else:
+        grads["cond_w"] = m.T @ d_kv[:, 1]
+        grads["cond_b"] = d_kv[:, 1].sum(axis=0)
+    return loss, grads
+
+
+def reference_train_epochs(p, schedule, opt, e0_rows, conditions, rng, epochs, batch_size):
+    """The denoiser's training epochs with a fresh loss and ``DictAdam`` step
+    per batch, drawing from ``rng`` as the program does."""
+    n = e0_rows.shape[0]
+    tensors = p.tensors()
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            t = rng.integers(1, schedule.steps + 1, size=batch.size)
+            eps = rng.standard_normal((batch.size, p.width))
+            loss, grads = reference_denoiser_loss(
+                e0_rows[batch], conditions[batch], t, eps, p, schedule
+            )
+            losses.append(loss)
+            opt.step(tensors, grads)
+    return float(np.mean(losses))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,21 +11,24 @@ from fedcold.diffusion import (
     DenoisingGenerator,
     _backward,
     _forward,
-    _forward_workspace,
+    _workspace,
     build_schedule,
     elbo_loss,
     elbo_loss_fixed,
     init_denoiser,
     q_sample,
     sinusoidal_encoding,
+    step_keys,
 )
 from fedcold.diffusion import DenoiserParams
 from fedcold.errors import ConfigError
-from fedcold.numerics import affine, stream_rng
+from fedcold.numerics import Adam, affine, stream_rng
 from oracles import (
+    DictAdam,
     finite_diff_grad_check,
     posterior_mean_from_prediction,
     posterior_stats,
+    reference_train_epochs,
 )
 
 
@@ -38,12 +42,19 @@ def toy_params(seed=0, width=8, heads=2, cond_dim=6):
     return init_denoiser(width, heads, cond_dim, rng)
 
 
+def time_keys(p, t, n=1):
+    """Step ``t``'s time key on each of ``n`` rows: row ``t - 1`` of the
+    step-key table over 40 steps."""
+    keys = step_keys(p, sinusoidal_encoding(np.arange(1, 41), p.width))
+    return np.tile(keys[t - 1], (n, 1))
+
+
 def fusion(e_t, t, m, p):
     """Fused vector and per-head attention weights of one row, read from the
     denoiser's forward cache."""
     m = None if m is None else m[None, :]
-    _, cache = _forward(e_t[None, :], sinusoidal_encoding(t, p.width), m, p)
-    return cache[-1][0], cache[5][0]
+    _, cache = _forward(e_t[None, :], time_keys(p, t), m, p)
+    return cache.fused[0], cache.attention[0]
 
 
 def test_schedule_hand_example():
@@ -249,9 +260,9 @@ def test_denoiser_deterministic():
     rng = stream_rng(10, "denoise-det")
     e_t = rng.standard_normal((4, 8))
     m = rng.standard_normal((4, 6))
-    tenc = sinusoidal_encoding(np.full(4, 3), 8)
-    out1, _ = _forward(e_t, tenc, m, p)
-    out2, _ = _forward(e_t, tenc, m, p)
+    keys = time_keys(p, 3, 4)
+    out1, _ = _forward(e_t, keys, m, p)
+    out2, _ = _forward(e_t, keys, m, p)
     assert np.array_equal(out1, out2)
     assert out1.shape == (4, 8)
 
@@ -263,21 +274,23 @@ def test_forward_in_a_workspace_equals_a_fresh_forward_bitwise(conditioned):
     p = toy_params()
     rng = stream_rng(12, "forward-work")
     m = rng.standard_normal((5, 6)) if conditioned else None
-    work = _forward_workspace(5, p, None if m is None else affine(m, p.cond_w, p.cond_b))
+    work = _workspace(5, p, None if m is None else affine(m, p.cond_w, p.cond_b))
     for t in (4, 1, 3):
         e_t = rng.standard_normal((5, 8))
-        tenc = sinusoidal_encoding(np.full(5, t), 8)
-        fresh_out, fresh_cache = _forward(e_t, tenc, m, p)
-        out, cache = _forward(e_t, tenc, m, p, work)
+        fresh_out, fresh_cache = _forward(e_t, time_keys(p, t, 5), m, p)
+        # the chain's form: one key row for every row
+        out, cache = _forward(e_t, time_keys(p, t)[0], m, p, work)
         assert np.array_equal(out, fresh_out)
-        assert len(cache) == len(fresh_cache)
-        for got, expected in zip(cache, fresh_cache):
-            assert (got is None) == (expected is None)
+        for field in dataclasses.fields(cache):
+            got = getattr(cache, field.name)
+            expected = getattr(fresh_cache, field.name)
+            assert (got is None) == (expected is None), field.name
             if expected is not None:
-                assert np.array_equal(got, expected)
+                assert np.array_equal(got, expected), field.name
         d_out = rng.standard_normal((5, 8))
-        grads = _backward(d_out, cache, p)
-        for name, grad in _backward(d_out, fresh_cache, p).items():
+        tenc = sinusoidal_encoding(np.full(5, t), 8)
+        grads = _backward(d_out, cache, tenc, p)
+        for name, grad in _backward(d_out, fresh_cache, tenc, p).items():
             assert np.array_equal(grads[name], grad), name
 
 
@@ -334,13 +347,15 @@ def test_training_reduces_loss_trend():
     e0 = rng.standard_normal((2, 8))
     m = rng.standard_normal((2, 6))
     t = np.array([3, 3])
-    tensors = gen.params.tensors()
+    p = gen.params
+    work = _workspace(2, p, np.empty((2, 8)), s.steps, train=True)
+    scratch = np.empty_like(p.flat)
     losses = []
     for step in range(200):
         eps = stream_rng(15, "trend-eps", step).standard_normal((2, 8))
-        loss, grads = elbo_loss_fixed(e0, m, t, eps, gen.params, s)
+        loss, _ = elbo_loss_fixed(e0, m, t, eps, p, s, work)
         losses.append(loss)
-        gen.opt.step(tensors, grads)
+        gen.opt.step(p.flat, p.tensors(), work.grad, scratch)
     first = np.mean(losses[:20])
     last = np.mean(losses[-20:])
     assert last < first
@@ -354,9 +369,9 @@ def test_denoiser_condition_sensitivity_after_training():
     m = rng.standard_normal((4, 6))
     gen.train_epochs(e0, m, stream_rng(17, "sens-train"), epochs=50, batch_size=4)
     e_t = rng.standard_normal((1, 8))
-    tenc = sinusoidal_encoding(2, 8)
-    out_a, _ = _forward(e_t, tenc, m[:1], gen.params)
-    out_b, _ = _forward(e_t, tenc, m[1:2], gen.params)
+    keys = time_keys(gen.params, 2)
+    out_a, _ = _forward(e_t, keys, m[:1], gen.params)
+    out_b, _ = _forward(e_t, keys, m[1:2], gen.params)
     assert np.linalg.norm(out_a - out_b) > 1e-6
 
 
@@ -389,7 +404,7 @@ def test_reverse_sample_single_step_returns_prediction():
     m = stream_rng(22, "rev1-m").standard_normal(6)
     noise = stream_rng(23, "infer", 5).standard_normal(8)
     got = gen.generate([5], m[None, :], seed=23)
-    expected, _ = _forward(noise[None, :], sinusoidal_encoding(1, 8), m[None, :], gen.params)
+    expected, _ = _forward(noise[None, :], time_keys(gen.params, 1), m[None, :], gen.params)
     assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -418,14 +433,17 @@ def test_generate_requires_matching_condition_rows():
 
 
 def reference_chain(gen, item_ids, conditions, seed, mode, stream_label="infer"):
-    """The reverse chain with nothing hoisted: a fresh draw per item per step,
-    the encoding and the condition key recomputed by the forward each step."""
+    """The reverse chain with nothing else hoisted: a fresh draw per item per
+    step, the step's row of the step-key table on every row, and the
+    condition key recomputed by the forward each step."""
     p, schedule = gen.params, gen.schedule
     n, width = len(item_ids), p.width
     rngs = [stream_rng(seed, stream_label, item) for item in item_ids]
     x = np.stack([r.standard_normal(width) for r in rngs])
+    encodings = sinusoidal_encoding(np.arange(1, schedule.steps + 1), width)
+    keys = affine(encodings, p.time_w, p.time_b)
     for t in range(schedule.steps, 0, -1):
-        pred, _ = _forward(x, sinusoidal_encoding(np.full(n, t), width), conditions, p)
+        pred, _ = _forward(x, np.tile(keys[t - 1], (n, 1)), conditions, p)
         x = posterior_mean_from_prediction(x, t, pred, schedule)
         if mode == "stochastic" and t > 1:
             sd = math.sqrt(schedule.sigma2[t])
@@ -483,3 +501,57 @@ def test_generate_requires_one_label_per_row():
     conds = np.zeros((3, 6))
     with pytest.raises(ConfigError, match="3 items but 2 stream labels"):
         toy_generator().generate([1, 2, 3], conds, seed=0, stream_label=["a", "b"])
+
+
+def test_flat_adam_equals_dict_adam_bitwise():
+    # one pass over the flat buffer rounds each weight as the per-tensor
+    # pass does, at every step
+    flat_params = init_denoiser(8, 2, 6, stream_rng(40, "adam-init"))
+    dict_params = DenoiserParams.from_tensors(8, 2, 6, flat_params.tensors())
+    flat_opt, dict_opt = Adam(0.01), DictAdam(0.01)
+    grad, scratch = np.empty_like(flat_params.flat), np.empty_like(flat_params.flat)
+    tensors = dict_params.tensors()
+    for step in range(25):
+        rng = stream_rng(41, "adam-grad", step)
+        grads = {
+            name: rng.standard_normal(view.shape) * 10.0 ** (step % 5 - 2)
+            for name, view in tensors.items()
+        }
+        grad[:] = np.concatenate([grads[name].ravel() for name in tensors])
+        flat_opt.step(flat_params.flat, flat_params.tensors(), grad, scratch)
+        dict_opt.step(tensors, grads)
+        assert np.array_equal(flat_params.flat, dict_params.flat), step
+
+
+def test_adam_refuses_a_tensor_rebound_off_the_flat_buffer():
+    gen = toy_generator()
+    rng = stream_rng(42, "rebind")
+    e0, m = rng.standard_normal((6, 8)), rng.standard_normal((6, 6))
+    gen.params.time_w[:] = 0.5  # written in place: still trains
+    gen.train_epochs(e0, m, stream_rng(43, "rebind-train"), epochs=1, batch_size=4)
+    assert np.all(gen.params.time_w != 0.5)
+    gen.params.query_w = gen.params.query_w.copy()  # rebound: would never train
+    before = gen.params.flat.copy()
+    with pytest.raises(ConfigError, match="'query_w' is not a view"):
+        gen.train_epochs(e0, m, stream_rng(43, "rebind-train"), epochs=1, batch_size=4)
+    assert np.array_equal(gen.params.flat, before)
+
+
+def test_train_epochs_equals_reference_loop():
+    # 4 rounds of 5 epochs over 312 rows: batches of 256 and a 56-row tail,
+    # each size in its own workspace, against fresh arrays, a projection per
+    # row, einsum attention and Adam over a dict
+    schedule = build_schedule(40, 1.0, 0.1, 0.9)
+    params = init_denoiser(64, 4, 8, stream_rng(44, "train-init"))
+    reference = DenoiserParams.from_tensors(64, 4, 8, params.tensors())
+    gen = DenoisingGenerator(params, schedule, server_lr=0.001)
+    opt = DictAdam(0.001)
+    data = stream_rng(45, "train-rows")
+    e0, m = data.standard_normal((312, 64)), data.standard_normal((312, 8))
+    for round_index in range(4):
+        got = gen.train_epochs(e0, m, stream_rng(46, round_index), 5, 256)
+        expected = reference_train_epochs(
+            reference, schedule, opt, e0, m, stream_rng(46, round_index), 5, 256
+        )
+        assert got == expected, round_index
+        assert np.array_equal(params.flat, reference.flat), round_index

@@ -14,7 +14,7 @@ from fedcold.modality import (
     l2_normalize_rows,
     load_features,
 )
-from fedcold.numerics import stream_rng
+from fedcold.numerics import affine, stream_rng
 from fedcold.pipeline import prepare_data
 
 
@@ -154,9 +154,9 @@ def test_project_condition_identity_and_zero():
     p.cond_b[:] = 0.0
 
     def condition_row(m):
-        _, cache = _forward(np.zeros((1, 4)), sinusoidal_encoding(1, 4), m[None, :], p)
-        kvh = cache[4]  # (rows, key/value rows, heads, head width)
-        return kvh[0, 1].reshape(-1)
+        time_key = affine(sinusoidal_encoding(1, 4), p.time_w, p.time_b)
+        _, cache = _forward(np.zeros((1, 4)), time_key, m[None, :], p)
+        return cache.cond_key[0]
 
     m = np.array([1.0, -2.0, 3.0, 0.5])
     assert np.allclose(condition_row(m), m)

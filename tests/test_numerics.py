@@ -215,9 +215,10 @@ def test_grad_check_h_range_enforced():
 
 
 def test_adam_reduces_quadratic_loss():
-    params = {"p": np.array([5.0, -3.0, 2.0])}
+    weights = np.array([5.0, -3.0, 2.0, 0.5])
+    views = {"p": weights[:3], "q": weights[3:]}
     opt = Adam(lr=0.1)
+    scratch = np.empty_like(weights)
     for _ in range(300):
-        g = {"p": 2.0 * params["p"]}
-        opt.step(params, g)
-    assert np.sum(params["p"] ** 2) < 1e-4
+        opt.step(weights, views, 2.0 * weights, scratch)
+    assert np.sum(weights**2) < 1e-4
