@@ -3,9 +3,11 @@
 The forward process corrupts a clean embedding with a linear low-noise
 schedule; the denoiser predicts the clean embedding directly from the noisy
 one, the timestep, and an item modality condition fused in through multi-head
-attention. Reverse sampling walks the posterior means from pure noise down to
-a generated embedding. All gradients are hand-written and checked against
-central differences in the tests.
+attention over a time key and a condition key, computed in closed form.
+Reverse sampling walks the posterior means from pure noise down to a
+generated embedding. All gradients are hand-written and checked against
+central differences in the tests, and training runs through the same loss,
+forward and backward pass, in one workspace per batch size.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .checkpoint import require_tensors
 from .errors import ConfigError, DataFormatError
-from .numerics import Adam, affine, rekey, softmax_rows
+from .numerics import Adam, affine, rekey
 
 INFERENCE_MODES = ("deterministic_mean", "stochastic")
 
@@ -90,30 +92,18 @@ def build_schedule(
     )
 
 
-# every tensor of the denoiser, in the order they lie in its flat buffer
-_TENSORS = (
-    "time_w",
-    "time_b",
-    "cond_w",
-    "cond_b",
-    "query_w",
-    "out_w",
-    "trunk1_w",
-    "trunk1_b",
-    "trunk2_w",
-    "trunk2_b",
-    "trunk3_w",
-    "trunk3_b",
-)
-
-
 def _shapes(width: int, cond_dim: int) -> dict[str, tuple[int, ...]]:
+    """Each tensor's shape, in the order the tensors lie in the flat buffer."""
     d, d2 = width, 2 * width
-    shapes = (
-        (d, d), (d,), (cond_dim, d), (d,), (d, d), (d, d),
-        (d2, d2), (d2,), (d2, d2), (d2,), (d2, d), (d,),
-    )  # fmt: skip
-    return dict(zip(_TENSORS, shapes))
+    return {
+        "time_w": (d, d), "time_b": (d,), "cond_w": (cond_dim, d), "cond_b": (d,),
+        "query_w": (d, d), "out_w": (d, d),
+        "trunk1_w": (d2, d2), "trunk1_b": (d2,), "trunk2_w": (d2, d2), "trunk2_b": (d2,),
+        "trunk3_w": (d2, d), "trunk3_b": (d,),
+    }  # fmt: skip
+
+
+_TENSORS = tuple(_shapes(2, 1))
 
 
 def _views(flat: np.ndarray, width: int, cond_dim: int) -> dict[str, np.ndarray]:
@@ -255,31 +245,51 @@ def _check_t(t: np.ndarray, steps: int, lowest: int = 1) -> None:
 @dataclass(eq=False)
 class _Workspace:
     """Every array a pass over ``n`` rows writes, allocated once and
-    overwritten by every pass.
+    overwritten by every pass; ``_forward`` returns it as the cache that
+    ``_backward`` reads.
 
     A reverse chain makes one with its condition key, which does not change
     from step to step, and runs every step in it. A training call makes one
-    per batch size, with the arrays a step's loss and backward pass write as
-    well (``train=True``); ``_backward`` reuses the arrays it has read for the
-    last time.
+    per batch size (``train=True``), with the arrays that a step's loss and
+    backward pass write as well. Without a condition, ``diff`` and ``a1``
+    stay zero and ``a0`` one.
     """
 
-    kv: np.ndarray  # (n, key rows, d): the time key, then the condition key
-    q: np.ndarray
-    scores: np.ndarray
-    heads: np.ndarray
+    cond_key: np.ndarray | None  # (n, d): the condition key k1
+    diff: np.ndarray  # (n, d): k1 − k0
+    q: np.ndarray  # (n, d): the heads' queries side by side
+    a0: np.ndarray  # (n, heads): each head's weight on k0
+    a1: np.ndarray  # (n, heads): each head's weight on k1
+    heads: np.ndarray  # (n, d): the heads' outputs side by side
     x: np.ndarray  # [e_t | fused]
     h1: np.ndarray
     h2: np.ndarray
     out: np.ndarray
-    # a training step's: its noisy rows, their encodings, the step-key table,
-    # the backward pass's (n, 2d) array and the flat gradient with its views
-    e_t: np.ndarray | None = None
-    tenc: np.ndarray | None = None
+    e_t: np.ndarray | None = None  # the last forward's noisy rows
+    m: np.ndarray | None = None  # and conditions
+    # a training step's
+    e0: np.ndarray | None = None
+    time_key: np.ndarray | None = None
+    encodings: np.ndarray | None = None  # of steps 1..steps
+    tenc: np.ndarray | None = None  # of the rows
     keys: np.ndarray | None = None
     dz: np.ndarray | None = None
     grad: np.ndarray | None = None
-    grads: dict[str, np.ndarray] | None = None
+    grads: dict[str, np.ndarray] | None = None  # views of grad
+    scratch: np.ndarray | None = None  # Adam's
+
+    @property
+    def fused(self) -> np.ndarray:
+        return self.x[:, self.out.shape[1] :]
+
+    @property
+    def attention(self) -> np.ndarray:
+        """Each head's weights on its keys (n, heads, keys): ``[a0, a1]`` on
+        the time and condition keys, or ``[a0]``, which is 1, on the time key
+        alone."""
+        if self.cond_key is None:
+            return self.a0[:, :, None]
+        return np.stack([self.a0, self.a1], axis=-1)
 
 
 def _workspace(
@@ -289,58 +299,107 @@ def _workspace(
     steps: int = 0,
     train: bool = False,
 ) -> _Workspace:
-    """A workspace for ``n`` rows, with ``cond_key`` (``affine(m, cond_w,
-    cond_b)``; None without a condition) in the condition-key row. A training
-    workspace, for a schedule of ``steps`` steps, is written a new condition
-    key by every step; pass any array of the key's shape."""
+    """A workspace for ``n`` rows holding ``cond_key`` (``affine(m, cond_w,
+    cond_b)``; None without a condition). Every step of a training workspace,
+    for a schedule of ``steps`` steps, writes its own condition key; pass any
+    array of the key's shape."""
     d, h = p.width, p.heads
-    r = 1 if cond_key is None else 2
-    kv = np.empty((n, r, d))
-    if cond_key is not None:
-        kv[:, 1] = cond_key
     work = _Workspace(
-        kv=kv,
+        cond_key=cond_key,
+        diff=np.zeros((n, d)),
         q=np.empty((n, d)),
-        scores=np.empty((n, h, r)),
-        heads=np.empty((n, h, d // h)),
+        a0=np.ones((n, h)),
+        a1=np.zeros((n, h)),
+        heads=np.empty((n, d)),
         x=np.empty((n, 2 * d)),
         h1=np.empty((n, 2 * d)),
         h2=np.empty((n, 2 * d)),
         out=np.empty((n, d)),
     )
     if train:
-        work.e_t = np.empty((n, d))
-        work.tenc = np.empty((n, d))
+        work.e_t, work.e0, work.time_key, work.tenc = np.empty((4, n, d))
+        work.m = np.empty((n, p.cond_dim))
+        work.encodings = sinusoidal_encoding(np.arange(1, steps + 1), d)
         work.keys = np.empty((steps, d))
         work.dz = np.empty((n, 2 * d))
         work.grad = np.empty(p.flat.size)
         work.grads = _views(work.grad, p.width, p.cond_dim)
+        work.scratch = np.empty(p.flat.size)
     return work
 
 
-@dataclass(eq=False)
-class ForwardCache:
-    """What a forward pass leaves for ``_backward``: views of its workspace."""
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two contiguous (n, d) arrays that an (n, 2d) array's memory holds."""
+    first, second = a.reshape(2, -1)
+    return first.reshape(a.shape[0], -1), second.reshape(a.shape[0], -1)
 
-    e_t: np.ndarray
-    m: np.ndarray | None
-    q: np.ndarray  # (n, heads, head width)
-    kv: np.ndarray  # (n, key rows, heads, head width)
-    attention: np.ndarray  # (n, heads, key rows): the softmax weights
-    heads: np.ndarray  # (n, d): the heads' outputs side by side
-    x: np.ndarray  # [e_t | fused]
-    h1: np.ndarray
-    h2: np.ndarray
-    scale: float
 
-    @property
-    def fused(self) -> np.ndarray:
-        return self.x[:, self.e_t.shape[1] :]
+def _attention(
+    q: np.ndarray,
+    time_key: np.ndarray,
+    cond_key: np.ndarray | None,
+    scale: float,
+    diff: np.ndarray,
+    a0: np.ndarray,
+    a1: np.ndarray,
+    heads: np.ndarray,
+) -> None:
+    """Each head's softmax attention over the time key k0 and the condition
+    key k1, which are its values too, in closed form.
 
-    @property
-    def cond_key(self) -> np.ndarray | None:
-        n, r = self.kv.shape[:2]
-        return None if r == 1 else self.kv[:, 1].reshape(n, -1)
+    A softmax over two scores is the logistic of their gap, so the weight on
+    k1 is ``a1 = σ(scale·q·(k1 − k0))``, the weight on k0 is ``a0 = 1 − a1``
+    and the output is ``k0 + a1·(k1 − k0)``. With ``z = exp(−|gap|)``, never
+    above 1, the weights are 1 and z over 1 + z, the larger on the higher
+    score: no ``exp`` overflows, and each weight keeps its relative
+    precision however small. Writes ``diff = k1 − k0``, ``a0`` and ``a1``
+    (n, heads) and ``heads``; ``time_key`` may be one row for every row.
+    Without a condition (``cond_key`` None) ``diff`` and ``a1`` must hold
+    zeros and ``a0`` ones: the one key takes all the weight, and ``heads``
+    is the time key.
+    """
+    n, h = a1.shape
+    if cond_key is not None:
+        np.subtract(cond_key, time_key, out=diff)
+        np.multiply(q, diff, out=heads)  # per-dimension products
+        gap = np.sum(heads.reshape(n, h, -1), axis=-1)
+        gap *= scale
+        z = np.exp(-np.abs(gap))
+        upper = gap >= 0
+        np.divide(np.where(upper, 1.0, z), 1.0 + z, out=a1)
+        np.divide(np.where(upper, z, 1.0), 1.0 + z, out=a0)
+    np.multiply(diff.reshape(n, h, -1), a1[:, :, None], out=heads.reshape(n, h, -1))
+    np.add(heads, time_key, out=heads)
+
+
+def _attention_backward(
+    d_heads: np.ndarray,
+    q: np.ndarray,
+    diff: np.ndarray,
+    a0: np.ndarray,
+    a1: np.ndarray,
+    scale: float,
+    d_q: np.ndarray,
+    d_k1: np.ndarray,
+    d_k0: np.ndarray,
+) -> None:
+    """Gradients of ``_attention`` for the heads' gradient ``d_heads``,
+    written into the contiguous (n, d) arrays ``d_q``, ``d_k1`` and ``d_k0``.
+
+    With ``d_s = (d_heads·diff)·a0·a1·scale`` per head, the gap's gradient,
+    ``d_q = d_s·diff``, ``d_k1 = a1·d_heads + d_s·q`` (through the weight
+    and through the gap) and ``d_k0 = d_heads − d_k1``. Without a condition
+    ``d_q`` and ``d_k1`` are zero and ``d_k0`` is ``d_heads``.
+    """
+    n, h = a1.shape
+    np.multiply(d_heads, diff, out=d_q)  # per-dimension products
+    d_s = np.sum(d_q.reshape(n, h, -1), axis=-1)
+    d_s *= a0 * a1 * scale
+    np.multiply(q.reshape(n, h, -1), d_s[:, :, None], out=d_k1.reshape(n, h, -1))
+    np.multiply(d_heads.reshape(n, h, -1), a1[:, :, None], out=d_k0.reshape(n, h, -1))
+    np.add(d_k1, d_k0, out=d_k1)
+    np.multiply(diff.reshape(n, h, -1), d_s[:, :, None], out=d_q.reshape(n, h, -1))
+    np.subtract(d_heads, d_k1, out=d_k0)
 
 
 def _forward(
@@ -349,16 +408,15 @@ def _forward(
     m: np.ndarray | None,
     p: DenoiserParams,
     work: _Workspace | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
+) -> tuple[np.ndarray, _Workspace]:
     """Denoiser forward pass: the clean-embedding estimate and the cache.
 
     ``time_key`` holds each row's time key, or one key for every row: rows of
     ``step_keys``. Every array is written into ``work`` (from ``_workspace``,
-    with the condition key of ``m`` in it; fresh when omitted), so the
-    estimate and the cache are views of it.
+    with the condition key of ``m`` in it; fresh when omitted), which is the
+    cache, so the estimate is a view of it.
     """
     n, d = e_t.shape
-    h, dh = p.heads, p.width // p.heads
     if d != p.width:
         raise ConfigError(f"embedding width {d} does not match model width {p.width}")
     if m is not None and m.shape[1] != p.cond_dim:
@@ -368,19 +426,13 @@ def _forward(
     if work is None:
         cond_key = None if m is None else affine(m, p.cond_w, p.cond_b)
         work = _workspace(n, p, cond_key)
-    kv, x, h1, h2, out = work.kv, work.x, work.h1, work.h2, work.out
-    kv[:, 0] = time_key
-    r = kv.shape[1]
-    qh = np.matmul(e_t, p.query_w, out=work.q).reshape(n, h, dh)
-    kvh = kv.reshape(n, r, h, dh)
-    scale = 1.0 / math.sqrt(dh)
-    scores = np.einsum("nhd,nrhd->nhr", qh, kvh, out=work.scores)
-    np.multiply(scores, scale, out=scores)
-    attn = softmax_rows(scores)
-    heads_out = np.einsum("nhr,nrhd->nhd", attn, kvh, out=work.heads)
-    concat = heads_out.reshape(n, d)
+    work.e_t, work.m = e_t, m
+    x, h1, h2, out = work.x, work.h1, work.h2, work.out
+    q = np.matmul(e_t, p.query_w, out=work.q)
+    scale = 1.0 / math.sqrt(p.width // p.heads)
+    _attention(q, time_key, work.cond_key, scale, work.diff, work.a0, work.a1, work.heads)
     x[:, :d] = e_t  # x = [e_t | fused]
-    np.matmul(concat, p.out_w, out=x[:, d:])
+    np.matmul(work.heads, p.out_w, out=x[:, d:])
     np.matmul(x, p.trunk1_w, out=h1)
     np.add(h1, p.trunk1_b, out=h1)
     np.tanh(h1, out=h1)
@@ -389,34 +441,27 @@ def _forward(
     np.tanh(h2, out=h2)
     np.matmul(h2, p.trunk3_w, out=out)
     np.add(out, p.trunk3_b, out=out)
-    cache = ForwardCache(e_t, m, qh, kvh, attn, concat, x, h1, h2, scale)
-    return out, cache
+    return out, work
 
 
 def _backward(
-    d_out: np.ndarray,
-    cache: ForwardCache,
-    tenc: np.ndarray,
-    p: DenoiserParams,
-    work: _Workspace | None = None,
+    d_out: np.ndarray, cache: _Workspace, tenc: np.ndarray, p: DenoiserParams
 ) -> dict[str, np.ndarray]:
     """Every tensor's gradient, given the output gradient ``d_out`` and the
     encodings ``tenc`` that the rows' time keys were projected from.
 
     The gradients are views of a training workspace's flat gradient (fresh
-    when ``work`` is None). The pass overwrites the cache's trunk arrays
-    once it has read them for the last time, so it runs once per forward.
+    when ``cache`` is not one). The pass overwrites the cache's heads, ``x``,
+    ``h1`` and ``h2`` once it has read them for the last time, so it runs
+    once per forward.
     """
-    e_t, m, qh, kvh, attn = cache.e_t, cache.m, cache.q, cache.kv, cache.attention
-    x, h1, h2, scale = cache.x, cache.h1, cache.h2, cache.scale
-    n, d = e_t.shape
-    h, dh = p.heads, p.width // p.heads
-    r = kvh.shape[1]
-    if work is None or work.grads is None:
+    x, h1, h2 = cache.x, cache.h1, cache.h2
+    n, d = cache.e_t.shape
+    if cache.grads is None:
         grads = _views(np.empty(p.flat.size), p.width, p.cond_dim)
         dz = np.empty((n, 2 * d))
     else:
-        grads, dz = work.grads, work.dz
+        grads, dz = cache.grads, cache.dz
     np.matmul(h2.T, d_out, out=grads["trunk3_w"])
     np.sum(d_out, axis=0, out=grads["trunk3_b"])
     np.matmul(d_out, p.trunk3_w.T, out=dz)  # d_h2
@@ -434,20 +479,19 @@ def _backward(
     np.matmul(h2, p.trunk1_w.T, out=dz)  # d_x
     d_fused = dz[:, d:]
     np.matmul(cache.heads.T, d_fused, out=grads["out_w"])
-    d_heads = (d_fused @ p.out_w.T).reshape(n, h, dh)
-    # value path (K == V) plus the softmax/key path
-    d_attn = np.einsum("nhd,nrhd->nhr", d_heads, kvh)
-    d_kvh = np.einsum("nhr,nhd->nrhd", attn, d_heads)
-    d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
-    d_qh = np.einsum("nhr,nrhd->nhd", d_scores, kvh) * scale
-    d_kvh += np.einsum("nhr,nhd->nrhd", d_scores, qh) * scale
-    np.matmul(e_t.T, d_qh.reshape(n, d), out=grads["query_w"])
-    d_kv = d_kvh.reshape(n, r, d)
-    np.matmul(tenc.T, d_kv[:, 0, :], out=grads["time_w"])
-    np.sum(d_kv[:, 0, :], axis=0, out=grads["time_b"])
-    if m is not None:
-        np.matmul(m.T, d_kv[:, 1, :], out=grads["cond_w"])
-        np.sum(d_kv[:, 1, :], axis=0, out=grads["cond_b"])
+    d_heads = np.matmul(d_fused, p.out_w.T, out=cache.heads)
+    # x and h1 are free from here
+    (d_q, d_k1), (d_k0, _) = _halves(h1), _halves(x)
+    scale = 1.0 / math.sqrt(p.width // p.heads)
+    _attention_backward(
+        d_heads, cache.q, cache.diff, cache.a0, cache.a1, scale, d_q, d_k1, d_k0
+    )
+    np.matmul(cache.e_t.T, d_q, out=grads["query_w"])
+    np.matmul(tenc.T, d_k0, out=grads["time_w"])
+    np.sum(d_k0, axis=0, out=grads["time_b"])
+    if cache.m is not None:
+        np.matmul(cache.m.T, d_k1, out=grads["cond_w"])
+        np.sum(d_k1, axis=0, out=grads["cond_b"])
     else:
         grads["cond_w"][...] = 0.0
         grads["cond_b"][...] = 0.0
@@ -528,21 +572,22 @@ def elbo_loss_fixed(
         cond_key = None if m is None else np.empty((n, d))
         work = _workspace(n, p, cond_key, schedule.steps, train=True)
     e_t = q_sample(e0, t_arr, eps, schedule, out=work.e_t)
-    encodings = sinusoidal_encoding(np.arange(1, schedule.steps + 1), p.width)
-    keys = step_keys(p, encodings, out=work.keys)
     rows = t_arr - 1
-    np.take(encodings, rows, axis=0, out=work.tenc, mode="clip")
+    keys = step_keys(p, work.encodings, out=work.keys)
+    np.take(keys, rows, axis=0, out=work.time_key, mode="clip")
+    np.take(work.encodings, rows, axis=0, out=work.tenc, mode="clip")
     if m is not None:
-        work.kv[:, 1] = affine(m, p.cond_w, p.cond_b)
-    pred, cache = _forward(e_t, keys[rows], m, p, work)
+        np.matmul(m, p.cond_w, out=work.cond_key)
+        np.add(work.cond_key, p.cond_b, out=work.cond_key)
+    pred, _ = _forward(e_t, work.time_key, m, p, work)
     diff = np.subtract(pred, e0, out=pred)
-    square = work.dz.reshape(-1)[: n * d].reshape(n, d)
+    square = _halves(work.dz)[0]
     np.multiply(diff, diff, out=square)
     loss = float(np.mean(square))
     # 2·diff/size: doubling and halving are exact, so dividing by size/2
     # rounds the same quotient
     d_out = np.divide(diff, diff.size / 2.0, out=diff)
-    grads = _backward(d_out, cache, work.tenc, p, work)
+    grads = _backward(d_out, work, work.tenc, p)
     return loss, grads
 
 
@@ -599,26 +644,22 @@ class DenoisingGenerator:
         if n == 0:
             raise ConfigError("cannot train the denoiser on zero rows")
         p, steps = self.params, self.schedule.steps
-        works: dict[int, tuple[_Workspace, np.ndarray, np.ndarray, np.ndarray]] = {}
+        works: dict[int, _Workspace] = {}
         losses = []
         for _ in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch_size):
                 batch = order[start : start + batch_size]
-                size = batch.size
-                if size not in works:
-                    works[size] = (
-                        _workspace(size, p, np.empty((size, p.width)), steps, True),
-                        np.empty((size, p.width)),
-                        np.empty((size, p.cond_dim)),
-                        np.empty(p.flat.size),
-                    )
-                work, e0, m, scratch = works[size]
-                np.take(e0_rows, batch, axis=0, out=e0, mode="clip")
-                np.take(conditions, batch, axis=0, out=m, mode="clip")
-                loss, _ = elbo_loss(e0, m, p, self.schedule, rng, work)
+                work = works.get(batch.size)
+                if work is None:
+                    cond_key = np.empty((batch.size, p.width))
+                    work = _workspace(batch.size, p, cond_key, steps, train=True)
+                    works[batch.size] = work
+                np.take(e0_rows, batch, axis=0, out=work.e0, mode="clip")
+                np.take(conditions, batch, axis=0, out=work.m, mode="clip")
+                loss, _ = elbo_loss(work.e0, work.m, p, self.schedule, rng, work)
                 losses.append(loss)
-                self.opt.step(p.flat, p.tensors(), work.grad, scratch)
+                self.opt.step(p.flat, p.tensors(), work.grad, work.scratch)
         return float(np.mean(losses))
 
     def generate(
@@ -640,7 +681,7 @@ class DenoisingGenerator:
         the step-key table, the posterior coefficients, and each row's
         noise, drawn from its stream in one call (the same numbers, in the
         same order, as one draw per step), the streams taking turns in one
-        re-keyed generator.  Every step runs in one forward workspace and
+        re-keyed generator.  Every step runs in one workspace and
         updates ``x`` in place.
         """
         if mode not in INFERENCE_MODES:

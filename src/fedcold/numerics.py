@@ -90,14 +90,6 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction, total on all finite inputs."""
-    m = np.asarray(m, dtype=np.float64)
-    shifted = m - np.max(m, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def sigmoid(x):
     """Numerically stable logistic function.
 

@@ -32,7 +32,7 @@ from fedcold.federation import (
     GlobalItemTable,
     score_items,
 )
-from fedcold.numerics import affine, softmax_rows, stream_rng
+from fedcold.numerics import affine, stream_rng
 
 GRAD_CHECK_H_MIN = 1e-6
 GRAD_CHECK_H_MAX = 1e-4
@@ -320,6 +320,14 @@ def ndcg_at_k(ranking: list[int], relevant: set[int], k: int) -> float:
     ideal_hits = min(len(relevant), k)
     idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, ideal_hits + 1))
     return dcg / idcg
+
+
+def softmax_rows(m: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max subtraction, total on all finite inputs."""
+    m = np.asarray(m, dtype=np.float64)
+    shifted = m - np.max(m, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 class DictAdam:

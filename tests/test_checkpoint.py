@@ -112,6 +112,14 @@ def test_denoiser_params_round_trip(tmp_path):
         np.testing.assert_allclose(
             restored.tensors()[name], tensor, rtol=0, atol=1e-6
         )
+    # restored into a flat buffer of its own, which the checkpoint's tensors
+    # must fit
+    assert all(t.base is restored.flat for t in restored.tensors().values())
+    tensors = load_checkpoint(path)
+    tensors["cond_w"] = tensors["cond_w"][:5]
+    shape = r"'cond_w' has shape \(5, 8\), expected \(6, 8\)"
+    with pytest.raises(DataFormatError, match=shape):
+        DenoiserParams.from_tensors(8, 2, 6, tensors)
 
 
 def test_mlp_round_trip(tmp_path):

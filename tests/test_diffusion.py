@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from fedcold.config import RunConfig
 from fedcold.diffusion import (
     DenoisingGenerator,
+    _attention,
+    _attention_backward,
     _backward,
     _forward,
     _workspace,
@@ -25,6 +27,8 @@ from fedcold.errors import ConfigError
 from fedcold.numerics import Adam, affine, stream_rng
 from oracles import (
     DictAdam,
+    attention_einsum,
+    attention_einsum_backward,
     finite_diff_grad_check,
     posterior_mean_from_prediction,
     posterior_stats,
@@ -349,13 +353,12 @@ def test_training_reduces_loss_trend():
     t = np.array([3, 3])
     p = gen.params
     work = _workspace(2, p, np.empty((2, 8)), s.steps, train=True)
-    scratch = np.empty_like(p.flat)
     losses = []
     for step in range(200):
         eps = stream_rng(15, "trend-eps", step).standard_normal((2, 8))
         loss, _ = elbo_loss_fixed(e0, m, t, eps, p, s, work)
         losses.append(loss)
-        gen.opt.step(p.flat, p.tensors(), work.grad, scratch)
+        gen.opt.step(p.flat, p.tensors(), work.grad, work.scratch)
     first = np.mean(losses[:20])
     last = np.mean(losses[-20:])
     assert last < first
@@ -537,10 +540,11 @@ def test_adam_refuses_a_tensor_rebound_off_the_flat_buffer():
     assert np.array_equal(gen.params.flat, before)
 
 
-def test_train_epochs_equals_reference_loop():
+def test_train_epochs_matches_reference_loop():
     # 4 rounds of 5 epochs over 312 rows: batches of 256 and a 56-row tail,
     # each size in its own workspace, against fresh arrays, a projection per
-    # row, einsum attention and Adam over a dict
+    # row, einsum attention and Adam over a dict; only the closed-form
+    # attention rounds differently
     schedule = build_schedule(40, 1.0, 0.1, 0.9)
     params = init_denoiser(64, 4, 8, stream_rng(44, "train-init"))
     reference = DenoiserParams.from_tensors(64, 4, 8, params.tensors())
@@ -553,5 +557,65 @@ def test_train_epochs_equals_reference_loop():
         expected = reference_train_epochs(
             reference, schedule, opt, e0, m, stream_rng(46, round_index), 5, 256
         )
-        assert got == expected, round_index
-        assert np.array_equal(params.flat, reference.flat), round_index
+        assert abs(got - expected) <= 1e-12, round_index
+        assert np.max(np.abs(params.flat - reference.flat)) <= 1e-12, round_index
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.3, -7.0, 40.0, 800.0, -800.0])
+@pytest.mark.parametrize("shared_time_key", [False, True])
+def test_closed_form_attention_matches_einsum_softmax(gap, shared_time_key):
+    # keys of unit scale, and queries whose component along each head's
+    # k1 - k0 sets the score gap scale·q·(k1 - k0) to gap times a number in
+    # [0.5, 1]: at ±800 a logistic through exp(-gap) would overflow
+    n, h, dh = 7, 4, 16
+    rng = stream_rng(47, "closed-form", str(gap))
+    scale = 1.0 / math.sqrt(dh)
+    time_key = rng.standard_normal(h * dh if shared_time_key else (n, h * dh))
+    diff = rng.standard_normal((n, h, dh))
+    norm2 = np.sum(diff * diff, axis=-1, keepdims=True)
+    across = rng.standard_normal((n, h, dh))
+    across -= np.sum(across * diff, axis=-1, keepdims=True) / norm2 * diff
+    target = gap * rng.uniform(0.5, 1.0, (n, h, 1))
+    q = across + diff * target / (scale * norm2)
+    cond_key = time_key + diff.reshape(n, -1)
+    keys = np.stack(np.broadcast_arrays(time_key, cond_key), axis=1).reshape(n, 2, h, dh)
+    diff, heads = np.zeros((n, h * dh)), np.empty((n, h * dh))
+    a0, a1 = np.ones((n, h)), np.zeros((n, h))
+    d_heads = rng.standard_normal((n, h, dh))
+    d_q, d_k1, d_k0 = (np.empty((n, h * dh)) for _ in range(3))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        _attention(q.reshape(n, -1), time_key, cond_key, scale, diff, a0, a1, heads)
+        _attention_backward(
+            d_heads.reshape(n, -1), q.reshape(n, -1), diff, a0, a1, scale, d_q, d_k1, d_k0
+        )
+    attn, expected = attention_einsum(q, keys, scale)
+    expected_d_q, expected_d_keys = attention_einsum_backward(d_heads, q, keys, attn, scale)
+    assert np.max(np.abs(np.stack([a0, a1], axis=-1) - attn)) <= 1e-12
+    assert np.max(np.abs(a0 + a1 - 1.0)) <= 1e-15
+    assert np.max(np.abs(heads - expected.reshape(n, -1))) <= 1e-12
+    assert np.max(np.abs(d_q - expected_d_q.reshape(n, -1))) <= 1e-12
+    assert np.max(np.abs(d_k0 - expected_d_keys[:, 0].reshape(n, -1))) <= 1e-12
+    assert np.max(np.abs(d_k1 - expected_d_keys[:, 1].reshape(n, -1))) <= 1e-12
+
+
+def test_closed_form_attention_without_condition_is_the_time_key():
+    n, h, dh = 5, 2, 4
+    rng = stream_rng(48, "closed-form-none")
+    scale = 1.0 / math.sqrt(dh)
+    q, time_key = rng.standard_normal((n, h, dh)), rng.standard_normal((n, h * dh))
+    diff, heads = np.zeros((n, h * dh)), np.empty((n, h * dh))
+    a0, a1 = np.ones((n, h)), np.zeros((n, h))
+    d_heads = rng.standard_normal((n, h * dh))
+    d_q, d_k1, d_k0 = (np.empty((n, h * dh)) for _ in range(3))
+    _attention(q.reshape(n, -1), time_key, None, scale, diff, a0, a1, heads)
+    _attention_backward(d_heads, q.reshape(n, -1), diff, a0, a1, scale, d_q, d_k1, d_k0)
+    keys = time_key.reshape(n, 1, h, dh)
+    attn, expected = attention_einsum(q, keys, scale)
+    expected_d_q, expected_d_keys = attention_einsum_backward(
+        d_heads.reshape(n, h, dh), q, keys, attn, scale
+    )
+    assert np.array_equal(attn, np.ones((n, h, 1)))
+    assert np.array_equal(heads, time_key) and np.array_equal(heads, expected.reshape(n, -1))
+    assert np.array_equal(d_k0, d_heads)
+    assert np.array_equal(d_k0, expected_d_keys[:, 0].reshape(n, -1))
+    assert not np.any(d_q) and not np.any(expected_d_q) and not np.any(d_k1)

@@ -9,10 +9,9 @@ from fedcold.numerics import (
     affine,
     rekey,
     sigmoid,
-    softmax_rows,
     stream_rng,
 )
-from oracles import finite_diff_grad_check, sigmoid_two_branch
+from oracles import finite_diff_grad_check, sigmoid_two_branch, softmax_rows
 
 
 def naive_affine(x, w, b):
