@@ -590,8 +590,12 @@ def test_closed_form_attention_matches_einsum_softmax(gap, shared_time_key):
         )
     attn, expected = attention_einsum(q, keys, scale)
     expected_d_q, expected_d_keys = attention_einsum_backward(d_heads, q, keys, attn, scale)
-    assert np.max(np.abs(np.stack([a0, a1], axis=-1) - attn)) <= 1e-12
+    weights = np.stack([a0, a1], axis=-1)
+    assert np.max(np.abs(weights - attn)) <= 1e-12
     assert np.max(np.abs(a0 + a1 - 1.0)) <= 1e-15
+    # each weight keeps its relative precision, however small (short of
+    # subnormal)
+    np.testing.assert_allclose(weights, attn, rtol=1e-9, atol=1e-300)
     assert np.max(np.abs(heads - expected.reshape(n, -1))) <= 1e-12
     assert np.max(np.abs(d_q - expected_d_q.reshape(n, -1))) <= 1e-12
     assert np.max(np.abs(d_k0 - expected_d_keys[:, 0].reshape(n, -1))) <= 1e-12
