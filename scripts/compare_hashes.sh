@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Byte-identity check: run the same experiments on a base revision (HEAD's
 # parent unless BASE names another) and on this checkout, and print every
-# `sha256:` or `best_round` manifest line that differs between the two.
-# Exits 1 if one differs, 0 if none does.
+# `sha256:` or `best_round` manifest line, and every id-map hash, that differs
+# between the two. Exits 1 if one differs, 0 if none does.
 # The experiments, each from a fresh output directory:
+#   - scripts/benchmark.cfg at seed 1: gen-data, whose manifest hashes the
+#     written data/interactions.csv;
 #   - scripts/benchmark.cfg at seeds 1-3: train, infer, eval and
 #     attack --mode stochastic;
 #   - both perfbench workload configs at seed 11, with their stages; the
@@ -14,6 +16,8 @@
 #     chunks of federation.ROUND_BUFFER_BYTES, under sampling and upload
 #     noise that compounds over the rounds;
 #   - a 2-round copy of scripts/benchmark.cfg: sweep --param ldp --values 0,1.
+# The two id maps that loading writes beside the cold-4x-sparse input are
+# removed before each tree's run and hashed after it.
 # Both trees run the configs and the perfbench spec of this checkout, so only
 # the program differs. The base is unpacked with git archive into a
 # temporary directory, removed on exit. The script refuses to run while src/,
@@ -76,6 +80,11 @@ mkdir -p "$INPUTS/$W"
 sed -e 's/^rounds = .*/rounds = 2/' -e '$a client_sample_ratio = 0.5' \
     "$INPUTS/clients-4x-ldp/workload.cfg" > "$INPUTS/$W/workload.cfg"
 cp "$INPUTS/clients-4x-ldp/stages.txt" "$INPUTS/$W/stages.txt"
+# the id maps that loading the cold-4x-sparse input writes beside it
+ID_MAPS=(
+    "$INPUTS/cold-4x-sparse/interactions.users_idmap.csv"
+    "$INPUTS/cold-4x-sparse/interactions.items_idmap.csv"
+)
 
 # fedcold TREE ARGS...: the command-line tool of TREE's program
 fedcold() {
@@ -85,8 +94,11 @@ fedcold() {
 }
 
 # run_all TREE OUT: every experiment with the program of TREE, outputs under OUT
+# and the id maps' hashes in OUT/id_maps.sha256
 run_all() {
     local tree="$1" out="$2" seed stage
+    rm -f "${ID_MAPS[@]}"
+    fedcold "$tree" gen-data --config "$BENCH_CFG" --seed 1 --out "$out/gen-data"
     for seed in 1 2 3; do
         for stage in train infer eval "attack --mode stochastic"; do
             # shellcheck disable=SC2086  # stage carries its own flags
@@ -103,6 +115,7 @@ run_all() {
     done
     fedcold "$tree" sweep --config "$INPUTS/sweep.cfg" --out "$out/ldp_sweep" \
         --param ldp --values 0,1
+    (cd "$INPUTS" && sha256sum "${ID_MAPS[@]#"$INPUTS/"}") > "$out/id_maps.sha256"
 }
 
 echo "compare_hashes: running $(git rev-parse --short=7 "$BASE") (base)" >&2
@@ -117,8 +130,10 @@ import sys
 
 
 def hash_lines(root):
-    """{"<manifest path> <key>": value} for the sha256: and best_round rows."""
-    found = {}
+    """{"<manifest path> <key>": value} for the sha256: and best_round rows,
+    and {"<id map path>": hash} for the id maps."""
+    with open(os.path.join(root, "id_maps.sha256"), encoding="utf-8") as handle:
+        found = {name: digest for digest, name in (line.split() for line in handle)}
     for directory, _, files in os.walk(root):
         for name in files:
             if not (name.startswith("manifest_") and name.endswith(".csv")):

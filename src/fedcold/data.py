@@ -3,12 +3,19 @@
 Interaction files are CSV with rows ``user_id,item_id`` and an optional third
 ``timestamp`` column. Ids of any textual form are densified to ``0..n-1`` in
 first-appearance order and the mapping is persisted next to the dataset as two
-id-map files with rows ``original_id,dense_id``.
+id-map files with rows ``original_id,dense_id``, each written only when it is
+missing or its bytes differ.
+
+Interactions are ``(N, 2)`` int64 arrays of dense ``(user, item)`` rows, built
+as arrays from the first step: the loader collects ids as flat ints, the
+generator takes the indices of its hit matrix, and the split selects rows with
+one mask.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import os
 from dataclasses import dataclass, field
@@ -26,11 +33,14 @@ DEFAULT_SPLIT_RATIOS = (0.6, 0.1, 0.3)
 
 @dataclass
 class Dataset:
-    """Deduplicated user/item interactions over dense ids."""
+    """Deduplicated user/item interactions over dense ids.
+
+    ``interactions`` is an ``(N, 2)`` int64 array of ``(user, item)`` rows.
+    """
 
     n_users: int
     n_items: int
-    interactions: list[tuple[int, int]]
+    interactions: np.ndarray
     timestamps: list[float] | None = None
     user_ids: list[str] = field(default_factory=list)
     item_ids: list[str] = field(default_factory=list)
@@ -44,15 +54,19 @@ class Dataset:
 
 @dataclass
 class SplitDataset:
-    """Item-based warm/validation/cold split of a dataset."""
+    """Item-based warm/validation/cold split of a dataset.
+
+    Each ``*_interactions`` array holds the dataset's rows whose item is of
+    that kind, in dataset order.
+    """
 
     dataset: Dataset
     warm_items: list[int]
     val_items: list[int]
     cold_items: list[int]
-    train_interactions: list[tuple[int, int]]
-    val_interactions: list[tuple[int, int]]
-    test_interactions: list[tuple[int, int]]
+    train_interactions: np.ndarray
+    val_interactions: np.ndarray
+    test_interactions: np.ndarray
 
     def test_items_by_user(self) -> dict[int, set[int]]:
         return _items_by_user(self.test_interactions)
@@ -64,12 +78,16 @@ class SplitDataset:
         return _items_by_user(self.train_interactions)
 
 
-def _items_by_user(interactions: list[tuple[int, int]]) -> dict[int, set[int]]:
-    """Item set per user, for the users that appear in ``interactions``."""
-    index: dict[int, set[int]] = {}
-    for u, i in interactions:
-        index.setdefault(u, set()).add(i)
-    return index
+def _items_by_user(interactions: np.ndarray) -> dict[int, set[int]]:
+    """Item set per user, for the users that appear in ``interactions``.
+
+    One stable sort groups the rows by user; keys and items are Python ints.
+    """
+    users, items = interactions[np.argsort(interactions[:, 0], kind="stable")].T
+    starts = np.flatnonzero(np.diff(users, prepend=-1)).tolist()
+    items = items.tolist()
+    ends = starts[1:] + [len(items)]
+    return {users[a].item(): set(items[a:b]) for a, b in zip(starts, ends)}
 
 
 def _id_map_path(path: str, kind: str) -> str:
@@ -78,29 +96,41 @@ def _id_map_path(path: str, kind: str) -> str:
 
 
 def _write_id_map(path: str, originals: list[str]) -> None:
-    tmp = path + ".tmp"
+    """Write the map unless ``path`` already holds exactly its bytes.
+
+    A rewrite goes through a per-process temporary name, so processes that
+    load the same input at once do not replace each other's file.
+    """
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["original_id", "dense_id"])
+    writer.writerows((original, dense) for dense, original in enumerate(originals))
+    text = buffer.getvalue()
+    try:
+        with open(path, newline="") as f:
+            if f.read() == text:
+                return
+    except (FileNotFoundError, UnicodeDecodeError):
+        pass
+    tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["original_id", "dense_id"])
-        for dense, original in enumerate(originals):
-            writer.writerow([original, dense])
+        f.write(text)
     os.replace(tmp, path)
 
 
 def load_interactions(path: str) -> Dataset:
     """Load an interaction CSV, densify ids, and persist the id maps.
 
-    Duplicate ``(user, item)`` pairs are dropped with a logged count; a
-    malformed row raises with its line number. A leading ``user_id,...``
-    header row is tolerated.
+    Duplicate ``(user, item)`` pairs are dropped with a logged count, the
+    first of each kept in file order; a malformed row raises with its line
+    number. A leading ``user_id,...`` header row is tolerated. Rows are
+    parsed one by one into a flat list of ids, which one ``np.unique``
+    deduplicates.
     """
     users: dict[str, int] = {}
     items: dict[str, int] = {}
-    seen: set[tuple[int, int]] = set()
-    interactions: list[tuple[int, int]] = []
-    timestamps: list[float] = []
-    have_ts = False
-    duplicates = 0
+    ids: list[int] = []  # u0, i0, u1, i1, ...
+    stamps: list[float | None] = []
     with open(path, newline="") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -122,20 +152,28 @@ def load_interactions(path: str) -> Dataset:
                     raise DataFormatError(
                         f"{path}:{lineno}: bad timestamp {row[2]!r}"
                     ) from exc
-            u = users.setdefault(u_raw, len(users))
-            i = items.setdefault(i_raw, len(items))
-            if (u, i) in seen:
-                duplicates += 1
-                continue
-            seen.add((u, i))
-            interactions.append((u, i))
-            if ts is not None:
-                have_ts = True
-                timestamps.append(ts)
-    if not interactions:
+            ids.append(users.setdefault(u_raw, len(users)))
+            ids.append(items.setdefault(i_raw, len(items)))
+            stamps.append(ts)
+    if not ids:
         raise DataFormatError(f"{path}: no interactions found")
-    if have_ts and len(timestamps) != len(interactions):
-        raise DataFormatError(f"{path}: timestamp column present on only some rows")
+    interactions = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    # the first row of each pair: np.unique sorts stably for return_index
+    _, first = np.unique(
+        interactions[:, 0] * len(items) + interactions[:, 1], return_index=True
+    )
+    duplicates = len(interactions) - first.size
+    if duplicates:
+        first.sort()
+        interactions = interactions[first]
+        stamps = [stamps[r] for r in first.tolist()]
+    timestamps = None
+    if any(ts is not None for ts in stamps):
+        if None in stamps:
+            raise DataFormatError(
+                f"{path}: timestamp column present on only some rows"
+            )
+        timestamps = stamps
     if duplicates:
         log.warning("%s: dropped %d duplicate interactions", path, duplicates)
     user_list = list(users)
@@ -146,7 +184,7 @@ def load_interactions(path: str) -> Dataset:
         n_users=len(users),
         n_items=len(items),
         interactions=interactions,
-        timestamps=timestamps if have_ts else None,
+        timestamps=timestamps,
         user_ids=user_list,
         item_ids=item_list,
     )
@@ -157,7 +195,7 @@ def save_interactions(dataset: Dataset, path: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
-        for idx, (u, i) in enumerate(dataset.interactions):
+        for idx, (u, i) in enumerate(dataset.interactions.tolist()):
             row = [dataset.user_ids[u], dataset.item_ids[i]]
             if dataset.timestamps is not None:
                 row.append(repr(dataset.timestamps[idx]))
@@ -173,7 +211,9 @@ def split_items(
     """Partition items into warm/val/cold by shuffled cumulative ratios.
 
     Counts use floor rounding for val and cold with the remainder assigned to
-    warm, so 10 items at (0.6, 0.1, 0.3) give 6/1/3.
+    warm, so 10 items at (0.6, 0.1, 0.3) give 6/1/3. Each interaction goes
+    to the kind of its item, read from one item-to-kind lookup, and every
+    kind keeps the dataset's row order.
     """
     if len(ratios) != 3 or any(r < 0 for r in ratios):
         raise ConfigError(f"bad split ratios {ratios}")
@@ -186,23 +226,16 @@ def split_items(
     n_cold = int(ratios[2] * n)
     n_warm = n - n_val - n_cold
     perm = stream_rng(seed, "split").permutation(n)
-    warm = sorted(int(i) for i in perm[:n_warm])
-    val = sorted(int(i) for i in perm[n_warm : n_warm + n_val])
-    cold = sorted(int(i) for i in perm[n_warm + n_val :])
-    warm_set, val_set = set(warm), set(val)
-    train, val_rows, test = [], [], []
-    for u, i in dataset.interactions:
-        if i in warm_set:
-            train.append((u, i))
-        elif i in val_set:
-            val_rows.append((u, i))
-        else:
-            test.append((u, i))
+    kind = np.zeros(n, dtype=np.int8)  # 0 warm, 1 val, 2 cold
+    kind[perm[n_warm : n_warm + n_val]] = 1
+    kind[perm[n_warm + n_val :]] = 2
+    row_kind = kind[dataset.interactions[:, 1]]
+    train, val_rows, test = (dataset.interactions[row_kind == k] for k in range(3))
     return SplitDataset(
         dataset=dataset,
-        warm_items=warm,
-        val_items=val,
-        cold_items=cold,
+        warm_items=np.sort(perm[:n_warm]).tolist(),
+        val_items=np.sort(perm[n_warm : n_warm + n_val]).tolist(),
+        cold_items=np.sort(perm[n_warm + n_val :]).tolist(),
         train_interactions=train,
         val_interactions=val_rows,
         test_interactions=test,
@@ -217,6 +250,7 @@ def generate_synthetic(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
     otherwise. Item features are the cluster centroid (orthogonal unit
     vectors) plus Gaussian noise. Users that end up with zero interactions are
     redrawn up to 10 times, then given one forced in-cluster interaction.
+    The interactions are the hit matrix's indices in row-major order.
     The ``synthetic_*`` keys and the seed of ``cfg`` set the sizes and draws.
     """
     n_users, n_items = cfg.synthetic_users, cfg.synthetic_items
@@ -238,8 +272,7 @@ def generate_synthetic(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
             forced = int(rng.choice(in_cluster))
             hits[u, forced] = True
 
-    users, items = np.nonzero(hits)
-    interactions = list(zip(users.tolist(), items.tolist()))
+    interactions = np.argwhere(hits)
     centroids = np.eye(feature_dim)[:, :n_clusters].T  # orthogonal units
     noise = rng.standard_normal((n_items, feature_dim))
     features = centroids[i_cluster] + cfg.synthetic_feature_noise * noise

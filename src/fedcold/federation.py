@@ -141,13 +141,10 @@ def score_items(user_embedding: np.ndarray, item_rows: np.ndarray) -> np.ndarray
     return sigmoid(item_rows @ user_embedding)
 
 
-def _user_item_mask(
-    interactions: list[tuple[int, int]], n_users: int, n_items: int
-) -> np.ndarray:
+def _user_item_mask(interactions: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
     """Boolean ``(n_users, n_items)`` matrix, True at every interaction."""
     mask = np.zeros((n_users, n_items), dtype=bool)
-    pairs = np.array(interactions, dtype=np.int64).reshape(-1, 2)
-    mask[pairs[:, 0], pairs[:, 1]] = True
+    mask[interactions[:, 0], interactions[:, 1]] = True
     return mask
 
 

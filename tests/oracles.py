@@ -3,13 +3,14 @@
 Each one restates a piece of the program in its plainest scalar form, or
 checks it from outside: central-difference gradients, the exact reverse-step
 posterior and the model's posterior mean, the Gaussian entropy floor, the
-logistic with one branch per sign, the clamped BCE loss, Floyd's sampling of k distinct items, the simulation's
-set-up one user at a time, the round buffer's index one client at a time,
-Laplace upload noise by numpy's two branches, mean aggregation whose first
-upload assigns, the cold ranking with its per-cutoff recall, precision and
-NDCG, and the denoiser's training as first written: Adam over a dict of
-tensors, and a loss that projects each row's time key and attends by einsum
-and a row softmax.
+logistic with one branch per sign, the clamped BCE loss, Floyd's sampling of
+k distinct items, the simulation's set-up one user at a time, the item split
+and per-user item sets over lists of pairs, the round buffer's index one
+client at a time, Laplace upload noise by numpy's two branches, mean
+aggregation whose first upload assigns, the cold ranking with its per-cutoff
+recall, precision and NDCG, and the denoiser's training as first written:
+Adam over a dict of tensors, and a loss that projects each row's time key
+and attends by einsum and a row softmax.
 """
 
 from __future__ import annotations
@@ -211,6 +212,38 @@ def laplace_row(rng, scale, size):
     return np.where(upper, 0.0 - v, 0.0 + v)
 
 
+def items_by_user_pairs(interactions):
+    """Item set per user from a list of ``(user, item)`` pairs, one pair at a
+    time, for the users that appear."""
+    index = {}
+    for u, i in interactions:
+        index.setdefault(u, set()).add(i)
+    return index
+
+
+def split_items_pairs(interactions, n_items, ratios, seed):
+    """The item split over a list of ``(user, item)`` pairs, one pair at a
+    time: sorted warm, validation and cold items and the pairs of each kind,
+    as new tuples in list order."""
+    n_val = int(ratios[1] * n_items)
+    n_cold = int(ratios[2] * n_items)
+    n_warm = n_items - n_val - n_cold
+    perm = stream_rng(seed, "split").permutation(n_items)
+    warm = sorted(int(i) for i in perm[:n_warm])
+    val = sorted(int(i) for i in perm[n_warm : n_warm + n_val])
+    cold = sorted(int(i) for i in perm[n_warm + n_val :])
+    warm_set, val_set = set(warm), set(val)
+    train, val_rows, test = [], [], []
+    for u, i in interactions:
+        if i in warm_set:
+            train.append((u, i))
+        elif i in val_set:
+            val_rows.append((u, i))
+        else:
+            test.append((u, i))
+    return warm, val, cold, train, val_rows, test
+
+
 def init_simulation_per_user(split, config):
     """The item table and clients set up one user at a time.
 
@@ -223,9 +256,9 @@ def init_simulation_per_user(split, config):
     table = GlobalItemTable(
         embeddings=INIT_STD * rng.standard_normal((ds.n_items, config.dim))
     )
-    train_by_user = split.train_items_by_user()
+    train_by_user = items_by_user_pairs(split.train_interactions.tolist())
     by_user = {u: set() for u in range(ds.n_users)}
-    for u, i in ds.interactions:
+    for u, i in ds.interactions.tolist():
         by_user[u].add(i)
     warm = np.array(split.warm_items, dtype=np.int64)
     clients = []

@@ -1,4 +1,6 @@
 import csv
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 from fedcold.config import RunConfig
 from fedcold.data import (
+    DEFAULT_SPLIT_RATIOS,
     Dataset,
     SplitDataset,
+    _items_by_user,
     generate_synthetic,
     load_interactions,
     save_interactions,
@@ -17,11 +21,17 @@ from fedcold.data import (
 from fedcold.errors import ConfigError, DataFormatError
 from fedcold.federation import init_simulation, sample_negatives
 from fedcold.numerics import stream_rng
+from oracles import items_by_user_pairs, split_items_pairs
 
 
 def write_rows(path, rows):
     with open(path, "w", newline="") as f:
         csv.writer(f).writerows(rows)
+
+
+def pairs(rows):
+    """``(user, item)`` rows as the ``(N, 2)`` int64 array a dataset holds."""
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def test_load_reports_exact_counts_on_large_file(tmp_path):
@@ -73,11 +83,34 @@ def test_load_writes_id_maps(tmp_path):
     assert items_map[1:] == ["pasta,0", "soup,1"]
 
 
+def test_second_load_leaves_id_maps_untouched(tmp_path):
+    path = tmp_path / "ids.csv"
+    write_rows(path, [("alice", "pasta"), ("bob", "soup"), ("alice", "soup")])
+    load_interactions(str(path))
+    maps = [tmp_path / "ids.users_idmap.csv", tmp_path / "ids.items_idmap.csv"]
+
+    def state():
+        return [(m.stat().st_ino, m.stat().st_mtime_ns, m.read_bytes()) for m in maps]
+
+    before = state()
+    load_interactions(str(path))
+    assert state() == before
+    # a map whose bytes differ is written again, and no temporary is left
+    maps[1].write_text("original_id,dense_id\nsoup,0\n")
+    load_interactions(str(path))
+    assert maps[1].read_bytes() == before[1][2]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ids.csv",
+        "ids.items_idmap.csv",
+        "ids.users_idmap.csv",
+    ]
+
+
 def test_save_load_round_trip(tmp_path):
     ds = Dataset(
         n_users=3,
         n_items=4,
-        interactions=[(0, 0), (1, 2), (2, 3), (0, 1)],
+        interactions=pairs([(0, 0), (1, 2), (2, 3), (0, 1)]),
         timestamps=[1.0, 2.5, 3.0, 4.0],
         user_ids=["ua", "ub", "uc"],
         item_ids=["w", "x", "y", "z"],
@@ -87,14 +120,16 @@ def test_save_load_round_trip(tmp_path):
     back = load_interactions(str(path))
     assert back.n_users == ds.n_users
     assert back.n_items == ds.n_items
-    original_pairs = [(ds.user_ids[u], ds.item_ids[i]) for u, i in ds.interactions]
-    loaded_pairs = [(back.user_ids[u], back.item_ids[i]) for u, i in back.interactions]
-    assert loaded_pairs == original_pairs
+    def named(d):
+        return [(d.user_ids[u], d.item_ids[i]) for u, i in d.interactions.tolist()]
+
+    assert named(back) == named(ds)
+    assert back.interactions.dtype == np.int64
     assert back.timestamps == ds.timestamps
 
 
 def test_split_ten_items_gives_6_1_3():
-    ds = Dataset(n_users=2, n_items=10, interactions=[(0, i) for i in range(10)])
+    ds = Dataset(n_users=2, n_items=10, interactions=pairs([(0, i) for i in range(10)]))
     split = split_items(ds, seed=5)
     assert len(split.warm_items) == 6
     assert len(split.val_items) == 1
@@ -102,7 +137,7 @@ def test_split_ten_items_gives_6_1_3():
 
 
 def test_split_deterministic_and_seed_sensitive():
-    ds = Dataset(n_users=2, n_items=50, interactions=[(0, i) for i in range(50)])
+    ds = Dataset(n_users=2, n_items=50, interactions=pairs([(0, i) for i in range(50)]))
     a = split_items(ds, seed=1)
     b = split_items(ds, seed=1)
     c = split_items(ds, seed=2)
@@ -114,7 +149,7 @@ def test_split_deterministic_and_seed_sensitive():
 @given(st.integers(3, 200), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_split_partitions_items_property(n_items, seed):
-    ds = Dataset(n_users=1, n_items=n_items, interactions=[(0, 0)])
+    ds = Dataset(n_users=1, n_items=n_items, interactions=pairs([(0, 0)]))
     split = split_items(ds, seed=seed)
     merged = sorted(split.warm_items + split.val_items + split.cold_items)
     assert merged == list(range(n_items))
@@ -123,11 +158,11 @@ def test_split_partitions_items_property(n_items, seed):
 
 
 def test_split_routes_interactions_by_item():
-    ds = Dataset(n_users=2, n_items=10, interactions=[(0, i) for i in range(10)])
+    ds = Dataset(n_users=2, n_items=10, interactions=pairs([(0, i) for i in range(10)]))
     split = split_items(ds, seed=5)
-    assert {i for _, i in split.train_interactions} <= set(split.warm_items)
-    assert {i for _, i in split.val_interactions} <= set(split.val_items)
-    assert {i for _, i in split.test_interactions} <= set(split.cold_items)
+    assert np.isin(split.train_interactions[:, 1], split.warm_items).all()
+    assert np.isin(split.val_interactions[:, 1], split.val_items).all()
+    assert np.isin(split.test_interactions[:, 1], split.cold_items).all()
     total = (
         len(split.train_interactions)
         + len(split.val_interactions)
@@ -136,22 +171,110 @@ def test_split_routes_interactions_by_item():
     assert total == len(ds.interactions)
 
 
+@st.composite
+def datasets(draw):
+    """Small datasets whose pairs may repeat and whose users may have no
+    interactions, with or without timestamps."""
+    n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(3, 12))
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1)),
+            max_size=40,
+        )
+    )
+    n = len(rows)
+    stamps = draw(st.none() | st.lists(st.floats(-1e9, 1e9), min_size=n, max_size=n))
+    return Dataset(n_users, n_items, pairs(rows), timestamps=stamps)
+
+
+# (1, 0, 0) leaves the validation and cold kinds empty, (0, 1, 0) the warm
+# and cold ones; below 10 items the default ratios leave validation empty
+SPLIT_RATIOS = [
+    DEFAULT_SPLIT_RATIOS,
+    (1.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (0.0, 0.0, 1.0),
+    (0.5, 0.0, 0.5),
+    (0.2, 0.3, 0.5),
+]
+
+
+@given(datasets(), st.sampled_from(SPLIT_RATIOS), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_split_and_user_index_match_the_pair_list_oracles(ds, ratios, seed):
+    split = split_items(ds, ratios, seed)
+    as_pairs = [tuple(row) for row in ds.interactions.tolist()]
+    warm, val, cold, *kinds = split_items_pairs(as_pairs, ds.n_items, ratios, seed)
+    assert (split.warm_items, split.val_items, split.cold_items) == (warm, val, cold)
+    got_kinds = (
+        split.train_interactions,
+        split.val_interactions,
+        split.test_interactions,
+    )
+    for got, want in zip(got_kinds, kinds):
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert [tuple(row) for row in got.tolist()] == want
+        index = _items_by_user(got)
+        assert index == items_by_user_pairs(want)
+        assert all(type(u) is int for u in index)
+        assert all(type(i) is int for items in index.values() for i in items)
+    assert split.test_items_by_user() == items_by_user_pairs(kinds[2])
+    assert split.val_items_by_user() == items_by_user_pairs(kinds[1])
+    assert split.train_items_by_user() == items_by_user_pairs(kinds[0])
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from("abcd"),
+            st.sampled_from("vwxyz"),
+            st.none() | st.floats(-1e9, 1e9),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_load_keeps_the_first_of_each_pair_in_file_order(rows):
+    # the loader as first written: one pair at a time, a duplicate and its
+    # timestamp skipped
+    users, items, want, want_stamps = {}, {}, [], []
+    for user, item, stamp in rows:
+        pair = (users.setdefault(user, len(users)), items.setdefault(item, len(items)))
+        if pair not in want:
+            want.append(pair)
+            want_stamps.append(stamp)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "rows.csv")
+        write_rows(path, [row if row[2] is not None else row[:2] for row in rows])
+        if None in want_stamps and any(s is not None for s in want_stamps):
+            with pytest.raises(DataFormatError, match="only some rows"):
+                load_interactions(path)
+            return
+        ds = load_interactions(path)
+    assert ds.interactions.dtype == np.int64
+    assert [tuple(row) for row in ds.interactions.tolist()] == want
+    assert ds.timestamps == (None if want_stamps[0] is None else want_stamps)
+    assert (ds.user_ids, ds.item_ids) == (list(users), list(items))
+
+
 def one_user_client(n_items, interacted, warm=None):
     """The simulation's client for one user of ``n_items`` items.
 
     Its positives are the interacted warm items, its negative pool the warm
     items it never interacted with.
     """
-    ds = Dataset(n_users=1, n_items=n_items, interactions=[(0, i) for i in interacted])
+    interactions = pairs([(0, i) for i in interacted])
+    ds = Dataset(n_users=1, n_items=n_items, interactions=interactions)
     warm = list(range(n_items)) if warm is None else warm
     split = SplitDataset(
         dataset=ds,
         warm_items=warm,
         val_items=[],
         cold_items=[i for i in range(n_items) if i not in warm],
-        train_interactions=[(0, i) for i in interacted if i in warm],
-        val_interactions=[],
-        test_interactions=[(0, i) for i in interacted if i not in warm],
+        train_interactions=pairs([(0, i) for i in interacted if i in warm]),
+        val_interactions=pairs([]),
+        test_interactions=pairs([(0, i) for i in interacted if i not in warm]),
     )
     _, [client] = init_simulation(split, RunConfig(dim=4))
     return client
@@ -275,18 +398,19 @@ def test_synthetic_deterministic_per_seed():
     ds1, f1 = generate_synthetic(synthetic(seed=9))
     ds2, f2 = generate_synthetic(synthetic(seed=9))
     ds3, _ = generate_synthetic(synthetic(seed=10))
-    assert ds1.interactions == ds2.interactions
+    assert np.array_equal(ds1.interactions, ds2.interactions)
     assert np.array_equal(f1, f2)
-    assert ds1.interactions != ds3.interactions
+    assert not np.array_equal(ds1.interactions, ds3.interactions)
 
 
-def test_synthetic_interactions_are_int_tuples_in_row_major_order():
+def test_synthetic_interactions_are_int64_rows_in_row_major_order():
     ds, _ = generate_synthetic(synthetic(seed=4))
-    assert all(type(u) is int and type(i) is int for u, i in ds.interactions)
+    assert ds.interactions.dtype == np.int64
+    assert ds.interactions.shape[1] == 2
     hits = np.zeros((ds.n_users, ds.n_items), dtype=bool)
-    hits[tuple(np.array(ds.interactions).T)] = True
-    # the per-pair comprehension the list was once built with
-    assert ds.interactions == [(int(u), int(i)) for u, i in zip(*np.nonzero(hits))]
+    hits[ds.interactions[:, 0], ds.interactions[:, 1]] = True
+    # the row-major order of the hit matrix's nonzero entries
+    assert np.array_equal(ds.interactions, np.stack(np.nonzero(hits), axis=1))
 
 
 def test_synthetic_validation_errors():

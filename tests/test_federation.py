@@ -153,15 +153,16 @@ def test_client_gradient_matches_finite_differences():
 
 
 def one_user_toy():
-    ds = Dataset(n_users=1, n_items=2, interactions=[(0, 0)])
+    none = np.empty((0, 2), dtype=np.int64)
+    ds = Dataset(n_users=1, n_items=2, interactions=np.array([[0, 0]]))
     split = SplitDataset(
         dataset=ds,
         warm_items=[0, 1],
         val_items=[],
         cold_items=[],
-        train_interactions=[(0, 0)],
-        val_interactions=[],
-        test_interactions=[],
+        train_interactions=ds.interactions,
+        val_interactions=none,
+        test_interactions=none,
     )
     config = RunConfig(rounds=1, negatives_per_positive=1, dim=4, seed=7)
     item_table, clients = init_simulation(split, config)
@@ -666,7 +667,7 @@ def test_negative_pools_keep_warm_order():
     split, config, item_table, clients, _ = small_setup(seed=2)
     split.warm_items.reverse()
     _, clients = init_simulation(split, config)
-    interactions = set(split.dataset.interactions)
+    interactions = set(map(tuple, split.dataset.interactions.tolist()))
     for c in clients:
         want = [i for i in split.warm_items if (c.user_id, i) not in interactions]
         assert c.negative_pool.tolist() == want
@@ -680,8 +681,8 @@ def test_init_simulation_equals_per_user_oracle(seed):
     dropped = {3, 17}
     split = dataclasses.replace(
         split,
-        train_interactions=[
-            (u, i) for u, i in split.train_interactions if u not in dropped
+        train_interactions=split.train_interactions[
+            ~np.isin(split.train_interactions[:, 0], list(dropped))
         ],
     )
     table, clients = init_simulation(split, config)

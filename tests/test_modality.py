@@ -22,7 +22,7 @@ def make_dataset(n_items=3):
     return Dataset(
         n_users=1,
         n_items=n_items,
-        interactions=[(0, 0)],
+        interactions=np.array([[0, 0]]),
         item_ids=[f"it{i}" for i in range(n_items)],
     )
 
