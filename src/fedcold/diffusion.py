@@ -251,8 +251,9 @@ class _Workspace:
     A reverse chain makes one with its condition key, which does not change
     from step to step, and runs every step in it. A training call makes one
     per batch size (``train=True``), with the arrays that a step's loss and
-    backward pass write as well. Without a condition, ``diff`` and ``a1``
-    stay zero and ``a0`` one.
+    backward pass write as well; its batch sizes share the arrays that do not
+    depend on the row count. Without a condition, ``diff`` and ``a1`` stay
+    zero and ``a0`` one.
     """
 
     cond_key: np.ndarray | None  # (n, d): the condition key k1
@@ -298,11 +299,14 @@ def _workspace(
     cond_key: np.ndarray | None,
     steps: int = 0,
     train: bool = False,
+    share: _Workspace | None = None,
 ) -> _Workspace:
     """A workspace for ``n`` rows holding ``cond_key`` (``affine(m, cond_w,
     cond_b)``; None without a condition). Every step of a training workspace,
     for a schedule of ``steps`` steps, writes its own condition key; pass any
-    array of the key's shape."""
+    array of the key's shape. A training workspace takes its step encodings,
+    step keys, flat gradient and Adam scratch from ``share``, another training
+    workspace of the same model and schedule, when given."""
     d, h = p.width, p.heads
     work = _Workspace(
         cond_key=cond_key,
@@ -319,12 +323,17 @@ def _workspace(
     if train:
         work.e_t, work.e0, work.time_key, work.tenc = np.empty((4, n, d))
         work.m = np.empty((n, p.cond_dim))
-        work.encodings = sinusoidal_encoding(np.arange(1, steps + 1), d)
-        work.keys = np.empty((steps, d))
         work.dz = np.empty((n, 2 * d))
-        work.grad = np.empty(p.flat.size)
-        work.grads = _views(work.grad, p.width, p.cond_dim)
-        work.scratch = np.empty(p.flat.size)
+        if share is None:
+            work.encodings = sinusoidal_encoding(np.arange(1, steps + 1), d)
+            work.keys = np.empty((steps, d))
+            work.grad = np.empty(p.flat.size)
+            work.grads = _views(work.grad, p.width, p.cond_dim)
+            work.scratch = np.empty(p.flat.size)
+        else:
+            work.encodings, work.keys = share.encodings, share.keys
+            work.grad, work.grads = share.grad, share.grads
+            work.scratch = share.scratch
     return work
 
 
@@ -499,12 +508,18 @@ def _backward(
 
 
 def q_sample(
-    e0: np.ndarray, t, eps: np.ndarray, schedule: NoiseSchedule, out=None
+    e0: np.ndarray,
+    t,
+    eps: np.ndarray,
+    schedule: NoiseSchedule,
+    out=None,
+    scratch=None,
 ) -> np.ndarray:
     """Corrupt a clean embedding to timestep t with given noise.
 
     With ``out`` (shaped like ``e0``; ``eps`` itself may be passed) the
-    result is written there.
+    result is written there, and with ``scratch`` (shaped like ``e0``, apart
+    from ``e0``, ``eps`` and ``out``) the scaled clean embedding too.
     """
     e0 = np.asarray(e0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
@@ -519,7 +534,7 @@ def q_sample(
         ab = ab[0]
     # √(1 - ᾱ)·eps first, so that eps may be out: the sum is the same
     out = np.multiply(np.sqrt(1.0 - ab), eps, out=out)
-    out += np.sqrt(ab) * e0
+    out += np.multiply(np.sqrt(ab), e0, out=scratch)
     return out
 
 
@@ -571,7 +586,8 @@ def elbo_loss_fixed(
     if work is None:
         cond_key = None if m is None else np.empty((n, d))
         work = _workspace(n, p, cond_key, schedule.steps, train=True)
-    e_t = q_sample(e0, t_arr, eps, schedule, out=work.e_t)
+    # the heads are written before they are read in the forward pass
+    e_t = q_sample(e0, t_arr, eps, schedule, out=work.e_t, scratch=work.heads)
     rows = t_arr - 1
     keys = step_keys(p, work.encodings, out=work.keys)
     np.take(keys, rows, axis=0, out=work.time_key, mode="clip")
@@ -632,9 +648,10 @@ class DenoisingGenerator:
         """Run SGD epochs over the given rows; returns the mean batch loss.
 
         Each batch size (the full batches and the last, shorter one) trains
-        in one workspace, which the call frees when it returns; a step gathers
-        its rows into it and writes its gradient into the workspace's flat
-        gradient, which one Adam step applies to the flat parameters.
+        in one workspace, which the call frees when it returns; the two share
+        one flat gradient, one Adam scratch and the step-key table. A step
+        gathers its rows into its workspace and writes its gradient into the
+        flat gradient, which one Adam step applies to the flat parameters.
         """
         if epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -645,6 +662,7 @@ class DenoisingGenerator:
             raise ConfigError("cannot train the denoiser on zero rows")
         p, steps = self.params, self.schedule.steps
         works: dict[int, _Workspace] = {}
+        shared = None
         losses = []
         for _ in range(epochs):
             order = rng.permutation(n)
@@ -653,8 +671,10 @@ class DenoisingGenerator:
                 work = works.get(batch.size)
                 if work is None:
                     cond_key = np.empty((batch.size, p.width))
-                    work = _workspace(batch.size, p, cond_key, steps, train=True)
-                    works[batch.size] = work
+                    work = _workspace(
+                        batch.size, p, cond_key, steps, train=True, share=shared
+                    )
+                    works[batch.size] = shared = work
                 np.take(e0_rows, batch, axis=0, out=work.e0, mode="clip")
                 np.take(conditions, batch, axis=0, out=work.m, mode="clip")
                 loss, _ = elbo_loss(work.e0, work.m, p, self.schedule, rng, work)
@@ -677,6 +697,9 @@ class DenoisingGenerator:
         Per-row streams make each generated row independent of which other
         rows share the chain, so sets of items with their own labels run as
         one chain, while the denoiser itself runs vectorized across rows.
+        That independence is bitwise only from two rows up: numpy takes a
+        one-row product through gemv, so a one-row chain matches its row in a
+        larger chain to within rounding, not in every bit.
         What no step changes is computed once per chain: the condition key,
         the step-key table, the posterior coefficients, and each row's
         noise, drawn from its stream in one call (the same numbers, in the

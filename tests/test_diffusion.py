@@ -500,6 +500,21 @@ def test_merged_chain_rows_do_not_depend_on_what_shares_the_chain(mode):
     assert np.array_equal(moved[keep], merged[keep])
 
 
+@pytest.mark.parametrize("mode", ["deterministic_mean", "stochastic"])
+def test_one_row_chain_matches_its_row_in_a_larger_chain(mode):
+    # numpy takes a one-row product through gemv, whose last bits may differ
+    # from the same row inside a larger product, so one row alone matches its
+    # row in a 13-row chain to within rounding, not bitwise
+    params = init_denoiser(64, 4, 8, stream_rng(33, "one-row-denoiser"))
+    gen = DenoisingGenerator(params, build_schedule(40, 1.0, 0.1, 0.9), 1e-3)
+    items = list(range(60, 73))
+    conds = stream_rng(34, "one-row-m").standard_normal((13, 8))
+    chain = chain_rows(gen, items, conds, "one-row", mode)
+    for k in (0, 6, 12):
+        alone = chain_rows(gen, items[k : k + 1], conds[k : k + 1], "one-row", mode)
+        assert np.max(np.abs(alone[0] - chain[k])) <= 1e-12, k
+
+
 def test_generate_requires_one_label_per_row():
     conds = np.zeros((3, 6))
     with pytest.raises(ConfigError, match="3 items but 2 stream labels"):
@@ -556,6 +571,25 @@ def test_train_epochs_matches_reference_loop():
         got = gen.train_epochs(e0, m, stream_rng(46, round_index), 5, 256)
         expected = reference_train_epochs(
             reference, schedule, opt, e0, m, stream_rng(46, round_index), 5, 256
+        )
+        assert abs(got - expected) <= 1e-12, round_index
+        assert np.max(np.abs(params.flat - reference.flat)) <= 1e-12, round_index
+
+
+def test_train_epochs_with_a_one_row_tail_matches_reference_loop():
+    # 257 rows in batches of 256: the tail is one row, whose products numpy
+    # takes through gemv
+    schedule = build_schedule(40, 1.0, 0.1, 0.9)
+    params = init_denoiser(64, 4, 8, stream_rng(48, "tail-init"))
+    reference = DenoiserParams.from_tensors(64, 4, 8, params.tensors())
+    gen = DenoisingGenerator(params, schedule, server_lr=0.001)
+    opt = DictAdam(0.001)
+    data = stream_rng(49, "tail-rows")
+    e0, m = data.standard_normal((257, 64)), data.standard_normal((257, 8))
+    for round_index in range(2):
+        got = gen.train_epochs(e0, m, stream_rng(50, round_index), 5, 256)
+        expected = reference_train_epochs(
+            reference, schedule, opt, e0, m, stream_rng(50, round_index), 5, 256
         )
         assert abs(got - expected) <= 1e-12, round_index
         assert np.max(np.abs(params.flat - reference.flat)) <= 1e-12, round_index
