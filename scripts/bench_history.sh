@@ -23,12 +23,8 @@ if [ "${1:-}" = "--pair" ]; then
     PAIR=1
     shift
 fi
-DIRTY="$(git status --porcelain -- src perfbench scripts)"
-if [ -n "$DIRTY" ]; then
-    echo "bench_history: src, perfbench or scripts differ from HEAD; commit first:" >&2
-    echo "$DIRTY" >&2
-    exit 1
-fi
+. scripts/lib.sh
+require_clean bench_history
 SEED="${1:-11}"
 RUN_SECONDS="${2:-55}"
 LOGS="$(mktemp -d)"
@@ -79,8 +75,7 @@ EOF
 
 if [ "$PAIR" = 1 ]; then
     PARENT_TREE="$LOGS/parent"
-    mkdir -p "$PARENT_TREE"
-    git archive HEAD^ | tar -x -C "$PARENT_TREE"
+    unpack HEAD^ "$PARENT_TREE"
     measure "$PARENT_TREE" "$(git rev-parse --short=7 HEAD^)"
 fi
 measure "$ROOT" "$(git rev-parse --short=7 HEAD)"

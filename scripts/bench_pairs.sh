@@ -33,21 +33,14 @@ esac
 
 cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
-DIRTY="$(git status --porcelain -- src perfbench scripts)"
-if [ -n "$DIRTY" ]; then
-    echo "bench_pairs: src, perfbench or scripts differ from HEAD; commit first:" >&2
-    echo "$DIRTY" >&2
-    exit 1
-fi
-if ! git rev-parse --quiet --verify "$BASE^{commit}" > /dev/null; then
-    echo "bench_pairs: BASE '$BASE' names no commit" >&2
-    exit 2
-fi
+. scripts/lib.sh
+require_clean bench_pairs
+require_commit bench_pairs "$BASE"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 BASE_TREE="$WORK/base-tree"
-mkdir -p "$BASE_TREE" "$WORK/results"
-git archive "$BASE" | tar -x -C "$BASE_TREE"
+mkdir -p "$WORK/results"
+unpack "$BASE" "$BASE_TREE"
 
 # run SIDE TREE PAIR: one benchmark run of TREE, its result line kept as
 # results/PAIR-SIDE.json

@@ -33,22 +33,14 @@ fi
 BASE="${1:-HEAD^}"
 cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
-DIRTY="$(git status --porcelain -- src perfbench scripts)"
-if [ -n "$DIRTY" ]; then
-    echo "compare_hashes: src, perfbench or scripts differ from HEAD; commit first:" >&2
-    echo "$DIRTY" >&2
-    exit 1
-fi
-if ! git rev-parse --quiet --verify "$BASE^{commit}" > /dev/null; then
-    echo "compare_hashes: BASE '$BASE' names no commit" >&2
-    exit 2
-fi
+. scripts/lib.sh
+require_clean compare_hashes
+require_commit compare_hashes "$BASE"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 BASE_TREE="$WORK/base-tree"
-mkdir -p "$BASE_TREE"
-git archive "$BASE" src | tar -x -C "$BASE_TREE"
+unpack "$BASE" "$BASE_TREE" src
 
 # inputs shared by both trees
 INPUTS="$WORK/inputs"

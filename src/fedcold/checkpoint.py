@@ -5,6 +5,8 @@ per section a name (u32 LE length + UTF-8 bytes), row and column counts
 (u32 LE each), and the row-major float32 LE payload.  Sections are written in
 sorted name order so identical tensor dicts serialize to identical bytes.
 Vectors are stored as a single row; loaders that expect vectors ravel them.
+``load_flat`` loads a model's tensors into one flat buffer, and every file
+the package writes goes through ``write_atomic``.
 """
 
 from __future__ import annotations
@@ -16,15 +18,33 @@ import tempfile
 import numpy as np
 
 from .errors import DataFormatError
-from .numerics import assert_finite
+from .numerics import assert_finite, flat_tensors
 
 MAGIC = b"MDFF"
 VERSION = 1
 _U32 = struct.Struct("<I")
 
 
+def write_atomic(path: str, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a temporary file in the same
+    directory, renamed over ``path``: a reader sees the old bytes or the new,
+    and a write that fails leaves the old bytes and no temporary file. Each
+    write has its own temporary name, so concurrent writers of one path do
+    not write into each other's file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
-    """Write tensors to path atomically (temp file + rename).
+    """Write tensors to path atomically (``write_atomic``).
 
     Raises NumericsError, writing nothing, if a tensor is not finite after the
     float32 cast (values beyond float32 range become infinite there).
@@ -46,26 +66,35 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(_U32.pack(arr.shape[0]))
         chunks.append(_U32.pack(arr.shape[1]))
         chunks.append(np.ascontiguousarray(arr).astype("<f4").tobytes())
-    payload = b"".join(chunks)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, b"".join(chunks))
 
 
-def require_tensors(tensors: dict[str, np.ndarray], names, model: str) -> None:
-    """Raise DataFormatError naming every tensor in ``names`` that is missing."""
-    missing = [name for name in names if name not in tensors]
+def load_flat(
+    shapes: dict[str, tuple[int, ...]], tensors: dict[str, np.ndarray], model: str
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``model``'s checkpoint tensors copied into a new flat buffer laid out
+    by ``shapes`` (``flat_tensors``): the buffer and its views.
+
+    A vector's tensor is raveled first, since checkpoints store vectors as
+    one row. DataFormatError names every tensor that is missing, or else the
+    first whose shape differs from ``shapes``.
+    """
+    missing = [name for name in shapes if name not in tensors]
     if missing:
         raise DataFormatError(
             f"{model} checkpoint lacks tensor(s): {', '.join(missing)}"
         )
+    flat, views = flat_tensors(shapes)
+    for name, view in views.items():
+        arr = np.asarray(tensors[name], dtype=np.float64)
+        if view.ndim == 1:
+            arr = arr.ravel()
+        if arr.shape != view.shape:
+            raise DataFormatError(
+                f"{model} tensor {name!r} has shape {arr.shape}, expected {view.shape}"
+            )
+        view[...] = arr
+    return flat, views
 
 
 class _Reader:

@@ -20,13 +20,12 @@ import dataclasses
 import hashlib
 import os
 import sys
-import tempfile
 import threading
 
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import CONDITION_MODES, RunConfig, config_help, load_config
 from .data import save_interactions
 from .diffusion import DenoisingGenerator
@@ -135,16 +134,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
     lines = [",".join(_fmt(v) for v in header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _mask_wall_clock(text: str) -> str:

@@ -219,25 +219,23 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in text.split(",") if part.strip())
 
 
-def _parsers() -> dict[str, object]:
-    default = RunConfig()
-    table: dict[str, object] = {}
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(default, f.name)
-        if isinstance(value, bool):
-            table[f.name] = _parse_bool
-        elif isinstance(value, int):
-            table[f.name] = int
-        elif isinstance(value, float):
-            table[f.name] = float
-        elif isinstance(value, tuple):
-            table[f.name] = _parse_int_tuple
-        else:
-            table[f.name] = str
-    return table
+# (type, parser, name in --help) of each kind of default; bool comes before
+# int, since a bool is an int too
+_KINDS = (
+    (bool, _parse_bool, "bool"),
+    (int, int, "int"),
+    (float, float, "float"),
+    (tuple, _parse_int_tuple, "int list"),
+    (str, str, "str"),
+)
 
 
-_PARSERS = _parsers()
+def _kind(value) -> tuple:
+    """The row of ``_KINDS`` that the default ``value`` is of."""
+    return next(kind for kind in _KINDS if isinstance(value, kind[0]))
+
+
+_PARSERS = {f.name: _kind(f.default)[1] for f in dataclasses.fields(RunConfig)}
 
 
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
@@ -274,16 +272,8 @@ def load_config(path: str) -> RunConfig:
 
 def config_help() -> str:
     """One line per key: name, type, default."""
-    default = RunConfig()
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(default, f.name)
-        kind = (
-            "bool" if isinstance(value, bool)
-            else "int" if isinstance(value, int)
-            else "float" if isinstance(value, float)
-            else "int list" if isinstance(value, tuple)
-            else "str"
-        )
-        lines.append(f"  {f.name} ({kind}, default {_render(value)})")
+    lines = [
+        f"  {f.name} ({_kind(f.default)[2]}, default {_render(f.default)})"
+        for f in dataclasses.fields(RunConfig)
+    ]
     return "config file keys, one `key = value` per line:\n" + "\n".join(lines)

@@ -1,10 +1,11 @@
 """Interaction datasets: loading, splitting, synthetic generation.
 
 Interaction files are CSV with rows ``user_id,item_id`` and an optional third
-``timestamp`` column. Ids of any textual form are densified to ``0..n-1`` in
-first-appearance order and the mapping is persisted next to the dataset as two
-id-map files with rows ``original_id,dense_id``, each written only when it is
-missing or its bytes differ.
+``timestamp`` column, which is checked and then dropped: no stage uses time.
+Ids of any textual form are densified to ``0..n-1`` in first-appearance order
+and the mapping is persisted next to the dataset as two id-map files with rows
+``original_id,dense_id``, each written only when it is missing or its bytes
+differ.
 
 Interactions are ``(N, 2)`` int64 arrays of dense ``(user, item)`` rows, built
 as arrays from the first step: the loader collects ids as flat ints, the
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .config import RunConfig
 from .errors import ConfigError, DataFormatError
 from .numerics import stream_rng
@@ -41,7 +43,6 @@ class Dataset:
     n_users: int
     n_items: int
     interactions: np.ndarray
-    timestamps: list[float] | None = None
     user_ids: list[str] = field(default_factory=list)
     item_ids: list[str] = field(default_factory=list)
 
@@ -74,9 +75,6 @@ class SplitDataset:
     def val_items_by_user(self) -> dict[int, set[int]]:
         return _items_by_user(self.val_interactions)
 
-    def train_items_by_user(self) -> dict[int, set[int]]:
-        return _items_by_user(self.train_interactions)
-
 
 def _items_by_user(interactions: np.ndarray) -> dict[int, set[int]]:
     """Item set per user, for the users that appear in ``interactions``.
@@ -95,27 +93,26 @@ def _id_map_path(path: str, kind: str) -> str:
     return f"{base}.{kind}_idmap.csv"
 
 
-def _write_id_map(path: str, originals: list[str]) -> None:
-    """Write the map unless ``path`` already holds exactly its bytes.
-
-    A rewrite goes through a per-process temporary name, so processes that
-    load the same input at once do not replace each other's file.
-    """
+def _csv_bytes(rows) -> bytes:
+    """``rows`` as ``csv.writer`` writes them, encoded as UTF-8."""
     buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(["original_id", "dense_id"])
-    writer.writerows((original, dense) for dense, original in enumerate(originals))
-    text = buffer.getvalue()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def _write_id_map(path: str, originals: list[str]) -> None:
+    """Write the map (``write_atomic``) unless ``path`` already holds exactly
+    its bytes."""
+    payload = _csv_bytes(
+        [("original_id", "dense_id"), *zip(originals, range(len(originals)))]
+    )
     try:
-        with open(path, newline="") as f:
-            if f.read() == text:
+        with open(path, "rb") as f:
+            if f.read() == payload:
                 return
-    except (FileNotFoundError, UnicodeDecodeError):
+    except FileNotFoundError:
         pass
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    write_atomic(path, payload)
 
 
 def load_interactions(path: str) -> Dataset:
@@ -130,7 +127,7 @@ def load_interactions(path: str) -> Dataset:
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     ids: list[int] = []  # u0, i0, u1, i1, ...
-    stamps: list[float | None] = []
+    stamped: list[bool] = []  # whether each row has a timestamp
     with open(path, newline="") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -144,17 +141,16 @@ def load_interactions(path: str) -> Dataset:
             u_raw, i_raw = row[0].strip(), row[1].strip()
             if not u_raw or not i_raw:
                 raise DataFormatError(f"{path}:{lineno}: empty user or item id")
-            ts = None
             if len(row) == 3:
                 try:
-                    ts = float(row[2])
+                    float(row[2])
                 except ValueError as exc:
                     raise DataFormatError(
                         f"{path}:{lineno}: bad timestamp {row[2]!r}"
                     ) from exc
             ids.append(users.setdefault(u_raw, len(users)))
             ids.append(items.setdefault(i_raw, len(items)))
-            stamps.append(ts)
+            stamped.append(len(row) == 3)
     if not ids:
         raise DataFormatError(f"{path}: no interactions found")
     interactions = np.array(ids, dtype=np.int64).reshape(-1, 2)
@@ -166,14 +162,9 @@ def load_interactions(path: str) -> Dataset:
     if duplicates:
         first.sort()
         interactions = interactions[first]
-        stamps = [stamps[r] for r in first.tolist()]
-    timestamps = None
-    if any(ts is not None for ts in stamps):
-        if None in stamps:
-            raise DataFormatError(
-                f"{path}: timestamp column present on only some rows"
-            )
-        timestamps = stamps
+        stamped = [stamped[r] for r in first.tolist()]
+    if any(stamped) and not all(stamped):
+        raise DataFormatError(f"{path}: timestamp column present on only some rows")
     if duplicates:
         log.warning("%s: dropped %d duplicate interactions", path, duplicates)
     user_list = list(users)
@@ -184,23 +175,19 @@ def load_interactions(path: str) -> Dataset:
         n_users=len(users),
         n_items=len(items),
         interactions=interactions,
-        timestamps=timestamps,
         user_ids=user_list,
         item_ids=item_list,
     )
 
 
 def save_interactions(dataset: Dataset, path: str) -> None:
-    """Write interactions as CSV using the original (pre-densified) ids."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        for idx, (u, i) in enumerate(dataset.interactions.tolist()):
-            row = [dataset.user_ids[u], dataset.item_ids[i]]
-            if dataset.timestamps is not None:
-                row.append(repr(dataset.timestamps[idx]))
-            writer.writerow(row)
-    os.replace(tmp, path)
+    """Write interactions as ``user_id,item_id`` CSV rows using the original
+    (pre-densified) ids, atomically (``write_atomic``)."""
+    users, items = dataset.user_ids, dataset.item_ids
+    write_atomic(
+        path,
+        _csv_bytes((users[u], items[i]) for u, i in dataset.interactions.tolist()),
+    )
 
 
 def split_items(
@@ -262,12 +249,14 @@ def generate_synthetic(cfg: RunConfig) -> tuple[Dataset, np.ndarray]:
     probs = cfg.synthetic_p_out + (cfg.synthetic_p_in - cfg.synthetic_p_out) * same
     hits = rng.random((n_users, n_items)) < probs
 
-    for u in range(n_users):
-        tries = 0
-        while not hits[u].any() and tries < 10:
+    # a redraw changes only its own row, so the empty rows, in ascending
+    # order, are the rows that a pass over every user would redraw
+    for u in np.flatnonzero(~hits.any(axis=1)).tolist():
+        for _ in range(10):
             hits[u] = rng.random(n_items) < probs[u]
-            tries += 1
-        if not hits[u].any():
+            if hits[u].any():
+                break
+        else:
             in_cluster = np.flatnonzero(i_cluster == u_cluster[u])
             forced = int(rng.choice(in_cluster))
             hits[u, forced] = True

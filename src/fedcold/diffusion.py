@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import require_tensors
-from .errors import ConfigError, DataFormatError
-from .numerics import Adam, affine, rekey
+from .checkpoint import load_flat
+from .errors import ConfigError
+from .numerics import Adam, affine, flat_tensors, rekey
 
 INFERENCE_MODES = ("deterministic_mean", "stochastic")
 
@@ -106,17 +106,6 @@ def _shapes(width: int, cond_dim: int) -> dict[str, tuple[int, ...]]:
 _TENSORS = tuple(_shapes(2, 1))
 
 
-def _views(flat: np.ndarray, width: int, cond_dim: int) -> dict[str, np.ndarray]:
-    """Views of the flat buffer ``flat``, one per tensor, in ``_TENSORS``
-    order and shaped like the tensor."""
-    views, start = {}, 0
-    for name, shape in _shapes(width, cond_dim).items():
-        size = math.prod(shape)
-        views[name] = flat[start : start + size].reshape(shape)
-        start += size
-    return views
-
-
 @dataclass(eq=False)
 class DenoiserParams:
     """Learnable tensors of the conditional denoiser.
@@ -153,9 +142,8 @@ class DenoiserParams:
     def zeros(cls, width: int, heads: int, cond_dim: int) -> "DenoiserParams":
         """All-zero parameters, every tensor a view of one new flat buffer."""
         _check_dims(width, heads, cond_dim)
-        size = sum(math.prod(s) for s in _shapes(width, cond_dim).values())
-        flat = np.zeros(size)
-        return cls(width, heads, cond_dim, flat, **_views(flat, width, cond_dim))
+        flat, views = flat_tensors(_shapes(width, cond_dim))
+        return cls(width, heads, cond_dim, flat, **views)
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _TENSORS}
@@ -167,19 +155,8 @@ class DenoiserParams:
         """Parameters from checkpoint tensors, copied into a new flat buffer;
         DataFormatError names any missing or misshapen."""
         _check_dims(width, heads, cond_dim)
-        require_tensors(tensors, list(_TENSORS), "denoiser")
-        params = cls.zeros(width, heads, cond_dim)
-        for name, view in params.tensors().items():
-            arr = np.asarray(tensors[name], dtype=np.float64)
-            if view.ndim == 1:
-                arr = arr.ravel()
-            if arr.shape != view.shape:
-                raise DataFormatError(
-                    f"denoiser tensor {name!r} has shape {arr.shape}, "
-                    f"expected {view.shape}"
-                )
-            view[...] = arr
-        return params
+        flat, views = load_flat(_shapes(width, cond_dim), tensors, "denoiser")
+        return cls(width, heads, cond_dim, flat, **views)
 
 
 def _check_dims(width: int, heads: int, cond_dim: int) -> None:
@@ -228,13 +205,12 @@ def step_keys(p: DenoiserParams, encodings: np.ndarray, out: np.ndarray | None =
     return out
 
 
-def _as_batch(x: np.ndarray | None) -> tuple[np.ndarray | None, bool]:
+def _as_batch(x: np.ndarray | None) -> np.ndarray | None:
+    """``x`` as float64 rows: a 1-D ``x`` is one row."""
     if x is None:
-        return None, False
+        return None
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+    return x[None, :] if x.ndim == 1 else x
 
 
 def _check_t(t: np.ndarray, steps: int, lowest: int = 1) -> None:
@@ -279,19 +255,6 @@ class _Workspace:
     grads: dict[str, np.ndarray] | None = None  # views of grad
     scratch: np.ndarray | None = None  # Adam's
 
-    @property
-    def fused(self) -> np.ndarray:
-        return self.x[:, self.out.shape[1] :]
-
-    @property
-    def attention(self) -> np.ndarray:
-        """Each head's weights on its keys (n, heads, keys): ``[a0, a1]`` on
-        the time and condition keys, or ``[a0]``, which is 1, on the time key
-        alone."""
-        if self.cond_key is None:
-            return self.a0[:, :, None]
-        return np.stack([self.a0, self.a1], axis=-1)
-
 
 def _workspace(
     n: int,
@@ -327,8 +290,7 @@ def _workspace(
         if share is None:
             work.encodings = sinusoidal_encoding(np.arange(1, steps + 1), d)
             work.keys = np.empty((steps, d))
-            work.grad = np.empty(p.flat.size)
-            work.grads = _views(work.grad, p.width, p.cond_dim)
+            work.grad, work.grads = flat_tensors(_shapes(p.width, p.cond_dim))
             work.scratch = np.empty(p.flat.size)
         else:
             work.encodings, work.keys = share.encodings, share.keys
@@ -467,7 +429,7 @@ def _backward(
     x, h1, h2 = cache.x, cache.h1, cache.h2
     n, d = cache.e_t.shape
     if cache.grads is None:
-        grads = _views(np.empty(p.flat.size), p.width, p.cond_dim)
+        _, grads = flat_tensors(_shapes(p.width, p.cond_dim))
         dz = np.empty((n, 2 * d))
     else:
         grads, dz = cache.grads, cache.dz
@@ -576,9 +538,7 @@ def elbo_loss_fixed(
     (from ``_workspace`` with ``train=True``; fresh when omitted), so the
     gradients are views of its flat gradient; ``eps`` may be its ``e_t``.
     """
-    e0, _ = _as_batch(e0)
-    m, _ = _as_batch(m)
-    eps, _ = _as_batch(eps)
+    e0, m, eps = _as_batch(e0), _as_batch(m), _as_batch(eps)
     t_arr = np.atleast_1d(np.asarray(t))
     _check_t(t_arr, schedule.steps)
     n, d = e0.shape
@@ -607,26 +567,6 @@ def elbo_loss_fixed(
     return loss, grads
 
 
-def elbo_loss(
-    e0: np.ndarray,
-    m: np.ndarray | None,
-    params: DenoiserParams,
-    schedule: NoiseSchedule,
-    rng: np.random.Generator,
-    work: _Workspace | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Monte Carlo training loss: one uniform timestep and noise per row,
-    the noise drawn into ``work`` when given."""
-    e0, _ = _as_batch(e0)
-    n = e0.shape[0]
-    t = rng.integers(1, schedule.steps + 1, size=n)
-    if work is None:
-        eps = rng.standard_normal(e0.shape)
-    else:
-        eps = rng.standard_normal(out=work.e_t)
-    return elbo_loss_fixed(e0, m, t, eps, params, schedule, work)
-
-
 class DenoisingGenerator:
     """Denoiser parameters, schedule, and server-side optimizer in one bundle."""
 
@@ -650,8 +590,10 @@ class DenoisingGenerator:
         Each batch size (the full batches and the last, shorter one) trains
         in one workspace, which the call frees when it returns; the two share
         one flat gradient, one Adam scratch and the step-key table. A step
-        gathers its rows into its workspace and writes its gradient into the
-        flat gradient, which one Adam step applies to the flat parameters.
+        gathers its rows into its workspace, draws a uniform timestep for
+        each row and then the rows' noise, into the workspace, and writes its
+        gradient into the flat gradient, which one Adam step applies to the
+        flat parameters.
         """
         if epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -677,7 +619,11 @@ class DenoisingGenerator:
                     works[batch.size] = shared = work
                 np.take(e0_rows, batch, axis=0, out=work.e0, mode="clip")
                 np.take(conditions, batch, axis=0, out=work.m, mode="clip")
-                loss, _ = elbo_loss(work.e0, work.m, p, self.schedule, rng, work)
+                t = rng.integers(1, steps + 1, size=batch.size)
+                eps = rng.standard_normal(out=work.e_t)
+                loss, _ = elbo_loss_fixed(
+                    work.e0, work.m, t, eps, p, self.schedule, work
+                )
                 losses.append(loss)
                 self.opt.step(p.flat, p.tensors(), work.grad, work.scratch)
         return float(np.mean(losses))

@@ -7,15 +7,25 @@ with plain full-batch SGD on mean squared error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import require_tensors
+from .checkpoint import load_flat
 from .errors import ConfigError
-from .numerics import affine
+from .numerics import affine, flat_tensors
 
 HIDDEN = 128  # one capacity for the mapper and for every inversion attacker
+
+
+def _shapes(in_dim: int, hidden: int, out_dim: int) -> dict[str, tuple[int, ...]]:
+    """Each tensor's shape, in the order the tensors lie in a flat buffer."""
+    return {
+        "hidden_w": (in_dim, hidden),
+        "hidden_b": (hidden,),
+        "out_w": (hidden, out_dim),
+        "out_b": (out_dim,),
+    }
 
 
 @dataclass
@@ -57,68 +67,48 @@ class TwoLayerMLP:
         if x.shape[0] == 0:
             raise ConfigError("cannot fit an MLP on zero rows")
         mlp = cls.init(x.shape[1], HIDDEN, y.shape[1], rng)
-        mlp.sgd_train(x, y, epochs, lr, _trace=False)
+        mlp.sgd_train(x, y, epochs, lr)
         return mlp
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         h = np.tanh(affine(x, self.hidden_w, self.hidden_b))
         return affine(h, self.out_w, self.out_b)
 
-    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Views of the flat buffer ``flat``, one per tensor, in ``tensors()``
-        order and shaped like the tensor."""
-        views, start = {}, 0
-        for name, w in self.tensors().items():
-            views[name] = flat[start : start + w.size].reshape(w.shape)
-            start += w.size
-        return views
-
-    def _workspace(self, n: int, trace: bool = True) -> dict:
+    def _workspace(self, n: int) -> dict:
         """Every array one SGD epoch on ``n`` rows writes: activations and
         gradients, allocated once per fit and overwritten by every epoch.
 
         The gradients share one flat buffer, ``grad``, laid out as
         ``_flatten`` lays out the weights, so one call updates them all.
-        Without ``trace`` the epochs skip the two calls that form the loss.
         """
         hidden, out_dim = self.out_w.shape
-        grad = np.empty(sum(w.size for w in self.tensors().values()))
+        grad, grads = flat_tensors(_shapes(*self.hidden_w.shape, out_dim))
         return {
             "h": np.empty((n, hidden)),
             "d_z": np.empty((n, hidden)),
             "diff": np.empty((n, out_dim)),
             "d_pred": np.empty((n, out_dim)),
             "grad": grad,
-            "grads": self._views(grad),
-            "trace": trace,
+            "grads": grads,
         }
 
     def _flatten(self) -> np.ndarray:
         """Copy the weights into one flat buffer and make each tensor a view
-        of it; returns the buffer."""
-        flat = np.concatenate([w.ravel() for w in self.tensors().values()])
-        for name, view in self._views(flat).items():
+        of it; returns the buffer.
+
+        SGD steps the buffer, so it is made afresh by every ``sgd_train``: a
+        model held over one buffer from construction would lose it to
+        ``copy.deepcopy``, which copies each view into an array of its own.
+        """
+        flat, views = flat_tensors(_shapes(*self.hidden_w.shape, self.out_w.shape[1]))
+        for name, view in views.items():
+            view[...] = getattr(self, name)
             setattr(self, name, view)
         return flat
 
-    def loss_and_grads(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        work: dict | None = None,
-    ) -> tuple[float | None, dict[str, np.ndarray]]:
-        """Mean squared error and its gradients for a batch.
-
-        Every array is written into ``work`` (from ``_workspace``), so the
-        returned gradients are views of it. Without ``work`` the inputs are
-        coerced and a fresh workspace is made; the SGD loop passes its own,
-        with inputs it coerced once per fit. The loss is None when ``work``
-        keeps no trace.
-        """
-        if work is None:
-            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-            y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-            work = self._workspace(x.shape[0])
+    def _gradients(self, x: np.ndarray, y: np.ndarray, work: dict) -> None:
+        """The mean squared error's gradients for a batch, written into
+        ``work`` (from ``_workspace``) with the residual ``work["diff"]``."""
         h, d_z = work["h"], work["d_z"]
         diff, d_pred = work["diff"], work["d_pred"]
         grads = work["grads"]
@@ -128,10 +118,6 @@ class TwoLayerMLP:
         np.matmul(h, self.out_w, out=diff)  # pred, then diff in place
         np.add(diff, self.out_b, out=diff)
         np.subtract(diff, y, out=diff)
-        loss = None
-        if work["trace"]:
-            np.multiply(diff, diff, out=d_pred)
-            loss = float(np.mean(d_pred))
         # 2·diff/size: doubling and halving are exact, so dividing by size/2
         # rounds the same quotient
         np.divide(diff, diff.size / 2.0, out=d_pred)
@@ -143,19 +129,26 @@ class TwoLayerMLP:
         np.multiply(d_z, h, out=d_z)
         np.matmul(x.T, d_z, out=grads["hidden_w"])
         np.sum(d_z, axis=0, out=grads["hidden_b"])
-        return loss, grads
 
-    def sgd_train(
-        self, x: np.ndarray, y: np.ndarray, epochs: int, lr: float, _trace: bool = True
-    ) -> list[float]:
-        """Full-batch SGD; returns the per-epoch loss trace.
+    def loss_and_grads(
+        self, x: np.ndarray, y: np.ndarray
+    ) -> tuple[float, dict[str, np.ndarray]]:
+        """Mean squared error and its gradients for a batch, in a fresh
+        workspace: the gradients first, then the loss from their residual."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        work = self._workspace(x.shape[0])
+        self._gradients(x, y, work)
+        diff = work["diff"]
+        return float(np.mean(diff * diff)), work["grads"]
+
+    def sgd_train(self, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> None:
+        """Full-batch SGD.
 
         Every epoch runs in one workspace, so a fit allocates its arrays once,
         and the weights and gradients each lie in one flat buffer, so a step
-        is two calls. ``fit``, which discards the trace, passes ``_trace=False``
-        and gets an empty one: the loss is two of an epoch's 19 numpy calls,
-        and beside the attack stage's reverse chains each call waits for the
-        interpreter lock.
+        is two calls. No epoch forms the loss: beside the attack stage's
+        reverse chains each numpy call waits for the interpreter lock.
         """
         if epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {epochs}")
@@ -164,16 +157,12 @@ class TwoLayerMLP:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         weights = self._flatten()
-        work = self._workspace(x.shape[0], _trace)
+        work = self._workspace(x.shape[0])
         grad = work["grad"]
-        losses = []
         for _ in range(epochs):
-            loss, _ = self.loss_and_grads(x, y, work)
-            if _trace:
-                losses.append(loss)
+            self._gradients(x, y, work)
             np.multiply(grad, lr, out=grad)
             np.subtract(weights, grad, out=weights)
-        return losses
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {
@@ -185,16 +174,13 @@ class TwoLayerMLP:
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "TwoLayerMLP":
-        """Weights from checkpoint tensors; DataFormatError names any missing."""
-        require_tensors(tensors, [f.name for f in fields(cls)], "MLP")
+        """Weights from checkpoint tensors, copied into one flat buffer;
+        DataFormatError names any missing or misshapen.
 
-        def vec(name: str) -> np.ndarray:
-            arr = np.asarray(tensors[name], dtype=np.float64)
-            return arr.ravel()
-
-        return cls(
-            hidden_w=np.asarray(tensors["hidden_w"], dtype=np.float64),
-            hidden_b=vec("hidden_b"),
-            out_w=np.asarray(tensors["out_w"], dtype=np.float64),
-            out_b=vec("out_b"),
-        )
+        The dimensions are read from the two weight matrices; a tensor that
+        is missing reads as empty here and is named by ``load_flat``.
+        """
+        in_dim, hidden = np.atleast_2d(tensors.get("hidden_w", ())).shape[:2]
+        out_dim = np.atleast_2d(tensors.get("out_w", ())).shape[1]
+        _, views = load_flat(_shapes(in_dim, hidden, out_dim), tensors, "MLP")
+        return cls(**views)

@@ -9,6 +9,7 @@ differences.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -103,6 +104,21 @@ def sigmoid(x):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def flat_tensors(
+    shapes: dict[str, tuple[int, ...]],
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A zeroed flat float64 buffer and one view of it per name, laid out in
+    ``shapes`` order and each shaped as given, so one call over the buffer
+    updates every tensor."""
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return flat, views
 
 
 def assert_finite(name: str, *arrays: np.ndarray) -> None:

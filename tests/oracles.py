@@ -221,6 +221,36 @@ def items_by_user_pairs(interactions):
     return index
 
 
+def synthetic_per_user(cfg):
+    """``generate_synthetic``'s interactions and features with its redraw
+    loop as first written: every user in turn, its row tested before and
+    after each redraw. Also returns how many rows started empty and how many
+    of them were forced."""
+    n_users, n_items = cfg.synthetic_users, cfg.synthetic_items
+    n_clusters, feature_dim = cfg.synthetic_clusters, cfg.synthetic_feature_dim
+    rng = stream_rng(cfg.seed, "synthetic")
+    u_cluster = np.arange(n_users) % n_clusters
+    i_cluster = np.arange(n_items) % n_clusters
+    same = (u_cluster[:, None] == i_cluster[None, :]).astype(np.float64)
+    probs = cfg.synthetic_p_out + (cfg.synthetic_p_in - cfg.synthetic_p_out) * same
+    hits = rng.random((n_users, n_items)) < probs
+    empty = forced = 0
+    for u in range(n_users):
+        empty += not hits[u].any()
+        tries = 0
+        while not hits[u].any() and tries < 10:
+            hits[u] = rng.random(n_items) < probs[u]
+            tries += 1
+        if not hits[u].any():
+            in_cluster = np.flatnonzero(i_cluster == u_cluster[u])
+            hits[u, int(rng.choice(in_cluster))] = True
+            forced += 1
+    centroids = np.eye(feature_dim)[:, :n_clusters].T
+    noise = rng.standard_normal((n_items, feature_dim))
+    features = centroids[i_cluster] + cfg.synthetic_feature_noise * noise
+    return np.argwhere(hits), features, empty, forced
+
+
 def split_items_pairs(interactions, n_items, ratios, seed):
     """The item split over a list of ``(user, item)`` pairs, one pair at a
     time: sorted warm, validation and cold items and the pairs of each kind,

@@ -129,6 +129,25 @@ def test_mlp_round_trip(tmp_path):
     restored = TwoLayerMLP.from_tensors(load_checkpoint(path))
     assert restored.hidden_b.shape == (7,)
     np.testing.assert_allclose(restored.out_w, mlp.out_w, atol=1e-6)
+    # restored into one flat buffer of its own
+    flat = restored.hidden_w.base
+    assert all(t.base is flat for t in restored.tensors().values())
+
+
+@pytest.mark.parametrize(
+    "name, tensor, shapes",
+    [
+        ("hidden_w", np.zeros(7), r"\(7,\), expected \(1, 7\)"),
+        ("hidden_b", np.zeros((1, 6)), r"\(6,\), expected \(7,\)"),
+        ("out_w", np.zeros((6, 3)), r"\(6, 3\), expected \(7, 3\)"),
+        ("out_b", np.zeros((1, 4)), r"\(4,\), expected \(3,\)"),
+    ],
+)
+def test_mlp_from_tensors_names_a_misshapen_tensor(name, tensor, shapes):
+    tensors = TwoLayerMLP.init(5, 7, 3, stream_rng(6, "init")).tensors()
+    tensors[name] = tensor
+    with pytest.raises(DataFormatError, match=f"MLP tensor '{name}' has shape {shapes}"):
+        TwoLayerMLP.from_tensors(tensors)
 
 
 def test_empty_checkpoint_round_trips(tmp_path):

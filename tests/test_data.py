@@ -21,7 +21,7 @@ from fedcold.data import (
 from fedcold.errors import ConfigError, DataFormatError
 from fedcold.federation import init_simulation, sample_negatives
 from fedcold.numerics import stream_rng
-from oracles import items_by_user_pairs, split_items_pairs
+from oracles import items_by_user_pairs, split_items_pairs, synthetic_per_user
 
 
 def write_rows(path, rows):
@@ -106,26 +106,58 @@ def test_second_load_leaves_id_maps_untouched(tmp_path):
     ]
 
 
+def named(d):
+    """A dataset's rows with their original ids."""
+    return [(d.user_ids[u], d.item_ids[i]) for u, i in d.interactions.tolist()]
+
+
 def test_save_load_round_trip(tmp_path):
     ds = Dataset(
         n_users=3,
         n_items=4,
         interactions=pairs([(0, 0), (1, 2), (2, 3), (0, 1)]),
-        timestamps=[1.0, 2.5, 3.0, 4.0],
         user_ids=["ua", "ub", "uc"],
         item_ids=["w", "x", "y", "z"],
     )
     path = tmp_path / "round.csv"
     save_interactions(ds, str(path))
+    assert path.read_bytes() == b"ua,w\r\nub,y\r\nuc,z\r\nua,x\r\n"
     back = load_interactions(str(path))
     assert back.n_users == ds.n_users
     assert back.n_items == ds.n_items
-    def named(d):
-        return [(d.user_ids[u], d.item_ids[i]) for u, i in d.interactions.tolist()]
-
     assert named(back) == named(ds)
     assert back.interactions.dtype == np.int64
-    assert back.timestamps == ds.timestamps
+
+
+def test_timestamps_are_checked_and_dropped(tmp_path):
+    rows = [("ua", "w"), ("ub", "y"), ("ua", "w"), ("uc", "z"), ("ua", "x")]
+    plain, stamped = tmp_path / "plain.csv", tmp_path / "stamped.csv"
+    write_rows(plain, rows)
+    write_rows(stamped, [(u, i, f"{k}.5") for k, (u, i) in enumerate(rows)])
+    want, got = load_interactions(str(plain)), load_interactions(str(stamped))
+    assert np.array_equal(got.interactions, want.interactions)
+    assert named(got) == named(want)
+    write_rows(stamped, [("ua", "w", "soon")])
+    with pytest.raises(DataFormatError, match="1: bad timestamp 'soon'"):
+        load_interactions(str(stamped))
+
+
+def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "interactions.csv"
+    path.write_bytes(b"ua,w\r\n")
+    ds = Dataset(n_users=1, n_items=2, interactions=pairs([(0, 0), (0, 1)]))
+
+    def refuse(src, dst):
+        raise OSError("no room")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="no room"):
+            save_interactions(ds, str(path))
+    assert path.read_bytes() == b"ua,w\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["interactions.csv"]
 
 
 def test_split_ten_items_gives_6_1_3():
@@ -174,7 +206,7 @@ def test_split_routes_interactions_by_item():
 @st.composite
 def datasets(draw):
     """Small datasets whose pairs may repeat and whose users may have no
-    interactions, with or without timestamps."""
+    interactions."""
     n_users, n_items = draw(st.integers(1, 8)), draw(st.integers(3, 12))
     rows = draw(
         st.lists(
@@ -182,9 +214,7 @@ def datasets(draw):
             max_size=40,
         )
     )
-    n = len(rows)
-    stamps = draw(st.none() | st.lists(st.floats(-1e9, 1e9), min_size=n, max_size=n))
-    return Dataset(n_users, n_items, pairs(rows), timestamps=stamps)
+    return Dataset(n_users, n_items, pairs(rows))
 
 
 # (1, 0, 0) leaves the validation and cold kinds empty, (0, 1, 0) the warm
@@ -220,7 +250,6 @@ def test_split_and_user_index_match_the_pair_list_oracles(ds, ratios, seed):
         assert all(type(i) is int for items in index.values() for i in items)
     assert split.test_items_by_user() == items_by_user_pairs(kinds[2])
     assert split.val_items_by_user() == items_by_user_pairs(kinds[1])
-    assert split.train_items_by_user() == items_by_user_pairs(kinds[0])
 
 
 @given(
@@ -254,7 +283,6 @@ def test_load_keeps_the_first_of_each_pair_in_file_order(rows):
         ds = load_interactions(path)
     assert ds.interactions.dtype == np.int64
     assert [tuple(row) for row in ds.interactions.tolist()] == want
-    assert ds.timestamps == (None if want_stamps[0] is None else want_stamps)
     assert (ds.user_ids, ds.item_ids) == (list(users), list(items))
 
 
@@ -376,6 +404,26 @@ def test_synthetic_every_user_has_an_interaction():
     # forced interactions stay in-cluster
     for u, i in ds.interactions:
         assert u % 3 == i % 3
+
+
+@pytest.mark.parametrize("p_in, p_out", [(0.05, 0.002), (0.002, 0.0)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_synthetic_redraws_match_the_per_user_loop(p_in, p_out, seed):
+    cfg = synthetic(
+        synthetic_users=200,
+        synthetic_items=20,
+        synthetic_clusters=4,
+        synthetic_p_in=p_in,
+        synthetic_p_out=p_out,
+        synthetic_feature_dim=8,
+        seed=seed,
+    )
+    ds, features = generate_synthetic(cfg)
+    interactions, want_features, empty, forced = synthetic_per_user(cfg)
+    assert 0 < forced < empty  # some rows redrawn to a hit, some forced
+    assert ds.interactions.dtype == interactions.dtype
+    assert np.array_equal(ds.interactions, interactions)
+    assert np.array_equal(features, want_features)
 
 
 def test_synthetic_features_near_orthogonal_centroids():
