@@ -75,9 +75,9 @@ def load_flat(
     """``model``'s checkpoint tensors copied into a new flat buffer laid out
     by ``shapes`` (``flat_tensors``): the buffer and its views.
 
-    A vector's tensor is raveled first, since checkpoints store vectors as
-    one row. DataFormatError names every tensor that is missing, or else the
-    first whose shape differs from ``shapes``.
+    A vector may come as the one row that checkpoints store it as.
+    DataFormatError names every tensor that is missing, or else the first
+    whose shape differs from ``shapes``.
     """
     missing = [name for name in shapes if name not in tensors]
     if missing:
@@ -87,8 +87,8 @@ def load_flat(
     flat, views = flat_tensors(shapes)
     for name, view in views.items():
         arr = np.asarray(tensors[name], dtype=np.float64)
-        if view.ndim == 1:
-            arr = arr.ravel()
+        if view.ndim == 1 and arr.shape == (1, view.size):
+            arr = arr[0]
         if arr.shape != view.shape:
             raise DataFormatError(
                 f"{model} tensor {name!r} has shape {arr.shape}, expected {view.shape}"

@@ -590,10 +590,10 @@ class DenoisingGenerator:
         Each batch size (the full batches and the last, shorter one) trains
         in one workspace, which the call frees when it returns; the two share
         one flat gradient, one Adam scratch and the step-key table. A step
-        gathers its rows into its workspace, draws a uniform timestep for
-        each row and then the rows' noise, into the workspace, and writes its
-        gradient into the flat gradient, which one Adam step applies to the
-        flat parameters.
+        gathers its rows into its workspace, draws each row's uniform
+        timestep and then the rows' noise (into the workspace), and writes
+        its gradient into the flat gradient, which one Adam step applies to
+        the flat parameters.
         """
         if epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {epochs}")

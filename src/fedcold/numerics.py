@@ -1,4 +1,5 @@
-"""Dense linear algebra, seeded RNG streams, a stable sigmoid and Adam.
+"""Dense linear algebra, seeded RNG streams, a stable sigmoid, flat parameter
+buffers and Adam.
 
 All math runs on float64 numpy arrays; checkpoints quantize to float32 on save
 only. There is no autodiff engine: every learnable layer in this package ships

@@ -138,9 +138,10 @@ def test_mlp_round_trip(tmp_path):
     "name, tensor, shapes",
     [
         ("hidden_w", np.zeros(7), r"\(7,\), expected \(1, 7\)"),
-        ("hidden_b", np.zeros((1, 6)), r"\(6,\), expected \(7,\)"),
+        ("hidden_b", np.zeros((1, 6)), r"\(1, 6\), expected \(7,\)"),
         ("out_w", np.zeros((6, 3)), r"\(6, 3\), expected \(7, 3\)"),
-        ("out_b", np.zeros((1, 4)), r"\(4,\), expected \(3,\)"),
+        ("out_b", np.zeros((1, 4)), r"\(1, 4\), expected \(3,\)"),
+        ("out_b", np.zeros((3, 1)), r"\(3, 1\), expected \(3,\)"),
     ],
 )
 def test_mlp_from_tensors_names_a_misshapen_tensor(name, tensor, shapes):
