@@ -15,7 +15,9 @@
 #     with the same stages: about 31.5 MB of examples a round, so two client
 #     chunks of federation.ROUND_BUFFER_BYTES, under sampling and upload
 #     noise that compounds over the rounds;
-#   - a 2-round copy of scripts/benchmark.cfg: sweep --param ldp --values 0,1.
+#   - a 2-round copy of scripts/benchmark.cfg: sweep --param ldp --values 0,1;
+#   - a 4-round copy of scripts/benchmark.cfg at seed 1: train --light, eval
+#     and attack --mode stochastic, so rounds 2 and 4 skip the denoiser.
 # The two id maps that loading writes beside the cold-4x-sparse input are
 # removed before each tree's run and hashed after it.
 # Both trees run the configs and the perfbench spec of this checkout, so only
@@ -47,6 +49,7 @@ INPUTS="$WORK/inputs"
 mkdir -p "$INPUTS"
 BENCH_CFG="$ROOT/scripts/benchmark.cfg"
 sed 's/^rounds = .*/rounds = 2/' "$BENCH_CFG" > "$INPUTS/sweep.cfg"
+sed 's/^rounds = .*/rounds = 4/' "$BENCH_CFG" > "$INPUTS/light.cfg"
 for W in clients-4x-ldp cold-4x-sparse; do
     mkdir -p "$INPUTS/$W"
     python3 -B - "$ROOT/perfbench" "$W" "$INPUTS/$W" <<'EOF'
@@ -107,6 +110,11 @@ run_all() {
     done
     fedcold "$tree" sweep --config "$INPUTS/sweep.cfg" --out "$out/ldp_sweep" \
         --param ldp --values 0,1
+    for stage in "train --light" eval "attack --mode stochastic"; do
+        # shellcheck disable=SC2086
+        fedcold "$tree" $stage --config "$INPUTS/light.cfg" --seed 1 \
+            --out "$out/light"
+    done
     (cd "$INPUTS" && sha256sum "${ID_MAPS[@]#"$INPUTS/"}") > "$out/id_maps.sha256"
 }
 

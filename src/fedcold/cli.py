@@ -63,16 +63,9 @@ ROUNDS_HEADER = [
     "distinct_items",
     "payload_bytes",
 ]
-# blanked before hashing; every other rounds.csv column is deterministic
-WALL_CLOCK_COLUMNS = (
-    "seconds",
-    "generator_seconds",
-    "draw_seconds",
-    "kernel_seconds",
-    "noise_seconds",
-    "aggregate_seconds",
-    "chain_seconds",
-    "val_seconds",
+# the timings, blanked before hashing; every other rounds.csv column is deterministic
+WALL_CLOCK_COLUMNS = tuple(
+    name for name in ROUNDS_HEADER if name == "seconds" or name.endswith("_seconds")
 )
 TRAIN_MANIFEST = "manifest_train.csv"
 # config keys that fix what train produced; a later stage must repeat them

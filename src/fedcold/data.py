@@ -30,8 +30,6 @@ from .numerics import stream_rng
 
 log = logging.getLogger(__name__)
 
-DEFAULT_SPLIT_RATIOS = (0.6, 0.1, 0.3)
-
 
 @dataclass
 class Dataset:
@@ -191,9 +189,7 @@ def save_interactions(dataset: Dataset, path: str) -> None:
 
 
 def split_items(
-    dataset: Dataset,
-    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
-    seed: int = 0,
+    dataset: Dataset, ratios: tuple[float, float, float], seed: int
 ) -> SplitDataset:
     """Partition items into warm/val/cold by shuffled cumulative ratios.
 

@@ -205,14 +205,6 @@ def step_keys(p: DenoiserParams, encodings: np.ndarray, out: np.ndarray | None =
     return out
 
 
-def _as_batch(x: np.ndarray | None) -> np.ndarray | None:
-    """``x`` as float64 rows: a 1-D ``x`` is one row."""
-    if x is None:
-        return None
-    x = np.asarray(x, dtype=np.float64)
-    return x[None, :] if x.ndim == 1 else x
-
-
 def _check_t(t: np.ndarray, steps: int, lowest: int = 1) -> None:
     if np.any(t < lowest) or np.any(t > steps):
         raise ConfigError(f"timestep out of range [{lowest}, {steps}]")
@@ -378,25 +370,22 @@ def _forward(
     time_key: np.ndarray,
     m: np.ndarray | None,
     p: DenoiserParams,
-    work: _Workspace | None = None,
+    work: _Workspace,
 ) -> tuple[np.ndarray, _Workspace]:
     """Denoiser forward pass: the clean-embedding estimate and the cache.
 
     ``time_key`` holds each row's time key, or one key for every row: rows of
     ``step_keys``. Every array is written into ``work`` (from ``_workspace``,
-    with the condition key of ``m`` in it; fresh when omitted), which is the
-    cache, so the estimate is a view of it.
+    with the condition key of ``m`` in it), which is the cache, so the
+    estimate is a view of it.
     """
-    n, d = e_t.shape
+    d = e_t.shape[1]
     if d != p.width:
         raise ConfigError(f"embedding width {d} does not match model width {p.width}")
     if m is not None and m.shape[1] != p.cond_dim:
         raise ConfigError(
             f"condition dim {m.shape[1]} does not match model cond_dim {p.cond_dim}"
         )
-    if work is None:
-        cond_key = None if m is None else affine(m, p.cond_w, p.cond_b)
-        work = _workspace(n, p, cond_key)
     work.e_t, work.m = e_t, m
     x, h1, h2, out = work.x, work.h1, work.h2, work.out
     q = np.matmul(e_t, p.query_w, out=work.q)
@@ -421,18 +410,14 @@ def _backward(
     """Every tensor's gradient, given the output gradient ``d_out`` and the
     encodings ``tenc`` that the rows' time keys were projected from.
 
-    The gradients are views of a training workspace's flat gradient (fresh
-    when ``cache`` is not one). The pass overwrites the cache's heads, ``x``,
-    ``h1`` and ``h2`` once it has read them for the last time, so it runs
-    once per forward.
+    ``cache`` is a training workspace, and the gradients are views of its
+    flat gradient. The pass overwrites the cache's heads, ``x``, ``h1`` and
+    ``h2`` once it has read them for the last time, so it runs once per
+    forward.
     """
     x, h1, h2 = cache.x, cache.h1, cache.h2
-    n, d = cache.e_t.shape
-    if cache.grads is None:
-        _, grads = flat_tensors(_shapes(p.width, p.cond_dim))
-        dz = np.empty((n, 2 * d))
-    else:
-        grads, dz = cache.grads, cache.dz
+    d = p.width
+    grads, dz = cache.grads, cache.dz
     np.matmul(h2.T, d_out, out=grads["trunk3_w"])
     np.sum(d_out, axis=0, out=grads["trunk3_b"])
     np.matmul(d_out, p.trunk3_w.T, out=dz)  # d_h2
@@ -528,24 +513,20 @@ def elbo_loss_fixed(
     eps: np.ndarray,
     params: DenoiserParams,
     schedule: NoiseSchedule,
-    work: _Workspace | None = None,
+    work: _Workspace,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Reconstruction loss and gradients for fixed timesteps and noise.
 
     The training objective fixes the clean-embedding parameterization: the
     loss is the mean squared error between the denoiser output and the clean
     embedding, averaged over the batch. Every array is written into ``work``
-    (from ``_workspace`` with ``train=True``; fresh when omitted), so the
-    gradients are views of its flat gradient; ``eps`` may be its ``e_t``.
+    (from ``_workspace`` with ``train=True``, for ``schedule``'s steps and
+    holding a condition key array unless ``m`` is None), so the gradients
+    are views of its flat gradient; ``eps`` may be its ``e_t``.
     """
-    e0, m, eps = _as_batch(e0), _as_batch(m), _as_batch(eps)
     t_arr = np.atleast_1d(np.asarray(t))
     _check_t(t_arr, schedule.steps)
-    n, d = e0.shape
     p = params
-    if work is None:
-        cond_key = None if m is None else np.empty((n, d))
-        work = _workspace(n, p, cond_key, schedule.steps, train=True)
     # the heads are written before they are read in the forward pass
     e_t = q_sample(e0, t_arr, eps, schedule, out=work.e_t, scratch=work.heads)
     rows = t_arr - 1

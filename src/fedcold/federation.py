@@ -2,8 +2,9 @@
 
 Clients hold a private user embedding and train locally on a distributed copy
 of the global item table; only touched item rows travel back to the server,
-optionally with per-entry Laplace noise. The server averages uploads row-wise,
-trains the diffusion generator on warm rows, and redistributes.
+optionally with per-entry Laplace noise. The server averages uploads row-wise
+and redistributes; training the diffusion generator on the warm rows, the
+server's other job in a round, is the training loop's (``pipeline``).
 
 Within a round every client reads the same table and draws from its own
 per-(round, client) RNG stream: first the uniforms for its negatives, which one
@@ -33,9 +34,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import SplitDataset
-from .diffusion import DenoisingGenerator
 from .errors import ConfigError
-from .modality import FeatureTable
 from .numerics import rekey, sigmoid, stream_rng
 
 PROB_CLAMP = 1e-12
@@ -105,9 +104,13 @@ class GlobalItemTable:
 class RoundReport:
     """One round's losses, phase timings, upload counters and diagnostics.
 
-    ``seconds`` spans ``run_round``: denoiser epochs, then the client phase
-    split into negative draws, the lockstep kernel, upload noise and
-    aggregation. After the round the training loop runs one reverse chain
+    ``run_round`` fills in the client phase: the mean client loss, the time
+    of the negative draws, the lockstep kernel, upload noise and
+    aggregation, and the counters. The training loop trains the denoiser
+    before it and records the mean batch loss in ``diffusion_loss`` (``None``
+    on a round that the light cadence skips) and the epochs' time in
+    ``generator_seconds``; ``seconds`` spans the denoiser epochs and the
+    client phase. After the round the training loop runs one reverse chain
     over the cold and the validation items, whose cold rows are the round's
     diagnostic rows, and scores the validation rows; it records their times
     in ``chain_seconds`` and ``val_seconds``, the validation recall in
@@ -119,9 +122,7 @@ class RoundReport:
 
     round: int
     mean_client_loss: float
-    diffusion_loss: float | None
     seconds: float
-    generator_seconds: float
     draw_seconds: float
     kernel_seconds: float
     noise_seconds: float
@@ -129,6 +130,8 @@ class RoundReport:
     upload_rows: int
     distinct_items: int
     payload_bytes: int
+    diffusion_loss: float | None = None
+    generator_seconds: float = 0.0
     chain_seconds: float = 0.0
     val_seconds: float = 0.0
     val_recall: float | None = None
@@ -451,49 +454,22 @@ def mean_table(
     return new
 
 
-def diffusion_trains_this_round(round_index: int, light_mode: bool) -> bool:
-    """Light cadence trains on odd rounds only (1-based), full on every round."""
-    return (round_index % 2 == 1) if light_mode else True
-
-
 def run_round(
-    table: GlobalItemTable,
-    clients: list[ClientState],
-    generator: DenoisingGenerator | None,
-    features: FeatureTable | None,
-    split: SplitDataset,
-    config: RunConfig,
+    table: GlobalItemTable, clients: list[ClientState], config: RunConfig
 ) -> RoundReport:
-    """One federated round.
+    """One federated round's client phase.
 
-    Trains the diffusion generator on warm rows unless the light cadence skips
-    this round, distributes the table, trains the sampled clients in chunks of
-    at most ``ROUND_BUFFER_BYTES`` of examples (or one client), each chunk in
+    Distributes the table, trains the sampled clients in chunks of at most
+    ``ROUND_BUFFER_BYTES`` of examples (or one client), each chunk in
     lockstep, folds each chunk's noised uploads into one running sum, and
     writes the mean into ``table`` after the last chunk. The phase timings
-    sum over the chunks.
+    sum over the chunks; the denoiser's loss and time are the training
+    loop's to fill in.
     """
     start = time.perf_counter()
     seed = config.seed
     round_index = table.round + 1
     table.round = round_index
-
-    diffusion_loss = None
-    generator_start = time.perf_counter()
-    if generator is not None and diffusion_trains_this_round(
-        round_index, config.light_mode
-    ):
-        if features is None:
-            raise ConfigError("diffusion training requires item features")
-        warm = np.array(split.warm_items, dtype=np.int64)
-        diffusion_loss = generator.train_epochs(
-            table.embeddings[warm],
-            features.rows[warm],
-            stream_rng(seed, "diffusion", round_index),
-            epochs=config.server_epochs,
-            batch_size=config.batch_size,
-        )
-    generator_seconds = time.perf_counter() - generator_start
 
     if config.client_sample_ratio >= 1.0:
         sampled = clients
@@ -549,9 +525,7 @@ def run_round(
     return RoundReport(
         round=round_index,
         mean_client_loss=mean_loss,
-        diffusion_loss=diffusion_loss,
         seconds=time.perf_counter() - start,
-        generator_seconds=generator_seconds,
         draw_seconds=phase["draw"],
         kernel_seconds=phase["kernel"],
         noise_seconds=phase["noise"],

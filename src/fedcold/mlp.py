@@ -130,18 +130,6 @@ class TwoLayerMLP:
         np.matmul(x.T, d_z, out=grads["hidden_w"])
         np.sum(d_z, axis=0, out=grads["hidden_b"])
 
-    def loss_and_grads(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean squared error and its gradients for a batch, in a fresh
-        workspace: the gradients first, then the loss from their residual."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        work = self._workspace(x.shape[0])
-        self._gradients(x, y, work)
-        diff = work["diff"]
-        return float(np.mean(diff * diff)), work["grads"]
-
     def sgd_train(self, x: np.ndarray, y: np.ndarray, epochs: int, lr: float) -> None:
         """Full-batch SGD.
 

@@ -128,7 +128,10 @@ def run_training(
 ) -> TrainResult:
     """Federated rounds with per-round diagnostics and validation tracking.
 
-    After each round the table, the user embeddings and the losses must be
+    Each round first trains the denoiser on the warm rows of the current item
+    table (on odd rounds only under ``light_mode``), from the round's
+    ``diffusion`` stream, and then runs the clients (``run_round``). After
+    each round the table, the user embeddings and the losses must be
     finite.  Cold and validation embeddings are generated in deterministic mode,
     in one chain per round whose cold rows draw from ``diag{round}`` streams
     and validation rows from ``val{round}`` streams, so running them does not
@@ -146,6 +149,7 @@ def run_training(
     # one chain per round over the cold items, then the validation items
     chain_items = cold + val_items
     chain_conditions = data.features.rows[chain_items]
+    warm_conditions = data.features.rows[warm]
 
     rounds: list[RoundReport] = []
     best_round = 0
@@ -154,8 +158,23 @@ def run_training(
     best_user = None
     best_denoiser: dict = {}
 
-    for _ in range(cfg.rounds):
-        report = run_round(table, clients, generator, data.features, data.split, cfg)
+    for round_index in range(1, cfg.rounds + 1):
+        start = time.perf_counter()
+        diffusion_loss = None
+        # the light cadence trains the denoiser on odd rounds only
+        if not cfg.light_mode or round_index % 2 == 1:
+            diffusion_loss = generator.train_epochs(
+                table.embeddings[warm],
+                warm_conditions,
+                stream_rng(cfg.seed, "diffusion", round_index),
+                epochs=cfg.server_epochs,
+                batch_size=cfg.batch_size,
+            )
+        generator_seconds = time.perf_counter() - start
+        report = run_round(table, clients, cfg)
+        report.seconds = time.perf_counter() - start
+        report.diffusion_loss = diffusion_loss
+        report.generator_seconds = generator_seconds
         rounds.append(report)
         users = _user_matrix(clients)
         assert_finite(

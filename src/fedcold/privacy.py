@@ -94,8 +94,8 @@ def _cosine_matrix(rows: np.ndarray) -> np.ndarray:
 def structural_similarity_difference(
     true_features: np.ndarray,
     recon_features: np.ndarray,
-    sample_n: int = 20,
-    rng: np.random.Generator | None = None,
+    sample_n: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Difference of pairwise cosine-similarity matrices on a sampled item subset.
 
@@ -114,8 +114,6 @@ def structural_similarity_difference(
     if n == sample_n:
         idx = np.arange(n)
     else:
-        if rng is None:
-            raise ConfigError("rng required when sampling a subset")
         idx = np.sort(rng.choice(n, size=sample_n, replace=False))
     return _cosine_matrix(true_features[idx]) - _cosine_matrix(recon_features[idx])
 
@@ -230,11 +228,11 @@ def attack_side(
     attacked: np.ndarray,
     regenerations: list[np.ndarray],
     seed: int,
-    leak: float = 0.2,
-    attack_epochs: int = 500,
-    attack_lr: float = 0.01,
-    struct_sample_n: int = 20,
-    n_clusters: int | None = None,
+    leak: float,
+    attack_epochs: int,
+    attack_lr: float,
+    struct_sample_n: int,
+    n_clusters: int | None,
 ) -> PipelineSide:
     """The inversion attack, the MI estimate, the Fano bound and the
     structural matrix for one cold-item pipeline.

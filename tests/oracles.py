@@ -10,7 +10,9 @@ client at a time, Laplace upload noise by numpy's two branches, mean
 aggregation whose first upload assigns, the cold ranking with its per-cutoff
 recall, precision and NDCG, and the denoiser's training as first written:
 Adam over a dict of tensors, and a loss that projects each row's time key
-and attends by einsum and a row softmax.
+and attends by einsum and a row softmax. Two helpers give a single pass its
+own arrays: a fresh denoiser workspace, and the MLP's loss and gradients
+for a gradient check.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fedcold.diffusion import (
+    DenoiserParams,
     NoiseSchedule,
     _posterior_coeffs,
+    _workspace,
     sinusoidal_encoding,
 )
 from fedcold.errors import ConfigError, NumericsError
@@ -482,6 +486,27 @@ def reference_denoiser_loss(e0, m, t, eps, p, schedule):
         grads["cond_w"] = m.T @ d_kv[:, 1]
         grads["cond_b"] = d_kv[:, 1].sum(axis=0)
     return loss, grads
+
+
+def fresh_workspace(
+    p: DenoiserParams, n: int, m: np.ndarray | None = None, steps: int = 1
+):
+    """A training workspace of its own for one denoiser pass over ``n`` rows,
+    holding the condition key of ``m`` (None: no condition), for a schedule
+    of ``steps`` steps: what ``_forward``, ``_backward`` and
+    ``elbo_loss_fixed`` write into."""
+    cond_key = None if m is None else affine(m, p.cond_w, p.cond_b)
+    return _workspace(n, p, cond_key, steps, train=True)
+
+
+def mlp_loss_and_grads(model, x, y):
+    """The MLP's mean squared error and its gradients for a batch, in a
+    fresh workspace: the gradients first, then the loss from the residual
+    that ``_gradients`` keeps."""
+    work = model._workspace(x.shape[0])
+    model._gradients(x, y, work)
+    diff = work["diff"]
+    return float(np.mean(diff * diff)), work["grads"]
 
 
 def reference_train_epochs(p, schedule, opt, e0_rows, conditions, rng, epochs, batch_size):

@@ -40,7 +40,9 @@ from fedcold.privacy import draw_diffusion_rows, fano_bound, mi_gaussian_estimat
 from oracles import (
     bce_loss,
     finite_diff_grad_check,
+    fresh_workspace,
     gaussian_noise_floor,
+    mlp_loss_and_grads,
     ndcg_at_k,
     posterior_mean_from_prediction,
     posterior_stats,
@@ -224,7 +226,8 @@ def test_03_gradient_checks():
 
     def denoiser_loss(tensors):
         params = DenoiserParams.from_tensors(8, 2, 6, tensors)
-        return elbo_loss_fixed(e0, m, t, eps, params, schedule)
+        work = fresh_workspace(params, 3, m, schedule.steps)
+        return elbo_loss_fixed(e0, m, t, eps, params, schedule, work)
 
     reports["denoiser"] = finite_diff_grad_check(
         denoiser_loss, denoiser.tensors(), h=1e-5, tolerance=1e-4
@@ -236,7 +239,7 @@ def test_03_gradient_checks():
         y = rng.standard_normal((7, dims[2]))
 
         def net_loss(tensors, x=x, y=y):
-            return TwoLayerMLP.from_tensors(tensors).loss_and_grads(x, y)
+            return mlp_loss_and_grads(TwoLayerMLP.from_tensors(tensors), x, y)
 
         reports[name] = finite_diff_grad_check(
             net_loss, net.tensors(), h=1e-5, tolerance=1e-4

@@ -416,7 +416,7 @@ def test_rounds_csv_phase_timings_are_masked_and_counters_hashed(
     for row in rows:
         seconds = [float(v) for v in row[3:11]]
         assert all(s >= 0 for s in seconds)
-        # generator epochs and the client phase fall inside run_round's span;
+        # generator epochs and the client phase fall inside the round's seconds;
         # the chains and validation scoring follow it
         assert sum(seconds[1:6]) <= seconds[0]
         assert seconds[6] > 0 and seconds[7] > 0

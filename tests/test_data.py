@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fedcold.config import RunConfig
 from fedcold.data import (
-    DEFAULT_SPLIT_RATIOS,
     Dataset,
     SplitDataset,
     _items_by_user,
@@ -22,6 +21,9 @@ from fedcold.errors import ConfigError, DataFormatError
 from fedcold.federation import init_simulation, sample_negatives
 from fedcold.numerics import stream_rng
 from oracles import items_by_user_pairs, split_items_pairs, synthetic_per_user
+
+# the run's default split
+RATIOS = (RunConfig.split_warm, RunConfig.split_val, RunConfig.split_cold)
 
 
 def write_rows(path, rows):
@@ -162,7 +164,7 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(
 
 def test_split_ten_items_gives_6_1_3():
     ds = Dataset(n_users=2, n_items=10, interactions=pairs([(0, i) for i in range(10)]))
-    split = split_items(ds, seed=5)
+    split = split_items(ds, RATIOS, 5)
     assert len(split.warm_items) == 6
     assert len(split.val_items) == 1
     assert len(split.cold_items) == 3
@@ -170,9 +172,9 @@ def test_split_ten_items_gives_6_1_3():
 
 def test_split_deterministic_and_seed_sensitive():
     ds = Dataset(n_users=2, n_items=50, interactions=pairs([(0, i) for i in range(50)]))
-    a = split_items(ds, seed=1)
-    b = split_items(ds, seed=1)
-    c = split_items(ds, seed=2)
+    a = split_items(ds, RATIOS, 1)
+    b = split_items(ds, RATIOS, 1)
+    c = split_items(ds, RATIOS, 2)
     assert a.warm_items == b.warm_items
     assert a.cold_items == b.cold_items
     assert a.warm_items != c.warm_items
@@ -182,7 +184,7 @@ def test_split_deterministic_and_seed_sensitive():
 @settings(max_examples=40, deadline=None)
 def test_split_partitions_items_property(n_items, seed):
     ds = Dataset(n_users=1, n_items=n_items, interactions=pairs([(0, 0)]))
-    split = split_items(ds, seed=seed)
+    split = split_items(ds, RATIOS, seed)
     merged = sorted(split.warm_items + split.val_items + split.cold_items)
     assert merged == list(range(n_items))
     assert not set(split.warm_items) & set(split.cold_items)
@@ -191,7 +193,7 @@ def test_split_partitions_items_property(n_items, seed):
 
 def test_split_routes_interactions_by_item():
     ds = Dataset(n_users=2, n_items=10, interactions=pairs([(0, i) for i in range(10)]))
-    split = split_items(ds, seed=5)
+    split = split_items(ds, RATIOS, 5)
     assert np.isin(split.train_interactions[:, 1], split.warm_items).all()
     assert np.isin(split.val_interactions[:, 1], split.val_items).all()
     assert np.isin(split.test_interactions[:, 1], split.cold_items).all()
@@ -220,7 +222,7 @@ def datasets(draw):
 # (1, 0, 0) leaves the validation and cold kinds empty, (0, 1, 0) the warm
 # and cold ones; below 10 items the default ratios leave validation empty
 SPLIT_RATIOS = [
-    DEFAULT_SPLIT_RATIOS,
+    RATIOS,
     (1.0, 0.0, 0.0),
     (0.0, 1.0, 0.0),
     (0.0, 0.0, 1.0),

@@ -13,7 +13,6 @@ from fedcold.data import (
     generate_synthetic,
     split_items,
 )
-from fedcold.diffusion import DenoisingGenerator, build_schedule, init_denoiser
 from fedcold.errors import ConfigError
 from fedcold.federation import (
     ClientUpload,
@@ -21,7 +20,6 @@ from fedcold.federation import (
     aggregate,
     apply_ldp,
     buffer_index,
-    diffusion_trains_this_round,
     init_simulation,
     mean_table,
     run_round,
@@ -30,7 +28,6 @@ from fedcold.federation import (
     train_clients_lockstep,
 )
 from fedcold.mlp import HIDDEN, TwoLayerMLP
-from fedcold.modality import FeatureTable
 from fedcold.numerics import sigmoid, stream_rng
 from oracles import (
     aggregate_first_assigns,
@@ -40,6 +37,7 @@ from oracles import (
     floyd_sample,
     init_simulation_per_user,
     laplace_row,
+    mlp_loss_and_grads,
 )
 
 
@@ -98,17 +96,10 @@ def small_setup(seed=0, n_users=12, n_items=15, dim=8):
         dim=dim,
         seed=seed,
     )
-    dataset, features = generate_synthetic(config)
-    split = split_items(dataset, seed=seed)
+    dataset, _ = generate_synthetic(config)
+    split = split_items(dataset, (0.6, 0.1, 0.3), seed)
     item_table, clients = init_simulation(split, config)
-    table = FeatureTable(dim=6, rows=features)
-    return split, config, item_table, clients, table
-
-
-def make_generator(dim, cond_dim, seed=0):
-    schedule = build_schedule(5, 1.0, 0.1, 0.5)
-    params = init_denoiser(dim, 2, cond_dim, stream_rng(seed, "gen"))
-    return DenoisingGenerator(params, schedule, server_lr=0.01)
+    return split, config, item_table, clients
 
 
 def test_predict_score_values():
@@ -193,7 +184,7 @@ def test_one_epoch_decreases_training_loss():
 
 
 def test_client_touches_only_positives_and_negatives():
-    split, config, item_table, clients, _ = small_setup()
+    split, config, item_table, clients = small_setup()
     client = next(c for c in clients if c.warm_positives.size > 0)
     rng = stream_rng(0, "client", 1, client.user_id)
     [rows], _ = train_clients_lockstep([client], item_table.embeddings, [rng], config)
@@ -402,7 +393,7 @@ def assert_rows_equal(got, want):
 @pytest.mark.parametrize("seed", [0, 3, 7, 12])
 @pytest.mark.parametrize("ldp_scale", [0.0, 0.7])
 def test_lockstep_kernel_equals_scalar_oracle_bitwise(seed, ldp_scale):
-    split, config, item_table, clients, _ = small_setup(
+    split, config, item_table, clients = small_setup(
         seed, n_users=100, n_items=60, dim=64
     )
     config = dataclasses.replace(config, ldp_scale=ldp_scale)
@@ -451,12 +442,12 @@ def recorded_uploads(monkeypatch):
 
 
 def test_run_round_sampled_clients_match_scalar_oracle_bitwise(monkeypatch):
-    split, config, item_table, clients, _ = small_setup(seed=9, n_users=40, dim=64)
+    split, config, item_table, clients = small_setup(seed=9, n_users=40, dim=64)
     config = dataclasses.replace(config, client_sample_ratio=0.4, ldp_scale=0.5)
     twins = copy.deepcopy(clients)
     table = item_table.embeddings.copy()
     calls = recorded_uploads(monkeypatch)
-    report = run_round(item_table, clients, None, None, split, config)
+    report = run_round(item_table, clients, config)
     [uploads] = calls
     sampled = [twins[up.user_id] for up in uploads]
     assert 0 < len(sampled) < len(clients)
@@ -471,7 +462,7 @@ def test_run_round_sampled_clients_match_scalar_oracle_bitwise(monkeypatch):
 def chunk_setup():
     """Sampled, noised rounds over 40 users; user 12 (sampled in round 1) has
     no positives."""
-    split, config, item_table, clients, _ = small_setup(seed=9, n_users=40, dim=64)
+    split, config, item_table, clients = small_setup(seed=9, n_users=40, dim=64)
     config = dataclasses.replace(config, client_sample_ratio=0.4, ldp_scale=0.5)
     clients[12].warm_positives = np.zeros(0, np.int64)
     return split, config, item_table, clients
@@ -505,7 +496,7 @@ def chunked_rounds(monkeypatch, budget):
         for _ in range(2):
             chunks.append([])
             takes.append([])
-            reports.append(run_round(item_table, clients, None, None, split, config))
+            reports.append(run_round(item_table, clients, config))
     return clients, item_table, reports, chunks, takes
 
 
@@ -571,7 +562,7 @@ def test_run_round_in_chunks_equals_one_chunk_and_scalar_oracle_bitwise(
 
 
 def test_lockstep_small_negative_pool_names_the_user():
-    split, config, item_table, clients, _ = small_setup(seed=1)
+    split, config, item_table, clients = small_setup(seed=1)
     client = next(c for c in clients if c.warm_positives.size > 0)
     client.negative_pool = client.negative_pool[:1]
     rngs = [stream_rng(1, "client", 1, c.user_id) for c in clients]
@@ -664,7 +655,7 @@ def test_sample_negatives_largest_uniform_stays_in_range(pool_size):
 
 
 def test_negative_pools_keep_warm_order():
-    split, config, item_table, clients, _ = small_setup(seed=2)
+    split, config, item_table, clients = small_setup(seed=2)
     split.warm_items.reverse()
     _, clients = init_simulation(split, config)
     interactions = set(map(tuple, split.dataset.interactions.tolist()))
@@ -676,7 +667,7 @@ def test_negative_pools_keep_warm_order():
 
 @pytest.mark.parametrize("seed", [2, 5])
 def test_init_simulation_equals_per_user_oracle(seed):
-    split, config, _, _, _ = small_setup(seed, n_users=40, n_items=30)
+    split, config, _, _ = small_setup(seed, n_users=40, n_items=30)
     # two users keep their interactions but lose every training positive
     dropped = {3, 17}
     split = dataclasses.replace(
@@ -741,13 +732,13 @@ def test_buffer_index_of_clients_without_examples():
 def test_run_round_rekeyed_client_streams_match_fresh_streams_over_rounds(
     monkeypatch,
 ):
-    split, config, item_table, clients, _ = small_setup(seed=13, n_users=30, dim=16)
+    split, config, item_table, clients = small_setup(seed=13, n_users=30, dim=16)
     config = dataclasses.replace(config, client_sample_ratio=0.5, ldp_scale=0.3)
     twins = copy.deepcopy(clients)
     calls = recorded_uploads(monkeypatch)
     for round_index in range(1, 4):
         table = item_table.embeddings.copy()
-        run_round(item_table, clients, None, None, split, config)
+        run_round(item_table, clients, config)
         sampled = [twins[up.user_id] for up in calls[-1]]
         want_table, _ = oracle_table(table, sampled, config, round_index)
         assert np.array_equal(item_table.embeddings, want_table)
@@ -757,64 +748,32 @@ def test_run_round_rekeyed_client_streams_match_fresh_streams_over_rounds(
     assert {up.user_id for up in calls[0]} & {up.user_id for up in calls[1]}
 
 
-def test_light_mode_cadence():
-    assert [diffusion_trains_this_round(r, True) for r in range(1, 11)] == [
-        True,
-        False,
-    ] * 5
-    assert all(diffusion_trains_this_round(r, False) for r in range(1, 11))
-
-
-def test_run_round_light_mode_counts():
-    split, config, item_table, clients, feats = small_setup()
-    config = dataclasses.replace(config, light_mode=True, rounds=10)
-    gen = make_generator(config.dim, feats.dim)
-    events = 0
-    for _ in range(10):
-        report = run_round(item_table, clients, gen, feats, split, config)
-        if report.diffusion_loss is not None:
-            events += 1
-    assert events == 5
-
-
-def test_run_round_two_rounds_one_diffusion_event_in_light_mode():
-    split, config, item_table, clients, feats = small_setup()
-    config = dataclasses.replace(config, light_mode=True)
-    gen = make_generator(config.dim, feats.dim)
-    r1 = run_round(item_table, clients, gen, feats, split, config)
-    r2 = run_round(item_table, clients, gen, feats, split, config)
-    assert r1.diffusion_loss is not None
-    assert r2.diffusion_loss is None
-
-
 def test_run_round_deterministic_simulation():
     tables = []
     for _ in range(2):
-        split, config, item_table, clients, feats = small_setup(seed=5)
+        split, config, item_table, clients = small_setup(seed=5)
         config = dataclasses.replace(config, seed=11)
-        gen = make_generator(config.dim, feats.dim, seed=5)
         for _ in range(3):
-            run_round(item_table, clients, gen, feats, split, config)
+            run_round(item_table, clients, config)
         tables.append(item_table.embeddings.copy())
     assert np.array_equal(tables[0], tables[1])
 
 
 def test_run_round_cold_rows_never_touched():
-    split, config, item_table, clients, feats = small_setup(seed=2)
+    split, config, item_table, clients = small_setup(seed=2)
     config = dataclasses.replace(config, seed=3)
     cold = np.array(split.cold_items)
     initial_cold = item_table.embeddings[cold].copy()
-    gen = make_generator(config.dim, feats.dim)
     for _ in range(3):
-        run_round(item_table, clients, gen, feats, split, config)
+        run_round(item_table, clients, config)
         assert np.array_equal(item_table.embeddings[cold], initial_cold)
 
 
 def test_run_round_full_participation_uploads():
-    split, config, item_table, clients, feats = small_setup(seed=4)
+    split, config, item_table, clients = small_setup(seed=4)
     twins = copy.deepcopy(clients)
     table = item_table.embeddings.copy()
-    run_round(item_table, clients, None, feats, split, config)
+    run_round(item_table, clients, config)
     want_table, _ = oracle_table(table, twins, config, 1)
     assert np.array_equal(item_table.embeddings, want_table)
     for c, twin in zip(clients, twins):
@@ -822,10 +781,10 @@ def test_run_round_full_participation_uploads():
 
 
 def test_run_round_client_sampling_ratio(monkeypatch):
-    split, config, item_table, clients, feats = small_setup(seed=6)
+    split, config, item_table, clients = small_setup(seed=6)
     config = dataclasses.replace(config, client_sample_ratio=0.5)
     calls = recorded_uploads(monkeypatch)
-    run_round(item_table, clients, None, feats, split, config)
+    run_round(item_table, clients, config)
     [uploads] = calls
     assert len(uploads) == math.ceil(0.5 * len(clients))
     uploaded_users = [u.user_id for u in uploads]
@@ -833,8 +792,8 @@ def test_run_round_client_sampling_ratio(monkeypatch):
 
 
 def test_mean_client_loss_positive():
-    split, config, item_table, clients, feats = small_setup(seed=8)
-    report = run_round(item_table, clients, None, feats, split, config)
+    split, config, item_table, clients = small_setup(seed=8)
+    report = run_round(item_table, clients, config)
     assert report.mean_client_loss > 0
     assert report.round == 1
     assert report.seconds >= 0
@@ -885,8 +844,7 @@ def test_mlp_gradient_check():
     y = rng.standard_normal((4, 3))
 
     def loss_fn(tensors):
-        model = TwoLayerMLP.from_tensors(tensors)
-        return model.loss_and_grads(x, y)
+        return mlp_loss_and_grads(TwoLayerMLP.from_tensors(tensors), x, y)
 
     report = finite_diff_grad_check(loss_fn, mlp.tensors(), h=1e-5, tolerance=1e-4)
     assert report.passed, report.max_rel_error

@@ -16,6 +16,7 @@ from fedcold.modality import (
 )
 from fedcold.numerics import affine, stream_rng
 from fedcold.pipeline import prepare_data
+from oracles import fresh_workspace
 
 
 def make_dataset(n_items=3):
@@ -155,7 +156,8 @@ def test_project_condition_identity_and_zero():
 
     def condition_row(m):
         time_key = affine(sinusoidal_encoding(1, 4), p.time_w, p.time_b)
-        _, cache = _forward(np.zeros((1, 4)), time_key, m[None, :], p)
+        m = m[None, :]
+        _, cache = _forward(np.zeros((1, 4)), time_key, m, p, fresh_workspace(p, 1, m))
         return cache.cond_key[0]
 
     m = np.array([1.0, -2.0, 3.0, 0.5])

@@ -1,12 +1,17 @@
-"""Best-round selection in the training loop."""
+"""The training loop: the denoiser's epochs in each round and best-round
+selection."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from fedcold import pipeline
 from fedcold.config import RunConfig
+from fedcold.diffusion import DenoisingGenerator
 from fedcold.errors import ConfigError
+from fedcold.federation import init_simulation
+from fedcold.numerics import stream_rng
 
 ROUNDS = 5
 
@@ -76,3 +81,69 @@ def test_best_round_without_evaluable_users_is_the_last(monkeypatch):
     assert result.best_denoiser.keys() == final.keys()
     for name, tensor in final.items():
         np.testing.assert_array_equal(result.best_denoiser[name], tensor)
+
+
+def train_counting_epochs(monkeypatch, cfg):
+    """``run_training`` on ``cfg``; returns the result and the number of
+    ``train_epochs`` calls."""
+    calls = 0
+    train_epochs = DenoisingGenerator.train_epochs
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return train_epochs(self, *args, **kwargs)
+
+    monkeypatch.setattr(DenoisingGenerator, "train_epochs", counting)
+    return pipeline.run_training(cfg, pipeline.prepare_data(cfg)), calls
+
+
+def test_light_mode_cadence(monkeypatch):
+    cfg = replace(small_config(), light_mode=True)
+    result, _ = train_counting_epochs(monkeypatch, cfg)
+    trained = [r.diffusion_loss is not None for r in result.rounds]
+    assert trained == [True, False, True, False, True]
+    result, _ = train_counting_epochs(monkeypatch, small_config())
+    assert all(r.diffusion_loss is not None for r in result.rounds)
+
+
+def test_light_mode_counts(monkeypatch):
+    cfg = replace(small_config(), light_mode=True, rounds=10)
+    result, calls = train_counting_epochs(monkeypatch, cfg)
+    assert calls == 5
+    assert sum(r.diffusion_loss is not None for r in result.rounds) == 5
+
+
+def test_two_rounds_one_diffusion_event_in_light_mode(monkeypatch):
+    cfg = replace(small_config(), light_mode=True, rounds=2)
+    result, calls = train_counting_epochs(monkeypatch, cfg)
+    r1, r2 = result.rounds
+    assert calls == 1
+    assert r1.diffusion_loss is not None
+    assert r2.diffusion_loss is None
+    # round 2 leaves the denoiser as round 1 left it
+    one, _ = train_counting_epochs(monkeypatch, replace(cfg, rounds=1))
+    for name, tensor in one.generator.params.tensors().items():
+        np.testing.assert_array_equal(result.generator.params.tensors()[name], tensor)
+
+
+def test_round_one_trains_the_denoiser_on_the_initial_warm_rows():
+    cfg = replace(small_config(), rounds=1, server_epochs=3, batch_size=7)
+    data = pipeline.prepare_data(cfg)
+    result = pipeline.run_training(cfg, data)
+
+    warm = data.split.warm_items
+    table, _ = init_simulation(data.split, cfg)
+    generator = pipeline.build_generator(cfg, data.features.dim)
+    loss = generator.train_epochs(
+        table.embeddings[warm],
+        data.features.rows[warm],
+        stream_rng(cfg.seed, "diffusion", 1),
+        epochs=cfg.server_epochs,
+        batch_size=cfg.batch_size,
+    )
+    [report] = result.rounds
+    assert report.diffusion_loss == loss
+    assert 0.0 <= report.generator_seconds <= report.seconds
+    for name, tensor in generator.params.tensors().items():
+        np.testing.assert_array_equal(result.generator.params.tensors()[name], tensor)

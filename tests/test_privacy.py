@@ -22,7 +22,7 @@ from fedcold.privacy import (
     mi_gaussian_estimate,
     structural_similarity_difference,
 )
-from oracles import finite_diff_grad_check, gaussian_noise_floor
+from oracles import finite_diff_grad_check, gaussian_noise_floor, mlp_loss_and_grads
 
 
 class _Identity:
@@ -67,9 +67,7 @@ def test_attack_gradient_check():
     attacker = TwoLayerMLP.fit(x, y, 0, 0.1, stream_rng(4, "init"))
 
     def loss_fn(params):
-        probe = dataclasses.replace(attacker, **params)
-        loss, grads = probe.loss_and_grads(x, y)
-        return loss, grads
+        return mlp_loss_and_grads(dataclasses.replace(attacker, **params), x, y)
 
     report = finite_diff_grad_check(
         loss_fn, attacker.tensors(), max_coords_per_param=6, rng=rng
@@ -128,7 +126,7 @@ def test_attack_report_metric_ranges(seed):
 def test_structural_difference_identity_is_zero():
     rng = stream_rng(7, "struct")
     feats = rng.standard_normal((20, 6))
-    diff = structural_similarity_difference(feats, feats.copy(), sample_n=20)
+    diff = structural_similarity_difference(feats, feats.copy(), 20, rng)
     np.testing.assert_allclose(diff, 0.0, atol=1e-12)
 
 
@@ -136,7 +134,7 @@ def test_structural_difference_symmetric_zero_diagonal():
     rng = stream_rng(8, "struct2")
     truth = rng.standard_normal((25, 6))
     recon = rng.standard_normal((25, 6))
-    diff = structural_similarity_difference(truth, recon, sample_n=10, rng=rng)
+    diff = structural_similarity_difference(truth, recon, 10, rng)
     assert diff.shape == (10, 10)
     np.testing.assert_allclose(diff, diff.T, atol=1e-12)
     np.testing.assert_allclose(np.diag(diff), 0.0, atol=1e-12)
@@ -145,20 +143,19 @@ def test_structural_difference_symmetric_zero_diagonal():
 def test_structural_difference_hand_value():
     truth = np.array([[1.0, 0.0], [0.0, 1.0]])
     recon = np.array([[1.0, 0.0], [1.0, 0.0]])
-    diff = structural_similarity_difference(truth, recon, sample_n=2)
+    diff = structural_similarity_difference(truth, recon, 2, stream_rng(9, "struct3"))
     np.testing.assert_allclose(diff, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-12)
 
 
 def test_structural_difference_validation():
     feats = np.zeros((5, 3))
+    rng = stream_rng(10, "struct-bad")
     with pytest.raises(ConfigError):
-        structural_similarity_difference(feats, feats, sample_n=6)
+        structural_similarity_difference(feats, feats, 6, rng)
     with pytest.raises(ConfigError):
-        structural_similarity_difference(feats, feats, sample_n=1)
+        structural_similarity_difference(feats, feats, 1, rng)
     with pytest.raises(ConfigError):
-        structural_similarity_difference(feats, feats, sample_n=3)  # needs rng
-    with pytest.raises(ConfigError):
-        structural_similarity_difference(feats, np.zeros((5, 4)), sample_n=5)
+        structural_similarity_difference(feats, np.zeros((5, 4)), 5, rng)
 
 
 def test_fano_bound_values():
@@ -254,7 +251,7 @@ def _comparison_setup():
         seed=21,
     )
     dataset, features = generate_synthetic(cfg)
-    split = split_items(dataset, seed=21)
+    split = split_items(dataset, (0.6, 0.1, 0.3), 21)
     table = FeatureTable(dim=12, rows=features)
     schedule = build_schedule(steps=6, noise_scale=1.0, noise_min=0.1, noise_max=0.6)
     generator = DenoisingGenerator(
@@ -282,7 +279,7 @@ def _compare(split, table, generator, mapper, seed, **kwargs):
 
 def test_compare_pipelines_deterministic_and_labeled():
     split, table, generator, mapper = _comparison_setup()
-    kwargs = dict(leak=0.25, attack_epochs=40, attack_lr=0.05)
+    kwargs = dict(leak=0.25, attack_epochs=40, attack_lr=0.05, n_clusters=None)
     first = _compare(split, table, generator, mapper, 5, **kwargs)
     second = _compare(split, table, generator, mapper, 5, **kwargs)
     for ours, theirs in zip(first, second):
@@ -314,7 +311,9 @@ def test_compare_pipelines_leak_bounds():
     for bad_leak in (0.0, 1.0, 1.5):
         with pytest.raises(ConfigError):
             attack_side(
-                split, table, "diffusion", draws.attack, draws.mi, 7, leak=bad_leak
+                split, table, "diffusion", draws.attack, draws.mi, 7,
+                leak=bad_leak, attack_epochs=10, attack_lr=0.05,
+                struct_sample_n=5, n_clusters=None,
             )
 
 
