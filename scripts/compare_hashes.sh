@@ -21,7 +21,8 @@
 # The two id maps that loading writes beside the cold-4x-sparse input are
 # removed before each tree's run and hashed after it.
 # Both trees run the configs and the perfbench spec of this checkout, so only
-# the program differs. The base is unpacked with git archive into a
+# the program differs. It also prints each tree's `wc -l src/fedcold/*.py`
+# total, the size of the program compared. The base is unpacked with git archive into a
 # temporary directory, removed on exit. The script refuses to run while src/,
 # perfbench/ or scripts/ differ from HEAD, since the result would not be
 # HEAD's.
@@ -117,6 +118,13 @@ run_all() {
     done
     (cd "$INPUTS" && sha256sum "${ID_MAPS[@]#"$INPUTS/"}") > "$out/id_maps.sha256"
 }
+
+# src_lines TREE: the total line count of TREE's src/fedcold/*.py
+src_lines() {
+    cat "$1"/src/fedcold/*.py | wc -l
+}
+echo "compare_hashes: src/fedcold/*.py lines: base $(src_lines "$BASE_TREE")," \
+    "HEAD $(src_lines "$ROOT")"
 
 echo "compare_hashes: running $(git rev-parse --short=7 "$BASE") (base)" >&2
 run_all "$BASE_TREE" "$WORK/base"

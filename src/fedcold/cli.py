@@ -219,7 +219,7 @@ def _check_trained_identity(cfg: RunConfig) -> None:
 
 def _load_generator(cfg: RunConfig, data: PreparedData) -> DenoisingGenerator:
     tensors = _load_preferring_best(cfg.out_dir, "denoiser")
-    return build_generator(cfg, data.features.dim, tensors)
+    return build_generator(cfg, data.features.shape[1], tensors)
 
 
 def cmd_gen_data(cfg: RunConfig) -> list[str]:
@@ -230,11 +230,10 @@ def cmd_gen_data(cfg: RunConfig) -> list[str]:
     data = prepare_data(cfg)
     ds = data.split.dataset
     save_interactions(ds, os.path.join(data_dir, "interactions.csv"))
-    dim = data.features.dim
     write_csv(
         os.path.join(data_dir, "features.csv"),
-        ["item_id"] + [f"f{j}" for j in range(dim)],
-        ([ds.item_ids[i], data.features.rows[i]] for i in range(ds.n_items)),
+        ["item_id"] + [f"f{j}" for j in range(data.features.shape[1])],
+        ([ds.item_ids[i], data.features[i]] for i in range(ds.n_items)),
     )
     write_csv(
         os.path.join(data_dir, "users_idmap.csv"),
@@ -281,45 +280,28 @@ def cmd_train(cfg: RunConfig, progress: bool = False) -> list[str]:
         )
     on_round = (lambda r: _print_progress(r, cfg.rounds)) if progress else None
     result = run_training(cfg, data, on_round)
-    save_checkpoint(
-        _ckpt(cfg.out_dir, "item_embeddings"), {"item_embeddings": result.item_table}
+    checkpoints = (
+        ("item_embeddings", {"item_embeddings": result.item_table}),
+        ("user_embeddings", {"user_embeddings": result.user_table}),
+        ("denoiser", result.generator.params.tensors()),
+        ("item_embeddings_best", {"item_embeddings": result.best_item_table}),
+        ("user_embeddings_best", {"user_embeddings": result.best_user_table}),
+        ("denoiser_best", result.best_denoiser),
     )
-    save_checkpoint(
-        _ckpt(cfg.out_dir, "user_embeddings"), {"user_embeddings": result.user_table}
-    )
-    save_checkpoint(
-        _ckpt(cfg.out_dir, "denoiser"), result.generator.params.tensors()
-    )
-    save_checkpoint(
-        _ckpt(cfg.out_dir, "item_embeddings_best"),
-        {"item_embeddings": result.best_item_table},
-    )
-    save_checkpoint(
-        _ckpt(cfg.out_dir, "user_embeddings_best"),
-        {"user_embeddings": result.best_user_table},
-    )
-    save_checkpoint(_ckpt(cfg.out_dir, "denoiser_best"), result.best_denoiser)
-    for name, columns in (
+    for name, tensors in checkpoints:
+        save_checkpoint(_ckpt(cfg.out_dir, name), tensors)
+    tables = (
         (ROUNDS_CSV, ROUNDS_HEADER),
         ("diagnostics.csv", ["round", "centroid_distance", "covariance_distance"]),
         ("validation.csv", ["round", "val_recall"]),
-    ):
+    )
+    for name, columns in tables:
         write_csv(
             os.path.join(cfg.out_dir, name),
             columns,
             ([getattr(r, c) for c in columns] for r in result.rounds),
         )
-    names = [
-        "item_embeddings.ckpt",
-        "user_embeddings.ckpt",
-        "denoiser.ckpt",
-        "item_embeddings_best.ckpt",
-        "user_embeddings_best.ckpt",
-        "denoiser_best.ckpt",
-        ROUNDS_CSV,
-        "diagnostics.csv",
-        "validation.csv",
-    ]
+    names = [f"{name}.ckpt" for name, _ in checkpoints] + [name for name, _ in tables]
     write_manifest(
         cfg.out_dir, "train", cfg, names, extra=[("best_round", str(result.best_round))]
     )

@@ -180,8 +180,6 @@ class RunConfig:
             raise ConfigError("ldp_scale must be non-negative")
         if self.dim < 1:
             raise ConfigError("dim must be positive")
-        if self.steps < 2:
-            raise ConfigError(f"diffusion steps must be >= 2, got {self.steps}")
         if self.heads < 1:
             raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.server_lr <= 0:

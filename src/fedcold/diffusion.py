@@ -26,13 +26,13 @@ INFERENCE_MODES = ("deterministic_mean", "stochastic")
 
 
 def _validate_levels(steps: int, scale: float, lo: float, hi: float) -> None:
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if steps < 2:
+        raise ConfigError(f"diffusion steps must be >= 2, got {steps}")
     if scale <= 0:
         raise ConfigError(f"noise_scale must be positive, got {scale}")
     if lo <= 0:
         raise ConfigError(f"noise_min must be positive, got {lo}")
-    if steps >= 2 and not lo < hi:
+    if not lo < hi:
         raise ConfigError(f"noise_min={lo} must be < noise_max={hi}")
     if scale * hi >= 1:
         raise ConfigError(
@@ -62,17 +62,13 @@ def build_schedule(
     """Linear corruption-level schedule.
 
     level(t) = noise_scale * (noise_min + (t-1)/(steps-1) * (noise_max -
-    noise_min)) for t = 1..steps. ``steps == 1`` is permitted for minimal
-    chains and uses the lower endpoint only.
+    noise_min)) for t = 1..steps, with at least two steps.
     """
     _validate_levels(steps, noise_scale, noise_min, noise_max)
     t = np.arange(1, steps + 1, dtype=np.float64)
-    if steps == 1:
-        levels = np.array([noise_scale * noise_min])
-    else:
-        levels = noise_scale * (
-            noise_min + (t - 1.0) / (steps - 1.0) * (noise_max - noise_min)
-        )
+    levels = noise_scale * (
+        noise_min + (t - 1.0) / (steps - 1.0) * (noise_max - noise_min)
+    )
     alpha_bar = np.empty(steps + 1)
     alpha_bar[0] = 1.0
     alpha_bar[1:] = 1.0 - levels
@@ -464,6 +460,7 @@ def q_sample(
 ) -> np.ndarray:
     """Corrupt a clean embedding to timestep t with given noise.
 
+    ``t`` is one timestep for every row, or one per row of a 2-D ``e0``.
     With ``out`` (shaped like ``e0``; ``eps`` itself may be passed) the
     result is written there, and with ``scratch`` (shaped like ``e0``, apart
     from ``e0``, ``eps`` and ``out``) the scaled clean embedding too.
@@ -477,8 +474,6 @@ def q_sample(
     ab = schedule.alpha_bar[t_arr]
     if e0.ndim == 2 and ab.size == e0.shape[0]:
         ab = ab[:, None]
-    elif ab.size == 1:
-        ab = ab[0]
     # √(1 - ᾱ)·eps first, so that eps may be out: the sum is the same
     out = np.multiply(np.sqrt(1.0 - ab), eps, out=out)
     out += np.multiply(np.sqrt(ab), e0, out=scratch)

@@ -45,7 +45,8 @@ ROUND_BUFFER_BYTES = 16 * 2**20
 
 @dataclass
 class ClientState:
-    """Private per-user state; the embedding never leaves the client.
+    """Private per-user state; the client's embedding is row ``user_id`` of
+    the simulation's one user matrix, which never leaves the clients.
 
     ``warm_positives`` are the user's training items and ``negative_pool``
     the warm items they never interacted with, both fixed for the run.
@@ -54,7 +55,6 @@ class ClientState:
     """
 
     user_id: int
-    user_embedding: np.ndarray
     warm_positives: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     negative_pool: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
@@ -92,12 +92,6 @@ class ClientUpload:
 
     user_id: int
     rows: UploadRows
-
-
-@dataclass
-class GlobalItemTable:
-    embeddings: np.ndarray  # (n_items, dim) float64
-    round: int = 0
 
 
 @dataclass
@@ -153,20 +147,19 @@ def _user_item_mask(interactions: np.ndarray, n_users: int, n_items: int) -> np.
 
 def init_simulation(
     split: SplitDataset, config: RunConfig
-) -> tuple[GlobalItemTable, list[ClientState]]:
-    """Gaussian-initialized item table and clients with static training pools.
+) -> tuple[np.ndarray, np.ndarray, list[ClientState]]:
+    """Gaussian-initialized item table and user matrix, and clients with
+    static training pools.
 
-    The ``init`` stream draws the item table, then one user matrix, whose
-    rows are the same numbers as one draw per user in user order; each client
-    keeps its row. A client's positives are its training items in ascending
-    order, and its negative pool the warm items, in warm order, that it never
-    interacted with.
+    The ``init`` stream draws the ``(n_items, dim)`` item table, then the
+    ``(n_users, dim)`` user matrix, whose rows are the same numbers as one
+    draw per user in user order. A client's positives are its training items
+    in ascending order, and its negative pool the warm items, in warm order,
+    that it never interacted with.
     """
     ds = split.dataset
     rng = stream_rng(config.seed, "init")
-    table = GlobalItemTable(
-        embeddings=INIT_STD * rng.standard_normal((ds.n_items, config.dim))
-    )
+    table = INIT_STD * rng.standard_normal((ds.n_items, config.dim))
     users = INIT_STD * rng.standard_normal((ds.n_users, config.dim))
     warm = np.array(split.warm_items, dtype=np.int64)
     trained = _user_item_mask(split.train_interactions, ds.n_users, ds.n_items)
@@ -174,25 +167,22 @@ def init_simulation(
     clients = [
         ClientState(
             user_id=u,
-            user_embedding=users[u],
             warm_positives=np.flatnonzero(trained[u]),
             negative_pool=warm[pools[u]],
         )
         for u in range(ds.n_users)
     ]
-    return table, clients
+    return table, users, clients
 
 
-def sample_negatives(
-    clients: list[ClientState], rngs: list[np.random.Generator], k: int
-) -> list[np.ndarray]:
+def sample_negatives(clients: list[ClientState], k: int) -> list[np.ndarray]:
     """Each client's ``k`` negatives per positive for one pass, round-wide.
 
     Every client with positives draws one ``(positives, k)`` block of
-    uniforms from its own stream, before any other draw on it, into one round
-    array. Floyd's algorithm (Bentley & Floyd 1987) then turns each row into
-    ``k`` distinct pool indices, one vectorized step per column over every
-    positive of every client: ``t = floor(u * (j + 1))`` with
+    uniforms from its own stream (``client.rng``), before any other draw on
+    it, into one round array. Floyd's algorithm (Bentley & Floyd 1987) then
+    turns each row into ``k`` distinct pool indices, one vectorized step per
+    column over every positive of every client: ``t = floor(u * (j + 1))`` with
     ``j = |pool| - k + c``, and ``t = j`` where an earlier column holds ``t``.
     That gives uniform k-subsets without replacement, and because the streams
     are per client a client's negatives do not depend on who else was sampled.
@@ -201,14 +191,14 @@ def sample_negatives(
     bounds = np.cumsum([0, *(c.warm_positives.size for c in clients)])
     u = np.empty((bounds[-1], k))
     pool_sizes = np.empty(bounds[-1], dtype=np.int64)
-    for client, rng, lo, hi in zip(clients, rngs, bounds[:-1], bounds[1:]):
+    for client, lo, hi in zip(clients, bounds[:-1], bounds[1:]):
         if lo == hi:
             continue
         if k > client.negative_pool.size:
             raise ConfigError(
                 f"user {client.user_id}: negative pool too small for {k} draws"
             )
-        rng.random(out=u[lo:hi])
+        client.rng.random(out=u[lo:hi])
         pool_sizes[lo:hi] = client.negative_pool.size
     picked = np.empty((bounds[-1], k), dtype=np.int64)
     for c in range(k):
@@ -298,15 +288,15 @@ def buffer_index(
 def train_clients_lockstep(
     clients: list[ClientState],
     table: np.ndarray,
-    rngs: list[np.random.Generator],
+    users: np.ndarray,
     config: RunConfig,
-    seconds: dict[str, float] | None = None,
-    round_buffer: _RoundBuffer | None = None,
+    seconds: dict[str, float],
+    round_buffer: _RoundBuffer,
 ) -> tuple[list[UploadRows], list[float]]:
     """One local pass for every client, all clients advancing together.
 
     Per positive, a client takes one BCE-SGD step on it and then on each of
-    its negatives, which ``sample_negatives`` draws from ``rngs`` first.
+    its negatives, which ``sample_negatives`` draws from its stream first.
     Clients read the same table and touch disjoint copies of its rows, so step
     ``j`` applies every client's ``j``-th example at once; each client still
     sees exactly its own sequence of updates, in order, and the result equals
@@ -318,17 +308,17 @@ def train_clients_lockstep(
 
     The round buffer holds each client's touched rows (its sorted unique
     items) copied from ``table``, which is never written; it is taken from
-    ``round_buffer``, whose mapping the chunks of a round share, or from a
-    mapping of its own. User embeddings are updated in place. Returns, in
-    client order, an upload view of each client's block of the buffer and
-    the client's mean example loss (0.0 without examples). ``seconds``, if
-    given, adds the wall-clock time of the draws to ``"draw"`` and of the
-    rest to ``"kernel"``.
+    ``round_buffer``, whose mapping the chunks of a round share. The clients'
+    rows of the user matrix ``users`` are gathered once and written back
+    after the last step. Returns, in client order, an upload view of each
+    client's block of the buffer and the client's mean example loss (0.0
+    without examples), and adds the wall-clock time of the draws to
+    ``seconds["draw"]`` and of the rest to ``seconds["kernel"]``.
     """
     k = config.negatives_per_positive
     lr = config.local_lr
     start = time.perf_counter()
-    negatives = sample_negatives(clients, rngs, k)
+    negatives = sample_negatives(clients, k)
     drawn = time.perf_counter()
     sequences = [
         np.column_stack((c.warm_positives, negs)).ravel()
@@ -344,13 +334,14 @@ def train_clients_lockstep(
     # the clients with a j-th example are the first active[j] columns
     columns = np.argsort(-lengths, kind="stable")
     active = np.searchsorted(-lengths[columns], -steps)
-    buffer = (round_buffer or _RoundBuffer()).take(table, items)
-    users = np.stack([clients[c].user_embedding for c in columns])
+    buffer = round_buffer.take(table, items)
+    owners = np.array([c.user_id for c in clients], dtype=np.int64)[columns]
+    embeddings = users[owners]
     loss_sums = np.zeros(len(clients))
     for j, n in enumerate(active.tolist()):
         y = 1.0 if j % (1 + k) == 0 else 0.0
         step_slots = slots[j, columns[:n]]
-        e = users[:n]
+        e = embeddings[:n]
         r = buffer[step_slots]
         y_hat = sigmoid(np.matmul(e[:, None, :], r[:, :, None])[:, 0, 0])
         p = np.clip(y_hat, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -362,20 +353,19 @@ def train_clients_lockstep(
         buffer[step_slots] = r - (lr * g)[:, None] * e
         e -= lr * (g[:, None] * r)
 
+    users[owners] = embeddings
     losses = [0.0] * len(clients)
-    for c, user, n, loss_sum in zip(
-        columns.tolist(), users, lengths[columns].tolist(), loss_sums.tolist()
+    for c, n, loss_sum in zip(
+        columns.tolist(), lengths[columns].tolist(), loss_sums.tolist()
     ):
         if n:
-            clients[c].user_embedding[...] = user
             losses[c] = loss_sum / n
     uploads = [
         UploadRows(items[lo:hi], buffer[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    if seconds is not None:
-        seconds["draw"] = seconds.get("draw", 0.0) + drawn - start
-        seconds["kernel"] = seconds.get("kernel", 0.0) + time.perf_counter() - drawn
+    seconds["draw"] += drawn - start
+    seconds["kernel"] += time.perf_counter() - drawn
     return uploads, losses
 
 
@@ -440,76 +430,69 @@ def aggregate(
     count += np.bincount(ids, minlength=count.size)
 
 
-def mean_table(
-    embeddings: np.ndarray, total: np.ndarray, count: np.ndarray
-) -> np.ndarray:
-    """Row-wise arithmetic mean over uploaders; untouched rows carry over.
+def mean_table(table: np.ndarray, total: np.ndarray, count: np.ndarray) -> None:
+    """Row-wise arithmetic mean over uploaders, written into ``table``;
+    untouched rows keep their values.
 
     ``total`` and ``count`` are what ``aggregate`` folded; the sum divided by
     the count equals ``np.mean(np.stack(rows), axis=0)`` bit for bit.
     """
-    new = embeddings.copy()
     touched = count > 0
-    new[touched] = total[touched] / count[touched, None]
-    return new
+    table[touched] = total[touched] / count[touched, None]
 
 
 def run_round(
-    table: GlobalItemTable, clients: list[ClientState], config: RunConfig
+    table: np.ndarray,
+    users: np.ndarray,
+    clients: list[ClientState],
+    config: RunConfig,
+    round_index: int,
 ) -> RoundReport:
-    """One federated round's client phase.
+    """Round ``round_index``'s client phase, which updates ``table`` and
+    ``users`` in place.
 
-    Distributes the table, trains the sampled clients in chunks of at most
+    Samples ``ceil(client_sample_ratio * n)`` clients (at least one) from the
+    round's ``sampling`` stream, in ascending user order, and re-keys each
+    one's stream to ``("client", round_index, user_id)``. Distributes the
+    table, trains the sampled clients in chunks of at most
     ``ROUND_BUFFER_BYTES`` of examples (or one client), each chunk in
-    lockstep, folds each chunk's noised uploads into one running sum, and
-    writes the mean into ``table`` after the last chunk. The phase timings
-    sum over the chunks; the denoiser's loss and time are the training
-    loop's to fill in.
+    lockstep on its clients' rows of ``users``, folds each chunk's noised
+    uploads into one running sum, and writes the mean of every uploaded row
+    into ``table`` after the last chunk; rows that no client uploaded, and
+    the rows of users not sampled, keep their bits. The phase timings sum
+    over the chunks; the denoiser's loss and time are the training loop's to
+    fill in.
     """
     start = time.perf_counter()
     seed = config.seed
-    round_index = table.round + 1
-    table.round = round_index
-
-    if config.client_sample_ratio >= 1.0:
-        sampled = clients
-    else:
-        count = max(1, math.ceil(config.client_sample_ratio * len(clients)))
-        picked = stream_rng(seed, "sampling", round_index).choice(
-            len(clients), size=count, replace=False
-        )
-        sampled = [clients[i] for i in sorted(picked)]
-    if not sampled:
-        raise ConfigError("no clients sampled this round")
+    n_sampled = max(1, math.ceil(config.client_sample_ratio * len(clients)))
+    picked = stream_rng(seed, "sampling", round_index).choice(
+        len(clients), size=n_sampled, replace=False
+    )
+    sampled = [clients[i] for i in sorted(picked)]
 
     for c in sampled:
         c.rng = rekey(c.rng, seed, "client", round_index, c.user_id)
-    dim = table.embeddings.shape[1]
+    dim = table.shape[1]
     total = count = None
     round_buffer = _RoundBuffer()
     phase = dict.fromkeys(("draw", "kernel", "noise", "aggregate"), 0.0)
     losses: list[float] = []
     example_bytes = (1 + config.negatives_per_positive) * dim * 8
     for chunk in _chunks(sampled, example_bytes):
-        rngs = [c.rng for c in chunk]
         rows, chunk_losses = train_clients_lockstep(
-            chunk,
-            table.embeddings,
-            rngs,
-            config,
-            seconds=phase,
-            round_buffer=round_buffer,
+            chunk, table, users, config, phase, round_buffer
         )
         noise_start = time.perf_counter()
         uploads = [
-            ClientUpload(user_id=c.user_id, rows=apply_ldp(r, config.ldp_scale, rng))
-            for c, r, rng in zip(chunk, rows, rngs)
+            ClientUpload(user_id=c.user_id, rows=apply_ldp(r, config.ldp_scale, c.rng))
+            for c, r in zip(chunk, rows)
         ]
         aggregate_start = time.perf_counter()
         if total is None:
             # after the first kernel, so a one-chunk round peaks where it did unchunked
-            total = np.full_like(table.embeddings, -0.0)
-            count = np.zeros(table.embeddings.shape[0], dtype=np.int64)
+            total = np.full_like(table, -0.0)
+            count = np.zeros(table.shape[0], dtype=np.int64)
         aggregate(total, count, uploads)
         phase["noise"] += aggregate_start - noise_start
         phase["aggregate"] += time.perf_counter() - aggregate_start
@@ -517,7 +500,7 @@ def run_round(
         # the next chunk may replace the mapping these view
         del rows, uploads
     mean_start = time.perf_counter()
-    table.embeddings = mean_table(table.embeddings, total, count)
+    mean_table(table, total, count)
     phase["aggregate"] += time.perf_counter() - mean_start
     losses = [loss for c, loss in zip(sampled, losses) if c.warm_positives.size]
     mean_loss = float(np.mean(losses)) if losses else 0.0

@@ -9,20 +9,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataFormatError
-
-
-@dataclass
-class FeatureTable:
-    """Dense item-feature matrix indexed by dense item id."""
-
-    dim: int
-    rows: np.ndarray  # (n_items, dim) float64
 
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -32,8 +23,9 @@ def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / safe
 
 
-def load_features(path: str, dataset: Dataset) -> FeatureTable:
-    """Load a feature CSV covering every dataset item.
+def load_features(path: str, dataset: Dataset) -> np.ndarray:
+    """The ``(n_items, d)`` feature rows of a CSV covering every dataset item,
+    by dense item id.
 
     Items missing from the file raise an error listing their original ids; a
     ``nan`` or ``inf`` value raises with its line.
@@ -78,7 +70,7 @@ def load_features(path: str, dataset: Dataset) -> FeatureTable:
     if not finite.all():
         line = min(lines[i] for i in np.flatnonzero(~finite).tolist())
         raise DataFormatError(f"{path}:{line}: non-finite feature value")
-    return FeatureTable(dim=int(rows.shape[1]), rows=rows)
+    return rows
 
 
 def hashed_token_encode(text: str, dim: int, seed: int) -> np.ndarray:
@@ -104,8 +96,9 @@ def hashed_token_encode(text: str, dim: int, seed: int) -> np.ndarray:
     return vec
 
 
-def encode_texts(path: str, dataset: Dataset, dim: int, seed: int) -> FeatureTable:
-    """Encode a ``item_id<TAB>text`` file into a hashed feature table."""
+def encode_texts(path: str, dataset: Dataset, dim: int, seed: int) -> np.ndarray:
+    """Encode a ``item_id<TAB>text`` file into ``(n_items, dim)`` hashed
+    feature rows, by dense item id."""
     item_map = {original: dense for dense, original in enumerate(dataset.item_ids)}
     rows = np.zeros((dataset.n_items, dim), dtype=np.float64)
     seen: set[int] = set()
@@ -128,4 +121,4 @@ def encode_texts(path: str, dataset: Dataset, dim: int, seed: int) -> FeatureTab
         shown = ", ".join(missing[:20])
         more = "" if len(missing) <= 20 else f" (+{len(missing) - 20} more)"
         raise DataFormatError(f"{path}: missing text for items: {shown}{more}")
-    return FeatureTable(dim=dim, rows=rows)
+    return rows

@@ -129,6 +129,12 @@ def assert_finite(name: str, *arrays: np.ndarray) -> None:
             raise NumericsError(f"non-finite values in {name}")
 
 
+# Adam's moment decays and denominator offset (Kingma & Ba 2015's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam over one flat parameter buffer, updating it in place.
 
@@ -138,19 +144,10 @@ class Adam:
     as a pass per tensor would. The moments are allocated at the first step.
     """
 
-    def __init__(
-        self,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, lr: float) -> None:
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
@@ -180,7 +177,7 @@ class Adam:
             self._m = np.zeros_like(weights)
             self._v = np.zeros_like(weights)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         m, v = self._m, self._v
         m *= b1
         np.multiply(grad, 1 - b1, out=scratch)
@@ -191,7 +188,7 @@ class Adam:
         v += scratch
         np.divide(v, 1 - b2**self.t, out=scratch)  # the denominator
         np.sqrt(scratch, out=scratch)
-        scratch += self.eps
+        scratch += ADAM_EPS
         np.divide(m, 1 - b1**self.t, out=grad)  # the numerator, lr·m̂
         np.multiply(grad, self.lr, out=grad)
         np.divide(grad, scratch, out=grad)

@@ -35,7 +35,7 @@ from .evaluation import (
 )
 from .federation import RoundReport, init_simulation, run_round
 from .mlp import TwoLayerMLP
-from .modality import FeatureTable, encode_texts, l2_normalize_rows, load_features
+from .modality import encode_texts, l2_normalize_rows, load_features
 from .numerics import assert_finite, stream_rng
 from .privacy import DiffusionDraws, PipelineSide, attack_side
 
@@ -43,15 +43,14 @@ from .privacy import DiffusionDraws, PipelineSide, attack_side
 @dataclass
 class PreparedData:
     split: SplitDataset
-    features: FeatureTable
+    features: np.ndarray  # (n_items, feature dim) float64, by dense item id
     n_clusters: int | None  # known only for synthetic data
 
 
 def prepare_data(cfg: RunConfig) -> PreparedData:
     """Load or generate interactions and features, then split items."""
     if cfg.synthetic:
-        dataset, feature_rows = generate_synthetic(cfg)
-        features = FeatureTable(dim=cfg.synthetic_feature_dim, rows=feature_rows)
+        dataset, features = generate_synthetic(cfg)
         n_clusters = cfg.synthetic_clusters
     else:
         dataset = load_interactions(cfg.interactions_path)
@@ -60,9 +59,7 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
         else:
             features = encode_texts(cfg.texts_path, dataset, cfg.hash_dim, cfg.seed)
         if cfg.normalize == "l2":
-            features = FeatureTable(
-                dim=features.dim, rows=l2_normalize_rows(features.rows)
-            )
+            features = l2_normalize_rows(features)
         n_clusters = None
     split = split_items(
         dataset,
@@ -117,10 +114,6 @@ class TrainResult:
     best_denoiser: dict = field(default_factory=dict)
 
 
-def _user_matrix(clients) -> np.ndarray:
-    return np.stack([c.user_embedding for c in clients])
-
-
 def run_training(
     cfg: RunConfig,
     data: PreparedData,
@@ -140,16 +133,16 @@ def run_training(
     far.  ``on_round``, if given, is called with each round's completed
     report.
     """
-    generator = build_generator(cfg, data.features.dim)
-    table, clients = init_simulation(data.split, cfg)
+    generator = build_generator(cfg, data.features.shape[1])
+    table, users, clients = init_simulation(data.split, cfg)
     warm = np.array(data.split.warm_items, dtype=np.int64)
     cold = data.split.cold_items
     val_items = data.split.val_items
     val_by_user = data.split.val_items_by_user()
     # one chain per round over the cold items, then the validation items
     chain_items = cold + val_items
-    chain_conditions = data.features.rows[chain_items]
-    warm_conditions = data.features.rows[warm]
+    chain_conditions = data.features[chain_items]
+    warm_conditions = data.features[warm]
 
     rounds: list[RoundReport] = []
     best_round = 0
@@ -164,22 +157,21 @@ def run_training(
         # the light cadence trains the denoiser on odd rounds only
         if not cfg.light_mode or round_index % 2 == 1:
             diffusion_loss = generator.train_epochs(
-                table.embeddings[warm],
+                table[warm],
                 warm_conditions,
                 stream_rng(cfg.seed, "diffusion", round_index),
                 epochs=cfg.server_epochs,
                 batch_size=cfg.batch_size,
             )
         generator_seconds = time.perf_counter() - start
-        report = run_round(table, clients, cfg)
+        report = run_round(table, users, clients, cfg, round_index)
         report.seconds = time.perf_counter() - start
         report.diffusion_loss = diffusion_loss
         report.generator_seconds = generator_seconds
         rounds.append(report)
-        users = _user_matrix(clients)
         assert_finite(
             f"round {report.round} (item table, user embeddings or losses)",
-            table.embeddings,
+            table,
             users,
             np.array([report.mean_client_loss, report.diffusion_loss or 0.0]),
         )
@@ -205,7 +197,7 @@ def run_training(
             recall = None
         report.val_seconds = time.perf_counter() - val_start
         report.val_recall = recall
-        diag = distribution_diagnostics(table.embeddings[warm], cold_rows)
+        diag = distribution_diagnostics(table[warm], cold_rows)
         report.centroid_distance = diag.centroid_distance
         report.covariance_distance = diag.covariance_distance
         # ties go to the later round: with few validation items small K values
@@ -213,7 +205,7 @@ def run_training(
         if best_recall is None or (recall is not None and recall >= best_recall):
             best_recall = recall
             best_round = report.round
-            best_item = table.embeddings.copy()
+            best_item = table.copy()
             best_user = users.copy()
             best_denoiser = {
                 k: v.copy() for k, v in generator.params.tensors().items()
@@ -225,8 +217,8 @@ def run_training(
         rounds=rounds,
         best_round=best_round,
         generator=generator,
-        item_table=table.embeddings,
-        user_table=_user_matrix(clients),
+        item_table=table,
+        user_table=users,
         best_item_table=best_item,
         best_user_table=best_user,
         best_denoiser=best_denoiser,
@@ -242,7 +234,7 @@ def generate_cold(
     """Cold-item embeddings under the configured inference and condition modes."""
     cold = data.split.cold_items
     conditions = substituted_conditions(
-        data.features.rows[cold], cfg.condition, cfg.seed
+        data.features[cold], cfg.condition, cfg.seed
     )
     return generator.generate(
         cold, conditions, cfg.seed, mode=cfg.inference_mode, stream_label=stream_label
@@ -281,7 +273,7 @@ def train_mapper(
     """The deterministic feature-to-embedding foil, fit on the warm rows."""
     warm = np.array(data.split.warm_items, dtype=np.int64)
     return TwoLayerMLP.fit(
-        data.features.rows[warm],
+        data.features[warm],
         item_table[warm],
         cfg.mapper_epochs,
         cfg.mapper_lr,
@@ -321,5 +313,5 @@ def diffusion_side(
 def mapper_side(cfg: RunConfig, data: PreparedData, mapper: TwoLayerMLP) -> PipelineSide:
     """The mapper's attack results. The mapper is deterministic, so each of
     its ``mi_draws`` regenerations repeats its rows verbatim."""
-    rows = mapper.predict(data.features.rows[list(data.split.cold_items)])
+    rows = mapper.predict(data.features[list(data.split.cold_items)])
     return _attack_side(cfg, data, "mapper", rows, [rows] * cfg.mi_draws)

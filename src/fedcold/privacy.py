@@ -20,7 +20,6 @@ from .data import SplitDataset
 from .diffusion import DenoisingGenerator
 from .errors import ConfigError, NumericsError
 from .mlp import TwoLayerMLP
-from .modality import FeatureTable
 from .numerics import stream_rng
 
 COV_RIDGE = 1e-6
@@ -184,7 +183,7 @@ class DiffusionDraws:
 
 def draw_diffusion_rows(
     split: SplitDataset,
-    features: FeatureTable,
+    features: np.ndarray,
     generator: DenoisingGenerator,
     seed: int,
     mi_draws: int,
@@ -195,7 +194,7 @@ def draw_diffusion_rows(
     mechanism under test.
     """
     cold = list(split.cold_items)
-    cold_features = features.rows[cold]
+    cold_features = features[cold]
 
     def chain(label: str) -> np.ndarray:
         return generator.generate(
@@ -223,7 +222,7 @@ class PipelineSide:
 
 def attack_side(
     split: SplitDataset,
-    features: FeatureTable,
+    features: np.ndarray,
     method: str,
     attacked: np.ndarray,
     regenerations: list[np.ndarray],
@@ -250,7 +249,7 @@ def attack_side(
     cold = list(split.cold_items)
     if len(cold) < 3:
         raise ConfigError(f"need at least 3 cold items, got {len(cold)}")
-    cold_features = features.rows[cold]
+    cold_features = features[cold]
     leak_idx, target_idx = _split_leak(
         len(cold), leak, stream_rng(seed, "privacy", "leak")
     )

@@ -34,7 +34,6 @@ from fedcold.federation import (
     INIT_STD,
     PROB_CLAMP,
     ClientState,
-    GlobalItemTable,
     score_items,
 )
 from fedcold.numerics import affine, stream_rng
@@ -279,35 +278,34 @@ def split_items_pairs(interactions, n_items, ratios, seed):
 
 
 def init_simulation_per_user(split, config):
-    """The item table and clients set up one user at a time.
+    """The item table, user matrix and clients set up one user at a time.
 
     After the item table, the ``init`` stream draws each user's embedding in
-    user order; a user's negative pool is the warm items, in warm order, that
-    ``np.isin`` does not find among its interactions.
+    user order, and the user matrix stacks them; a user's negative pool is
+    the warm items, in warm order, that ``np.isin`` does not find among its
+    interactions.
     """
     ds = split.dataset
     rng = stream_rng(config.seed, "init")
-    table = GlobalItemTable(
-        embeddings=INIT_STD * rng.standard_normal((ds.n_items, config.dim))
-    )
+    table = INIT_STD * rng.standard_normal((ds.n_items, config.dim))
     train_by_user = items_by_user_pairs(split.train_interactions.tolist())
     by_user = {u: set() for u in range(ds.n_users)}
     for u, i in ds.interactions.tolist():
         by_user[u].add(i)
     warm = np.array(split.warm_items, dtype=np.int64)
-    clients = []
+    clients, users = [], []
     for u in range(ds.n_users):
         positives = np.array(sorted(train_by_user.get(u, ())), dtype=np.int64)
         interacted = np.fromiter(by_user[u], dtype=np.int64)
+        users.append(INIT_STD * rng.standard_normal(config.dim))
         clients.append(
             ClientState(
                 user_id=u,
-                user_embedding=INIT_STD * rng.standard_normal(config.dim),
                 warm_positives=positives,
                 negative_pool=warm[~np.isin(warm, interacted)],
             )
         )
-    return table, clients
+    return table, np.stack(users), clients
 
 
 def buffer_index_per_client(sequences):

@@ -95,7 +95,7 @@ def _verdict(index: int, name: str, passed: bool, detail: str = "") -> None:
 
 
 def _best_generator(cfg: RunConfig, data, result) -> DenoisingGenerator:
-    return build_generator(cfg, data.features.dim, result.best_denoiser)
+    return build_generator(cfg, data.features.shape[1], result.best_denoiser)
 
 
 def _recall_at_10(cfg: RunConfig, data, result, condition: str) -> float:

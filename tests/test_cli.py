@@ -208,7 +208,7 @@ def test_gen_data_output_trains(monkeypatch, tmp_path):
     data = prepare_data(load_config(cfg))
     lines = (tmp_path / "out/data/features.csv").read_text().splitlines()[1:]
     written = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
-    assert np.array_equal(written, data.features.rows)  # floats round-trip exactly
+    assert np.array_equal(written, data.features)  # floats round-trip exactly
     files = write_cfg(
         tmp_path / "files.cfg",
         synthetic=None,

@@ -306,13 +306,14 @@ def one_user_client(n_items, interacted, warm=None):
         val_interactions=pairs([]),
         test_interactions=pairs([(0, i) for i in interacted if i not in warm]),
     )
-    _, [client] = init_simulation(split, RunConfig(dim=4))
+    _, _, [client] = init_simulation(split, RunConfig(dim=4))
     return client
 
 
 def draw_negatives(client, k, rng):
     """The ``k`` negatives drawn for each positive in one local pass."""
-    [negatives] = sample_negatives([client], [rng], k)
+    client.rng = rng
+    [negatives] = sample_negatives([client], k)
     return negatives
 
 

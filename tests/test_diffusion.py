@@ -12,6 +12,7 @@ from fedcold.diffusion import (
     _attention,
     _attention_backward,
     _forward,
+    _posterior_coeffs,
     _workspace,
     build_schedule,
     elbo_loss_fixed,
@@ -83,10 +84,11 @@ def test_schedule_endpoints_and_monotonicity():
 
 
 def test_schedule_single_step_chain():
-    s = build_schedule(1, 1.0, 0.25, 0.5)
-    assert s.steps == 1
-    assert abs((1.0 - s.alpha_bar[1]) - 0.25) < 1e-15
-    assert s.sigma2[1] == 0.0
+    # a one-step chain is refused, here and through the config
+    with pytest.raises(ConfigError, match="diffusion steps must be >= 2, got 1"):
+        build_schedule(1, 1.0, 0.25, 0.5)
+    with pytest.raises(ConfigError, match="diffusion steps must be >= 2, got 1"):
+        RunConfig(synthetic=True, steps=1).validate()
 
 
 @given(
@@ -398,13 +400,20 @@ def test_reverse_sample_stochastic_variance():
 
 
 def test_reverse_sample_single_step_returns_prediction():
-    gen = toy_generator(build_schedule(1, 1.0, 0.3, 0.9))
+    # step 1's posterior mean is the prediction itself: its coefficients on
+    # the noisy row and the clean estimate are exactly 0 and 1
+    schedule = build_schedule(2, 1.0, 0.3, 0.9)
+    c_noisy, c_clean = _posterior_coeffs(1, schedule)
+    assert c_noisy.tolist() == [0.0] and c_clean.tolist() == [1.0]
+    assert schedule.sigma2[1] == 0.0
+    gen = toy_generator(schedule)
     m = stream_rng(22, "rev1-m").standard_normal(6)
     noise = stream_rng(23, "infer", 5).standard_normal(8)
     got = gen.generate([5], m[None, :], seed=23)
     p, m = gen.params, m[None, :]
-    work = fresh_workspace(p, 1, m)
-    expected, _ = _forward(noise[None, :], time_keys(p, 1), m, p, work)
+    pred, _ = _forward(noise[None, :], time_keys(p, 2), m, p, fresh_workspace(p, 1, m))
+    e_1 = posterior_mean_from_prediction(noise[None, :], 2, pred, schedule)
+    expected, _ = _forward(e_1, time_keys(p, 1), m, p, fresh_workspace(p, 1, m))
     assert np.allclose(got, expected, atol=1e-12)
 
 

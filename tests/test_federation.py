@@ -41,15 +41,15 @@ from oracles import (
 )
 
 
-def client_local_train(state, table, rng, config):
+def client_local_train(state, e_u, table, rng, config):
     """Scalar oracle for one client's local pass, which the kernel must match.
 
-    Per positive, one BCE-SGD step for it and each negative; item rows are
-    copied on first touch so ``table`` is never written, and the returned dict
-    holds the client's updated rows.
+    Per positive, one BCE-SGD step for it and each negative; the user's row
+    ``e_u`` is updated in place, item rows are copied on first touch so
+    ``table`` is never written, and the returned dict holds the client's
+    updated rows.
     """
     local = {}
-    e_u = state.user_embedding
     lr = config.local_lr
     loss_sum = 0.0
     n_examples = 0
@@ -82,6 +82,21 @@ def upload_rows(rows):
     return UploadRows(np.array(ids, dtype=np.int64), np.stack([rows[i] for i in ids]))
 
 
+def with_streams(clients, seed, round_index=1):
+    """``clients``, each given its ``client`` stream of round ``round_index``."""
+    for c in clients:
+        c.rng = stream_rng(seed, "client", round_index, c.user_id)
+    return clients
+
+
+def lockstep(clients, table, users, config):
+    """``train_clients_lockstep`` on a round buffer and phase timings of its own."""
+    seconds = dict.fromkeys(("draw", "kernel"), 0.0)
+    return train_clients_lockstep(
+        clients, table, users, config, seconds, federation._RoundBuffer()
+    )
+
+
 def small_setup(seed=0, n_users=12, n_items=15, dim=8):
     config = RunConfig(
         synthetic=True,
@@ -98,8 +113,8 @@ def small_setup(seed=0, n_users=12, n_items=15, dim=8):
     )
     dataset, _ = generate_synthetic(config)
     split = split_items(dataset, (0.6, 0.1, 0.3), seed)
-    item_table, clients = init_simulation(split, config)
-    return split, config, item_table, clients
+    item_table, users, clients = init_simulation(split, config)
+    return split, config, item_table, users, clients
 
 
 def test_predict_score_values():
@@ -156,25 +171,22 @@ def one_user_toy():
         test_interactions=none,
     )
     config = RunConfig(rounds=1, negatives_per_positive=1, dim=4, seed=7)
-    item_table, clients = init_simulation(split, config)
-    return split, config, item_table, clients
+    item_table, users, clients = init_simulation(split, config)
+    return split, config, item_table, users, clients
 
 
 def test_one_epoch_decreases_training_loss():
-    _, config, item_table, clients = one_user_toy()
+    _, config, table, users, clients = one_user_toy()
     client = clients[0]
     assert list(client.warm_positives) == [0]
     assert list(client.negative_pool) == [1]  # only possible negative
-    table = item_table.embeddings
 
     def current_loss():
-        pos, neg = score_items(client.user_embedding, table[:2])
+        pos, neg = score_items(users[0], table[:2])
         return (bce_loss(1.0, pos) + bce_loss(0.0, neg)) / 2
 
     before = current_loss()
-    [rows], [reported] = train_clients_lockstep(
-        [client], table, [stream_rng(7, "client", 1, 0)], config
-    )
+    [rows], [reported] = lockstep(with_streams(clients, 7), table, users, config)
     for item, row in rows.items():
         table[item] = row
     after = current_loss()
@@ -184,10 +196,9 @@ def test_one_epoch_decreases_training_loss():
 
 
 def test_client_touches_only_positives_and_negatives():
-    split, config, item_table, clients = small_setup()
+    split, config, item_table, users, clients = small_setup()
     client = next(c for c in clients if c.warm_positives.size > 0)
-    rng = stream_rng(0, "client", 1, client.user_id)
-    [rows], _ = train_clients_lockstep([client], item_table.embeddings, [rng], config)
+    [rows], _ = lockstep(with_streams([client], 0), item_table, users, config)
     touched = set(rows)
     allowed = set(int(i) for i in client.warm_positives) | set(
         int(i) for i in client.negative_pool
@@ -291,11 +302,14 @@ def test_apply_ldp_deterministic():
 
 
 def aggregated(table, uploads):
-    """The mean table of ``uploads`` folded by one ``aggregate`` call."""
+    """The mean table of ``uploads`` folded by one ``aggregate`` call, written
+    into a copy of ``table``."""
     total = np.full_like(table, -0.0)
     count = np.zeros(table.shape[0], dtype=np.int64)
     aggregate(total, count, uploads)
-    return mean_table(table, total, count)
+    out = table.copy()
+    mean_table(out, total, count)
+    return out
 
 
 def test_aggregate_mean_and_carry_over():
@@ -368,12 +382,13 @@ def test_aggregate_equals_first_assigns_oracle_bitwise_on_signed_zeros(seed):
     assert np.all(np.signbit(out[7])) and np.array_equal(out[8], table[8])
 
 
-def oracle_uploads(clients, table, config, seed, round_index):
-    """Scalar-oracle rows and losses, with one noise draw per row by item."""
+def oracle_uploads(clients, users, table, config, seed, round_index):
+    """Scalar-oracle rows and losses, with one noise draw per row by item;
+    the clients' rows of ``users`` are updated in place."""
     rows, losses = [], []
     for c in clients:
         rng = stream_rng(seed, "client", round_index, c.user_id)
-        local, loss = client_local_train(c, table, rng, config)
+        local, loss = client_local_train(c, users[c.user_id], table, rng, config)
         if config.ldp_scale:
             for item in sorted(local):
                 local[item] = local[item] + laplace_row(
@@ -393,34 +408,34 @@ def assert_rows_equal(got, want):
 @pytest.mark.parametrize("seed", [0, 3, 7, 12])
 @pytest.mark.parametrize("ldp_scale", [0.0, 0.7])
 def test_lockstep_kernel_equals_scalar_oracle_bitwise(seed, ldp_scale):
-    split, config, item_table, clients = small_setup(
+    split, config, table, users, clients = small_setup(
         seed, n_users=100, n_items=60, dim=64
     )
     config = dataclasses.replace(config, ldp_scale=ldp_scale)
     clients[1].warm_positives = np.zeros(0, np.int64)  # a client with no examples
     # spread the scores over (0, 1): near ln 2 the vector log and dot product
     # rarely differ from the scalar ones in the last bit
-    item_table.embeddings *= 30.0
-    for c in clients:
-        c.user_embedding *= 30.0
-    twins = copy.deepcopy(clients)
-    table = item_table.embeddings
+    table *= 30.0
+    users *= 30.0
+    twins, twin_users = copy.deepcopy(clients), users.copy()
     before = table.copy()
-    rngs = [stream_rng(seed, "client", 1, c.user_id) for c in clients]
-    rows, losses = train_clients_lockstep(clients, table, rngs, config)
-    rows = [apply_ldp(r, ldp_scale, rng) for r, rng in zip(rows, rngs)]
-    want_rows, want_losses = oracle_uploads(twins, table, config, seed, 1)
+    rows, losses = lockstep(with_streams(clients, seed), table, users, config)
+    rows = [apply_ldp(r, ldp_scale, c.rng) for r, c in zip(rows, clients)]
+    want_rows, want_losses = oracle_uploads(twins, twin_users, table, config, seed, 1)
     assert np.array_equal(table, before)
     assert losses == want_losses
     assert losses[1] == 0.0 and len(rows[1]) == 0
-    for c, twin, got, want in zip(clients, twins, rows, want_rows):
-        assert np.array_equal(c.user_embedding, twin.user_embedding)
+    assert np.array_equal(users, twin_users)
+    for got, want in zip(rows, want_rows):
         assert_rows_equal(got, want)
 
 
-def oracle_table(table, clients, config, round_index):
-    """The aggregated table and the losses from the scalar oracle's uploads."""
-    rows, losses = oracle_uploads(clients, table, config, config.seed, round_index)
+def oracle_table(table, users, clients, config, round_index):
+    """The aggregated table and the losses from the scalar oracle's uploads;
+    the clients' rows of ``users`` are updated in place."""
+    rows, losses = oracle_uploads(
+        clients, users, table, config, config.seed, round_index
+    )
     uploads = [
         ClientUpload(user_id=c.user_id, rows=upload_rows(r))
         for c, r in zip(clients, rows)
@@ -442,40 +457,43 @@ def recorded_uploads(monkeypatch):
 
 
 def test_run_round_sampled_clients_match_scalar_oracle_bitwise(monkeypatch):
-    split, config, item_table, clients = small_setup(seed=9, n_users=40, dim=64)
+    split, config, item_table, users, clients = small_setup(
+        seed=9, n_users=40, dim=64
+    )
     config = dataclasses.replace(config, client_sample_ratio=0.4, ldp_scale=0.5)
-    twins = copy.deepcopy(clients)
-    table = item_table.embeddings.copy()
+    twins, twin_users = copy.deepcopy(clients), users.copy()
+    table = item_table.copy()
     calls = recorded_uploads(monkeypatch)
-    report = run_round(item_table, clients, config)
+    report = run_round(item_table, users, clients, config, 1)
     [uploads] = calls
     sampled = [twins[up.user_id] for up in uploads]
     assert 0 < len(sampled) < len(clients)
-    want_table, want_losses = oracle_table(table, sampled, config, 1)
-    assert np.array_equal(item_table.embeddings, want_table)
+    want_table, want_losses = oracle_table(table, twin_users, sampled, config, 1)
+    assert np.array_equal(item_table, want_table)
     kept = [loss for c, loss in zip(sampled, want_losses) if c.warm_positives.size]
     assert report.mean_client_loss == float(np.mean(kept))
-    for c, twin in zip(clients, twins):
-        assert np.array_equal(c.user_embedding, twin.user_embedding)
+    assert np.array_equal(users, twin_users)
 
 
 def chunk_setup():
     """Sampled, noised rounds over 40 users; user 12 (sampled in round 1) has
     no positives."""
-    split, config, item_table, clients = small_setup(seed=9, n_users=40, dim=64)
+    split, config, item_table, users, clients = small_setup(
+        seed=9, n_users=40, dim=64
+    )
     config = dataclasses.replace(config, client_sample_ratio=0.4, ldp_scale=0.5)
     clients[12].warm_positives = np.zeros(0, np.int64)
-    return split, config, item_table, clients
+    return split, config, item_table, users, clients
 
 
 def chunked_rounds(monkeypatch, budget):
     """Two rounds of ``chunk_setup`` at chunk budget ``budget``, recorded.
 
-    Returns the clients, the item table, the round reports, each round's
+    Returns the item table, the user matrix, the round reports, each round's
     chunks as lists of user ids, and each round's buffer takes as (bytes of
     the rows, bytes of the mapping that holds them).
     """
-    split, config, item_table, clients = chunk_setup()
+    split, config, item_table, users, clients = chunk_setup()
     chunks, takes = [], []
 
     def recording_train(chunk, *args, **kwargs):
@@ -493,44 +511,45 @@ def chunked_rounds(monkeypatch, budget):
         patch.setattr(federation, "train_clients_lockstep", recording_train)
         patch.setattr(federation, "_RoundBuffer", RecordingBuffer)
         reports = []
-        for _ in range(2):
+        for round_index in (1, 2):
             chunks.append([])
             takes.append([])
-            reports.append(run_round(item_table, clients, config))
-    return clients, item_table, reports, chunks, takes
+            reports.append(run_round(item_table, users, clients, config, round_index))
+    return item_table, users, reports, chunks, takes
 
 
 def test_run_round_in_chunks_equals_one_chunk_and_scalar_oracle_bitwise(
     monkeypatch,
 ):
-    _, config, start, twins = chunk_setup()
+    _, config, want, twin_users, twins = chunk_setup()
     example_bytes = (1 + config.negatives_per_positive) * config.dim * 8
     budget = 4 * example_bytes  # 5-positive clients exceed it
-    one_clients, one_table, one_reports, one_chunks, one_takes = chunked_rounds(
+    one_table, one_users, one_reports, one_chunks, one_takes = chunked_rounds(
         monkeypatch, federation.ROUND_BUFFER_BYTES
     )
-    clients, table, reports, chunks, takes = chunked_rounds(monkeypatch, budget)
+    table, users, reports, chunks, takes = chunked_rounds(monkeypatch, budget)
 
-    want = start.embeddings
     for r, (report, one_report) in enumerate(zip(reports, one_reports)):
-        [users] = one_chunks[r]
+        [sampled_ids] = one_chunks[r]
         # a one-chunk round maps exactly its rows
         [(rows_bytes, mapped)] = one_takes[r]
         assert rows_bytes == mapped
         # consecutive chunks in user order; only a lone client exceeds the budget
         assert len(chunks[r]) >= 3
-        assert [u for chunk in chunks[r] for u in chunk] == users
+        assert [u for chunk in chunks[r] for u in chunk] == sampled_ids
         sizes = [
             sum(twins[u].warm_positives.size for u in chunk) * example_bytes
             for chunk in chunks[r]
         ]
         assert all(s <= budget or len(c) == 1 for s, c in zip(sizes, chunks[r]))
         assert any(s > budget for s in sizes)
-        assert any(twins[u].warm_positives.size == 0 for u in users)
+        assert any(twins[u].warm_positives.size == 0 for u in sampled_ids)
         assert all(rows <= mapped for rows, mapped in takes[r])
 
-        sampled = [twins[u] for u in users]
-        rows, losses = oracle_uploads(sampled, want, config, config.seed, r + 1)
+        sampled = [twins[u] for u in sampled_ids]
+        rows, losses = oracle_uploads(
+            sampled, twin_users, want, config, config.seed, r + 1
+        )
         want = aggregated(
             want,
             [
@@ -554,20 +573,18 @@ def test_run_round_in_chunks_equals_one_chunk_and_scalar_oracle_bitwise(
             one_report.distinct_items,
             one_report.payload_bytes,
         )
-    assert np.array_equal(table.embeddings, one_table.embeddings)
-    assert np.array_equal(table.embeddings, want)
-    for c, one_client, twin in zip(clients, one_clients, twins):
-        assert np.array_equal(c.user_embedding, one_client.user_embedding)
-        assert np.array_equal(c.user_embedding, twin.user_embedding)
+    assert np.array_equal(table, one_table)
+    assert np.array_equal(table, want)
+    assert np.array_equal(users, one_users)
+    assert np.array_equal(users, twin_users)
 
 
 def test_lockstep_small_negative_pool_names_the_user():
-    split, config, item_table, clients = small_setup(seed=1)
+    split, config, item_table, users, clients = small_setup(seed=1)
     client = next(c for c in clients if c.warm_positives.size > 0)
     client.negative_pool = client.negative_pool[:1]
-    rngs = [stream_rng(1, "client", 1, c.user_id) for c in clients]
     with pytest.raises(ConfigError, match=f"user {client.user_id}:"):
-        train_clients_lockstep(clients, item_table.embeddings, rngs, config)
+        lockstep(with_streams(clients, 1), item_table, users, config)
 
 
 def pool_clients(n_clients, positives, pool, pool_sizes=None):
@@ -576,7 +593,6 @@ def pool_clients(n_clients, positives, pool, pool_sizes=None):
     return [
         federation.ClientState(
             user_id=u,
-            user_embedding=np.zeros(2),
             warm_positives=np.array(positives, dtype=np.int64),
             negative_pool=np.array(pool[:size], dtype=np.int64),
         )
@@ -592,9 +608,7 @@ def test_sample_negatives_equals_scalar_floyd_oracle_bitwise(k):
     for c in clients:
         c.warm_positives = np.arange(int(rng.integers(0, 12)), dtype=np.int64)
     clients[4].warm_positives = np.zeros(0, np.int64)
-    got = sample_negatives(
-        clients, [stream_rng(20, "client", 1, c.user_id) for c in clients], k
-    )
+    got = sample_negatives(with_streams(clients, 20), k)
     for c, negatives in zip(clients, got):
         u = stream_rng(20, "client", 1, c.user_id).random((c.warm_positives.size, k))
         want = [floyd_sample(c.negative_pool, row) for row in u]
@@ -605,9 +619,8 @@ def test_sample_negatives_equals_scalar_floyd_oracle_bitwise(k):
 def test_sample_negatives_uniform_over_k_subsets():
     pool = [3, 7, 8, 12, 14, 19]
     positives = [0, 1, 2, 4, 5, 6, 9, 10, 11, 13]
-    clients = pool_clients(3000, positives, pool)
-    rngs = [stream_rng(21, "client", 1, c.user_id) for c in clients]
-    draws = np.concatenate(sample_negatives(clients, rngs, 2))
+    clients = with_streams(pool_clients(3000, positives, pool), 21)
+    draws = np.concatenate(sample_negatives(clients, 2))
     assert draws.shape == (30_000, 2)
     assert np.all(draws[:, 0] != draws[:, 1])
     assert np.all(np.isin(draws, pool))
@@ -623,10 +636,8 @@ def test_sample_negatives_uniform_over_k_subsets():
 
 def test_sample_negatives_do_not_depend_on_other_clients():
     clients = pool_clients(5, [0, 1, 2], list(range(3, 20)))
-    every = sample_negatives(
-        clients, [stream_rng(22, "client", 1, c.user_id) for c in clients], 4
-    )
-    [alone] = sample_negatives([clients[3]], [stream_rng(22, "client", 1, 3)], 4)
+    every = sample_negatives(with_streams(clients, 22), 4)
+    [alone] = sample_negatives(with_streams([clients[3]], 22), 4)
     assert np.array_equal(alone, every[3])
 
 
@@ -649,15 +660,16 @@ def test_sample_negatives_largest_uniform_stays_in_range(pool_size):
     pool = np.arange(pool_size, dtype=np.int64) + 50
     clients = pool_clients(1, [0], pool)
     below_one = ConstantUniforms(np.nextafter(1.0, 0.0))
-    [negatives] = sample_negatives(clients, [below_one], 3)
+    clients[0].rng = below_one
+    [negatives] = sample_negatives(clients, 3)
     assert negatives.tolist() == [pool[-3:].tolist()]
     assert floyd_sample(pool, below_one.random(3)).tolist() == pool[-3:].tolist()
 
 
 def test_negative_pools_keep_warm_order():
-    split, config, item_table, clients = small_setup(seed=2)
+    split, config, _, _, _ = small_setup(seed=2)
     split.warm_items.reverse()
-    _, clients = init_simulation(split, config)
+    _, _, clients = init_simulation(split, config)
     interactions = set(map(tuple, split.dataset.interactions.tolist()))
     for c in clients:
         want = [i for i in split.warm_items if (c.user_id, i) not in interactions]
@@ -667,7 +679,7 @@ def test_negative_pools_keep_warm_order():
 
 @pytest.mark.parametrize("seed", [2, 5])
 def test_init_simulation_equals_per_user_oracle(seed):
-    split, config, _, _ = small_setup(seed, n_users=40, n_items=30)
+    split, config, _, _, _ = small_setup(seed, n_users=40, n_items=30)
     # two users keep their interactions but lose every training positive
     dropped = {3, 17}
     split = dataclasses.replace(
@@ -676,12 +688,12 @@ def test_init_simulation_equals_per_user_oracle(seed):
             ~np.isin(split.train_interactions[:, 0], list(dropped))
         ],
     )
-    table, clients = init_simulation(split, config)
-    want_table, want_clients = init_simulation_per_user(split, config)
-    assert np.array_equal(table.embeddings, want_table.embeddings)
+    table, users, clients = init_simulation(split, config)
+    want_table, want_users, want_clients = init_simulation_per_user(split, config)
+    assert np.array_equal(table, want_table)
+    assert np.array_equal(users, want_users)
     assert [c.user_id for c in clients] == list(range(40))
     for c, want in zip(clients, want_clients):
-        assert np.array_equal(c.user_embedding, want.user_embedding)
         assert c.warm_positives.dtype == c.negative_pool.dtype == np.int64
         assert np.array_equal(c.warm_positives, want.warm_positives)
         assert np.array_equal(c.negative_pool, want.negative_pool)
@@ -732,18 +744,19 @@ def test_buffer_index_of_clients_without_examples():
 def test_run_round_rekeyed_client_streams_match_fresh_streams_over_rounds(
     monkeypatch,
 ):
-    split, config, item_table, clients = small_setup(seed=13, n_users=30, dim=16)
+    split, config, item_table, users, clients = small_setup(
+        seed=13, n_users=30, dim=16
+    )
     config = dataclasses.replace(config, client_sample_ratio=0.5, ldp_scale=0.3)
-    twins = copy.deepcopy(clients)
+    twins, twin_users = copy.deepcopy(clients), users.copy()
     calls = recorded_uploads(monkeypatch)
     for round_index in range(1, 4):
-        table = item_table.embeddings.copy()
-        run_round(item_table, clients, config)
+        table = item_table.copy()
+        run_round(item_table, users, clients, config, round_index)
         sampled = [twins[up.user_id] for up in calls[-1]]
-        want_table, _ = oracle_table(table, sampled, config, round_index)
-        assert np.array_equal(item_table.embeddings, want_table)
-    for c, twin in zip(clients, twins):
-        assert np.array_equal(c.user_embedding, twin.user_embedding)
+        want_table, _ = oracle_table(table, twin_users, sampled, config, round_index)
+        assert np.array_equal(item_table, want_table)
+    assert np.array_equal(users, twin_users)
     # some clients were sampled again, so their generators were re-keyed
     assert {up.user_id for up in calls[0]} & {up.user_id for up in calls[1]}
 
@@ -751,40 +764,61 @@ def test_run_round_rekeyed_client_streams_match_fresh_streams_over_rounds(
 def test_run_round_deterministic_simulation():
     tables = []
     for _ in range(2):
-        split, config, item_table, clients = small_setup(seed=5)
+        split, config, item_table, users, clients = small_setup(seed=5)
         config = dataclasses.replace(config, seed=11)
-        for _ in range(3):
-            run_round(item_table, clients, config)
-        tables.append(item_table.embeddings.copy())
+        for round_index in (1, 2, 3):
+            run_round(item_table, users, clients, config, round_index)
+        tables.append(item_table.copy())
     assert np.array_equal(tables[0], tables[1])
 
 
 def test_run_round_cold_rows_never_touched():
-    split, config, item_table, clients = small_setup(seed=2)
+    split, config, item_table, users, clients = small_setup(seed=2)
     config = dataclasses.replace(config, seed=3)
     cold = np.array(split.cold_items)
-    initial_cold = item_table.embeddings[cold].copy()
-    for _ in range(3):
-        run_round(item_table, clients, config)
-        assert np.array_equal(item_table.embeddings[cold], initial_cold)
+    initial_cold = item_table[cold].copy()
+    for round_index in (1, 2, 3):
+        run_round(item_table, users, clients, config, round_index)
+        assert np.array_equal(item_table[cold], initial_cold)
+
+
+def test_run_round_writes_into_the_callers_table_and_users(monkeypatch):
+    split, config, table, users, clients = small_setup(seed=10, n_users=30)
+    config = dataclasses.replace(config, client_sample_ratio=0.5)
+    table_before, users_before = table.copy(), users.copy()
+    calls = recorded_uploads(monkeypatch)
+    report = run_round(table, users, clients, config, 1)
+    [uploads] = calls
+    uploaded = np.unique(np.concatenate([up.rows.ids for up in uploads]))
+    untouched = np.setdiff1d(np.arange(table.shape[0]), uploaded)
+    trained = [up.user_id for up in uploads if clients[up.user_id].warm_positives.size]
+    unsampled = np.setdiff1d(np.arange(len(clients)), [up.user_id for up in uploads])
+    assert report.distinct_items == uploaded.size
+    assert untouched.size and unsampled.size and trained
+    # the mean lands in the arrays the caller holds ...
+    assert np.array_equal(table[uploaded], aggregated(table_before, uploads)[uploaded])
+    assert np.all(np.any(table[uploaded] != table_before[uploaded], axis=1))
+    assert np.all(np.any(users[trained] != users_before[trained], axis=1))
+    # ... and every other row keeps its bits
+    assert table[untouched].tobytes() == table_before[untouched].tobytes()
+    assert users[unsampled].tobytes() == users_before[unsampled].tobytes()
 
 
 def test_run_round_full_participation_uploads():
-    split, config, item_table, clients = small_setup(seed=4)
-    twins = copy.deepcopy(clients)
-    table = item_table.embeddings.copy()
-    run_round(item_table, clients, config)
-    want_table, _ = oracle_table(table, twins, config, 1)
-    assert np.array_equal(item_table.embeddings, want_table)
-    for c, twin in zip(clients, twins):
-        assert np.array_equal(c.user_embedding, twin.user_embedding)
+    split, config, item_table, users, clients = small_setup(seed=4)
+    twins, twin_users = copy.deepcopy(clients), users.copy()
+    table = item_table.copy()
+    run_round(item_table, users, clients, config, 1)
+    want_table, _ = oracle_table(table, twin_users, twins, config, 1)
+    assert np.array_equal(item_table, want_table)
+    assert np.array_equal(users, twin_users)
 
 
 def test_run_round_client_sampling_ratio(monkeypatch):
-    split, config, item_table, clients = small_setup(seed=6)
+    split, config, item_table, users, clients = small_setup(seed=6)
     config = dataclasses.replace(config, client_sample_ratio=0.5)
     calls = recorded_uploads(monkeypatch)
-    run_round(item_table, clients, config)
+    run_round(item_table, users, clients, config, 1)
     [uploads] = calls
     assert len(uploads) == math.ceil(0.5 * len(clients))
     uploaded_users = [u.user_id for u in uploads]
@@ -792,8 +826,8 @@ def test_run_round_client_sampling_ratio(monkeypatch):
 
 
 def test_mean_client_loss_positive():
-    split, config, item_table, clients = small_setup(seed=8)
-    report = run_round(item_table, clients, config)
+    split, config, item_table, users, clients = small_setup(seed=8)
+    report = run_round(item_table, users, clients, config, 1)
     assert report.mean_client_loss > 0
     assert report.round == 1
     assert report.seconds >= 0

@@ -44,11 +44,11 @@ def test_load_features_round_trip(tmp_path):
             ("it1", "0.0", "3.0"),
         ],
     )
-    table = load_features(str(path), ds)
-    assert table.dim == 2
-    assert np.allclose(table.rows[0], [1.0, 2.0])
-    assert np.allclose(table.rows[1], [0.0, 3.0])
-    assert np.allclose(table.rows[2], [0.5, -0.5])
+    rows = load_features(str(path), ds)
+    assert rows.shape[1] == 2
+    assert np.allclose(rows[0], [1.0, 2.0])
+    assert np.allclose(rows[1], [0.0, 3.0])
+    assert np.allclose(rows[2], [0.5, -0.5])
 
 
 def test_load_features_missing_items_listed(tmp_path):
@@ -96,7 +96,7 @@ def test_load_features_l2_normalization(tmp_path):
         interactions_path=str(inter), features_path=str(path), normalize="l2"
     )
     cfg.validate()
-    rows = prepare_data(cfg).features.rows
+    rows = prepare_data(cfg).features
     assert np.allclose(rows, [[0.6, 0.8], [0.0, 0.0], [0.0, 1.0]])
 
 
@@ -135,9 +135,9 @@ def test_encode_texts_file(tmp_path):
     ds = make_dataset(2)
     path = tmp_path / "texts.tsv"
     path.write_text("it0\thello world\nit1\tanother dish entirely\n")
-    table = encode_texts(str(path), ds, dim=16, seed=3)
-    assert table.rows.shape == (2, 16)
-    assert abs(np.linalg.norm(table.rows[0]) - 1.0) < 1e-12
+    rows = encode_texts(str(path), ds, dim=16, seed=3)
+    assert rows.shape == (2, 16)
+    assert abs(np.linalg.norm(rows[0]) - 1.0) < 1e-12
 
 
 def test_encode_texts_missing_item(tmp_path):

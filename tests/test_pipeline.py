@@ -43,7 +43,7 @@ def train_with_recalls(monkeypatch, recalls):
 
     def recording_run_round(table, *args):
         report = run_round(table, *args)
-        tables.append(table.embeddings.copy())
+        tables.append(table.copy())
         return report
 
     def scripted_evaluate(user_matrix, items, rows, by_user, ks):
@@ -133,11 +133,11 @@ def test_round_one_trains_the_denoiser_on_the_initial_warm_rows():
     result = pipeline.run_training(cfg, data)
 
     warm = data.split.warm_items
-    table, _ = init_simulation(data.split, cfg)
-    generator = pipeline.build_generator(cfg, data.features.dim)
+    table, _, _ = init_simulation(data.split, cfg)
+    generator = pipeline.build_generator(cfg, data.features.shape[1])
     loss = generator.train_epochs(
-        table.embeddings[warm],
-        data.features.rows[warm],
+        table[warm],
+        data.features[warm],
         stream_rng(cfg.seed, "diffusion", 1),
         epochs=cfg.server_epochs,
         batch_size=cfg.batch_size,

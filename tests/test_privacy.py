@@ -11,7 +11,6 @@ from fedcold.data import generate_synthetic, split_items
 from fedcold.diffusion import DenoisingGenerator, build_schedule, init_denoiser
 from fedcold.errors import ConfigError
 from fedcold.mlp import TwoLayerMLP
-from fedcold.modality import FeatureTable
 from fedcold.numerics import stream_rng
 from fedcold.privacy import (
     attack_and_score,
@@ -252,7 +251,6 @@ def _comparison_setup():
     )
     dataset, features = generate_synthetic(cfg)
     split = split_items(dataset, (0.6, 0.1, 0.3), 21)
-    table = FeatureTable(dim=12, rows=features)
     schedule = build_schedule(steps=6, noise_scale=1.0, noise_min=0.1, noise_max=0.6)
     generator = DenoisingGenerator(
         init_denoiser(8, 2, 12, stream_rng(21, "gen-init")), schedule, server_lr=1e-3
@@ -262,26 +260,28 @@ def _comparison_setup():
         features[split.warm_items], warm_rows, epochs=50, lr=0.05,
         rng=stream_rng(21, "mapper-init"),
     )
-    return split, table, generator, mapper
+    return split, features, generator, mapper
 
 
-def _compare(split, table, generator, mapper, seed, **kwargs):
+def _compare(split, features, generator, mapper, seed, **kwargs):
     """Both sides of the comparison, as ``fedcold attack`` computes them; the
     setup attacks 7 items, so the structural sample is 5 of them."""
-    draws = draw_diffusion_rows(split, table, generator, seed, 4)
-    rows = mapper.predict(table.rows[split.cold_items])
+    draws = draw_diffusion_rows(split, features, generator, seed, 4)
+    rows = mapper.predict(features[split.cold_items])
     kwargs["struct_sample_n"] = 5
     return (
-        attack_side(split, table, "diffusion", draws.attack, draws.mi, seed, **kwargs),
-        attack_side(split, table, "mapper", rows, [rows] * 4, seed, **kwargs),
+        attack_side(
+            split, features, "diffusion", draws.attack, draws.mi, seed, **kwargs
+        ),
+        attack_side(split, features, "mapper", rows, [rows] * 4, seed, **kwargs),
     )
 
 
 def test_compare_pipelines_deterministic_and_labeled():
-    split, table, generator, mapper = _comparison_setup()
+    split, features, generator, mapper = _comparison_setup()
     kwargs = dict(leak=0.25, attack_epochs=40, attack_lr=0.05, n_clusters=None)
-    first = _compare(split, table, generator, mapper, 5, **kwargs)
-    second = _compare(split, table, generator, mapper, 5, **kwargs)
+    first = _compare(split, features, generator, mapper, 5, **kwargs)
+    second = _compare(split, features, generator, mapper, 5, **kwargs)
     for ours, theirs in zip(first, second):
         assert ours.report == theirs.report
         assert ours.mi == theirs.mi
@@ -296,9 +296,9 @@ def test_compare_pipelines_deterministic_and_labeled():
 
 
 def test_compare_pipelines_fano_with_clusters():
-    split, table, generator, mapper = _comparison_setup()
+    split, features, generator, mapper = _comparison_setup()
     sides = _compare(
-        split, table, generator, mapper, 6,
+        split, features, generator, mapper, 6,
         n_clusters=3, leak=0.25, attack_epochs=10, attack_lr=0.05,
     )
     for side in sides:
@@ -306,21 +306,21 @@ def test_compare_pipelines_fano_with_clusters():
 
 
 def test_compare_pipelines_leak_bounds():
-    split, table, generator, mapper = _comparison_setup()
-    draws = draw_diffusion_rows(split, table, generator, 7, 4)
+    split, features, generator, mapper = _comparison_setup()
+    draws = draw_diffusion_rows(split, features, generator, 7, 4)
     for bad_leak in (0.0, 1.0, 1.5):
         with pytest.raises(ConfigError):
             attack_side(
-                split, table, "diffusion", draws.attack, draws.mi, 7,
+                split, features, "diffusion", draws.attack, draws.mi, 7,
                 leak=bad_leak, attack_epochs=10, attack_lr=0.05,
                 struct_sample_n=5, n_clusters=None,
             )
 
 
 def test_stochastic_generation_varies_mapper_repeats():
-    split, table, generator, mapper = _comparison_setup()
+    split, features, generator, mapper = _comparison_setup()
     cold = split.cold_items
-    feats = table.rows[cold]
+    feats = features[cold]
     a = generator.generate(cold, feats, seed=8, mode="stochastic", stream_label="s0")
     b = generator.generate(cold, feats, seed=8, mode="stochastic", stream_label="s1")
     assert np.all(np.var(np.stack([a, b]), axis=0).mean(axis=1) > 0)
