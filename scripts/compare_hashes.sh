@@ -17,9 +17,12 @@
 #     noise that compounds over the rounds;
 #   - a 2-round copy of scripts/benchmark.cfg: sweep --param ldp --values 0,1;
 #   - a 4-round copy of scripts/benchmark.cfg at seed 1: train --light, eval
-#     and attack --mode stochastic, so rounds 2 and 4 skip the denoiser.
-# The two id maps that loading writes beside the cold-4x-sparse input are
-# removed before each tree's run and hashed after it.
+#     and attack --mode stochastic, so rounds 2 and 4 skip the denoiser;
+#   - a text-encoder run at seed 1: interactions and item texts that a fixed
+#     seed draws, read with encoder = hashed_tokens and normalize = l2, with
+#     train, infer, eval and attack --mode stochastic.
+# The id maps that loading writes beside the cold-4x-sparse and text-encoder
+# inputs are removed before each tree's run and hashed after it.
 # Both trees run the configs and the perfbench spec of this checkout, so only
 # the program differs. It also prints each tree's `wc -l src/fedcold/*.py`
 # total, the size of the program compared. The base is unpacked with git archive into a
@@ -76,10 +79,54 @@ mkdir -p "$INPUTS/$W"
 sed -e 's/^rounds = .*/rounds = 2/' -e '$a client_sample_ratio = 0.5' \
     "$INPUTS/clients-4x-ldp/workload.cfg" > "$INPUTS/$W/workload.cfg"
 cp "$INPUTS/clients-4x-ldp/stages.txt" "$INPUTS/$W/stages.txt"
-# the id maps that loading the cold-4x-sparse input writes beside it
+# the text-encoder input: 80 users and 60 items in 4 clusters; each item's
+# text is drawn mostly from its cluster's words, and each user has 5 items of
+# its cluster and 1 of the next
+mkdir -p "$INPUTS/texts"
+python3 - "$INPUTS/texts" <<'EOF'
+import os
+import random
+import sys
+
+directory = sys.argv[1]
+rng = random.Random(7)
+words = [[f"w{c}_{j}" for j in range(12)] for c in range(4)]
+items = [[i for i in range(60) if i % 4 == c] for c in range(4)]
+with open(os.path.join(directory, "interactions.csv"), "w", encoding="utf-8") as handle:
+    handle.write("user_id,item_id\n")
+    for u in range(80):
+        chosen = rng.sample(items[u % 4], 5) + [rng.choice(items[(u + 1) % 4])]
+        handle.writelines(f"u{u},i{i}\n" for i in chosen)
+with open(os.path.join(directory, "texts.tsv"), "w", encoding="utf-8") as handle:
+    for i in range(60):
+        tokens = rng.choices(words[i % 4], k=5) + rng.choices(sum(words, []), k=2)
+        handle.write(f"i{i}\t{' '.join(tokens)}\n")
+with open(os.path.join(directory, "texts.cfg"), "w", encoding="utf-8") as handle:
+    handle.write(
+        "interactions_path = interactions.csv\n"
+        "texts_path = texts.tsv\n"
+        "encoder = hashed_tokens\n"
+        "hash_dim = 16\n"
+        "normalize = l2\n"
+        "dim = 16\n"
+        "rounds = 3\n"
+        "steps = 10\n"
+        "server_epochs = 2\n"
+        "k_list = 5,10\n"
+        "val_k = 2\n"
+        "attack_epochs = 50\n"
+        "mapper_epochs = 50\n"
+        "mi_draws = 4\n"
+        "struct_sample_n = 3\n"
+    )
+EOF
+# the id maps that loading the cold-4x-sparse and text-encoder inputs writes
+# beside them
 ID_MAPS=(
     "$INPUTS/cold-4x-sparse/interactions.users_idmap.csv"
     "$INPUTS/cold-4x-sparse/interactions.items_idmap.csv"
+    "$INPUTS/texts/interactions.users_idmap.csv"
+    "$INPUTS/texts/interactions.items_idmap.csv"
 )
 
 # fedcold TREE ARGS...: the command-line tool of TREE's program
@@ -115,6 +162,11 @@ run_all() {
         # shellcheck disable=SC2086
         fedcold "$tree" $stage --config "$INPUTS/light.cfg" --seed 1 \
             --out "$out/light"
+    done
+    for stage in train infer eval "attack --mode stochastic"; do
+        # shellcheck disable=SC2086
+        fedcold "$tree" $stage --config "$INPUTS/texts/texts.cfg" --seed 1 \
+            --out "$out/texts"
     done
     (cd "$INPUTS" && sha256sum "${ID_MAPS[@]#"$INPUTS/"}") > "$out/id_maps.sha256"
 }

@@ -113,12 +113,31 @@ def _write_id_map(path: str, originals: list[str]) -> None:
     write_atomic(path, payload)
 
 
+def csv_rows(path: str, header: tuple[str, ...]):
+    """``(line number, row)`` for each non-blank row of the CSV at ``path``.
+
+    The first non-blank row is a header, and skipped, when its first field
+    is one of ``header`` (compared lowercased).
+    """
+    with open(path, newline="") as f:
+        first = True
+        for lineno, row in enumerate(csv.reader(f), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if first:
+                first = False
+                if row[0].strip().lower() in header:
+                    continue
+            yield lineno, row
+
+
 def load_interactions(path: str) -> Dataset:
     """Load an interaction CSV, densify ids, and persist the id maps.
 
     Duplicate ``(user, item)`` pairs are dropped with a logged count, the
     first of each kept in file order; a malformed row raises with its line
-    number. A leading ``user_id,...`` header row is tolerated. Rows are
+    number. A ``user_id,...`` header as the first non-blank row is
+    tolerated (``csv_rows``). Rows are
     parsed one by one into a flat list of ids, which one ``np.unique``
     deduplicates.
     """
@@ -126,29 +145,24 @@ def load_interactions(path: str) -> Dataset:
     items: dict[str, int] = {}
     ids: list[int] = []  # u0, i0, u1, i1, ...
     stamped: list[bool] = []  # whether each row has a timestamp
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and row[0].strip().lower() in ("user_id", "user"):
-                continue
-            if len(row) not in (2, 3):
+    for lineno, row in csv_rows(path, ("user_id", "user")):
+        if len(row) not in (2, 3):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected 2 or 3 columns, got {len(row)}"
+            )
+        u_raw, i_raw = row[0].strip(), row[1].strip()
+        if not u_raw or not i_raw:
+            raise DataFormatError(f"{path}:{lineno}: empty user or item id")
+        if len(row) == 3:
+            try:
+                float(row[2])
+            except ValueError as exc:
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected 2 or 3 columns, got {len(row)}"
-                )
-            u_raw, i_raw = row[0].strip(), row[1].strip()
-            if not u_raw or not i_raw:
-                raise DataFormatError(f"{path}:{lineno}: empty user or item id")
-            if len(row) == 3:
-                try:
-                    float(row[2])
-                except ValueError as exc:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: bad timestamp {row[2]!r}"
-                    ) from exc
-            ids.append(users.setdefault(u_raw, len(users)))
-            ids.append(items.setdefault(i_raw, len(items)))
-            stamped.append(len(row) == 3)
+                    f"{path}:{lineno}: bad timestamp {row[2]!r}"
+                ) from exc
+        ids.append(users.setdefault(u_raw, len(users)))
+        ids.append(items.setdefault(i_raw, len(items)))
+        stamped.append(len(row) == 3)
     if not ids:
         raise DataFormatError(f"{path}: no interactions found")
     interactions = np.array(ids, dtype=np.int64).reshape(-1, 2)
@@ -198,10 +212,6 @@ def split_items(
     to the kind of its item, read from one item-to-kind lookup, and every
     kind keeps the dataset's row order.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError(f"bad split ratios {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
     n = dataset.n_items
     if n < 3:
         raise ConfigError(f"need at least 3 items to split, got {n}")

@@ -394,8 +394,6 @@ def apply_ldp(rows: UploadRows, scale: float, rng: np.random.Generator) -> Uploa
     ``np.log`` may differ from libm's ``log`` in the last bit, so the noise
     equals ``rng.laplace(0.0, scale, size)`` to within ``1e-12 * scale``.
     """
-    if scale < 0:
-        raise ConfigError("ldp scale must be non-negative")
     if scale == 0.0:
         return rows
     u = _nonzero_uniforms(rng, rows.block.size).reshape(rows.block.shape)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_flat
-from .errors import ConfigError
-from .numerics import affine, flat_tensors
+from .numerics import flat_tensors
 
 HIDDEN = 128  # one capacity for the mapper and for every inversion attacker
 
@@ -39,8 +38,6 @@ class TwoLayerMLP:
     def init(
         cls, in_dim: int, hidden: int, out_dim: int, rng: np.random.Generator
     ) -> "TwoLayerMLP":
-        if min(in_dim, hidden, out_dim) < 1:
-            raise ConfigError("MLP dimensions must be positive")
         s1 = np.sqrt(2.0 / (in_dim + hidden))
         s2 = np.sqrt(2.0 / (hidden + out_dim))
         return cls(
@@ -60,19 +57,13 @@ class TwoLayerMLP:
         rng: np.random.Generator,
     ) -> "TwoLayerMLP":
         """A fresh ``HIDDEN``-wide MLP trained to map rows of ``x`` to rows of ``y``."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        if x.shape[0] != y.shape[0]:
-            raise ConfigError(f"{x.shape[0]} input rows but {y.shape[0]} target rows")
-        if x.shape[0] == 0:
-            raise ConfigError("cannot fit an MLP on zero rows")
         mlp = cls.init(x.shape[1], HIDDEN, y.shape[1], rng)
         mlp.sgd_train(x, y, epochs, lr)
         return mlp
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        h = np.tanh(affine(x, self.hidden_w, self.hidden_b))
-        return affine(h, self.out_w, self.out_b)
+        h = np.tanh(x @ self.hidden_w + self.hidden_b)
+        return h @ self.out_w + self.out_b
 
     def _workspace(self, n: int) -> dict:
         """Every array one SGD epoch on ``n`` rows writes: activations and
@@ -138,12 +129,6 @@ class TwoLayerMLP:
         is two calls. No epoch forms the loss: beside the attack stage's
         reverse chains each numpy call waits for the interpreter lock.
         """
-        if epochs < 0:
-            raise ConfigError(f"epochs must be non-negative, got {epochs}")
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         weights = self._flatten()
         work = self._workspace(x.shape[0])
         grad = work["grad"]

@@ -7,13 +7,12 @@ folded into fixed-width vectors with a seeded feature-hashing encoder.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 
 import numpy as np
 
-from .data import Dataset
-from .errors import ConfigError, DataFormatError
+from .data import Dataset, csv_rows
+from .errors import DataFormatError
 
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -23,40 +22,43 @@ def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / safe
 
 
+def _duplicate(path: str, lineno: int, raw_id: str, first: int) -> str:
+    return f"{path}:{lineno}: duplicate item id {raw_id!r} (first on line {first})"
+
+
 def load_features(path: str, dataset: Dataset) -> np.ndarray:
     """The ``(n_items, d)`` feature rows of a CSV covering every dataset item,
     by dense item id.
 
     Items missing from the file raise an error listing their original ids; a
-    ``nan`` or ``inf`` value raises with its line.
+    repeated item id, or a ``nan`` or ``inf`` value, raises with its line. An
+    ``item_id,...`` header as the first non-blank row is skipped.
     """
     item_map = {original: dense for dense, original in enumerate(dataset.item_ids)}
     vectors: dict[int, np.ndarray] = {}
     lines: dict[int, int] = {}
     dim = None
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and row[0].strip().lower() in ("item_id", "item"):
-                continue
-            raw_id = row[0].strip()
-            if raw_id not in item_map:
-                continue  # extra items are harmless
-            try:
-                vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad feature value") from exc
-            if vec.size == 0:
-                raise DataFormatError(f"{path}:{lineno}: row has no feature values")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {dim} features, got {vec.size}"
-                )
-            vectors[item_map[raw_id]] = vec
-            lines[item_map[raw_id]] = lineno
+    for lineno, row in csv_rows(path, ("item_id", "item")):
+        raw_id = row[0].strip()
+        if raw_id not in item_map:
+            continue  # extra items are harmless
+        dense = item_map[raw_id]
+        if dense in lines:
+            raise DataFormatError(_duplicate(path, lineno, raw_id, lines[dense]))
+        try:
+            vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad feature value") from exc
+        if vec.size == 0:
+            raise DataFormatError(f"{path}:{lineno}: row has no feature values")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {dim} features, got {vec.size}"
+            )
+        vectors[dense] = vec
+        lines[dense] = lineno
     missing = [
         dataset.item_ids[i] for i in range(dataset.n_items) if i not in vectors
     ]
@@ -80,8 +82,6 @@ def hashed_token_encode(text: str, dim: int, seed: int) -> np.ndarray:
     sign in {-1, +1}. The signed counts are l2-normalized when nonzero, so the
     output norm is 0 (empty text) or 1.
     """
-    if dim < 1:
-        raise ConfigError(f"hash dim must be positive, got {dim}")
     vec = np.zeros(dim, dtype=np.float64)
     key = int(seed).to_bytes(8, "little", signed=False)
     for token in text.lower().split():
@@ -98,10 +98,10 @@ def hashed_token_encode(text: str, dim: int, seed: int) -> np.ndarray:
 
 def encode_texts(path: str, dataset: Dataset, dim: int, seed: int) -> np.ndarray:
     """Encode a ``item_id<TAB>text`` file into ``(n_items, dim)`` hashed
-    feature rows, by dense item id."""
+    feature rows, by dense item id; a repeated item id raises with its line."""
     item_map = {original: dense for dense, original in enumerate(dataset.item_ids)}
     rows = np.zeros((dataset.n_items, dim), dtype=np.float64)
-    seen: set[int] = set()
+    seen: dict[int, int] = {}  # dense id -> its line
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -114,8 +114,10 @@ def encode_texts(path: str, dataset: Dataset, dim: int, seed: int) -> np.ndarray
             if raw_id not in item_map:
                 continue
             dense = item_map[raw_id]
+            if dense in seen:
+                raise DataFormatError(_duplicate(path, lineno, raw_id, seen[dense]))
             rows[dense] = hashed_token_encode(text, dim, seed)
-            seen.add(dense)
+            seen[dense] = lineno
     missing = [dataset.item_ids[i] for i in range(dataset.n_items) if i not in seen]
     if missing:
         shown = ", ".join(missing[:20])

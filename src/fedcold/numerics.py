@@ -71,27 +71,6 @@ def rekey(
     return rng
 
 
-def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Compute ``x @ w + b`` with shape validation.
-
-    ``x`` may be a single row (1-D) or a batch (2-D); the result keeps the
-    input's dimensionality.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    if x2.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise ConfigError("affine expects 1-D/2-D x, 2-D w, 1-D b")
-    if x2.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
-        raise ConfigError(
-            f"affine shape mismatch: x{x2.shape} w{w.shape} b{b.shape}"
-        )
-    out = x2 @ w + b
-    return out[0] if single else out
-
-
 def sigmoid(x):
     """Numerically stable logistic function.
 
@@ -145,8 +124,6 @@ class Adam:
     """
 
     def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
         self.lr = lr
         self.t = 0
         self._m: np.ndarray | None = None

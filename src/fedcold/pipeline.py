@@ -90,16 +90,15 @@ def build_generator(
 def substituted_conditions(
     rows: np.ndarray, mode: str, seed: int
 ) -> np.ndarray | None:
-    """Condition ablations: replace guidance at generation time."""
-    if mode == "full":
-        return rows
+    """Condition ablations: replace guidance at generation time. ``mode`` is
+    one of ``config.CONDITION_MODES``; ``"none"`` drops the condition."""
+    if mode == "none":
+        return None
     if mode == "zero":
         return np.zeros_like(rows)
     if mode == "random":
         return stream_rng(seed, "condition-random").standard_normal(rows.shape)
-    if mode == "none":
-        return None
-    raise ConfigError(f"unknown condition mode {mode!r}")
+    return rows
 
 
 @dataclass

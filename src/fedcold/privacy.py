@@ -60,14 +60,6 @@ def attack_and_score(
 ) -> tuple[AttackReport, np.ndarray]:
     """Reconstruct features from embeddings; the averaged per-item metrics and
     the reconstruction they score."""
-    embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if embeddings.shape[0] == 0:
-        raise ConfigError("no target items to attack")
-    if embeddings.shape[0] != features.shape[0]:
-        raise ConfigError(
-            f"{embeddings.shape[0]} embeddings but {features.shape[0]} feature rows"
-        )
     recon = attacker.predict(embeddings)
     diff = recon - features
     mse = float(np.mean(np.mean(diff * diff, axis=1)))
@@ -101,13 +93,7 @@ def structural_similarity_difference(
     A faithful reconstruction preserves which items look alike, so the
     difference matrix stays near zero even when absolute errors are large.
     """
-    true_features = np.atleast_2d(np.asarray(true_features, dtype=np.float64))
-    recon_features = np.atleast_2d(np.asarray(recon_features, dtype=np.float64))
-    if true_features.shape != recon_features.shape:
-        raise ConfigError("true and reconstructed feature shapes differ")
     n = true_features.shape[0]
-    if sample_n < 2:
-        raise ConfigError(f"sample_n must be >= 2, got {sample_n}")
     if n < sample_n:
         raise ConfigError(f"need at least {sample_n} items, got {n}")
     if n == sample_n:
@@ -118,11 +104,8 @@ def structural_similarity_difference(
 
 
 def fano_bound(mi_nats: float, n_categories: int) -> float:
-    """Lower bound on any attacker's category-error probability, in [0, 1]."""
-    if n_categories < 2:
-        raise ConfigError(f"need at least 2 categories, got {n_categories}")
-    if mi_nats < 0:
-        raise ConfigError(f"mutual information must be non-negative, got {mi_nats}")
+    """Lower bound on any attacker's category-error probability, in [0, 1],
+    for non-negative ``mi_nats`` and at least 2 categories."""
     return max(0.0, 1.0 - (mi_nats + math.log(2.0)) / math.log(n_categories))
 
 
@@ -137,7 +120,6 @@ def _ridged_logdet(cov: np.ndarray) -> float:
 
 def gaussian_entropy(rows: np.ndarray) -> float:
     """Differential entropy (nats) under a Gaussian fit with ridged covariance."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     n, d = rows.shape
     if n < d + 2:
         raise ConfigError(f"need at least {d + 2} rows for {d} dims, got {n}")
@@ -147,10 +129,6 @@ def gaussian_entropy(rows: np.ndarray) -> float:
 
 def mi_gaussian_estimate(x: np.ndarray, y: np.ndarray) -> float:
     """Mutual information (nats) between row-paired samples under a joint-Gaussian fit."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if x.shape[0] != y.shape[0]:
-        raise ConfigError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
     n = x.shape[0]
     dims = x.shape[1] + y.shape[1]
     if n < dims + 2:
@@ -164,8 +142,6 @@ def mi_gaussian_estimate(x: np.ndarray, y: np.ndarray) -> float:
 def _split_leak(
     n: int, leak: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    if not 0.0 < leak < 1.0:
-        raise ConfigError(f"leak fraction must be in (0, 1), got {leak}")
     n_leak = max(1, round(leak * n))
     if n_leak >= n:
         raise ConfigError(f"leak fraction {leak} leaves no target items out of {n}")

@@ -12,7 +12,7 @@ recall, precision and NDCG, and the denoiser's training as first written:
 Adam over a dict of tensors, and a loss that projects each row's time key
 and attends by einsum and a row softmax. Two helpers give a single pass its
 own arrays: a fresh denoiser workspace, and the MLP's loss and gradients
-for a gradient check.
+for a gradient check, and ``affine`` writes the dense layer ``x @ w + b``.
 """
 
 from __future__ import annotations
@@ -36,10 +36,15 @@ from fedcold.federation import (
     ClientState,
     score_items,
 )
-from fedcold.numerics import affine, stream_rng
+from fedcold.numerics import stream_rng
 
 GRAD_CHECK_H_MIN = 1e-6
 GRAD_CHECK_H_MAX = 1e-4
+
+
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dense layer ``x @ w + b``."""
+    return x @ w + b
 
 
 @dataclass

@@ -72,6 +72,16 @@ def test_load_malformed_row_reports_line_number(tmp_path):
         load_interactions(str(path))
 
 
+def test_load_takes_the_header_from_the_first_non_blank_row(tmp_path):
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("user_id,item_id\na,x\nb,y\n")
+    blank.write_text("\n \nuser_id,item_id\na,x\nb,y\n")
+    want, got = load_interactions(str(plain)), load_interactions(str(blank))
+    assert got.user_ids == want.user_ids == ["a", "b"]
+    assert got.item_ids == want.item_ids == ["x", "y"]
+    np.testing.assert_array_equal(got.interactions, want.interactions)
+
+
 def test_load_writes_id_maps(tmp_path):
     path = tmp_path / "ids.csv"
     write_rows(path, [("alice", "pasta"), ("bob", "soup"), ("alice", "soup")])

@@ -834,26 +834,35 @@ def test_mean_client_loss_positive():
 
 
 def test_fed_config_validation():
+    # validate is the one check of each key: the layers below take its
+    # values unchecked
     base = RunConfig(synthetic=True)
     base.validate()
-    bad = {
-        "rounds": 0,
-        "local_lr": 0.0,
-        "negatives_per_positive": 0,
-        "batch_size": 0,
-        "client_sample_ratio": 0.0,
-        "server_epochs": 0,
-        "ldp_scale": -1.0,
-        "dim": 0,
-    }
-    for key, value in bad.items():
-        with pytest.raises(ConfigError, match=key):
+    bad = [
+        ("rounds", 0, "rounds must be >= 1"),
+        ("local_lr", 0.0, "local_lr must be positive"),
+        ("negatives_per_positive", 0, "negatives_per_positive must be >= 1"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("client_sample_ratio", 0.0, r"client_sample_ratio=0.0 outside \(0, 1\]"),
+        ("server_epochs", 0, "server_epochs must be >= 1"),
+        ("ldp_scale", -1.0, "ldp_scale must be non-negative"),
+        ("dim", 0, "dim must be positive"),
+        ("attack_epochs", -1, "attack_epochs and mapper_epochs must be non-negative"),
+        ("mapper_epochs", -1, "attack_epochs and mapper_epochs must be non-negative"),
+        ("attack_lr", 0.0, "attack_lr and mapper_lr must be positive"),
+        ("mapper_lr", 0.0, "attack_lr and mapper_lr must be positive"),
+        ("struct_sample_n", 1, "struct_sample_n must be >= 2, got 1"),
+        ("leak_fraction", 0.0, r"leak_fraction must be in \(0, 1\), got 0.0"),
+        ("k_list", (0,), r"k_list must be non-empty positive ints: \(0,\)"),
+        ("k_list", (10, 10), r"k_list has duplicates: \(10, 10\)"),
+        ("val_k", 0, "val_k must be >= 1, got 0"),
+        ("condition", "half", "unknown condition mode 'half'"),
+        ("inference_mode", "greedy", "unknown inference mode 'greedy'"),
+        ("split_warm", 0.5, "split ratios must be positive and sum to 1"),
+    ]
+    for key, value, message in bad:
+        with pytest.raises(ConfigError, match=message):
             dataclasses.replace(base, **{key: value}).validate()
-
-
-def test_apply_ldp_rejects_negative_scale():
-    with pytest.raises(ConfigError):
-        apply_ldp(upload_rows({0: np.zeros(3)}), -1.0, stream_rng(0, "ldp-neg"))
 
 
 def test_mapper_learns_identity_task():
@@ -864,11 +873,14 @@ def test_mapper_learns_identity_task():
 
 
 def test_mapper_zero_rows_rejected():
-    rng = stream_rng(10, "mapper-zero")
-    with pytest.raises(ConfigError, match="zero rows"):
-        TwoLayerMLP.fit(np.zeros((0, 4)), np.zeros((0, 8)), 10, 0.1, rng)
-    with pytest.raises(ConfigError, match="3 input rows but 2 target rows"):
-        TwoLayerMLP.fit(np.zeros((3, 4)), np.zeros((2, 8)), 10, 0.1, rng)
+    # the mapper fits on the warm rows: a split without warm items is refused
+    # where it enters, and positive ratios leave at least one warm item
+    with pytest.raises(ConfigError, match="split ratios must be positive and sum to 1"):
+        RunConfig(
+            synthetic=True, split_warm=0.0, split_val=0.1, split_cold=0.9
+        ).validate()
+    dataset = Dataset(n_users=1, n_items=10, interactions=np.array([[0, 0]]))
+    assert len(split_items(dataset, (0.05, 0.05, 0.9), seed=0).warm_items) == 1
 
 
 def test_mlp_gradient_check():

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from fedcold.modality import (
     l2_normalize_rows,
     load_features,
 )
-from fedcold.numerics import affine, stream_rng
+from fedcold.numerics import stream_rng
 from fedcold.pipeline import prepare_data
-from oracles import fresh_workspace
+from oracles import affine, fresh_workspace
 
 
 def make_dataset(n_items=3):
@@ -57,6 +58,25 @@ def test_load_features_missing_items_listed(tmp_path):
     write_features(path, [("it0", "1.0", "2.0")])
     with pytest.raises(DataFormatError, match="it1, it2"):
         load_features(str(path), ds)
+
+
+def test_load_features_refuses_a_repeated_item_id(tmp_path):
+    ds = make_dataset(2)
+    path = tmp_path / "features.csv"
+    write_features(path, [("it0", "1.0"), ("it1", "2.0"), ("it0", "5.0")])
+    message = f"{path}:3: duplicate item id 'it0' (first on line 1)"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        load_features(str(path), ds)
+
+
+def test_load_features_takes_the_header_from_the_first_non_blank_row(tmp_path):
+    ds = make_dataset(2)
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("item_id,f0\nit0,1.0\nit1,2.0\n")
+    blank.write_text("\n\nitem_id,f0\nit0,1.0\nit1,2.0\n")
+    np.testing.assert_array_equal(
+        load_features(str(blank), ds), load_features(str(plain), ds)
+    )
 
 
 def test_load_features_inconsistent_width(tmp_path):
@@ -138,6 +158,15 @@ def test_encode_texts_file(tmp_path):
     rows = encode_texts(str(path), ds, dim=16, seed=3)
     assert rows.shape == (2, 16)
     assert abs(np.linalg.norm(rows[0]) - 1.0) < 1e-12
+
+
+def test_encode_texts_refuses_a_repeated_item_id(tmp_path):
+    ds = make_dataset(2)
+    path = tmp_path / "texts.tsv"
+    path.write_text("it0\thello\nit1\tworld\n\nit1\tagain\n")
+    message = f"{path}:4: duplicate item id 'it1' (first on line 2)"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        encode_texts(str(path), ds, dim=8, seed=0)
 
 
 def test_encode_texts_missing_item(tmp_path):

@@ -6,54 +6,11 @@ from hypothesis import strategies as st
 from fedcold.errors import ConfigError
 from fedcold.numerics import (
     Adam,
-    affine,
     rekey,
     sigmoid,
     stream_rng,
 )
 from oracles import finite_diff_grad_check, sigmoid_two_branch, softmax_rows
-
-
-def naive_affine(x, w, b):
-    """Independent triple-loop oracle for x @ w + b."""
-    n, k = x.shape
-    k2, m = w.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for l in range(k):
-                acc += x[i, l] * w[l, j]
-            out[i, j] = acc + b[j]
-    return out
-
-
-def test_affine_matches_triple_loop_oracle():
-    rng = stream_rng(11, "test-affine")
-    x = rng.standard_normal((3, 4))
-    w = rng.standard_normal((4, 2))
-    b = rng.standard_normal(2)
-    expected = naive_affine(x, w, b)
-    got = affine(x, w, b)
-    assert np.max(np.abs(got - expected)) < 1e-12
-
-
-def test_affine_single_row():
-    rng = stream_rng(12, "test-affine-row")
-    x = rng.standard_normal(4)
-    w = rng.standard_normal((4, 3))
-    b = rng.standard_normal(3)
-    got = affine(x, w, b)
-    assert got.shape == (3,)
-    assert np.allclose(got, naive_affine(x[None, :], w, b)[0], atol=1e-12)
-
-
-def test_affine_shape_mismatch_rejected():
-    with pytest.raises(ConfigError):
-        affine(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
-    with pytest.raises(ConfigError):
-        affine(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(5))
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
