@@ -298,8 +298,8 @@ def test_compare_pipelines_fano_with_clusters():
 def test_compare_pipelines_leak_bounds():
     split, features, generator, mapper = _comparison_setup()
     draws = draw_diffusion_rows(split, features, generator, 7, 4)
-    # a fraction outside (0, 1) is refused by RunConfig.validate; these
-    # round to every cold item leaked
+    # RunConfig.validate refuses a fraction outside (0, 1); _split_leak still
+    # refuses these, which leave no target item
     for bad_leak in (1.0, 1.5):
         with pytest.raises(ConfigError):
             attack_side(
