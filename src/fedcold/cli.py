@@ -20,12 +20,11 @@ import dataclasses
 import hashlib
 import os
 import sys
-import threading
 
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, load_flat, save_checkpoint, write_atomic
 from .config import CONDITION_MODES, RunConfig, config_help, load_config
 from .data import save_interactions
 from .diffusion import DenoisingGenerator
@@ -179,14 +178,6 @@ def _ckpt(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, f"{name}.ckpt")
 
 
-def _load_preferring_best(out_dir: str, name: str) -> dict[str, np.ndarray]:
-    best = _ckpt(out_dir, f"{name}_best")
-    path = best if os.path.exists(best) else _ckpt(out_dir, name)
-    if not os.path.exists(path):
-        raise ConfigError(f"missing checkpoint: {path} (run `fedcold train` first)")
-    return load_checkpoint(path)
-
-
 def _check_trained_identity(cfg: RunConfig) -> None:
     """Refuse a config whose identity keys differ from those ``train`` used.
 
@@ -217,9 +208,33 @@ def _check_trained_identity(cfg: RunConfig) -> None:
         )
 
 
-def _load_generator(cfg: RunConfig, data: PreparedData) -> DenoisingGenerator:
-    tensors = _load_preferring_best(cfg.out_dir, "denoiser")
-    return build_generator(cfg, data.features.shape[1], tensors)
+def _open_run(
+    cfg: RunConfig,
+) -> tuple[PreparedData, DenoisingGenerator, np.ndarray, np.ndarray]:
+    """The run that ``train`` left in ``cfg.out_dir``: its data, its generator
+    and its user and item tables, read from the ``*_best`` snapshots.
+
+    The config's identity keys must be those ``train`` used. The tables are
+    read through ``load_flat`` as ``(n_users, dim)`` and ``(n_items, dim)``,
+    so a missing, misnamed or misshapen checkpoint is refused by name, as a
+    denoiser checkpoint is.
+    """
+    _check_trained_identity(cfg)
+    data = prepare_data(cfg)
+
+    def best(name: str) -> dict[str, np.ndarray]:
+        path = _ckpt(cfg.out_dir, f"{name}_best")
+        if not os.path.exists(path):
+            raise ConfigError(f"missing checkpoint: {path} (run `fedcold train` first)")
+        return load_checkpoint(path)
+
+    generator = build_generator(cfg, data.features.shape[1], best("denoiser"))
+    ds = data.split.dataset
+    users, items = (
+        load_flat({name: (n, cfg.dim)}, best(name), f"{name}_best")[1][name]
+        for name, n in (("user_embeddings", ds.n_users), ("item_embeddings", ds.n_items))
+    )
+    return data, generator, users, items
 
 
 def cmd_gen_data(cfg: RunConfig) -> list[str]:
@@ -309,9 +324,7 @@ def cmd_train(cfg: RunConfig, progress: bool = False) -> list[str]:
 
 
 def cmd_infer(cfg: RunConfig) -> list[str]:
-    _check_trained_identity(cfg)
-    data = prepare_data(cfg)
-    generator = _load_generator(cfg, data)
+    data, generator, _, _ = _open_run(cfg)
     rows = generate_cold(cfg, data, generator)
     ds = data.split.dataset
     write_csv(
@@ -327,13 +340,9 @@ def cmd_infer(cfg: RunConfig) -> list[str]:
 
 
 def cmd_eval(cfg: RunConfig) -> EvalResult:
-    _check_trained_identity(cfg)
-    data = prepare_data(cfg)
-    generator = _load_generator(cfg, data)
-    user_table = _load_preferring_best(cfg.out_dir, "user_embeddings")["user_embeddings"]
-    item_table = _load_preferring_best(cfg.out_dir, "item_embeddings")["item_embeddings"]
+    data, generator, users, items = _open_run(cfg)
     cold_rows = generate_cold(cfg, data, generator)
-    result = evaluate_run(cfg, data, user_table, item_table, cold_rows)
+    result = evaluate_run(cfg, data, users, items, cold_rows)
     write_csv(
         os.path.join(cfg.out_dir, "metrics.csv"),
         ["k", "recall", "precision", "ndcg", "n_users"],
@@ -348,18 +357,14 @@ def cmd_eval(cfg: RunConfig) -> EvalResult:
         [[result.diagnostics.centroid_distance, result.diagnostics.covariance_distance]],
     )
     ds = data.split.dataset
-    cold_set = set(data.split.cold_items)
-    cold_pos = {item: pos for pos, item in enumerate(data.split.cold_items)}
-
-    def export_rows():
-        for item in range(ds.n_items):
-            row = cold_rows[cold_pos[item]] if item in cold_set else item_table[item]
-            yield [ds.item_ids[item], int(item in cold_set), row]
-
+    rows = items.copy()
+    rows[data.split.cold_items] = cold_rows
+    is_cold = np.zeros(ds.n_items, dtype=np.int64)
+    is_cold[data.split.cold_items] = 1
     write_csv(
         os.path.join(cfg.out_dir, "embeddings_export.csv"),
         ["item_id", "is_cold"] + [f"f{j}" for j in range(cfg.dim)],
-        export_rows(),
+        ([ds.item_ids[i], is_cold[i], rows[i]] for i in range(ds.n_items)),
     )
     names = ["metrics.csv", "diagnostics_final.csv", "embeddings_export.csv"]
     write_manifest(cfg.out_dir, "eval", cfg, names)
@@ -384,26 +389,18 @@ def _fit_mapper_beside(
     (with the split reversed, ``cold-4x-sparse`` peak RSS rose 5 %). The
     worker is always joined, and an exception it raised is raised here.
     """
-    fitted: dict[str, TwoLayerMLP | BaseException] = {}
+    # imported here, not with the module: only attack needs it, and a
+    # module-level import raised the peak RSS of every process that imports
+    # the cli, the perfbench workload's train stage among them
+    from concurrent.futures import ThreadPoolExecutor
 
-    def fit() -> None:
-        try:
-            fitted["mapper"] = train_mapper(cfg, data, item_table)
-        except BaseException as exc:  # handed to the main thread below
-            fitted["error"] = exc
-
-    worker = threading.Thread(target=fit, name="fedcold-mapper-fit")
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="fedcold-mapper-fit") as pool:
+        fit = pool.submit(train_mapper, cfg, data, item_table)
         draws = draw_diffusion_rows(
             data.split, data.features, generator, cfg.seed, cfg.mi_draws
         )
         diffusion = diffusion_side(cfg, data, draws)
-    finally:
-        worker.join()
-    if "error" in fitted:
-        raise fitted["error"]
-    return fitted["mapper"], diffusion
+    return fit.result(), diffusion
 
 
 def _write_attack_report(out_dir: str, sides: list[PipelineSide]) -> list[str]:
@@ -443,11 +440,8 @@ def _write_attack_report(out_dir: str, sides: list[PipelineSide]) -> list[str]:
 
 
 def cmd_attack(cfg: RunConfig) -> list[str]:
-    _check_trained_identity(cfg)
-    data = prepare_data(cfg)
-    generator = _load_generator(cfg, data)
-    item_table = _load_preferring_best(cfg.out_dir, "item_embeddings")["item_embeddings"]
-    mapper, diffusion = _fit_mapper_beside(cfg, data, generator, item_table)
+    data, generator, _, items = _open_run(cfg)
+    mapper, diffusion = _fit_mapper_beside(cfg, data, generator, items)
     mapper_path = _ckpt(cfg.out_dir, "mapper")
     save_checkpoint(mapper_path, mapper.tensors())
     # use the float32 checkpoint weights so a rerun scores identically

@@ -180,8 +180,12 @@ class RunConfig:
             raise ConfigError("ldp_scale must be non-negative")
         if self.dim < 1:
             raise ConfigError("dim must be positive")
+        if self.dim % 2:
+            raise ConfigError(f"embedding width must be even and >= 2, got {self.dim}")
         if self.heads < 1:
             raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        if self.dim % self.heads:
+            raise ConfigError(f"width {self.dim} must be divisible by heads {self.heads}")
         if self.server_lr <= 0:
             raise ConfigError("server_lr must be positive")
         _validate_levels(self.steps, self.noise_scale, self.noise_min, self.noise_max)

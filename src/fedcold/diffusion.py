@@ -137,7 +137,6 @@ class DenoiserParams:
     @classmethod
     def zeros(cls, width: int, heads: int, cond_dim: int) -> "DenoiserParams":
         """All-zero parameters, every tensor a view of one new flat buffer."""
-        _check_dims(width, heads, cond_dim)
         flat, views = flat_tensors(_shapes(width, cond_dim))
         return cls(width, heads, cond_dim, flat, **views)
 
@@ -150,18 +149,8 @@ class DenoiserParams:
     ) -> "DenoiserParams":
         """Parameters from checkpoint tensors, copied into a new flat buffer;
         DataFormatError names any missing or misshapen."""
-        _check_dims(width, heads, cond_dim)
         flat, views = load_flat(_shapes(width, cond_dim), tensors, "denoiser")
         return cls(width, heads, cond_dim, flat, **views)
-
-
-def _check_dims(width: int, heads: int, cond_dim: int) -> None:
-    if width < 2 or width % 2 != 0:
-        raise ConfigError(f"embedding width must be even and >= 2, got {width}")
-    if heads < 1 or width % heads != 0:
-        raise ConfigError(f"width {width} must be divisible by heads {heads}")
-    if cond_dim < 1:
-        raise ConfigError(f"condition dim must be positive, got {cond_dim}")
 
 
 def init_denoiser(
@@ -179,7 +168,7 @@ def init_denoiser(
 
 def sinusoidal_encoding(t, width: int) -> np.ndarray:
     """Fixed sin/cos timestep encoding with geometric frequency spacing; the
-    width is even (``_check_dims``)."""
+    width is even (``RunConfig.validate``)."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))[:, None]
     half = width // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)

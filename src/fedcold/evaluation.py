@@ -105,10 +105,6 @@ def distribution_diagnostics(
     """
     if warm_rows.shape[0] < 2 or cold_rows.shape[0] < 2:
         raise ConfigError("diagnostics need at least 2 rows per side")
-    # eval reads the warm rows from the item table checkpoint, which nothing
-    # checks against dim on load
-    if warm_rows.shape[1] != cold_rows.shape[1]:
-        raise ConfigError("warm and cold widths differ")
     centroid = float(
         np.linalg.norm(warm_rows.mean(axis=0) - cold_rows.mean(axis=0))
     )

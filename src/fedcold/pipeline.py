@@ -228,16 +228,14 @@ def generate_cold(
     cfg: RunConfig,
     data: PreparedData,
     generator: DenoisingGenerator,
-    stream_label: str = "infer",
 ) -> np.ndarray:
-    """Cold-item embeddings under the configured inference and condition modes."""
+    """Cold-item embeddings under the configured inference and condition modes,
+    from the ``infer`` streams."""
     cold = data.split.cold_items
     conditions = substituted_conditions(
         data.features[cold], cfg.condition, cfg.seed
     )
-    return generator.generate(
-        cold, conditions, cfg.seed, mode=cfg.inference_mode, stream_label=stream_label
-    )
+    return generator.generate(cold, conditions, cfg.seed, mode=cfg.inference_mode)
 
 
 @dataclass

@@ -101,7 +101,7 @@ def _best_generator(cfg: RunConfig, data, result) -> DenoisingGenerator:
 def _recall_at_10(cfg: RunConfig, data, result, condition: str) -> float:
     gen = _best_generator(cfg, data, result)
     cfg_c = replace(cfg, condition=condition)
-    rows = generate_cold(cfg_c, data, gen, stream_label="infer")
+    rows = generate_cold(cfg_c, data, gen)
     report = evaluate_run(
         cfg_c, data, result.best_user_table, result.best_item_table, rows
     )

@@ -576,6 +576,46 @@ def test_infer_names_a_tensor_missing_from_the_checkpoint(
     assert err[0].endswith("time_w")
 
 
+@pytest.mark.parametrize("command", ["eval", "attack"])
+def test_stages_refuse_a_misshapen_or_misnamed_table(
+    monkeypatch, tmp_path, capsys, command
+):
+    # tables of a dim-16 run, or a denoiser in the item table's place, are
+    # refused by name before any of them is used
+    cfg = _trained(monkeypatch, tmp_path)
+    out = tmp_path / "out"
+    users = str(out / "user_embeddings_best.ckpt")
+    items = str(out / "item_embeddings_best.ckpt")
+    n_users = load_checkpoint(users)["user_embeddings"].shape[0]
+    cases = [
+        (
+            users,
+            {"user_embeddings": np.ones((n_users, 16))},
+            f"user_embeddings_best tensor 'user_embeddings' has shape ({n_users}, 16), "
+            f"expected ({n_users}, 8)",
+        ),
+        (
+            items,
+            {"item_embeddings": np.ones((24, 16))},
+            "item_embeddings_best tensor 'item_embeddings' has shape (24, 16), "
+            "expected (24, 8)",
+        ),
+        (
+            items,
+            load_checkpoint(str(out / "denoiser_best.ckpt")),
+            "item_embeddings_best checkpoint lacks tensor(s): item_embeddings",
+        ),
+    ]
+    for path, tensors, message in cases:
+        trained = load_checkpoint(path)
+        save_checkpoint(path, tensors)
+        capsys.readouterr()
+        assert run(monkeypatch, tmp_path, command, "--config", cfg) == 1
+        assert capsys.readouterr().err.splitlines() == [f"fedcold {command}: {message}"]
+        save_checkpoint(path, trained)
+    assert run(monkeypatch, tmp_path, command, "--config", cfg) == 0
+
+
 # run identity
 
 
@@ -741,7 +781,7 @@ def test_attack_threaded_equals_a_sequential_oracle(monkeypatch, tmp_path):
     mapper = train_mapper(cfg, data, item_table["item_embeddings"])
     save_checkpoint(str(oracle_dir / "mapper.ckpt"), mapper.tensors())
     mapper = TwoLayerMLP.from_tensors(load_checkpoint(str(oracle_dir / "mapper.ckpt")))
-    generator = cli._load_generator(cfg, data)
+    generator = cli._open_run(cfg)[1]
     draws = draw_diffusion_rows(data.split, data.features, generator, cfg.seed, cfg.mi_draws)
     oracle = [diffusion_side(cfg, data, draws), mapper_side(cfg, data, mapper)]
     write_attack_report(str(oracle_dir), oracle)

@@ -226,9 +226,9 @@ def test_sinusoidal_encoding_shape_and_range():
     assert enc.shape == (3, 16)
     assert np.all(np.abs(enc) <= 1.0)
     assert not np.allclose(enc[0], enc[1])
-    # the width's parity is checked once, with the denoiser's dimensions
+    # the width's parity is checked once, where the config enters
     with pytest.raises(ConfigError, match="embedding width must be even and >= 2, got 7"):
-        DenoiserParams.zeros(7, 1, 6)
+        RunConfig(synthetic=True, dim=7, heads=1).validate()
 
 
 def test_fusion_identical_rows_ignore_query():

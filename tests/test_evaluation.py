@@ -231,5 +231,3 @@ def test_diagnostics_constant_shift():
 def test_diagnostics_validation():
     with pytest.raises(ConfigError):
         distribution_diagnostics(np.zeros((1, 4)), np.zeros((5, 4)))
-    with pytest.raises(ConfigError):
-        distribution_diagnostics(np.zeros((5, 4)), np.zeros((5, 3)))

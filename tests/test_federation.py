@@ -847,6 +847,7 @@ def test_fed_config_validation():
         ("server_epochs", 0, "server_epochs must be >= 1"),
         ("ldp_scale", -1.0, "ldp_scale must be non-negative"),
         ("dim", 0, "dim must be positive"),
+        ("heads", 3, "width 64 must be divisible by heads 3"),
         ("attack_epochs", -1, "attack_epochs and mapper_epochs must be non-negative"),
         ("mapper_epochs", -1, "attack_epochs and mapper_epochs must be non-negative"),
         ("attack_lr", 0.0, "attack_lr and mapper_lr must be positive"),

@@ -1,12 +1,13 @@
-"""Every package module uses each name it imports, and every public name it
-defines is read by some package module."""
+"""Every package and test module uses each name it imports, and every public
+name a package module defines is read by some package module."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fedcold"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "fedcold"
 
 def unused_imports(source: str) -> list[str]:
     """``line N: name`` for each imported name the module never reads."""
@@ -67,7 +68,9 @@ def test_unused_imports_are_found():
 
 
 @pytest.mark.parametrize(
-    "path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda path: path.name,
 )
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
