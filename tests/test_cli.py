@@ -916,6 +916,11 @@ def test_sweep_rejects_malformed_values_before_any_run(
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0] == f"fedcold sweep: bad sweep value for {param}: {bad}"
+    # a width the denoiser cannot take is a config refusal, made before dim 8 trains
+    argv = ("sweep", "--config", cfg, "--param", "dim", "--values", "8,7")
+    assert run(monkeypatch, tmp_path, *argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["fedcold sweep: embedding width must be even and >= 2, got 7"]
     assert not (tmp_path / "out/dim_8").exists()
 
 
