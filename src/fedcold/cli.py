@@ -43,7 +43,7 @@ from .pipeline import (
     run_training,
     train_mapper,
 )
-from .privacy import PipelineSide, draw_diffusion_rows
+from .privacy import PipelineSide
 
 ROUNDS_CSV = "rounds.csv"
 ROUNDS_HEADER = [
@@ -396,10 +396,7 @@ def _fit_mapper_beside(
 
     with ThreadPoolExecutor(1, thread_name_prefix="fedcold-mapper-fit") as pool:
         fit = pool.submit(train_mapper, cfg, data, item_table)
-        draws = draw_diffusion_rows(
-            data.split, data.features, generator, cfg.seed, cfg.mi_draws
-        )
-        diffusion = diffusion_side(cfg, data, draws)
+        diffusion = diffusion_side(cfg, data, generator)
     return fit.result(), diffusion
 
 

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .diffusion import INFERENCE_MODES, _validate_levels
-from .errors import ConfigError
+from .errors import ConfigError, not_utf8
 
 CONDITION_MODES = ("full", "zero", "random", "none")
 _PATH_KEYS = ("interactions_path", "features_path", "texts_path")
@@ -267,8 +267,12 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    """The config at ``path``, read as UTF-8 whatever the locale."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(not_utf8(path, exc)) from None
     return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

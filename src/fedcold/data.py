@@ -25,7 +25,7 @@ import numpy as np
 
 from .checkpoint import write_atomic
 from .config import RunConfig
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, not_utf8
 from .numerics import stream_rng
 
 log = logging.getLogger(__name__)
@@ -113,22 +113,33 @@ def _write_id_map(path: str, originals: list[str]) -> None:
     write_atomic(path, payload)
 
 
+def utf8_lines(path: str, newline: str | None = None):
+    """The lines of the text file at ``path`` (``newline`` as for ``open``),
+    read as UTF-8 whatever the locale; a file that is not UTF-8 text is
+    refused."""
+    with open(path, encoding="utf-8", newline=newline) as f:
+        try:
+            yield from f
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(not_utf8(path, exc)) from None
+
+
 def csv_rows(path: str, header: tuple[str, ...]):
-    """``(line number, row)`` for each non-blank row of the CSV at ``path``.
+    """``(line number, row)`` for each non-blank row of the CSV at ``path``
+    (``utf8_lines``).
 
     The first non-blank row is a header, and skipped, when its first field
     is one of ``header`` (compared lowercased).
     """
-    with open(path, newline="") as f:
-        first = True
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
+    first = True
+    for lineno, row in enumerate(csv.reader(utf8_lines(path, newline="")), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if first:
+            first = False
+            if row[0].strip().lower() in header:
                 continue
-            if first:
-                first = False
-                if row[0].strip().lower() in header:
-                    continue
-            yield lineno, row
+        yield lineno, row
 
 
 def load_interactions(path: str) -> Dataset:

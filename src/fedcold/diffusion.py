@@ -418,12 +418,8 @@ def _backward(
     np.matmul(cache.e_t.T, d_q, out=grads["query_w"])
     np.matmul(tenc.T, d_k0, out=grads["time_w"])
     np.sum(d_k0, axis=0, out=grads["time_b"])
-    if cache.m is not None:
-        np.matmul(cache.m.T, d_k1, out=grads["cond_w"])
-        np.sum(d_k1, axis=0, out=grads["cond_b"])
-    else:
-        grads["cond_w"][...] = 0.0
-        grads["cond_b"][...] = 0.0
+    np.matmul(cache.m.T, d_k1, out=grads["cond_w"])
+    np.sum(d_k1, axis=0, out=grads["cond_b"])
     return grads
 
 
@@ -474,7 +470,7 @@ def _posterior_coeffs(t, schedule: NoiseSchedule):
 
 def elbo_loss_fixed(
     e0: np.ndarray,
-    m: np.ndarray | None,
+    m: np.ndarray,
     t: np.ndarray,
     eps: np.ndarray,
     params: DenoiserParams,
@@ -485,10 +481,11 @@ def elbo_loss_fixed(
 
     The training objective fixes the clean-embedding parameterization: the
     loss is the mean squared error between the denoiser output and the clean
-    embedding, averaged over the batch. Every array is written into ``work``
-    (from ``_workspace`` with ``train=True``, for ``schedule``'s steps and
-    holding a condition key array unless ``m`` is None), so the gradients
-    are views of its flat gradient; ``eps`` may be its ``e_t``.
+    embedding, averaged over the batch. Training always has a condition
+    ``m``; only generation runs without one. Every array is written into
+    ``work`` (from ``_workspace`` with ``train=True``, for ``schedule``'s
+    steps and holding a condition key array), so the gradients are views of
+    its flat gradient; ``eps`` may be its ``e_t``.
     """
     t_arr = np.atleast_1d(np.asarray(t))
     p = params
@@ -498,9 +495,8 @@ def elbo_loss_fixed(
     keys = step_keys(p, work.encodings, out=work.keys)
     np.take(keys, rows, axis=0, out=work.time_key, mode="clip")
     np.take(work.encodings, rows, axis=0, out=work.tenc, mode="clip")
-    if m is not None:
-        np.matmul(m, p.cond_w, out=work.cond_key)
-        np.add(work.cond_key, p.cond_b, out=work.cond_key)
+    np.matmul(m, p.cond_w, out=work.cond_key)
+    np.add(work.cond_key, p.cond_b, out=work.cond_key)
     pred, _ = _forward(e_t, work.time_key, m, p, work)
     diff = np.subtract(pred, e0, out=pred)
     square = _halves(work.dz)[0]

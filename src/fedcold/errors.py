@@ -15,3 +15,8 @@ class DataFormatError(FedcoldError):
 
 class NumericsError(FedcoldError):
     """Non-finite values or a failed numeric diagnostic."""
+
+
+def not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    """The refusal of the file at ``path``, which is not UTF-8 text."""
+    return f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"

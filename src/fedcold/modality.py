@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .data import Dataset, csv_rows
+from .data import Dataset, csv_rows, utf8_lines
 from .errors import DataFormatError
 
 
@@ -98,26 +98,26 @@ def hashed_token_encode(text: str, dim: int, seed: int) -> np.ndarray:
 
 def encode_texts(path: str, dataset: Dataset, dim: int, seed: int) -> np.ndarray:
     """Encode a ``item_id<TAB>text`` file into ``(n_items, dim)`` hashed
-    feature rows, by dense item id; a repeated item id raises with its line."""
+    feature rows, by dense item id (``utf8_lines``); a repeated item id
+    raises with its line."""
     item_map = {original: dense for dense, original in enumerate(dataset.item_ids)}
     rows = np.zeros((dataset.n_items, dim), dtype=np.float64)
     seen: dict[int, int] = {}  # dense id -> its line
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected item_id<TAB>text")
-            raw_id, text = line.split("\t", 1)
-            raw_id = raw_id.strip()
-            if raw_id not in item_map:
-                continue
-            dense = item_map[raw_id]
-            if dense in seen:
-                raise DataFormatError(_duplicate(path, lineno, raw_id, seen[dense]))
-            rows[dense] = hashed_token_encode(text, dim, seed)
-            seen[dense] = lineno
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise DataFormatError(f"{path}:{lineno}: expected item_id<TAB>text")
+        raw_id, text = line.split("\t", 1)
+        raw_id = raw_id.strip()
+        if raw_id not in item_map:
+            continue
+        dense = item_map[raw_id]
+        if dense in seen:
+            raise DataFormatError(_duplicate(path, lineno, raw_id, seen[dense]))
+        rows[dense] = hashed_token_encode(text, dim, seed)
+        seen[dense] = lineno
     missing = [dataset.item_ids[i] for i in range(dataset.n_items) if i not in seen]
     if missing:
         shown = ", ".join(missing[:20])

@@ -71,19 +71,15 @@ def rekey(
     return rng
 
 
-def sigmoid(x):
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function.
 
     With ``z = exp(-|x|)``, never above 1, it is ``1 / (1 + z)`` for
     ``x >= 0`` and ``z / (1 + z)`` below; both branches come from one ``exp``
     over the whole array.
     """
-    x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, z) / (1.0 + z)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
 
 def flat_tensors(

@@ -37,7 +37,7 @@ from .federation import RoundReport, init_simulation, run_round
 from .mlp import TwoLayerMLP
 from .modality import encode_texts, l2_normalize_rows, load_features
 from .numerics import assert_finite, stream_rng
-from .privacy import DiffusionDraws, PipelineSide, attack_side
+from .privacy import PipelineSide, attack_side
 
 
 @dataclass
@@ -278,37 +278,30 @@ def train_mapper(
     )
 
 
-def _attack_side(
-    cfg: RunConfig,
-    data: PreparedData,
-    method: str,
-    attacked: np.ndarray,
-    regenerations: list[np.ndarray],
-) -> PipelineSide:
-    return attack_side(
-        data.split,
-        data.features,
-        method,
-        attacked,
-        regenerations,
-        seed=cfg.seed,
-        leak=cfg.leak_fraction,
-        attack_epochs=cfg.attack_epochs,
-        attack_lr=cfg.attack_lr,
-        struct_sample_n=cfg.struct_sample_n,
-        n_clusters=data.n_clusters,
-    )
-
-
 def diffusion_side(
-    cfg: RunConfig, data: PreparedData, draws: DiffusionDraws
+    cfg: RunConfig, data: PreparedData, generator: DenoisingGenerator
 ) -> PipelineSide:
-    """The generator's attack results, on its ``draws``."""
-    return _attack_side(cfg, data, "diffusion", draws.attack, draws.mi)
+    """The generator's attack results. Its ``attack`` chain gives the rows
+    the attacker sees and its ``mi_draws`` ``attack-mi-diffusion-{d}`` chains
+    the regenerations; they run in stochastic mode, their per-step noise
+    being the mechanism under test."""
+    cold = data.split.cold_items
+    features = data.features[cold]
+    labels = ["attack"] + [f"attack-mi-diffusion-{d}" for d in range(cfg.mi_draws)]
+    rows = [
+        generator.generate(
+            cold, features, cfg.seed, mode="stochastic", stream_label=label
+        )
+        for label in labels
+    ]
+    return attack_side(cfg, "diffusion", features, rows[0], rows[1:], data.n_clusters)
 
 
 def mapper_side(cfg: RunConfig, data: PreparedData, mapper: TwoLayerMLP) -> PipelineSide:
     """The mapper's attack results. The mapper is deterministic, so each of
     its ``mi_draws`` regenerations repeats its rows verbatim."""
-    rows = mapper.predict(data.features[list(data.split.cold_items)])
-    return _attack_side(cfg, data, "mapper", rows, [rows] * cfg.mi_draws)
+    features = data.features[data.split.cold_items]
+    rows = mapper.predict(features)
+    return attack_side(
+        cfg, "mapper", features, rows, [rows] * cfg.mi_draws, data.n_clusters
+    )

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SplitDataset
-from .diffusion import DenoisingGenerator
+from .config import RunConfig
 from .errors import ConfigError, NumericsError
 from .mlp import TwoLayerMLP
 from .numerics import stream_rng
@@ -150,40 +149,6 @@ def _split_leak(
 
 
 @dataclass
-class DiffusionDraws:
-    """The generator's stochastic chains over the cold items, in cold order."""
-
-    attack: np.ndarray  # the embeddings the inversion attacker sees
-    mi: list[np.ndarray]  # independent regenerations for the MI estimate
-
-
-def draw_diffusion_rows(
-    split: SplitDataset,
-    features: np.ndarray,
-    generator: DenoisingGenerator,
-    seed: int,
-    mi_draws: int,
-) -> DiffusionDraws:
-    """The ``attack`` chain and ``mi_draws`` MI chains, each on its own stream.
-
-    The chains run in stochastic mode, their per-step noise being the
-    mechanism under test.
-    """
-    cold = list(split.cold_items)
-    cold_features = features[cold]
-
-    def chain(label: str) -> np.ndarray:
-        return generator.generate(
-            cold, cold_features, seed, mode="stochastic", stream_label=label
-        )
-
-    return DiffusionDraws(
-        attack=chain("attack"),
-        mi=[chain(f"attack-mi-diffusion-{d}") for d in range(mi_draws)],
-    )
-
-
-@dataclass
 class PipelineSide:
     """One pipeline's attack results: the inversion attack on its rows, the
     information its regenerations carry about the features, and how well the
@@ -197,49 +162,44 @@ class PipelineSide:
 
 
 def attack_side(
-    split: SplitDataset,
-    features: np.ndarray,
+    cfg: RunConfig,
     method: str,
+    features: np.ndarray,
     attacked: np.ndarray,
     regenerations: list[np.ndarray],
-    seed: int,
-    leak: float,
-    attack_epochs: int,
-    attack_lr: float,
-    struct_sample_n: int,
     n_clusters: int | None,
 ) -> PipelineSide:
     """The inversion attack, the MI estimate, the Fano bound and the
     structural matrix for one cold-item pipeline.
 
-    ``attacked`` holds the pipeline's rows for the cold items, in cold order;
-    an attacker trains on the leaked items' rows and reconstructs the rest.
-    ``regenerations`` are repeated generations of the same rows, stacked so
-    the MI sample count clears the joint-Gaussian row requirement. The leaked
-    subset, the attacker's initialization and the structural sample come
-    from streams keyed by ``seed`` alone, so both pipelines face the same
-    attack and their structural matrices compare cell by cell. A Fano bound
-    needs a label of at least 2 categories, so it is ``None`` unless
+    ``features`` are the cold items' feature rows and ``attacked`` the
+    pipeline's rows for the same items, in the same order; an attacker trains
+    on the leaked items' rows and reconstructs the rest. ``regenerations``
+    are repeated generations of the same rows, stacked so the MI sample count
+    clears the joint-Gaussian row requirement. The leaked subset, the
+    attacker's initialization and the structural sample come from streams
+    keyed by ``cfg.seed`` alone, so both pipelines face the same attack and
+    their structural matrices compare cell by cell. A Fano bound needs a
+    label of at least 2 categories, so it is ``None`` unless
     ``n_clusters >= 2``.
     """
-    cold = list(split.cold_items)
-    if len(cold) < 3:
-        raise ConfigError(f"need at least 3 cold items, got {len(cold)}")
-    cold_features = features[cold]
+    n = features.shape[0]
+    if n < 3:
+        raise ConfigError(f"need at least 3 cold items, got {n}")
     leak_idx, target_idx = _split_leak(
-        len(cold), leak, stream_rng(seed, "privacy", "leak")
+        n, cfg.leak_fraction, stream_rng(cfg.seed, "privacy", "leak")
     )
     attacker = TwoLayerMLP.fit(
         attacked[leak_idx],
-        cold_features[leak_idx],
-        attack_epochs,
-        attack_lr,
-        stream_rng(seed, "privacy", "attacker-init"),
+        features[leak_idx],
+        cfg.attack_epochs,
+        cfg.attack_lr,
+        stream_rng(cfg.seed, "privacy", "attacker-init"),
     )
-    target = cold_features[target_idx]
+    target = features[target_idx]
     report, recon = attack_and_score(attacker, attacked[target_idx], target, method)
     rows = np.vstack(regenerations)
-    feature_rep = np.vstack([cold_features] * len(regenerations))
+    feature_rep = np.vstack([features] * len(regenerations))
     mi = mi_gaussian_estimate(feature_rep, rows)
     has_label = n_clusters is not None and n_clusters >= 2
     return PipelineSide(
@@ -250,7 +210,7 @@ def attack_side(
         structural=structural_similarity_difference(
             target,
             recon,
-            sample_n=struct_sample_n,
-            rng=stream_rng(seed, "privacy", "struct"),
+            sample_n=cfg.struct_sample_n,
+            rng=stream_rng(cfg.seed, "privacy", "struct"),
         ),
     )

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -21,7 +22,6 @@ from fedcold.errors import ConfigError
 from fedcold.federation import RoundReport
 from fedcold.mlp import TwoLayerMLP
 from fedcold.pipeline import diffusion_side, mapper_side, prepare_data, train_mapper
-from fedcold.privacy import draw_diffusion_rows
 
 BASE = {
     "synthetic": "true",
@@ -303,6 +303,119 @@ def test_non_finite_feature_of_a_cold_item_stops_train(monkeypatch, tmp_path, ca
     assert capsys.readouterr().err.splitlines() == [
         f"fedcold train: {path}:{line}: non-finite feature value"
     ]
+
+
+def _utf8_inputs(monkeypatch, tmp_path, run_dir, rename, source="texts"):
+    """gen-data's CSVs rewritten as UTF-8 in ``run_dir/data`` with every user
+    and item id passed through ``rename``, and an ``item_id<TAB>text`` file;
+    the config beside them that trains on the texts or, with ``source =
+    "features"``, on the feature rows."""
+    cfg = write_cfg(tmp_path / "gen.cfg", out_dir="gen")
+    if not (tmp_path / "gen/data").exists():
+        assert run(monkeypatch, tmp_path, "gen-data", "--config", cfg) == 0
+    (run_dir / "data").mkdir(parents=True)
+    for name, columns in (("interactions.csv", (0, 1)), ("features.csv", (0,))):
+        rows = _csv_rows(tmp_path / "gen/data" / name)
+        header = rows[0][0] == "item_id"  # interactions.csv has none
+        for row in rows[header:]:
+            for c in columns:
+                row[c] = rename(row[c])
+        with open(run_dir / "data" / name, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+    (run_dir / "data/texts.tsv").write_text(
+        "".join(f"{row[0]}\tcrème brûlée n°{n}\n" for n, row in enumerate(rows[1:])),
+        encoding="utf-8",
+    )
+    if source == "texts":
+        inputs = dict(encoder="hashed_tokens", texts_path="data/texts.tsv", hash_dim=12)
+    else:
+        inputs = dict(features_path="data/features.csv")
+    return write_cfg(
+        run_dir / "files.cfg",
+        synthetic=None,
+        synthetic_users=None,
+        synthetic_items=None,
+        synthetic_clusters=None,
+        synthetic_feature_dim=None,
+        interactions_path="data/interactions.csv",
+        out_dir="out",
+        **inputs,
+    )
+
+
+def _manifest_hashes(out):
+    hashes = {}
+    for name in ("manifest_train.csv", "manifest_eval.csv"):
+        with open(out / name, encoding="utf-8", newline="") as handle:
+            hashes.update(row for row in csv.reader(handle) if row[0].startswith("sha256:"))
+    return hashes
+
+
+def test_non_ascii_ids_give_the_same_artifacts_under_an_ascii_locale(
+    monkeypatch, tmp_path
+):
+    # every input is read as UTF-8 whatever the locale; under the C locale
+    # without coercion or UTF-8 mode Python's own default is ASCII
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    default_env = dict(os.environ)
+    default_env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    ascii_env = dict(default_env, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    ascii_python = [sys.executable, "-X", "utf8=0"]
+    probe = subprocess.run(
+        ascii_python + ["-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=ascii_env, capture_output=True, text=True, check=True,
+    )
+    assert "utf" not in probe.stdout.lower()
+
+    def rename(original):
+        return f"é{original}ü"
+
+    runs = {}
+    for side, python, env in (
+        ("default", [sys.executable], default_env),
+        ("ascii", ascii_python, ascii_env),
+    ):
+        cfg = _utf8_inputs(monkeypatch, tmp_path, tmp_path / side, rename)
+        for command in ("train", "eval"):
+            done = subprocess.run(
+                python + ["-m", "fedcold.cli", command, "--config", cfg],
+                env=env, cwd=tmp_path / side, capture_output=True,
+            )
+            assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+        idmaps = sorted((tmp_path / side / "data").glob("*_idmap.csv"))
+        runs[side] = (
+            _manifest_hashes(tmp_path / side / "out"),
+            [(p.name, p.read_bytes()) for p in idmaps],
+        )
+    assert runs["ascii"] == runs["default"]
+    hashes, idmaps = runs["default"]
+    assert len(hashes) == 12 and len(idmaps) == 2  # 9 train and 3 eval artifacts
+    assert "é" in (tmp_path / "default/out/embeddings_export.csv").read_text("utf-8")
+
+
+@pytest.mark.parametrize(
+    "broken, path",
+    [
+        ("interactions", "data/interactions.csv"),
+        ("features", "data/features.csv"),
+        ("texts", "data/texts.tsv"),
+        ("config", "files.cfg"),
+    ],
+)
+def test_an_input_that_is_not_utf8_is_refused_in_one_line(
+    monkeypatch, tmp_path, capsys, broken, path
+):
+    source = "features" if broken == "features" else "texts"
+    cfg = _utf8_inputs(monkeypatch, tmp_path, tmp_path / "run", str, source)
+    path = tmp_path / "run" / path
+    with open(path, "ab") as handle:
+        handle.write(b"# caf\xff\n" if broken == "config" else b"x\xff,1\ty\n")
+    capsys.readouterr()
+    assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"fedcold train: {path}: not UTF-8 text")
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -771,8 +884,8 @@ def test_attack_threaded_equals_a_sequential_oracle(monkeypatch, tmp_path):
         sys.setswitchinterval(interval)
     (threaded,) = recorded
 
-    # one thread, in order: mapper fit, save and reload, chains, the
-    # generator's side, the mapper's side, the report
+    # one thread, in order: mapper fit, save and reload, the generator's side
+    # (its chains, then the attack), the mapper's side, the report
     cfg = load_config(cfg_path)
     oracle_dir = tmp_path / "oracle"
     oracle_dir.mkdir()
@@ -782,8 +895,7 @@ def test_attack_threaded_equals_a_sequential_oracle(monkeypatch, tmp_path):
     save_checkpoint(str(oracle_dir / "mapper.ckpt"), mapper.tensors())
     mapper = TwoLayerMLP.from_tensors(load_checkpoint(str(oracle_dir / "mapper.ckpt")))
     generator = cli._open_run(cfg)[1]
-    draws = draw_diffusion_rows(data.split, data.features, generator, cfg.seed, cfg.mi_draws)
-    oracle = [diffusion_side(cfg, data, draws), mapper_side(cfg, data, mapper)]
+    oracle = [diffusion_side(cfg, data, generator), mapper_side(cfg, data, mapper)]
     write_attack_report(str(oracle_dir), oracle)
 
     for name in ATTACK_FILES:
@@ -824,7 +936,7 @@ def test_attack_errors_on_either_thread_exit_one_after_the_join(
         raise ConfigError("chains failed")
 
     monkeypatch.setattr(cli, "train_mapper", slow_fit)
-    monkeypatch.setattr(cli, "draw_diffusion_rows", failing_chains)
+    monkeypatch.setattr(cli, "diffusion_side", failing_chains)
     assert run(monkeypatch, tmp_path, "attack", "--config", cfg) == 1
     assert fitted.is_set()  # the worker was joined before attack returned
     assert capsys.readouterr().err.splitlines() == ["fedcold attack: chains failed"]
@@ -833,7 +945,7 @@ def test_attack_errors_on_either_thread_exit_one_after_the_join(
 
     # the generator's structural sample fails before the join: 5 items attacked
     monkeypatch.setattr(cli, "train_mapper", train_mapper)
-    monkeypatch.setattr(cli, "draw_diffusion_rows", draw_diffusion_rows)
+    monkeypatch.setattr(cli, "diffusion_side", diffusion_side)
     big = write_cfg(tmp_path / "big.cfg", struct_sample_n=10)
     assert run(monkeypatch, tmp_path, "attack", "--config", big) == 1
     err = capsys.readouterr().err.splitlines()

@@ -323,24 +323,6 @@ def test_elbo_gradient_check_all_params():
     assert report.passed, (report.max_rel_error, report.worst_param)
 
 
-def test_elbo_gradient_check_without_condition():
-    p = toy_params()
-    s = hand_schedule()
-    rng = stream_rng(12, "elbo-grad-none")
-    e0 = rng.standard_normal((2, 8))
-    t = np.array([2, 4])
-    eps = rng.standard_normal((2, 8))
-
-    def loss_fn(tensors):
-        params = DenoiserParams.from_tensors(8, 2, 6, tensors)
-        return elbo_loss_fixed(
-            e0, None, t, eps, params, s, fresh_workspace(params, 2, None, s.steps)
-        )
-
-    report = finite_diff_grad_check(loss_fn, p.tensors(), h=1e-5, tolerance=1e-4)
-    assert report.passed, (report.max_rel_error, report.worst_param)
-
-
 def test_training_reduces_loss_trend():
     # 200 optimizer steps on a tiny two-row dataset with fixed timesteps
     s = hand_schedule()

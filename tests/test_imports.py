@@ -1,5 +1,6 @@
-"""Every package and test module uses each name it imports, and every public
-name a package module defines is read by some package module."""
+"""Every package and test module uses each name it imports, every public
+name a package module defines is read by some package module, and every
+function, method and class the package defines is named by the package."""
 
 import ast
 import pathlib
@@ -97,3 +98,52 @@ def test_unread_public_names_are_found():
 def test_every_public_name_is_read_by_the_package():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unread_public_names(sources) == []
+
+
+def unnamed_definitions(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each function, method or class, at any depth,
+    that no module in ``sources`` names as a ``Name`` or an ``Attribute``.
+    Dunder methods are called by the language and are exempt."""
+    defined: list[tuple[str, str]] = []
+    named: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((module, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [f"{module}: {name}" for module, name in defined if name not in named]
+
+
+def test_unnamed_definitions_are_found():
+    sources = {
+        "a.py": (
+            "def _helper(x):\n"
+            "    return x\n"
+            "def _only_tests_call(x):\n"
+            "    return x\n"
+            "class Rows:\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    def total(self):\n"
+            "        return 0\n"
+            "    def unused_method(self):\n"
+            "        def inner():\n"
+            "            return 1\n"
+            "        return 2\n"
+        ),
+        "b.py": "from .a import _helper, Rows\ny = _helper(Rows().total())\n",
+    }
+    assert unnamed_definitions(sources) == [
+        "a.py: _only_tests_call",
+        "a.py: unused_method",
+        "a.py: inner",
+    ]
+
+
+def test_every_definition_is_named_by_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unnamed_definitions(sources) == []

@@ -12,10 +12,10 @@ from fedcold.diffusion import DenoisingGenerator, build_schedule, init_denoiser
 from fedcold.errors import ConfigError
 from fedcold.mlp import TwoLayerMLP
 from fedcold.numerics import stream_rng
+from fedcold.pipeline import PreparedData, diffusion_side, mapper_side
 from fedcold.privacy import (
     attack_and_score,
     attack_side,
-    draw_diffusion_rows,
     fano_bound,
     gaussian_entropy,
     mi_gaussian_estimate,
@@ -253,25 +253,24 @@ def _comparison_setup():
     return split, features, generator, mapper
 
 
-def _compare(split, features, generator, mapper, seed, **kwargs):
-    """Both sides of the comparison, as ``fedcold attack`` computes them; the
-    setup attacks 7 items, so the structural sample is 5 of them."""
-    draws = draw_diffusion_rows(split, features, generator, seed, 4)
-    rows = mapper.predict(features[split.cold_items])
-    kwargs["struct_sample_n"] = 5
-    return (
-        attack_side(
-            split, features, "diffusion", draws.attack, draws.mi, seed, **kwargs
-        ),
-        attack_side(split, features, "mapper", rows, [rows] * 4, seed, **kwargs),
-    )
+def _attack_cfg(seed, **settings):
+    """The attack settings of a run at ``seed``; the setup attacks 7 items,
+    so the structural sample is 5 of them."""
+    return RunConfig(synthetic=True, seed=seed, mi_draws=4, struct_sample_n=5, **settings)
+
+
+def _compare(split, features, generator, mapper, seed, n_clusters=None, **settings):
+    """Both sides of the comparison, as ``fedcold attack`` computes them."""
+    cfg = _attack_cfg(seed, **settings)
+    data = PreparedData(split=split, features=features, n_clusters=n_clusters)
+    return diffusion_side(cfg, data, generator), mapper_side(cfg, data, mapper)
 
 
 def test_compare_pipelines_deterministic_and_labeled():
     split, features, generator, mapper = _comparison_setup()
-    kwargs = dict(leak=0.25, attack_epochs=40, attack_lr=0.05, n_clusters=None)
-    first = _compare(split, features, generator, mapper, 5, **kwargs)
-    second = _compare(split, features, generator, mapper, 5, **kwargs)
+    settings = dict(leak_fraction=0.25, attack_epochs=40, attack_lr=0.05)
+    first = _compare(split, features, generator, mapper, 5, **settings)
+    second = _compare(split, features, generator, mapper, 5, **settings)
     for ours, theirs in zip(first, second):
         assert ours.report == theirs.report
         assert ours.mi == theirs.mi
@@ -289,7 +288,7 @@ def test_compare_pipelines_fano_with_clusters():
     split, features, generator, mapper = _comparison_setup()
     sides = _compare(
         split, features, generator, mapper, 6,
-        n_clusters=3, leak=0.25, attack_epochs=10, attack_lr=0.05,
+        n_clusters=3, leak_fraction=0.25, attack_epochs=10, attack_lr=0.05,
     )
     for side in sides:
         assert 0.0 <= side.fano <= 1.0
@@ -297,16 +296,45 @@ def test_compare_pipelines_fano_with_clusters():
 
 def test_compare_pipelines_leak_bounds():
     split, features, generator, mapper = _comparison_setup()
-    draws = draw_diffusion_rows(split, features, generator, 7, 4)
+    data = PreparedData(split=split, features=features, n_clusters=None)
     # RunConfig.validate refuses a fraction outside (0, 1); _split_leak still
     # refuses these, which leave no target item
     for bad_leak in (1.0, 1.5):
+        cfg = _attack_cfg(7, leak_fraction=bad_leak, attack_epochs=10, attack_lr=0.05)
         with pytest.raises(ConfigError):
-            attack_side(
-                split, features, "diffusion", draws.attack, draws.mi, 7,
-                leak=bad_leak, attack_epochs=10, attack_lr=0.05,
-                struct_sample_n=5, n_clusters=None,
-            )
+            diffusion_side(cfg, data, generator)
+        with pytest.raises(ConfigError):
+            mapper_side(cfg, data, mapper)
+
+
+def test_diffusion_side_attacks_its_own_stochastic_chains():
+    # the generator's side draws the attacked rows from the "attack" streams
+    # and each regeneration from its "attack-mi-diffusion-{d}" streams
+    split, features, generator, _ = _comparison_setup()
+    cfg = _attack_cfg(9, leak_fraction=0.25, attack_epochs=10, attack_lr=0.05)
+    side = diffusion_side(
+        cfg, PreparedData(split=split, features=features, n_clusters=3), generator
+    )
+    cold = split.cold_items
+    cold_features = features[cold]
+
+    def chain(label):
+        return generator.generate(
+            cold, cold_features, 9, mode="stochastic", stream_label=label
+        )
+
+    oracle = attack_side(
+        cfg,
+        "diffusion",
+        cold_features,
+        chain("attack"),
+        [chain(f"attack-mi-diffusion-{d}") for d in range(4)],
+        3,
+    )
+    assert side.report == oracle.report
+    assert (side.mi, side.entropy, side.fano) == (oracle.mi, oracle.entropy, oracle.fano)
+    assert side.fano is not None
+    np.testing.assert_array_equal(side.structural, oracle.structural)
 
 
 def test_stochastic_generation_varies_mapper_repeats():
