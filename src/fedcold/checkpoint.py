@@ -115,7 +115,11 @@ class _Reader:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as a dict of float64 matrices."""
+    """Read a checkpoint back as a dict of float64 matrices.
+
+    Raises NumericsError naming the file and the tensor if a tensor holds a
+    NaN or an infinity, as ``save_checkpoint`` does.
+    """
     with open(path, "rb") as handle:
         data = handle.read()
     reader = _Reader(data, path)
@@ -141,6 +145,7 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         raw = reader.take(rows * cols * 4)
         arr = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
         tensors[name] = arr.astype(np.float64)
+        assert_finite(f"tensor {name!r} of {path}", tensors[name])
     if reader.offset != len(data):
         raise DataFormatError(f"{path}: trailing bytes after last section")
     return tensors

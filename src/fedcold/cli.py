@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, load_flat, save_checkpoint, write_atomic
-from .config import CONDITION_MODES, RunConfig, config_help, load_config
+from .config import CONDITION_MODES, IDENTITY_KEYS, RunConfig, config_help, load_config
 from .data import save_interactions
 from .diffusion import DenoisingGenerator
 from .errors import ConfigError, FedcoldError
@@ -67,33 +67,6 @@ WALL_CLOCK_COLUMNS = tuple(
     name for name in ROUNDS_HEADER if name == "seconds" or name.endswith("_seconds")
 )
 TRAIN_MANIFEST = "manifest_train.csv"
-# config keys that fix what train produced; a later stage must repeat them
-IDENTITY_KEYS = (
-    "seed",
-    "synthetic",
-    "synthetic_users",
-    "synthetic_items",
-    "synthetic_clusters",
-    "synthetic_p_in",
-    "synthetic_p_out",
-    "synthetic_feature_dim",
-    "synthetic_feature_noise",
-    "interactions_path",
-    "features_path",
-    "texts_path",
-    "encoder",
-    "hash_dim",
-    "normalize",
-    "split_warm",
-    "split_val",
-    "split_cold",
-    "dim",
-    "heads",
-    "steps",
-    "noise_scale",
-    "noise_min",
-    "noise_max",
-)
 
 
 def _fmt(value) -> str:
@@ -286,11 +259,19 @@ def _print_progress(report: RoundReport, rounds: int) -> None:
 def cmd_train(cfg: RunConfig, progress: bool = False) -> list[str]:
     os.makedirs(cfg.out_dir, exist_ok=True)
     data = prepare_data(cfg)
+    # each round compares the warm rows with the generated cold rows
+    n_warm, n_cold = len(data.split.warm_items), len(data.split.cold_items)
+    if min(n_warm, n_cold) < 2:
+        raise ConfigError(
+            f"the split has {n_warm} warm and {n_cold} cold items; "
+            "training needs at least 2 of each"
+        )
     n_val = len(data.split.val_items)
     if cfg.val_k >= n_val:
         print(
-            f"fedcold train: notice: val_k {cfg.val_k} >= {n_val} validation items, "
-            "so validation recall saturates and the best round is the last",
+            f"fedcold train: notice: val_k {cfg.val_k} >= {n_val} validation items, so "
+            + ("validation recall saturates" if n_val else "no round can be scored")
+            + " and the best round is the last",
             file=sys.stderr,
         )
     on_round = (lambda r: _print_progress(r, cfg.rounds)) if progress else None
@@ -455,8 +436,6 @@ SWEEP_PARAMS = ("dim", "ldp")
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> list[str]:
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     key, parse = ("dim", int) if param == "dim" else ("ldp_scale", float)
@@ -497,26 +476,20 @@ def cmd_sweep(cfg: RunConfig, param: str, values: list[str]) -> list[str]:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="path to key = value config file")
-    sub.add_argument("--seed", type=int, default=None, help="override config seed")
-    sub.add_argument("--out", default=None, help="override config out_dir")
+    sub.add_argument("--seed", type=int, help="override config seed")
+    sub.add_argument("--out", help="override config out_dir")
     sub.add_argument(
-        "--mode",
-        choices=("deterministic", "stochastic"),
-        default=None,
-        help="override inference mode",
+        "--mode", choices=("deterministic", "stochastic"), help="override inference mode"
     )
     sub.add_argument(
         "--condition",
         choices=CONDITION_MODES,
-        default=None,
         help="override guidance substitution at generation time",
     )
     sub.add_argument(
         "--light", action="store_true", help="train the generator every second round"
     )
-    sub.add_argument(
-        "--ldp", type=float, default=None, help="override Laplace upload-noise scale"
-    )
+    sub.add_argument("--ldp", type=float, help="override Laplace upload-noise scale")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,22 +519,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.mode is not None:
-        updates["inference_mode"] = (
-            "deterministic_mean" if args.mode == "deterministic" else "stochastic"
-        )
-    if args.condition is not None:
-        updates["condition"] = args.condition
-    if args.light:
-        updates["light_mode"] = True
-    if args.ldp is not None:
-        updates["ldp_scale"] = args.ldp
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    modes = {"deterministic": "deterministic_mean", "stochastic": "stochastic"}
+    # each override flag and the config key it sets; None leaves the key as is
+    updates = {
+        "seed": args.seed,
+        "out_dir": args.out,
+        "inference_mode": modes.get(args.mode),
+        "condition": args.condition,
+        "light_mode": args.light or None,
+        "ldp_scale": args.ldp,
+    }
+    return dataclasses.replace(
+        cfg, **{key: value for key, value in updates.items() if value is not None}
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

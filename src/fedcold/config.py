@@ -4,6 +4,11 @@ Flat ``key = value`` text files with a typed key registry.  Unknown and
 duplicate keys are rejected so a typo cannot silently fall back to a default,
 and the resolved form of every key is written into each command's manifest.
 Environment variables are never consulted.
+
+Each key is declared once, on one line of ``RunConfig``: its default, its
+range or choices, and whether it is an identity key, one that ``train`` fixes
+and that ``infer``, ``eval`` and ``attack`` must repeat. ``validate`` and
+``--help`` both read these declarations.
 """
 
 from __future__ import annotations
@@ -11,75 +16,86 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .diffusion import INFERENCE_MODES, _validate_levels
 from .errors import ConfigError, not_utf8
 
 CONDITION_MODES = ("full", "zero", "random", "none")
+INFERENCE_MODES = ("deterministic_mean", "stochastic")
 _PATH_KEYS = ("interactions_path", "features_path", "texts_path")
+
+
+def _key(default, rule: str | tuple | None = None, identity: bool = False):
+    """A ``RunConfig`` field: its default; its range (``"in [1, inf)"``, ``"in (0, inf)"``,
+    ``"in (0, 1]"``, ``"non-empty"``; a list's range holds for each element)
+    or its choices; and whether it is an identity key."""
+    return field(default=default, metadata={"rule": rule, "identity": identity})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     # data source: exactly one of synthetic=true or interactions_path
-    synthetic: bool = False
-    synthetic_users: int = 200
-    synthetic_items: int = 130
-    synthetic_clusters: int = 4
-    synthetic_p_in: float = 0.3
-    synthetic_p_out: float = 0.01
-    synthetic_feature_dim: int = 64
-    synthetic_feature_noise: float = 0.1
-    interactions_path: str = ""
-    features_path: str = ""
-    texts_path: str = ""
-    encoder: str = "precomputed"
-    hash_dim: int = 64
-    normalize: str = "none"
+    synthetic: bool = _key(False, identity=True)
+    synthetic_users: int = _key(200, "in [1, inf)", identity=True)
+    synthetic_items: int = _key(130, "in [1, inf)", identity=True)
+    synthetic_clusters: int = _key(4, "in [1, inf)", identity=True)
+    synthetic_p_in: float = _key(0.3, "in [0, 1]", identity=True)
+    synthetic_p_out: float = _key(0.01, "in [0, 1]", identity=True)
+    synthetic_feature_dim: int = _key(64, "in [1, inf)", identity=True)
+    synthetic_feature_noise: float = _key(0.1, "in [0, inf)", identity=True)
+    interactions_path: str = _key("", identity=True)
+    features_path: str = _key("", identity=True)
+    texts_path: str = _key("", identity=True)
+    encoder: str = _key("precomputed", ("precomputed", "hashed_tokens"), identity=True)
+    hash_dim: int = _key(64, "in [1, inf)", identity=True)
+    normalize: str = _key("none", ("none", "l2"), identity=True)
     # item split
-    split_warm: float = 0.6
-    split_val: float = 0.1
-    split_cold: float = 0.3
+    split_warm: float = _key(0.6, "in (0, 1)", identity=True)
+    split_val: float = _key(0.1, "in (0, 1)", identity=True)
+    split_cold: float = _key(0.3, "in (0, 1)", identity=True)
     # federated training
-    rounds: int = 100
-    local_lr: float = 0.1
-    negatives_per_positive: int = 5
-    batch_size: int = 256
-    client_sample_ratio: float = 1.0
-    server_epochs: int = 1
-    ldp_scale: float = 0.0
-    light_mode: bool = False
-    dim: int = 64
+    rounds: int = _key(100, "in [1, inf)")
+    local_lr: float = _key(0.1, "in (0, inf)")
+    negatives_per_positive: int = _key(5, "in [1, inf)")
+    batch_size: int = _key(256, "in [1, inf)")
+    client_sample_ratio: float = _key(1.0, "in (0, 1]")
+    server_epochs: int = _key(1, "in [1, inf)")
+    ldp_scale: float = _key(0.0, "in [0, inf)")
+    light_mode: bool = _key(False)
+    dim: int = _key(64, "in [2, inf)", identity=True)
     # denoising generator
-    steps: int = 40
-    noise_scale: float = 0.1
-    noise_min: float = 0.001
-    noise_max: float = 0.01
-    heads: int = 4
-    server_lr: float = 1e-3
-    inference_mode: str = "deterministic_mean"
+    steps: int = _key(40, "in [2, inf)", identity=True)
+    noise_scale: float = _key(0.1, "in (0, inf)", identity=True)
+    noise_min: float = _key(0.001, "in (0, inf)", identity=True)
+    noise_max: float = _key(0.01, "in (0, inf)", identity=True)
+    heads: int = _key(4, "in [1, inf)", identity=True)
+    server_lr: float = _key(1e-3, "in (0, inf)")
+    inference_mode: str = _key("deterministic_mean", INFERENCE_MODES)
     # evaluation
-    k_list: tuple[int, ...] = (20, 50, 100)
-    val_k: int = 20
-    condition: str = "full"
+    k_list: tuple[int, ...] = _key((20, 50, 100), "in [1, inf)")
+    val_k: int = _key(20, "in [1, inf)")
+    condition: str = _key("full", CONDITION_MODES)
     # inversion-attack harness
-    leak_fraction: float = 0.2
-    attack_epochs: int = 500
-    attack_lr: float = 0.01
-    mi_draws: int = 8
-    struct_sample_n: int = 20
-    mapper_epochs: int = 500
-    mapper_lr: float = 0.05
+    leak_fraction: float = _key(0.2, "in (0, 1)")
+    attack_epochs: int = _key(500, "in [0, inf)")
+    attack_lr: float = _key(0.01, "in (0, inf)")
+    mi_draws: int = _key(8, "in [1, inf)")
+    struct_sample_n: int = _key(20, "in [2, inf)")
+    mapper_epochs: int = _key(500, "in [0, inf)")
+    mapper_lr: float = _key(0.05, "in (0, inf)")
     # run identity
-    seed: int = 0
-    out_dir: str = "runs/out"
+    seed: int = _key(0, "in [0, 2**64)", identity=True)
+    out_dir: str = _key("runs/out", "non-empty")
 
     def validate(self) -> None:
+        """Refuse a value out of its key's range, then break a rule that
+        ties two or more keys together, in one ``ConfigError``."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.metadata["rule"] is not None and not _holds(f, value):
+                raise ConfigError(f"{f.name} must be {_describe(f)}, got {value!r}")
         if self.synthetic == bool(self.interactions_path):
             raise ConfigError(
                 "exactly one data source required: synthetic=true or interactions_path"
@@ -87,115 +103,77 @@ class RunConfig:
         if self.synthetic:
             if self.features_path or self.texts_path:
                 raise ConfigError("synthetic data does not take feature or text files")
-            if self.synthetic_users < 1 or self.synthetic_items < 1:
-                raise ConfigError("synthetic spec needs at least one user and item")
-            if not 1 <= self.synthetic_clusters <= min(
-                self.synthetic_users, self.synthetic_items
+            if self.synthetic_clusters > min(
+                self.synthetic_users, self.synthetic_items, self.synthetic_feature_dim
             ):
                 raise ConfigError(
-                    f"n_clusters={self.synthetic_clusters} must lie in "
-                    "[1, min(n_users, n_items)]"
+                    "synthetic_clusters must be <= synthetic_users, synthetic_items "
+                    f"and synthetic_feature_dim, got {self.synthetic_clusters}"
                 )
-            if self.synthetic_clusters > self.synthetic_feature_dim:
-                raise ConfigError(
-                    "feature_dim must be >= n_clusters for orthogonal centroids"
-                )
-            for name, p in (
-                ("p_in", self.synthetic_p_in),
-                ("p_out", self.synthetic_p_out),
-            ):
-                if not 0.0 <= p <= 1.0:
-                    raise ConfigError(f"{name}={p} outside [0, 1]")
-            if self.synthetic_feature_noise < 0:
-                raise ConfigError("feature_noise must be non-negative")
         else:
-            if self.encoder == "precomputed":
-                if not self.features_path:
-                    raise ConfigError("encoder=precomputed requires features_path")
-                if self.texts_path:
-                    raise ConfigError("encoder=precomputed does not take texts_path")
-            elif self.encoder == "hashed_tokens":
-                if not self.texts_path:
-                    raise ConfigError("encoder=hashed_tokens requires texts_path")
-                if self.features_path:
-                    raise ConfigError(
-                        "encoder=hashed_tokens does not take features_path"
-                    )
-            else:
-                raise ConfigError(f"unknown encoder {self.encoder!r}")
+            wanted, unwanted = "features_path", "texts_path"
+            if self.encoder == "hashed_tokens":
+                wanted, unwanted = unwanted, wanted
+            if not getattr(self, wanted):
+                raise ConfigError(f"encoder={self.encoder} requires {wanted}")
+            if getattr(self, unwanted):
+                raise ConfigError(f"encoder={self.encoder} does not take {unwanted}")
             for key in _PATH_KEYS:
                 path = getattr(self, key)
                 if path and not os.path.exists(path):
                     raise ConfigError(f"{key} does not exist: {path}")
-        if self.normalize not in ("none", "l2"):
-            raise ConfigError(f"unknown normalize mode {self.normalize!r}")
-        if self.hash_dim < 1:
-            raise ConfigError(f"hash_dim must be >= 1, got {self.hash_dim}")
         ratios = (self.split_warm, self.split_val, self.split_cold)
-        if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split ratios must be positive and sum to 1: {ratios}")
-        if not self.k_list or min(self.k_list) < 1:
-            raise ConfigError(f"k_list must be non-empty positive ints: {self.k_list}")
+        if abs(sum(ratios) - 1.0) > 1e-9:
+            raise ConfigError(f"split ratios must sum to 1, got {ratios}")
         if len(set(self.k_list)) != len(self.k_list):
             raise ConfigError(f"k_list has duplicates: {self.k_list}")
-        if self.val_k < 1:
-            raise ConfigError(f"val_k must be >= 1, got {self.val_k}")
-        if self.condition not in CONDITION_MODES:
-            raise ConfigError(f"unknown condition mode {self.condition!r}")
-        if self.inference_mode not in INFERENCE_MODES:
-            raise ConfigError(f"unknown inference mode {self.inference_mode!r}")
-        if not 0.0 < self.leak_fraction < 1.0:
-            raise ConfigError(
-                f"leak_fraction must be in (0, 1), got {self.leak_fraction}"
-            )
-        if min(self.attack_epochs, self.mapper_epochs) < 0:
-            raise ConfigError("attack_epochs and mapper_epochs must be non-negative")
-        if min(self.attack_lr, self.mapper_lr) <= 0:
-            raise ConfigError("attack_lr and mapper_lr must be positive")
-        if self.mi_draws < 1:
-            raise ConfigError(f"mi_draws must be >= 1, got {self.mi_draws}")
-        if self.struct_sample_n < 2:
-            raise ConfigError(
-                f"struct_sample_n must be >= 2, got {self.struct_sample_n}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not self.out_dir:
-            raise ConfigError("out_dir must be non-empty")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.local_lr <= 0:
-            raise ConfigError("local_lr must be positive")
-        if self.negatives_per_positive < 1:
-            raise ConfigError("negatives_per_positive must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if not (0.0 < self.client_sample_ratio <= 1.0):
-            raise ConfigError(
-                f"client_sample_ratio={self.client_sample_ratio} outside (0, 1]"
-            )
-        if self.server_epochs < 1:
-            raise ConfigError("server_epochs must be >= 1")
-        if self.ldp_scale < 0:
-            raise ConfigError("ldp_scale must be non-negative")
-        if self.dim < 1:
-            raise ConfigError("dim must be positive")
-        if self.dim % 2:
-            raise ConfigError(f"embedding width must be even and >= 2, got {self.dim}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
-        if self.dim % self.heads:
-            raise ConfigError(f"width {self.dim} must be divisible by heads {self.heads}")
-        if self.server_lr <= 0:
-            raise ConfigError("server_lr must be positive")
-        _validate_levels(self.steps, self.noise_scale, self.noise_min, self.noise_max)
+        if self.dim % 2 or self.dim % self.heads:
+            raise ConfigError(f"dim must be even and divisible by heads, got {self.dim}")
+        if self.noise_min >= self.noise_max:
+            raise ConfigError(f"noise_min must be < noise_max, got {self.noise_min}")
+        if self.noise_scale * self.noise_max >= 1:
+            level = self.noise_scale * self.noise_max
+            raise ConfigError(f"noise_scale * noise_max must be < 1, got {level}")
 
     def resolved(self) -> dict[str, str]:
         """Every key rendered to canonical text, for manifests and --help."""
-        out = {}
-        for f in dataclasses.fields(self):
-            out[f.name] = _render(getattr(self, f.name))
-        return out
+        return {f.name: _render(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+
+IDENTITY_KEYS = tuple(
+    f.name for f in dataclasses.fields(RunConfig) if f.metadata["identity"]
+)
+
+
+def _bound(text: str) -> float:
+    """A range's bound: a number, or ``base**exponent``."""
+    base, _, exponent = text.strip().partition("**")
+    return float(base) ** int(exponent or 1)
+
+
+def _holds(f: dataclasses.Field, value) -> bool:
+    """Whether ``value`` lies in the range, or among the choices, of key ``f``."""
+    rule = f.metadata["rule"]
+    if isinstance(rule, tuple):
+        return value in rule
+    if isinstance(value, tuple):
+        return value != () and all(_holds(f, v) for v in value)
+    if rule == "non-empty":
+        return value != ""
+    low, high = rule[4:-1].split(",")  # "in [low, high)" and the like
+    above = value >= _bound(low) if rule[3] == "[" else value > _bound(low)
+    below = value <= _bound(high) if rule[-1] == "]" else value < _bound(high)
+    return above and below
+
+
+def _describe(f: dataclasses.Field) -> str:
+    """The range or choices of key ``f``, as the words after "must be"."""
+    rule = f.metadata["rule"]
+    if isinstance(rule, tuple):
+        return "one of " + ", ".join(rule)
+    if isinstance(f.default, tuple):
+        return f"non-empty, each {rule}"
+    return rule
 
 
 def _render(value) -> str:
@@ -277,9 +255,16 @@ def load_config(path: str) -> RunConfig:
 
 
 def config_help() -> str:
-    """One line per key: name, type, default."""
-    lines = [
-        f"  {f.name} ({_kind(f.default)[2]}, default {_render(f.default)})"
-        for f in dataclasses.fields(RunConfig)
-    ]
-    return "config file keys, one `key = value` per line:\n" + "\n".join(lines)
+    """One line per key: name, type, default, and its range or choices; a
+    ``*`` marks an identity key."""
+    lines = []
+    for f in dataclasses.fields(RunConfig):
+        mark = "*" if f.metadata["identity"] else " "
+        rule = "" if f.metadata["rule"] is None else f": {_describe(f)}"
+        lines.append(
+            f"{mark} {f.name} ({_kind(f.default)[2]}, default {_render(f.default)}){rule}"
+        )
+    return (
+        "config file keys, one `key = value` per line; * marks an identity key,\n"
+        "which train fixes and infer, eval and attack must repeat:\n" + "\n".join(lines)
+    )

@@ -126,20 +126,28 @@ def utf8_lines(path: str, newline: str | None = None):
 
 def csv_rows(path: str, header: tuple[str, ...]):
     """``(line number, row)`` for each non-blank row of the CSV at ``path``
-    (``utf8_lines``).
+    (``utf8_lines``); the number is that of the line the row starts on, as a
+    quoted field may hold line breaks.
 
     The first non-blank row is a header, and skipped, when its first field
-    is one of ``header`` (compared lowercased).
+    is one of ``header`` (compared lowercased). A row that is not valid CSV
+    is refused with its line.
     """
+    reader = csv.reader(utf8_lines(path, newline=""))
     first = True
-    for lineno, row in enumerate(csv.reader(utf8_lines(path, newline="")), start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if first:
-            first = False
-            if row[0].strip().lower() in header:
+    end = 0  # the line the previous row ended on
+    try:
+        for row in reader:
+            start, end = end + 1, reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-        yield lineno, row
+            if first:
+                first = False
+                if row[0].strip().lower() in header:
+                    continue
+            yield start, row
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}:{end + 1}: {exc}") from None
 
 
 def load_interactions(path: str) -> Dataset:

@@ -22,23 +22,6 @@ from .checkpoint import load_flat
 from .errors import ConfigError
 from .numerics import Adam, flat_tensors, rekey
 
-INFERENCE_MODES = ("deterministic_mean", "stochastic")
-
-
-def _validate_levels(steps: int, scale: float, lo: float, hi: float) -> None:
-    if steps < 2:
-        raise ConfigError(f"diffusion steps must be >= 2, got {steps}")
-    if scale <= 0:
-        raise ConfigError(f"noise_scale must be positive, got {scale}")
-    if lo <= 0:
-        raise ConfigError(f"noise_min must be positive, got {lo}")
-    if not lo < hi:
-        raise ConfigError(f"noise_min={lo} must be < noise_max={hi}")
-    if scale * hi >= 1:
-        raise ConfigError(
-            f"total corruption noise_scale*noise_max={scale * hi} must stay below 1"
-        )
-
 
 @dataclass
 class NoiseSchedule:
@@ -62,9 +45,10 @@ def build_schedule(
     """Linear corruption-level schedule.
 
     level(t) = noise_scale * (noise_min + (t-1)/(steps-1) * (noise_max -
-    noise_min)) for t = 1..steps, with at least two steps.
+    noise_min)) for t = 1..steps. ``RunConfig.validate`` checks the
+    arguments: at least two steps, and ``0 < noise_min < noise_max`` with
+    ``noise_scale * noise_max < 1``.
     """
-    _validate_levels(steps, noise_scale, noise_min, noise_max)
     t = np.arange(1, steps + 1, dtype=np.float64)
     levels = noise_scale * (
         noise_min + (t - 1.0) / (steps - 1.0) * (noise_max - noise_min)
@@ -72,7 +56,7 @@ def build_schedule(
     alpha_bar = np.empty(steps + 1)
     alpha_bar[0] = 1.0
     alpha_bar[1:] = 1.0 - levels
-    if np.any(np.diff(alpha_bar) >= 0):
+    if not np.all(np.diff(alpha_bar) < 0):
         raise ConfigError("schedule must be strictly decreasing in alpha_bar")
     alpha = np.empty(steps + 1)
     alpha[0] = 1.0

@@ -25,7 +25,7 @@ def _stream_key(seed: int, path: tuple[int | str, ...]) -> np.ndarray:
         h.update(str(part).encode("utf-8"))
         h.update(b"\x1f")
     sub = int.from_bytes(h.digest(), "little")
-    return np.array([seed & 0xFFFFFFFFFFFFFFFF, sub], dtype=np.uint64)
+    return np.array([seed, sub], dtype=np.uint64)
 
 
 def stream_rng(seed: int, *path: int | str) -> np.random.Generator:

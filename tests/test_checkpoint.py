@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 import tempfile
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fedcold.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from fedcold.diffusion import init_denoiser, DenoiserParams
-from fedcold.errors import DataFormatError
+from fedcold.errors import DataFormatError, NumericsError
 from fedcold.mlp import TwoLayerMLP
 from fedcold.numerics import stream_rng
 
@@ -185,14 +186,29 @@ def test_duplicate_sections_are_refused(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_load_refuses_a_non_finite_tensor(tmp_path, value):
+    # save_checkpoint refuses such a tensor, so its bytes are written here
+    path = tmp_path / "bad.ckpt"
+    blob = MAGIC + struct.pack("<II", VERSION, 2) + _section("a", 1, 2) + _section("w", 2, 2)
+    path.write_bytes(blob[:-4] + struct.pack("<f", value))
+    with pytest.raises(NumericsError) as refused:
+        load_checkpoint(str(path))
+    assert str(refused.value) == f"non-finite values in tensor 'w' of {path}"
+
+
+# what load_checkpoint raises on a file it refuses
+REFUSALS = (DataFormatError, NumericsError)
+
+
 def _load_bytes(blob: bytes):
-    """``load_checkpoint`` on ``blob``: the tensors, or the DataFormatError."""
+    """``load_checkpoint`` on ``blob``: the tensors, or the refusal."""
     fd, path = tempfile.mkstemp(suffix=".ckpt")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(blob)
         return load_checkpoint(path)
-    except DataFormatError as exc:
+    except REFUSALS as exc:
         return exc
     finally:
         os.unlink(path)
@@ -203,7 +219,7 @@ def _load_bytes(blob: bytes):
 def test_load_checkpoint_on_arbitrary_bytes_returns_tensors_or_refuses(tail, prefixed):
     blob = MAGIC + struct.pack("<I", VERSION) + tail if prefixed else tail
     loaded = _load_bytes(blob)
-    if not isinstance(loaded, DataFormatError):
+    if not isinstance(loaded, REFUSALS):
         assert all(v.ndim == 2 and v.dtype == np.float64 for v in loaded.values())
 
 
@@ -225,7 +241,7 @@ def test_load_checkpoint_on_section_like_bytes_returns_tensors_or_refuses(
     blob = MAGIC + struct.pack("<II", VERSION, max(0, len(sections) + count_shift))
     blob += b"".join(_section(*s) for s in sections) + junk
     loaded = _load_bytes(blob[: len(blob) - cut])
-    if not isinstance(loaded, DataFormatError):
+    if not isinstance(loaded, REFUSALS):
         names = [name for name, _, _ in sections]
         assert len(set(names)) == len(names)  # duplicates are refused
         assert set(loaded) <= set(names)

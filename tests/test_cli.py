@@ -4,6 +4,7 @@ import io
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import threading
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from fedcold import cli
 from fedcold.checkpoint import load_checkpoint, save_checkpoint
 from fedcold.cli import artifact_sha256, main
-from fedcold.config import RunConfig, load_config, parse_config
+from fedcold.config import IDENTITY_KEYS, RunConfig, load_config, parse_config
 from fedcold.errors import ConfigError
 from fedcold.federation import RoundReport
 from fedcold.mlp import TwoLayerMLP
@@ -147,6 +148,83 @@ def test_attack_rejects_nan_learning_rate(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("fedcold attack: attack_lr must be finite")
+
+
+def test_identity_keys_are_the_keys_train_fixes():
+    assert sorted(IDENTITY_KEYS) == sorted(
+        [
+            "seed",
+            "synthetic",
+            "synthetic_users",
+            "synthetic_items",
+            "synthetic_clusters",
+            "synthetic_p_in",
+            "synthetic_p_out",
+            "synthetic_feature_dim",
+            "synthetic_feature_noise",
+            "interactions_path",
+            "features_path",
+            "texts_path",
+            "encoder",
+            "hash_dim",
+            "normalize",
+            "split_warm",
+            "split_val",
+            "split_cold",
+            "dim",
+            "heads",
+            "steps",
+            "noise_scale",
+            "noise_min",
+            "noise_max",
+        ]
+    )
+
+
+def test_help_lists_each_range_and_marks_the_identity_keys(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    # one line per key: "<mark> <key> (<type>, default <value>)[: <range>]"
+    lines = re.findall(r"^([* ]) (\w+) \((.*?), default (.*?)\)(?:: (.+))?$", out, re.M)
+    assert [name for _, name, *_ in lines] == list(fields)
+    assert {name for mark, name, *_ in lines if mark == "*"} == set(IDENTITY_KEYS)
+    for _, name, _, default, text in lines:
+        assert default == RunConfig().resolved()[name]
+        rule = fields[name].metadata["rule"]
+        if rule is None:
+            assert text == ""
+        elif isinstance(rule, tuple):
+            assert text == "one of " + ", ".join(rule)
+        else:
+            assert text.endswith(rule)
+    # each range printed is the one a bad value is refused with
+    refused = {"seed": 2**64, "k_list": (), "condition": "half", "out_dir": ""}
+    for name, value in refused.items():
+        with pytest.raises(ConfigError) as error:
+            dataclasses.replace(RunConfig(synthetic=True), **{name: value}).validate()
+        text = next(text for _, key, _, _, text in lines if key == name)
+        assert str(error.value) == f"{name} must be {text}, got {value!r}"
+
+
+@pytest.mark.parametrize("source", ["synthetic", "texts"])
+def test_train_refuses_a_seed_beyond_64_bits_in_one_line(
+    monkeypatch, tmp_path, capsys, source
+):
+    # 2**64 once reran seed 0, and under the text encoder ended in a traceback
+    if source == "synthetic":
+        cfg = write_cfg(tmp_path / "seed.cfg", seed=2**64)
+        argv = ("train", "--config", cfg)
+    else:
+        cfg = _utf8_inputs(monkeypatch, tmp_path, tmp_path / "texts", lambda raw: raw)
+        argv = ("train", "--config", cfg, "--seed", str(2**64))
+    capsys.readouterr()
+    assert run(monkeypatch, tmp_path, *argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"fedcold train: seed must be in [0, 2**64), got {2**64}"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_validation_encoder_path_pairing(tmp_path):
@@ -512,6 +590,36 @@ def test_train_notes_a_val_k_that_saturates_validation(monkeypatch, tmp_path, ca
     assert capsys.readouterr().err == ""
 
 
+def test_train_refuses_a_split_too_small_before_any_round(
+    monkeypatch, tmp_path, capsys
+):
+    # 6 items split into 5 warm, 0 validation and 1 cold item: a round could
+    # not compare the cold rows with the warm ones
+    cfg = write_cfg(tmp_path / "six.cfg", synthetic_items=6)
+    argv = ("train", "--config", cfg, "--progress")
+    assert run(monkeypatch, tmp_path, *argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "fedcold train: the split has 5 warm and 1 cold items; "
+        "training needs at least 2 of each"
+    ]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_train_notes_that_no_round_can_be_scored_without_validation_items(
+    monkeypatch, tmp_path, capsys
+):
+    # 9 items split into 7 warm, 0 validation and 2 cold items
+    cfg = write_cfg(tmp_path / "nine.cfg", synthetic_items=9, rounds=2)
+    assert len(prepare_data(load_config(cfg)).split.val_items) == 0
+    assert run(monkeypatch, tmp_path, "train", "--config", cfg) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "fedcold train: notice: val_k 5 >= 0 validation items, so no round can be "
+        "scored and the best round is the last"
+    ]
+    manifest = (tmp_path / "out/manifest_train.csv").read_text()
+    assert "best_round,2\n" in manifest
+
+
 def test_rounds_csv_phase_timings_are_masked_and_counters_hashed(
     monkeypatch, tmp_path
 ):
@@ -687,6 +795,36 @@ def test_infer_names_a_tensor_missing_from_the_checkpoint(
     assert len(err) == 1
     assert err[0].startswith("fedcold infer: ")
     assert err[0].endswith("time_w")
+
+
+def _write_float32(path, tensor, value):
+    """``value`` over the first float32 of ``tensor`` in the checkpoint at
+    ``path``, past ``save_checkpoint``, which refuses a non-finite value."""
+    blob = bytearray(path.read_bytes())
+    start = blob.index(tensor.encode("utf-8")) + len(tensor) + 8  # rows, cols
+    blob[start : start + 4] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize(
+    "name, tensor, value",
+    [
+        ("user_embeddings_best", "user_embeddings", math.nan),
+        ("denoiser_best", "trunk3_b", math.inf),
+    ],
+)
+def test_eval_refuses_a_non_finite_checkpoint(
+    monkeypatch, tmp_path, capsys, name, tensor, value
+):
+    # eval once exited 0 here and wrote metrics from the poisoned table
+    cfg = _trained(monkeypatch, tmp_path)
+    _write_float32(tmp_path / "out" / f"{name}.ckpt", tensor, value)
+    capsys.readouterr()
+    assert run(monkeypatch, tmp_path, "eval", "--config", cfg) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"fedcold eval: non-finite values in tensor {tensor!r} of out/{name}.ckpt"
+    ]
+    assert not (tmp_path / "out/metrics.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "attack"])
@@ -1032,7 +1170,7 @@ def test_sweep_rejects_malformed_values_before_any_run(
     argv = ("sweep", "--config", cfg, "--param", "dim", "--values", "8,7")
     assert run(monkeypatch, tmp_path, *argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["fedcold sweep: embedding width must be even and >= 2, got 7"]
+    assert err == ["fedcold sweep: dim must be even and divisible by heads, got 7"]
     assert not (tmp_path / "out/dim_8").exists()
 
 

@@ -72,6 +72,26 @@ def test_load_malformed_row_reports_line_number(tmp_path):
         load_interactions(str(path))
 
 
+def test_load_names_the_line_a_row_starts_on(tmp_path):
+    # the quoted item id spans lines 2 and 3, so the 4-column row is on line 4
+    path = tmp_path / "quoted.csv"
+    path.write_text('a,x\nb,"y\nz"\nc,x,1,2\n')
+    with pytest.raises(DataFormatError) as refused:
+        load_interactions(str(path))
+    assert str(refused.value) == f"{path}:4: expected 2 or 3 columns, got 4"
+
+
+def test_load_refuses_a_csv_error_with_its_line(tmp_path):
+    # a quote opened on line 3 and never closed runs past the reader's field limit
+    path = tmp_path / "open_quote.csv"
+    path.write_text('a,x\nb,y\nc,"' + "z" * 200_000 + "\n")
+    with pytest.raises(DataFormatError) as refused:
+        load_interactions(str(path))
+    assert str(refused.value) == (
+        f"{path}:3: field larger than field limit ({csv.field_size_limit()})"
+    )
+
+
 def test_load_takes_the_header_from_the_first_non_blank_row(tmp_path):
     plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
     plain.write_text("user_id,item_id\na,x\nb,y\n")
@@ -475,14 +495,22 @@ def test_synthetic_interactions_are_int64_rows_in_row_major_order():
 
 
 def test_synthetic_validation_errors():
+    too_many = (
+        "synthetic_clusters must be <= synthetic_users, synthetic_items "
+        "and synthetic_feature_dim, got "
+    )
     for keys, message in (
-        ({"synthetic_users": 0}, "at least one user and item"),
-        ({"synthetic_clusters": 0}, "n_clusters=0 must lie in"),
-        ({"synthetic_clusters": 300}, "n_clusters=300 must lie in"),
-        ({"synthetic_p_in": 1.5}, r"p_in=1.5 outside \[0, 1\]"),
-        ({"synthetic_p_out": -0.1}, r"p_out=-0.1 outside \[0, 1\]"),
-        ({"synthetic_feature_dim": 2}, "feature_dim must be >= n_clusters"),
-        ({"synthetic_feature_noise": -1.0}, "feature_noise must be non-negative"),
+        ({"synthetic_users": 0}, "synthetic_users must be in [1, inf), got 0"),
+        ({"synthetic_clusters": 0}, "synthetic_clusters must be in [1, inf), got 0"),
+        ({"synthetic_clusters": 300}, too_many + "300"),
+        ({"synthetic_p_in": 1.5}, "synthetic_p_in must be in [0, 1], got 1.5"),
+        ({"synthetic_p_out": -0.1}, "synthetic_p_out must be in [0, 1], got -0.1"),
+        ({"synthetic_feature_dim": 2}, too_many + "4"),
+        (
+            {"synthetic_feature_noise": -1.0},
+            "synthetic_feature_noise must be in [0, inf), got -1.0",
+        ),
     ):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError) as refused:
             synthetic(**keys).validate()
+        assert str(refused.value) == message

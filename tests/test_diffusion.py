@@ -84,12 +84,14 @@ def test_schedule_endpoints_and_monotonicity():
     assert np.all(s.alpha[1:] > 0) and np.all(s.alpha[1:] < 1)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
 def test_schedule_single_step_chain():
-    # a one-step chain is refused, here and through the config
-    with pytest.raises(ConfigError, match="diffusion steps must be >= 2, got 1"):
-        build_schedule(1, 1.0, 0.25, 0.5)
-    with pytest.raises(ConfigError, match="diffusion steps must be >= 2, got 1"):
+    # a one-step chain is refused where the config enters; called past the
+    # config, the schedule refuses its NaN levels
+    with pytest.raises(ConfigError, match=r"^steps must be in \[2, inf\), got 1$"):
         RunConfig(synthetic=True, steps=1).validate()
+    with pytest.raises(ConfigError, match="strictly decreasing in alpha_bar"):
+        build_schedule(1, 1.0, 0.25, 0.5)
 
 
 @given(
@@ -110,16 +112,26 @@ def test_schedule_levels_linear_in_t(steps, scale, lo, hi):
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        build_schedule(5, 2.0, 0.1, 0.6)  # scale*max >= 1
-    with pytest.raises(ConfigError):
-        build_schedule(5, 1.0, 0.5, 0.1)  # min > max
-    with pytest.raises(ConfigError):
-        build_schedule(0, 1.0, 0.1, 0.5)
+    # the schedule's arguments are checked once, by the config
     RunConfig(synthetic=True).validate()
-    for bad in ({"steps": 1}, {"heads": 0}, {"server_lr": 0.0}, {"noise_min": 0.0}):
-        with pytest.raises(ConfigError):
+    for bad, message in (
+        (
+            {"steps": 5, "noise_scale": 2.0, "noise_min": 0.1, "noise_max": 0.6},
+            "noise_scale * noise_max must be < 1, got 1.2",
+        ),
+        (
+            {"steps": 5, "noise_scale": 1.0, "noise_min": 0.5, "noise_max": 0.1},
+            "noise_min must be < noise_max, got 0.5",
+        ),
+        ({"steps": 0}, "steps must be in [2, inf), got 0"),
+        ({"steps": 1}, "steps must be in [2, inf), got 1"),
+        ({"heads": 0}, "heads must be in [1, inf), got 0"),
+        ({"server_lr": 0.0}, "server_lr must be in (0, inf), got 0.0"),
+        ({"noise_min": 0.0}, "noise_min must be in (0, inf), got 0.0"),
+    ):
+        with pytest.raises(ConfigError) as refused:
             RunConfig(synthetic=True, **bad).validate()
+        assert str(refused.value) == message
 
 
 def test_q_sample_boundary_and_zero_noise():
@@ -227,7 +239,7 @@ def test_sinusoidal_encoding_shape_and_range():
     assert np.all(np.abs(enc) <= 1.0)
     assert not np.allclose(enc[0], enc[1])
     # the width's parity is checked once, where the config enters
-    with pytest.raises(ConfigError, match="embedding width must be even and >= 2, got 7"):
+    with pytest.raises(ConfigError, match="^dim must be even and divisible by heads, got 7$"):
         RunConfig(synthetic=True, dim=7, heads=1).validate()
 
 

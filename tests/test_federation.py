@@ -839,31 +839,41 @@ def test_fed_config_validation():
     base = RunConfig(synthetic=True)
     base.validate()
     bad = [
-        ("rounds", 0, "rounds must be >= 1"),
-        ("local_lr", 0.0, "local_lr must be positive"),
-        ("negatives_per_positive", 0, "negatives_per_positive must be >= 1"),
-        ("batch_size", 0, "batch_size must be >= 1"),
-        ("client_sample_ratio", 0.0, r"client_sample_ratio=0.0 outside \(0, 1\]"),
-        ("server_epochs", 0, "server_epochs must be >= 1"),
-        ("ldp_scale", -1.0, "ldp_scale must be non-negative"),
-        ("dim", 0, "dim must be positive"),
-        ("heads", 3, "width 64 must be divisible by heads 3"),
-        ("attack_epochs", -1, "attack_epochs and mapper_epochs must be non-negative"),
-        ("mapper_epochs", -1, "attack_epochs and mapper_epochs must be non-negative"),
-        ("attack_lr", 0.0, "attack_lr and mapper_lr must be positive"),
-        ("mapper_lr", 0.0, "attack_lr and mapper_lr must be positive"),
-        ("struct_sample_n", 1, "struct_sample_n must be >= 2, got 1"),
-        ("leak_fraction", 0.0, r"leak_fraction must be in \(0, 1\), got 0.0"),
-        ("k_list", (0,), r"k_list must be non-empty positive ints: \(0,\)"),
-        ("k_list", (10, 10), r"k_list has duplicates: \(10, 10\)"),
-        ("val_k", 0, "val_k must be >= 1, got 0"),
-        ("condition", "half", "unknown condition mode 'half'"),
-        ("inference_mode", "greedy", "unknown inference mode 'greedy'"),
-        ("split_warm", 0.5, "split ratios must be positive and sum to 1"),
+        ("rounds", 0, "rounds must be in [1, inf), got 0"),
+        ("local_lr", 0.0, "local_lr must be in (0, inf), got 0.0"),
+        ("negatives_per_positive", 0, "negatives_per_positive must be in [1, inf), got 0"),
+        ("batch_size", 0, "batch_size must be in [1, inf), got 0"),
+        ("client_sample_ratio", 0.0, "client_sample_ratio must be in (0, 1], got 0.0"),
+        ("server_epochs", 0, "server_epochs must be in [1, inf), got 0"),
+        ("ldp_scale", -1.0, "ldp_scale must be in [0, inf), got -1.0"),
+        ("dim", 0, "dim must be in [2, inf), got 0"),
+        ("heads", 3, "dim must be even and divisible by heads, got 64"),
+        ("attack_epochs", -1, "attack_epochs must be in [0, inf), got -1"),
+        ("mapper_epochs", -1, "mapper_epochs must be in [0, inf), got -1"),
+        ("attack_lr", 0.0, "attack_lr must be in (0, inf), got 0.0"),
+        ("mapper_lr", 0.0, "mapper_lr must be in (0, inf), got 0.0"),
+        ("struct_sample_n", 1, "struct_sample_n must be in [2, inf), got 1"),
+        ("leak_fraction", 0.0, "leak_fraction must be in (0, 1), got 0.0"),
+        ("k_list", (0,), "k_list must be non-empty, each in [1, inf), got (0,)"),
+        ("k_list", (), "k_list must be non-empty, each in [1, inf), got ()"),
+        ("k_list", (10, 10), "k_list has duplicates: (10, 10)"),
+        ("val_k", 0, "val_k must be in [1, inf), got 0"),
+        ("condition", "half", "condition must be one of full, zero, random, none, got 'half'"),
+        (
+            "inference_mode",
+            "greedy",
+            "inference_mode must be one of deterministic_mean, stochastic, got 'greedy'",
+        ),
+        ("split_warm", 0.5, "split ratios must sum to 1, got (0.5, 0.1, 0.3)"),
+        ("seed", -1, "seed must be in [0, 2**64), got -1"),
+        ("seed", 2**64, "seed must be in [0, 2**64), got 18446744073709551616"),
+        ("out_dir", "", "out_dir must be non-empty, got ''"),
     ]
     for key, value, message in bad:
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError) as refused:
             dataclasses.replace(base, **{key: value}).validate()
+        assert str(refused.value) == message
+    dataclasses.replace(base, seed=2**64 - 1).validate()
 
 
 def test_mapper_learns_identity_task():
@@ -876,7 +886,7 @@ def test_mapper_learns_identity_task():
 def test_mapper_zero_rows_rejected():
     # the mapper fits on the warm rows: a split without warm items is refused
     # where it enters, and positive ratios leave at least one warm item
-    with pytest.raises(ConfigError, match="split ratios must be positive and sum to 1"):
+    with pytest.raises(ConfigError, match=r"^split_warm must be in \(0, 1\), got 0.0$"):
         RunConfig(
             synthetic=True, split_warm=0.0, split_val=0.1, split_cold=0.9
         ).validate()

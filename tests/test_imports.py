@@ -147,3 +147,40 @@ def test_unnamed_definitions_are_found():
 def test_every_definition_is_named_by_the_package():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unnamed_definitions(sources) == []
+
+
+def package_imports(source: str) -> list[str]:
+    """The fedcold modules that ``source`` imports, relatively or by name."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "fedcold":
+                continue
+            module = module.removeprefix("fedcold").lstrip(".")
+            found |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {
+                alias.name.split(".", 1)[1]
+                for alias in node.names
+                if alias.name.startswith("fedcold.")
+            }
+    return sorted(found)
+
+
+def test_package_imports_are_found():
+    source = (
+        "import numpy as np\n"
+        "import fedcold.data\n"
+        "from . import numerics\n"
+        "from .diffusion import INFERENCE_MODES\n"
+        "from fedcold.errors import ConfigError\n"
+        "from dataclasses import field\n"
+    )
+    assert package_imports(source) == ["data", "diffusion", "errors", "numerics"]
+
+
+def test_config_imports_no_package_module_but_errors():
+    # the config is read by every layer, so it depends on none of them
+    source = (PACKAGE / "config.py").read_text(encoding="utf-8")
+    assert package_imports(source) == ["errors"]

@@ -205,9 +205,10 @@ def test_encoder_choice_validation(tmp_path):
     )
     ok.validate()
     for bad, message in (
-        ({"encoder": "resnet"}, "unknown encoder"),
-        ({"normalize": "l1"}, "unknown normalize"),
-        ({"hash_dim": 0}, "hash_dim"),
+        ({"encoder": "resnet"}, "encoder must be one of precomputed, hashed_tokens, got 'resnet'"),
+        ({"normalize": "l1"}, "normalize must be one of none, l2, got 'l1'"),
+        ({"hash_dim": 0}, "hash_dim must be in [1, inf), got 0"),
     ):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError) as refused:
             dataclasses.replace(ok, **bad).validate()
+        assert str(refused.value) == message

@@ -53,6 +53,13 @@ def test_stream_rng_reproducible_and_independent():
     assert abs(r) < 0.02
 
 
+def test_stream_rng_refuses_a_seed_beyond_64_bits():
+    # the seed is the key's first word: 2**64 once drew what seed 0 draws
+    stream_rng(2**64 - 1, "x")
+    with pytest.raises(OverflowError):
+        stream_rng(2**64, "x")
+
+
 def test_stream_rng_distinct_paths_differ():
     x = stream_rng(7, "clients", 3, 5).standard_normal(8)
     y = stream_rng(7, "clients", 3, 6).standard_normal(8)
